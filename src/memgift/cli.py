@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .crossbar import SCHEMES, ConfigError, DeviceParams, load_device_config
+from .crossbar import SCHEMES, ConfigError, CrossbarError, DeviceParams, load_device_config
 from .energy import EnergyParams, account, area_report, load_energy_config
 from .gift import (
     GiftError,
@@ -30,6 +30,7 @@ from .layout import LayoutError, compile_layout, export_layout
 from .masking import apply_mask, encrypt_masked
 from .pipeline import (
     EncryptionSession,
+    PipelineError,
     export_analog_trace,
     export_round_trace,
     format_sweep_table,
@@ -307,7 +308,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GiftError, LayoutError) as exc:
+    except (GiftError, LayoutError, PipelineError, CrossbarError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

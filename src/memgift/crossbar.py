@@ -70,6 +70,10 @@ class DeviceParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "seed" and not math.isfinite(value):
+                raise CrossbarError(f"{f.name} must be finite, got {value}")
         if not self.r_hrs > self.r_lrs > 0:
             raise CrossbarError("need r_hrs > r_lrs > 0")
         if self.sigma_d2d < 0 or self.sigma_c2c < 0:
@@ -445,16 +449,20 @@ class ColumnRead:
 
 
 def draw_read_factors(
-    params: DeviceParams, rng: Optional[np.random.Generator]
-) -> Optional[np.ndarray]:
-    """Cycle-to-cycle factors for one slice read: row 0 scales the four
-    S-box cells, row 1 the four partner cells (unused entries are drawn
-    anyway so the stream position never depends on slice geometry)."""
-    if params.sigma_c2c <= 0:
-        return None
+    sigmas: Sequence[float], rng: Optional[np.random.Generator], reads: int = 1
+) -> np.ndarray:
+    """Cycle-to-cycle factors for the next `reads` reads of one slice, one
+    set per sigma: shape (len(sigmas), reads, 2, 4).  Row 0 of a read
+    scales the four S-box cells, row 1 the four partner cells (unused
+    entries are drawn anyway so the stream position never depends on slice
+    geometry).  The normals are drawn once, in read order, and scaled by
+    every sigma, so all sigmas share one noise stream; drawing `reads`
+    reads at once leaves the generator where `reads` single draws would.
+    """
     if rng is None:
         raise CrossbarError("sigma_c2c > 0 requires an RNG")
-    return variation_factor(params.sigma_c2c, rng.standard_normal((2, 4)))
+    z = rng.standard_normal((reads, 2, 4))
+    return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1, 1), z)
 
 
 def read_round(
@@ -477,7 +485,9 @@ def read_round(
     sb_onehot, key_onehot = select_rows(slice_array, sb_input, rnd)
     sb_row = sb_onehot.index(1)
     key_row = key_onehot.index(1)
-    factors = draw_read_factors(params, rng)
+    factors = None
+    if params.sigma_c2c > 0:
+        factors = draw_read_factors((params.sigma_c2c,), rng)[0, 0]
 
     out = 0
     reads = []

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from .crossbar import ConfigError, parse_kv_file
-from .pipeline import EventLog
+from .pipeline import SENSE_EVENT, EventLog
 
 
 class MissingEventsError(ValueError):
@@ -34,8 +34,6 @@ EVENT_COMPONENT = {
     "selector_cycle": "selector",
     "register_cycle": "register",
 }
-
-_SENSE_KINDS = {"sxor": ("sxor_sense", "ro_s_sense"), "dxor": ("dxor_sense", "ro_d_sense")}
 
 # Published totals for the prior CMOS-only implementation (90 nm library),
 # shipped as a static reference row for report output only.
@@ -163,7 +161,7 @@ def account(log: EventLog, params: EnergyParams = None) -> EnergyReport:
     if log.rounds <= 0:
         raise MissingEventsError("log covers no read cycles")
     required = {"decoder_cycle", "selector_cycle", "register_cycle"}
-    required.update(_SENSE_KINDS.get(log.scheme, ()))
+    required.update(SENSE_EVENT.get(log.scheme, ()))
     missing = sorted(k for k in required if log.get(k) == 0)
     if missing:
         raise MissingEventsError(f"event log is missing categories: {missing}")

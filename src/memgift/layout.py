@@ -146,14 +146,17 @@ def compile_layout(
     variant = variant_for(variant)
     masks = round_addition_masks(key, variant)
     wiring = PermWiring.for_variant(variant)
+    nbytes = variant.block_bits // 8
+    raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
+    # (rounds, n) bit-plane of the masks, gathered at each slice's targets
+    plane = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little"
+    )
+    targets = np.array(wiring.targets).reshape(variant.nibbles, 4)
     slices = []
     for j in range(variant.nibbles):
         cols = slice_columns(variant, j)
-        bits = np.zeros((variant.rounds, len(cols)), dtype=np.uint8)
-        for r, mask in enumerate(masks):
-            for k, b in enumerate(cols):
-                bits[r, k] = (mask >> wiring.targets[4 * j + b]) & 1
-        slices.append(SliceKeyMatrix(j, cols, bits))
+        slices.append(SliceKeyMatrix(j, cols, plane[:, targets[j, list(cols)]]))
     return LayoutBundle(
         variant=variant,
         sbox_matrix=sbox_bit_matrix(sbox),

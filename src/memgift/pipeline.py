@@ -12,6 +12,7 @@ inter-nibble diffusion and intentionally fails the reference oracle.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -42,6 +43,7 @@ class PipelineError(RuntimeError):
 
 _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 
+# Event kinds of a scheme's (XOR amp, read-out amp) senses.
 SENSE_EVENT = {"sxor": ("sxor_sense", "ro_s_sense"), "dxor": ("dxor_sense", "ro_d_sense")}
 
 
@@ -140,6 +142,10 @@ class EncryptionSession:
                 xor_mask[j, col] = True
         for a in (partner_res, partner_bits, xor_mask):
             a.setflags(write=False)
+        wire = self.params.wire_r_per_cell
+        # branch conductances of ideal reads, computed once per programming
+        self._sb_g = 1.0 / (self._sb_res_all + wire)
+        self._partner_g = 1.0 / (partner_res + wire)
         self._partner_res = partner_res
         self._partner_bits = partner_bits
         self._xor_mask = xor_mask
@@ -172,40 +178,58 @@ class EncryptionSession:
 
     # -- reads --------------------------------------------------------------
 
-    def _log_round_events(self) -> None:
+    def _log_reads(self, reads: int) -> None:
         log = self.current_log
-        log.rounds += 1
-        log.add("decoder_cycle", self.variant.nibbles)
-        log.add("selector_cycle", 1)
-        log.add("register_cycle", 1)
+        log.rounds += reads
+        log.add("decoder_cycle", self.variant.nibbles * reads)
+        log.add("selector_cycle", reads)
+        log.add("register_cycle", reads)
         xor_kind, ro_kind = SENSE_EVENT[self.scheme.name]
-        log.add(xor_kind, self._n_xor)
-        log.add(ro_kind, self._n_readout)
+        log.add(xor_kind, self._n_xor * reads)
+        log.add(ro_kind, self._n_readout * reads)
 
-    def _step_fast(self, state_bits: np.ndarray, rnd: int, count_errors: bool = False):
-        rows = state_bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS
-        sb_res = self._sb_res_all[self._slice_index, rows]
-        sb_bits = self._sb_bits_all[self._slice_index, rows]
-        partner_res = self._partner_res[:, rnd, :]
-        if self.params.sigma_c2c > 0:
-            factors = np.stack(
-                [draw_read_factors(self.params, rng) for rng in self._slice_rngs]
-            )
-            sb_res = sb_res * factors[:, 0, :]
-            partner_res = partner_res * factors[:, 1, :]
-        wire = self.params.wire_r_per_cell
-        r_eq = 1.0 / (1.0 / (sb_res + wire) + 1.0 / (partner_res + wire))
-        vdd = self.params.vdd
-        xor_bits = self.scheme.xor_amp.decide(r_eq, vdd)
-        ro_bits = self.scheme.readout_amp.decide(r_eq, vdd)
-        out = np.where(self._xor_mask, xor_bits, ro_bits).astype(np.uint8)
-        errors = 0
-        if count_errors:
-            expected = sb_bits ^ self._partner_bits[:, rnd, :]
-            errors = int((out != expected).sum())
-        next_bits = np.empty_like(state_bits)
-        next_bits[self._targets] = out.reshape(-1)
-        return next_bits, errors
+    def _read_factors(self, reads: int, sigmas):
+        """Cycle-to-cycle factors for the next `reads` reads of one lane per
+        sigma, shape (len(sigmas), S, reads, 2, 4), or None when every sigma
+        is zero.  All lanes scale the same normals (common random numbers)."""
+        if not any(s > 0 for s in sigmas):
+            return None
+        factors = np.empty((len(sigmas), len(self._slice_rngs), reads, 2, 4))
+        for j, rng in enumerate(self._slice_rngs):
+            factors[:, j] = draw_read_factors(sigmas, rng, reads)
+        return factors
+
+    def _read_rounds(self, bits: np.ndarray, rounds: range, factors=None, count_errors=False):
+        """The read kernel: run `rounds` on every lane of `bits`, shape (B, n).
+
+        factors, when given, has shape (B, S, len(rounds), 2, 4): entry
+        [..., 0, :] scales a read's S-box cells, [..., 1, :] its partner
+        cells.  Returns the bits after the last round and, per lane, the
+        number of sensed bits that disagree with the ideal digital value
+        (zeros unless count_errors).
+        """
+        lanes = bits.shape[0]
+        idx = self._slice_index
+        wire, vdd = self.params.wire_r_per_cell, self.params.vdd
+        xor_amp, ro_amp = self.scheme.xor_amp, self.scheme.readout_amp
+        errors = np.zeros(lanes, dtype=np.int64)
+        for i, rnd in enumerate(rounds):
+            rows = bits.reshape(lanes, len(idx), 4) @ _NIBBLE_WEIGHTS
+            if factors is None:
+                g = self._sb_g[idx, rows] + self._partner_g[:, rnd]
+            else:
+                f = factors[:, :, i]
+                g = 1.0 / (self._sb_res_all[idx, rows] * f[..., 0, :] + wire) + 1.0 / (
+                    self._partner_res[:, rnd] * f[..., 1, :] + wire
+                )
+            r_eq = 1.0 / g
+            out = np.where(self._xor_mask, xor_amp.decide(r_eq, vdd), ro_amp.decide(r_eq, vdd))
+            if count_errors:
+                expected = self._sb_bits_all[idx, rows] ^ self._partner_bits[:, rnd]
+                errors += (out != expected).sum(axis=(1, 2))
+            bits = np.empty_like(bits)
+            bits[:, self._targets] = out.reshape(lanes, -1)
+        return bits, errors
 
     def _step_traced(self, state_bits: np.ndarray, rnd: int):
         rows = state_bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS
@@ -233,52 +257,66 @@ class EncryptionSession:
         """Run one read cycle on the given state and latch the result."""
         if self.round_counter >= self.variant.rounds:
             raise PipelineError("stepping past the final round")
-        bits = state_to_bits(state, self.variant.block_bits)
-        next_bits, _ = self._step_fast(bits, self.round_counter)
-        self._log_round_events()
-        self.register_bits = next_bits
-        self.round_counter += 1
+        rnd = self.round_counter
+        bits = state_to_bits(state, self.variant.block_bits)[None]
+        factors = self._read_factors(1, (self.params.sigma_c2c,))
+        bits, _ = self._read_rounds(bits, range(rnd, rnd + 1), factors)
+        self._log_reads(1)
+        self.register_bits = bits[0]
+        self.round_counter = rnd + 1
         self.reads_executed += 1
-        return bits_to_state(next_bits)
+        return bits_to_state(bits[0])
 
-    def _encrypt_bits(self, pt: int, trace: bool, count_errors: bool):
+    def _begin_block(self, pt: int) -> np.ndarray:
         if not 0 <= pt < (1 << self.variant.block_bits):
             raise PipelineError(f"plaintext does not fit in {self.variant.block_bits} bits")
         self.round_counter = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
-        bits = state_to_bits(pt, self.variant.block_bits)
-        self.register_bits = bits
+        self.register_bits = state_to_bits(pt, self.variant.block_bits)
+        return self.register_bits
+
+    def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool):
+        """Encrypt one block once per cycle-to-cycle sigma, all lanes in one
+        pass of the read kernel; every lane counts as one read per round.
+        Returns the lanes' ciphertexts and bit-error counts."""
+        bits = np.tile(self._begin_block(pt), (len(sigmas), 1))
+        rounds = self.variant.rounds
+        factors = self._read_factors(rounds, sigmas)
+        bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors)
+        reads = len(sigmas) * rounds
+        self._log_reads(reads)
+        self.round_counter = rounds
+        self.reads_executed += reads
+        self.blocks_encrypted += len(sigmas)
+        self.register_bits = bits[-1]
+        return [bits_to_state(b) for b in bits], errors
+
+    def _encrypt_traced(self, pt: int):
+        bits = self._begin_block(pt)
         traces = []
-        errors = 0
         for r in range(self.variant.rounds):
-            if trace:
-                input_nibbles = tuple(int(v) for v in bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS)
-                next_bits, reads, output_nibbles = self._step_traced(bits, r)
-            else:
-                next_bits, n_err = self._step_fast(bits, r, count_errors)
-                errors += n_err
-            self._log_round_events()
+            input_nibbles = tuple(int(v) for v in bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS)
+            bits, reads, output_nibbles = self._step_traced(bits, r)
+            self._log_reads(1)
             self.round_counter = r + 1
             self.reads_executed += 1
-            bits = next_bits
             self.register_bits = bits
-            if trace:
-                traces.append(
-                    RoundTrace(r, input_nibbles, output_nibbles, reads, bits_to_state(bits))
-                )
+            traces.append(RoundTrace(r, input_nibbles, output_nibbles, reads, bits_to_state(bits)))
         self.blocks_encrypted += 1
-        return bits_to_state(bits), traces, errors
+        return bits_to_state(bits), traces
 
     def encrypt(self, pt: int, trace: bool = False):
         """Run all rounds from the plaintext; returns (ciphertext, traces)."""
-        ct, traces, _ = self._encrypt_bits(pt, trace, False)
-        return ct, traces
+        if trace:
+            return self._encrypt_traced(pt)
+        cts, _ = self._encrypt_lanes(pt, (self.params.sigma_c2c,), False)
+        return cts[0], []
 
     def encrypt_with_error_count(self, pt: int):
         """Like encrypt, but also counts sensed bits that disagree with the
         ideal digital value for the same inputs (per-read comparison)."""
-        ct, _, errors = self._encrypt_bits(pt, False, True)
-        return ct, errors
+        cts, errors = self._encrypt_lanes(pt, (self.params.sigma_c2c,), True)
+        return cts[0], int(errors[0])
 
     # -- observability ------------------------------------------------------
 
@@ -404,29 +442,41 @@ def run_sweep(
 
     Every sigma point replays the same trial keys, plaintexts and noise
     draws (scaled by sigma), so the empirical error counts are directly
-    comparable across the grid.
+    comparable across the grid.  Each trial programs one session, which
+    serves every sigma point: the points are the lanes of one batched pass
+    over the rounds, and the reference ciphertext is computed once.
     """
-    variant = variant_for(variant)
-    base = base_params if base_params is not None else DeviceParams()
-    points = []
+    sigmas = tuple(float(s) for s in sigmas)
     for sigma in sigmas:
+        if not math.isfinite(sigma):
+            raise PipelineError(f"sigma values must be finite, got {sigma}")
         if sigma < 0:
             raise PipelineError("sigma values must be non-negative")
-        bit_errors = 0
-        block_errors = 0
-        sensed = 0
-        for t in range(blocks):
-            material = np.random.default_rng(np.random.SeedSequence((seed, t)))
-            key = int.from_bytes(material.bytes(16), "big")
-            pt = int.from_bytes(material.bytes(variant.block_bits // 8), "big")
-            params = replace(base, sigma_c2c=float(sigma), seed=_trial_seed(seed, t))
-            session = EncryptionSession(key, variant, scheme, params, feedback)
-            ct, errors = session.encrypt_with_error_count(pt)
-            bit_errors += errors
-            sensed += session.sensed_bits_per_block()
-            block_errors += int(ct != encrypt_block(pt, key, variant))
-        points.append(SweepPoint(float(sigma), blocks, sensed, bit_errors, block_errors))
-    return points
+    if blocks < 0:
+        raise PipelineError(f"blocks must be non-negative, got {blocks}")
+    if not sigmas:
+        return []
+    variant = variant_for(variant)
+    base = base_params if base_params is not None else DeviceParams()
+    bit_errors = np.zeros(len(sigmas), dtype=np.int64)
+    block_errors = np.zeros(len(sigmas), dtype=np.int64)
+    sensed = 0
+    for t in range(blocks):
+        material = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        key = int.from_bytes(material.bytes(16), "big")
+        pt = int.from_bytes(material.bytes(variant.block_bits // 8), "big")
+        # programming reads only sigma_d2d; the lanes carry sigma_c2c
+        params = replace(base, sigma_c2c=0.0, seed=_trial_seed(seed, t))
+        session = EncryptionSession(key, variant, scheme, params, feedback)
+        cts, errors = session._encrypt_lanes(pt, sigmas, count_errors=True)
+        bit_errors += errors
+        expected = encrypt_block(pt, key, variant)
+        block_errors += [ct != expected for ct in cts]
+        sensed += session.sensed_bits_per_block()
+    return [
+        SweepPoint(sigma, blocks, sensed, int(bits), int(block))
+        for sigma, bits, block in zip(sigmas, bit_errors, block_errors)
+    ]
 
 
 def format_sweep_table(points) -> str:

@@ -221,3 +221,9 @@ def test_sweep_stdout_and_bad_sigmas(capsys):
     assert code == 0 and len(out.strip().splitlines()) == 3
     code, _, err = run(capsys, "sweep", "--sigmas", "zero")
     assert code == 2 and "input error" in err
+    code, out, err = run(capsys, "sweep", "--sigmas", "-0.1", "--blocks", "1")
+    assert code == 2 and "input error" in err and out == ""
+    code, out, err = run(capsys, "sweep", "--sigmas", "0,nan", "--blocks", "1")
+    assert code == 2 and "input error" in err and out == ""
+    code, out, err = run(capsys, "sweep", "--blocks", "-3")
+    assert code == 2 and "input error" in err and out == ""

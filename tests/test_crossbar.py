@@ -351,3 +351,17 @@ def test_invalid_device_params():
         DeviceParams(r_lrs=10.0, r_hrs=5.0)
     with pytest.raises(CrossbarError):
         DeviceParams(sigma_c2c=-0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["r_lrs", "r_hrs", "wire_r_per_cell", "sigma_d2d", "sigma_c2c", "vdd"]
+)
+def test_non_finite_device_params_rejected(tmp_path, name, value):
+    # nan > 0 is false, so a NaN sigma would otherwise run as ideal
+    with pytest.raises(CrossbarError, match="finite"):
+        DeviceParams(**{name: value})
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"{name} = {value}\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_device_config(cfg)

@@ -1,5 +1,6 @@
 import io
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from memgift.pipeline import (
 )
 
 RNG = random.Random(30)
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def expected_write_count(variant):
@@ -102,14 +104,14 @@ def test_local_mode_is_slice_local():
     # nibble j output depends only on nibble j input
     for j in (0, 5, 31):
         base = RNG.getrandbits(128)
-        out_base = session._step_fast(
-            np.array([(base >> i) & 1 for i in range(128)], dtype=np.uint8), 0
-        )[0]
+        out_base = session._read_rounds(
+            np.array([[(base >> i) & 1 for i in range(128)]], dtype=np.uint8), range(1)
+        )[0][0]
         for nib in range(16):
             tweaked = (base & ~(0xF << (4 * j))) | (nib << (4 * j))
-            out = session._step_fast(
-                np.array([(tweaked >> i) & 1 for i in range(128)], dtype=np.uint8), 0
-            )[0]
+            out = session._read_rounds(
+                np.array([[(tweaked >> i) & 1 for i in range(128)]], dtype=np.uint8), range(1)
+            )[0][0]
             changed = {
                 k // 4 for k in range(128) if out[k] != out_base[k]
             }
@@ -192,6 +194,25 @@ def test_traced_and_fast_paths_agree_under_noise():
     assert fast == traced
 
 
+@pytest.mark.parametrize("scheme", ["sxor", "dxor"])
+def test_noise_stream_agrees_across_read_paths(variant, scheme):
+    # Every read draws 8 normals per slice, in round order, on every path,
+    # so twin sessions agree whichever path reads them.
+    params = DeviceParams(sigma_c2c=0.1, sigma_d2d=0.03, seed=41)
+    key = RNG.getrandbits(128)
+    pts = [RNG.getrandbits(variant.block_bits) for _ in range(5)]
+    fast = EncryptionSession(key, variant, scheme, params)
+    traced = EncryptionSession(key, variant, scheme, params)
+    cts = [fast.encrypt(pt)[0] for pt in pts]
+    assert cts != [encrypt_block(pt, key, variant) for pt in pts]  # noise flips bits
+    assert [traced.encrypt(pt, trace=True)[0] for pt in pts] == cts
+    stepped = EncryptionSession(key, variant, scheme, params)
+    state = pts[0]
+    for _ in range(variant.rounds):
+        state = stepped.step_round(state)
+    assert state == cts[0]
+
+
 def test_hardware_reuse_invariants():
     key = RNG.getrandbits(128)
     session = EncryptionSession(key, GIFT128, "dxor")
@@ -262,6 +283,19 @@ def test_sweep_zero_sigma_is_error_free():
     assert pts[0].bit_errors == 0 and pts[0].block_errors == 0
 
 
+@pytest.mark.parametrize(
+    "sigmas, blocks",
+    [([0.05, float("nan")], 1), ([0.05, float("inf")], 1), ([0.05, -0.1], 1), ([0.05], -3)],
+)
+def test_sweep_rejects_bad_inputs_before_any_work(monkeypatch, sigmas, blocks):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session was built before the inputs were checked")
+
+    monkeypatch.setattr("memgift.pipeline.EncryptionSession", no_session)
+    with pytest.raises(PipelineError):
+        run_sweep(GIFT128, "dxor", sigmas, blocks=blocks)
+
+
 def test_sweep_monotone_and_deterministic():
     sigmas = [0.0, 0.05, 0.09, 0.12]
     a = run_sweep(GIFT128, "sxor", sigmas, blocks=3, seed=5)
@@ -272,3 +306,39 @@ def test_sweep_monotone_and_deterministic():
     table = format_sweep_table(a)
     assert table.startswith("# sigma_c2c")
     assert len(table.splitlines()) == 1 + len(sigmas)
+
+
+SWEEP_GRID = (0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.12)
+GOLDEN_SWEEPS = {
+    "sweep_dxor_default_seed7": dict(
+        variant=GIFT128, scheme="dxor", sigmas=SWEEP_GRID, blocks=20, seed=7
+    ),
+    "sweep_sxor_default_seed7": dict(
+        variant=GIFT128, scheme="sxor", sigmas=SWEEP_GRID, blocks=20, seed=7
+    ),
+    "sweep_gift128_sxor_3blocks": dict(
+        variant=GIFT128, scheme="sxor", sigmas=(0.0, 0.05, 0.1, 0.2), blocks=3, seed=1
+    ),
+    "sweep_gift64_dxor_2blocks": dict(
+        variant=GIFT64, scheme="dxor", sigmas=SWEEP_GRID, blocks=2, seed=12345
+    ),
+    "sweep_d2d_sigma03": dict(
+        variant=GIFT128, scheme="dxor", sigmas=SWEEP_GRID + (0.3,), blocks=2, seed=0,
+        base_params=DeviceParams(sigma_d2d=0.05),
+    ),
+    "sweep_local_feedback": dict(
+        variant=GIFT64, scheme="sxor", sigmas=(0.0, 0.06, 0.12), blocks=2, seed=3,
+        feedback="local",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
+def test_sweep_matches_golden_table(name):
+    # The tables in tests/data were written by the per-sigma sweep that
+    # predates the batched kernel; a seeded sweep must reproduce them byte
+    # for byte.
+    case = dict(GOLDEN_SWEEPS[name])
+    points = run_sweep(case.pop("variant"), case.pop("scheme"), case.pop("sigmas"),
+                       case.pop("blocks"), **case)
+    assert format_sweep_table(points) == (DATA_DIR / f"{name}.txt").read_text()
