@@ -43,13 +43,7 @@ from .layout import (
     rc_slice_set,
 )
 from .masking import apply_mask, encrypt_masked, remask_sbox
-from .pipeline import (
-    EncryptionSession,
-    encrypt,
-    initialize_session,
-    run_sweep,
-    step_round,
-)
+from .pipeline import EncryptionSession, run_sweep
 
 __version__ = "0.1.0"
 
@@ -75,9 +69,6 @@ __all__ = [
     "DXOR_SCHEME",
     "sense_margin_report",
     "EncryptionSession",
-    "initialize_session",
-    "step_round",
-    "encrypt",
     "run_sweep",
     "EnergyParams",
     "EnergyReport",

@@ -92,6 +92,8 @@ def _read_blocks(args, variant) -> list[int]:
 
 
 def cmd_encrypt(args) -> int:
+    if args.remask_every < 0:
+        raise PipelineError(f"--remask-every must be non-negative, got {args.remask_every}")
     variant = variant_for(args.variant)
     key = _parse_hex(args.key, 32, "key")
     params, schemes = _load_setup(args)

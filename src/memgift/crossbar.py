@@ -1,10 +1,17 @@
-"""Analog-behavioral model of one 1T1R slice.
+"""Analog-behavioral model of the 1T1R slices.
 
 A slice holds a 16x4 S-box LUT region (word lines 0..15) and a key/constant
 region (word lines 16..16+rounds-1) on shared bit lines.  A round read
 selects one row in each region; the selected cells sit in parallel on each
 bit line and the resulting equivalent resistance is resolved by a sense
 amplifier into a digital bit.
+
+`program_slice` writes one slice; a session holds the result of every
+slice once, stacked into a `ProgrammedState`.  One vectorised read serves
+every mode: `column_resistances` gives every column's bit-line resistance
+and `resolve` senses it with the amp's one statement of its maths.  The
+fast path stops at the bits; `read_round` is the same read with node
+capture, packed into per-column `ColumnRead`s for the analog trace.
 
 Electrical model
 ----------------
@@ -27,7 +34,7 @@ calibration constants, not measured device data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -90,23 +97,13 @@ def variation_factor(sigma: float, z):
     return np.maximum(1.0 + sigma * z, MIN_RESISTANCE_FACTOR)
 
 
-@dataclass(frozen=True)
-class MemristorCell:
-    logic_state: str  # "LRS" stores '1', "HRS" stores '0'
-    programmed_resistance: float
-
-    @property
-    def bit(self) -> int:
-        return 1 if self.logic_state == "LRS" else 0
-
-
 def nominal_resistance(bit: int, params: DeviceParams) -> float:
     return params.r_lrs if bit else params.r_hrs
 
 
 @dataclass
 class SliceArray:
-    """Programmed resistive state of one slice.
+    """What programming one slice wrote: its bits and drawn resistances.
 
     All arrays are read-only once programmed: a round read can never move
     a cell between resistive states.
@@ -124,25 +121,8 @@ class SliceArray:
         return self.key_bits.shape[0]
 
     @property
-    def has_rc_column(self) -> bool:
-        return 3 in self.key_columns
-
-    @property
     def cell_count(self) -> int:
         return self.sb_bits.size + self.key_bits.size
-
-    def cell(self, region: str, row: int, col: int) -> MemristorCell:
-        if region == "sb":
-            bit, res = int(self.sb_bits[row, col]), float(self.sb_res[row, col])
-        elif region == "key":
-            k = self.key_columns.index(col)
-            bit, res = int(self.key_bits[row, k]), float(self.key_res[row, k])
-        else:
-            raise CrossbarError(f"unknown region {region!r}")
-        return MemristorCell("LRS" if bit else "HRS", res)
-
-    def state_fingerprint(self) -> int:
-        return hash((self.sb_bits.tobytes(), self.key_bits.tobytes()))
 
 
 def program_slice(
@@ -180,6 +160,63 @@ def program_slice(
         key_res=key_res,
         key_columns=key_matrix.columns,
     )
+
+
+@dataclass(frozen=True, eq=False)
+class ProgrammedState:
+    """Programmed state of every slice, stacked along the slice axis S.
+
+    Each column has one S-box cell per S-box row and, on key columns, one
+    partner (key/constant) cell per round; read-out columns have no
+    partner, which the stack encodes as an infinite resistance.  The
+    branch conductances of ideal reads are computed once, here.
+    """
+
+    sb_bits: np.ndarray  # (S, 16, 4) uint8
+    sb_res: np.ndarray  # (S, 16, 4) float
+    partner_bits: np.ndarray  # (S, rounds, 4) uint8, 0 on read-out columns
+    partner_res: np.ndarray  # (S, rounds, 4) float, inf on read-out columns
+    xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
+    wire_r: float
+    sb_g: np.ndarray = field(init=False, repr=False)
+    partner_g: np.ndarray = field(init=False, repr=False)
+    slice_index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for a in (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res, self.xor_mask):
+            a.setflags(write=False)
+        object.__setattr__(self, "sb_g", 1.0 / (self.sb_res + self.wire_r))
+        object.__setattr__(self, "partner_g", 1.0 / (self.partner_res + self.wire_r))
+        object.__setattr__(self, "slice_index", np.arange(len(self.sb_bits)))
+
+    @classmethod
+    def from_slices(cls, slices: Sequence[SliceArray], wire_r: float) -> "ProgrammedState":
+        S, R = len(slices), slices[0].rounds
+        partner_bits = np.zeros((S, R, 4), dtype=np.uint8)
+        partner_res = np.full((S, R, 4), np.inf)
+        xor_mask = np.zeros((S, 4), dtype=bool)
+        # every slice's key columns, scattered in one assignment per array
+        owner = np.repeat(np.arange(S), [len(s.key_columns) for s in slices])
+        cols = [c for s in slices for c in s.key_columns]
+        partner_bits[owner, :, cols] = np.concatenate([s.key_bits for s in slices], axis=1).T
+        partner_res[owner, :, cols] = np.concatenate([s.key_res for s in slices], axis=1).T
+        xor_mask[owner, cols] = True
+        return cls(
+            np.stack([s.sb_bits for s in slices]),
+            np.stack([s.sb_res for s in slices]),
+            partner_bits,
+            partner_res,
+            xor_mask,
+            wire_r,
+        )
+
+    @property
+    def rounds(self) -> int:
+        return self.partner_bits.shape[1]
+
+    def fingerprint(self) -> int:
+        arrays = (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res)
+        return hash(tuple(a.tobytes() for a in arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +302,14 @@ def _regenerate(v, vref: float, gain: float, vdd: float):
 
 @dataclass(frozen=True)
 class SenseResult:
-    bit: int
+    bit: object  # int from sense(); a bool array from resolve(capture=True)
     nodes: dict  # node name -> volts (divider taps and decision nodes)
     decisions: tuple  # (node name, decided bit) per comparator
+
+
+# Each amp states its maths once: `comparators` gives every branch's
+# (decision node, raw divider voltage, reference) and `gate` combines the
+# comparator outputs into the sensed bit.  Both work on arrays of r_eq.
 
 
 @dataclass(frozen=True)
@@ -284,24 +326,15 @@ class ScoutingXorAmp:
     vth: float = 0.45
     gain: float = 4.0
 
-    def sense(self, r_eq: float, vdd: float) -> SenseResult:
-        if r_eq <= 0:
-            raise CrossbarError("non-positive equivalent resistance")
-        v1_div = _divider_low(r_eq, self.m1, vdd)
-        v2_div = _divider_low(r_eq, self.m2, vdd)
-        v1 = float(_regenerate(v1_div, self.vth, self.gain, vdd))
-        v2 = float(_regenerate(v2_div, self.vth, self.gain, vdd))
-        c1, c2 = int(v1 > self.vth), int(v2 > self.vth)
-        return SenseResult(
-            bit=c1 ^ c2,
-            nodes={"v1_divider": v1_div, "v2_divider": v2_div, "v1": v1, "v2": v2},
-            decisions=(("v1", c1), ("v2", c2)),
+    def comparators(self, r_eq, vdd: float):
+        return (
+            ("v1", _divider_low(r_eq, self.m1, vdd), self.vth),
+            ("v2", _divider_low(r_eq, self.m2, vdd), self.vth),
         )
 
-    def decide(self, r_eq: np.ndarray, vdd: float) -> np.ndarray:
-        c1 = _divider_low(r_eq, self.m1, vdd) > self.vth
-        c2 = _divider_low(r_eq, self.m2, vdd) > self.vth
-        return (c1 ^ c2).astype(np.uint8)
+    @staticmethod
+    def gate(c1, c2):
+        return c1 ^ c2
 
 
 @dataclass(frozen=True)
@@ -313,16 +346,12 @@ class ScoutingReadoutAmp:
     vth: float = 0.45
     gain: float = 4.0
 
-    def sense(self, r_eq: float, vdd: float) -> SenseResult:
-        if r_eq <= 0:
-            raise CrossbarError("non-positive equivalent resistance")
-        v_div = _divider_low(r_eq, self.m1, vdd)
-        v = float(_regenerate(v_div, self.vth, self.gain, vdd))
-        c = int(v > self.vth)
-        return SenseResult(bit=c, nodes={"v1_divider": v_div, "v1": v}, decisions=(("v1", c),))
+    def comparators(self, r_eq, vdd: float):
+        return (("v1", _divider_low(r_eq, self.m1, vdd), self.vth),)
 
-    def decide(self, r_eq: np.ndarray, vdd: float) -> np.ndarray:
-        return (_divider_low(r_eq, self.m1, vdd) > self.vth).astype(np.uint8)
+    @staticmethod
+    def gate(c1):
+        return c1
 
 
 @dataclass(frozen=True)
@@ -340,24 +369,15 @@ class DualXorAmp:
     r_nor: float = 40.0e3
     gain: float = 4.0
 
-    def sense(self, r_eq: float, vdd: float) -> SenseResult:
-        if r_eq <= 0:
-            raise CrossbarError("non-positive equivalent resistance")
-        x1_div = _divider_low(r_eq, self.r_and, vdd)
-        x2_div = _divider_high(r_eq, self.r_nor, vdd)
-        x1v = float(_regenerate(x1_div, self.vref_and, self.gain, vdd))
-        x2v = float(_regenerate(x2_div, self.vref_nor, self.gain, vdd))
-        x1, x2 = int(x1v > self.vref_and), int(x2v > self.vref_nor)
-        return SenseResult(
-            bit=int(not (x1 or x2)),
-            nodes={"x1_divider": x1_div, "x2_divider": x2_div, "x1": x1v, "x2": x2v},
-            decisions=(("x1", x1), ("x2", x2)),
+    def comparators(self, r_eq, vdd: float):
+        return (
+            ("x1", _divider_low(r_eq, self.r_and, vdd), self.vref_and),
+            ("x2", _divider_high(r_eq, self.r_nor, vdd), self.vref_nor),
         )
 
-    def decide(self, r_eq: np.ndarray, vdd: float) -> np.ndarray:
-        x1 = _divider_low(r_eq, self.r_and, vdd) > self.vref_and
-        x2 = _divider_high(r_eq, self.r_nor, vdd) > self.vref_nor
-        return (~(x1 | x2)).astype(np.uint8)
+    @staticmethod
+    def gate(x1, x2):
+        return ~(x1 | x2)
 
 
 @dataclass(frozen=True)
@@ -368,16 +388,30 @@ class DualReadoutAmp:
     r_ro: float = 48.0e3
     gain: float = 4.0
 
-    def sense(self, r_eq: float, vdd: float) -> SenseResult:
-        if r_eq <= 0:
-            raise CrossbarError("non-positive equivalent resistance")
-        v_div = _divider_low(r_eq, self.r_ro, vdd)
-        v = float(_regenerate(v_div, self.vref, self.gain, vdd))
-        c = int(v > self.vref)
-        return SenseResult(bit=c, nodes={"v1_divider": v_div, "v1": v}, decisions=(("v1", c),))
+    def comparators(self, r_eq, vdd: float):
+        return (("v1", _divider_low(r_eq, self.r_ro, vdd), self.vref),)
 
-    def decide(self, r_eq: np.ndarray, vdd: float) -> np.ndarray:
-        return (_divider_low(r_eq, self.r_ro, vdd) > self.vref).astype(np.uint8)
+    @staticmethod
+    def gate(c1):
+        return c1
+
+
+def resolve(amp, r_eq, vdd: float, capture: bool = False):
+    """Sense bit-line resistances r_eq (an array of any shape) with `amp`.
+
+    Every comparator decides on its raw divider voltage.  Returns the bits
+    as a bool array; with capture, a SenseResult whose nodes hold the
+    divider taps and the regenerated decision nodes.
+    """
+    comparators = amp.comparators(r_eq, vdd)
+    decisions = [v > ref for _, v, ref in comparators]
+    bit = amp.gate(*decisions)
+    if not capture:
+        return bit
+    nodes = {f"{name}_divider": v for name, v, _ in comparators}
+    for name, v, ref in comparators:
+        nodes[name] = _regenerate(v, ref, amp.gain, vdd)
+    return SenseResult(bit, nodes, tuple((c[0], d) for c, d in zip(comparators, decisions)))
 
 
 @dataclass(frozen=True)
@@ -416,12 +450,20 @@ def scheme_for(spec) -> SenseAmpScheme:
 
 
 def sense(r_eq: float, sa, vdd: float = 0.9) -> SenseResult:
-    """Resolve one bit-line resistance with the given amp model."""
-    return sa.sense(r_eq, vdd)
+    """Resolve one bit-line resistance with the given amp model: the scalar
+    case of `resolve`, with plain int bits and float volts."""
+    if r_eq <= 0:
+        raise CrossbarError("non-positive equivalent resistance")
+    res = resolve(sa, np.float64(r_eq), vdd, capture=True)
+    return SenseResult(
+        int(res.bit),
+        {name: float(v) for name, v in res.nodes.items()},
+        tuple((name, int(d)) for name, d in res.decisions),
+    )
 
 
 # ---------------------------------------------------------------------------
-# One round read on one slice
+# One round read on every slice
 
 
 @dataclass(frozen=True)
@@ -465,65 +507,61 @@ def draw_read_factors(
     return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1, 1), z)
 
 
+def column_resistances(state: ProgrammedState, rows, rnd: int, factors=None) -> np.ndarray:
+    """Bit-line equivalent resistance of every column when slice j's S-box
+    row rows[..., j] and the key row of round rnd are selected: shape
+    rows.shape + (4,).  factors, shape rows.shape + (2, 4), scale the
+    selected S-box ([..., 0, :]) and partner ([..., 1, :]) cells; without
+    them the ideal branch conductances are gathered as they are."""
+    idx = state.slice_index
+    if factors is None:
+        g = state.sb_g[idx, rows] + state.partner_g[:, rnd]
+    else:
+        wire = state.wire_r
+        g = 1.0 / (state.sb_res[idx, rows] * factors[..., 0, :] + wire) + 1.0 / (
+            state.partner_res[:, rnd] * factors[..., 1, :] + wire
+        )
+    return 1.0 / g
+
+
 def read_round(
-    slice_array: SliceArray,
-    sb_input: int,
-    rnd: int,
-    scheme,
-    params: DeviceParams,
-    rng: Optional[np.random.Generator] = None,
-) -> tuple[int, list[ColumnRead]]:
-    """Resolve all four columns of one slice for one round.
+    state: ProgrammedState, rows, rnd: int, scheme, vdd: float, factors=None
+) -> tuple[np.ndarray, list[ColumnRead]]:
+    """Traced read of round rnd on every slice, slice j on S-box row rows[j].
 
     Key columns are XOR-sensed (S-box cell against key/constant cell); the
-    remaining columns are read out alone.  Returns the output nibble and
-    one ColumnRead per column.
+    remaining columns are read out alone.  factors, shape (S, 2, 4), are
+    the read's cycle-to-cycle factors.  Returns the sensed bits, shape
+    (S, 4), and one ColumnRead per column, slice by slice.
     """
     scheme = scheme_for(scheme)
-    if not 0 <= rnd < slice_array.rounds:
+    rows = np.asarray(rows)
+    if not 0 <= rnd < state.rounds:
         raise CrossbarError(f"round {rnd} out of range")
-    sb_onehot, key_onehot = select_rows(slice_array, sb_input, rnd)
-    sb_row = sb_onehot.index(1)
-    key_row = key_onehot.index(1)
-    factors = None
-    if params.sigma_c2c > 0:
-        factors = draw_read_factors((params.sigma_c2c,), rng)[0, 0]
+    if rows.shape != state.slice_index.shape or not ((rows >= 0) & (rows < 16)).all():
+        raise CrossbarError("need one S-box row in 0..15 per slice")
+    r_eq = column_resistances(state, rows, rnd, factors)
+    xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
+    readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
+    bits = np.where(state.xor_mask, xor.bit, readout.bit)
 
-    out = 0
+    captured = {
+        kind: {name: v.tolist() for name, v in res.nodes.items()}
+        for kind, res in (("xor", xor), ("readout", readout))
+    }
+    sb_bits = state.sb_bits[state.slice_index, rows].tolist()
+    partner_bits = state.partner_bits[:, rnd].tolist()
     reads = []
-    for col in range(4):
-        sb_r = float(slice_array.sb_res[sb_row, col])
-        sb_bit = int(slice_array.sb_bits[sb_row, col])
-        if factors is not None:
-            sb_r *= factors[0, col]
-        cells = [sb_r]
-        stored = [sb_bit]
-        if col in slice_array.key_columns:
-            k = slice_array.key_columns.index(col)
-            key_r = float(slice_array.key_res[key_row, k])
-            if factors is not None:
-                key_r *= factors[1, col]
-            cells.append(key_r)
-            stored.append(int(slice_array.key_bits[key_row, k]))
-            amp, kind = scheme.xor_amp, "xor"
-        else:
-            amp, kind = scheme.readout_amp, "readout"
-        r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
-        result = amp.sense(r_eq, params.vdd)
-        out |= result.bit << col
-        reads.append(
-            ColumnRead(
-                slice_index=slice_array.slice_index,
-                round_index=rnd,
-                column=col,
-                kind=kind,
-                stored_bits=tuple(stored),
-                r_eq=r_eq,
-                nodes=result.nodes,
-                bit=result.bit,
-            )
-        )
-    return out, reads
+    for j, (xor_cols, r_row, bit_row) in enumerate(
+        zip(state.xor_mask.tolist(), r_eq.tolist(), bits.tolist())
+    ):
+        for col in range(4):
+            kind = "xor" if xor_cols[col] else "readout"
+            stored = (sb_bits[j][col],) + ((partner_bits[j][col],) if xor_cols[col] else ())
+            nodes = {name: v[j][col] for name, v in captured[kind].items()}
+            bit = int(bit_row[col])
+            reads.append(ColumnRead(j, rnd, col, kind, stored, r_row[col], nodes, bit))
+    return bits, reads
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +588,7 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
         for bits in combos:
             cells = [nominal_resistance(b, params) for b in bits]
             r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
-            result = amp.sense(r_eq, params.vdd)
+            result = sense(r_eq, amp, params.vdd)
             for node, decision in result.decisions:
                 records.append(
                     MarginRecord(name, bits, node, result.nodes[node], decision)
@@ -611,6 +649,14 @@ def parse_kv_file(path) -> dict[str, str]:
     return entries
 
 
+def parse_number(name: str, value: str, caster=float):
+    """One parameter-file value; a malformed one is a ConfigError."""
+    try:
+        return caster(value)
+    except ValueError:
+        raise ConfigError(f"parameter {name!r}: invalid value {value!r}") from None
+
+
 def load_device_config(path) -> tuple[DeviceParams, dict[str, SenseAmpScheme]]:
     """Build DeviceParams and both sense-amp schemes from a config file."""
     entries = parse_kv_file(path)
@@ -619,22 +665,18 @@ def load_device_config(path) -> tuple[DeviceParams, dict[str, SenseAmpScheme]]:
     amp_overrides: dict[str, dict[str, float]] = {k: {} for k in _AMP_SECTIONS}
 
     for name, value in entries.items():
-        try:
-            if "." in name:
-                section, _, key = name.partition(".")
-                if section not in _AMP_SECTIONS:
-                    raise ConfigError(f"unknown parameter section {section!r}")
-                _, amp_cls = _AMP_SECTIONS[section]
-                if key not in {f.name for f in fields(amp_cls)}:
-                    raise ConfigError(f"unknown {section} parameter {key!r}")
-                amp_overrides[section][key] = float(value)
-            elif name in device_fields:
-                caster = int if name == "seed" else float
-                device_kwargs[name] = caster(value)
-            else:
-                raise ConfigError(f"unknown device parameter {name!r}")
-        except ValueError:
-            raise ConfigError(f"parameter {name!r}: invalid value {value!r}") from None
+        if "." in name:
+            section, _, key = name.partition(".")
+            if section not in _AMP_SECTIONS:
+                raise ConfigError(f"unknown parameter section {section!r}")
+            _, amp_cls = _AMP_SECTIONS[section]
+            if key not in {f.name for f in fields(amp_cls)}:
+                raise ConfigError(f"unknown {section} parameter {key!r}")
+            amp_overrides[section][key] = parse_number(name, value)
+        elif name in device_fields:
+            device_kwargs[name] = parse_number(name, value, int if name == "seed" else float)
+        else:
+            raise ConfigError(f"unknown device parameter {name!r}")
 
     try:
         params = DeviceParams(**device_kwargs)

@@ -13,9 +13,10 @@ not part of the per-block figures, which cover the 40 encryption rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
-from .crossbar import ConfigError, parse_kv_file
+from .crossbar import ConfigError, parse_kv_file, parse_number
 from .pipeline import SENSE_EVENT, EventLog
 
 
@@ -86,14 +87,17 @@ class EnergyParams:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and value < 0:
-                raise ValueError(f"{f.name} must be non-negative")
-        for table_name in ("static_power", "area_mm2"):
-            table = getattr(self, table_name)
-            if set(table) != set(COMPONENTS):
-                raise ValueError(f"{table_name} must cover exactly {COMPONENTS}")
-            if any(v < 0 for v in table.values()):
-                raise ValueError(f"{table_name} entries must be non-negative")
+            if isinstance(value, dict):
+                if set(value) != set(COMPONENTS):
+                    raise ValueError(f"{f.name} must cover exactly {COMPONENTS}")
+                entries = [(f"{f.name}[{k!r}]", v) for k, v in value.items()]
+            else:
+                entries = [(f.name, value)]
+            for name, v in entries:
+                if not math.isfinite(v):
+                    raise ValueError(f"{name} must be finite, got {v}")
+                if v < 0:
+                    raise ValueError(f"{name} must be non-negative")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
 
@@ -229,27 +233,18 @@ def load_energy_config(path) -> EnergyParams:
         f.name for f in fields(EnergyParams) if f.name not in ("static_power", "area_mm2")
     }
     kwargs = {}
-    static = _default_static_power()
-    area = _default_area()
+    tables = {"static": _default_static_power(), "area": _default_area()}
     for name, value in entries.items():
-        try:
-            if name in scalar_keys:
-                kwargs[name] = float(value)
-            elif name.startswith("static."):
-                comp = name.split(".", 1)[1]
-                if comp not in COMPONENTS:
-                    raise ConfigError(f"unknown component {comp!r}")
-                static[comp] = float(value)
-            elif name.startswith("area."):
-                comp = name.split(".", 1)[1]
-                if comp not in COMPONENTS:
-                    raise ConfigError(f"unknown component {comp!r}")
-                area[comp] = float(value)
-            else:
-                raise ConfigError(f"unknown energy parameter {name!r}")
-        except ValueError:
-            raise ConfigError(f"parameter {name!r}: invalid value {value!r}") from None
+        if name in scalar_keys:
+            kwargs[name] = parse_number(name, value)
+        elif name.startswith(("static.", "area.")):
+            table_name, _, comp = name.partition(".")
+            if comp not in COMPONENTS:
+                raise ConfigError(f"unknown component {comp!r}")
+            tables[table_name][comp] = parse_number(name, value)
+        else:
+            raise ConfigError(f"unknown energy parameter {name!r}")
     try:
-        return EnergyParams(static_power=static, area_mm2=area, **kwargs)
+        return EnergyParams(static_power=tables["static"], area_mm2=tables["area"], **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None

@@ -246,7 +246,6 @@ def bits_to_state(bits: np.ndarray) -> int:
 # Layout file format.
 #
 #   MEMGIFT-LAYOUT v1 <variant>
-#   sbox <16 hex digits>            row 0 first, column 0 in the digit LSB
 #   slice <j> sb <16 hex digits>
 #   slice <j> rk <rounds hex digits>
 #   ...

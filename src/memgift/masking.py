@@ -15,7 +15,7 @@ reproduces the unmasked ciphertext exactly.
 
 from __future__ import annotations
 
-from .gift import GIFT_SBOX, SBoxTable
+from .gift import SBoxTable
 from .pipeline import EncryptionSession, PipelineError
 
 
@@ -38,11 +38,12 @@ def replicate_mask(mask: int, nibbles: int) -> int:
 
 
 def apply_mask(session: EncryptionSession, mask: int) -> None:
-    """Reprogram every slice's S-box region with the masked table
-    (16x4 cell writes per slice, logged for energy reporting)."""
+    """Reprogram every slice's S-box region with the session's base S-box
+    (the table it was compiled with) masked by `mask` (16x4 cell writes per
+    slice, logged for energy reporting)."""
     if not 0 <= mask < 16:
         raise ValueError("mask must be a 4-bit value")
-    session.reprogram_sbox(remask_sbox(GIFT_SBOX, mask))
+    session.reprogram_sbox(remask_sbox(session.bundle.sbox, mask))
     session.mask = mask
 
 

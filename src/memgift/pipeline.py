@@ -7,6 +7,12 @@ output register, and the inter-round wiring routes bit (j, b) to position
 P(4j+b) of the next state (`permuted` mode).  The literal slice-local
 feedback reading is retained as a diagnostic (`local` mode); it severs
 inter-nibble diffusion and intentionally fails the reference oracle.
+
+The session holds its programmed cells once, as the stacked
+`ProgrammedState`, and reads them with one kernel, `_read_rounds`, over
+lanes of blocks: fast, noisy, stepped and traced encryption and the
+sweep's sigma points all run through it.  A traced read is the same read
+with node capture (`crossbar.read_round`).
 """
 
 from __future__ import annotations
@@ -19,12 +25,13 @@ from typing import Optional
 import numpy as np
 
 from .crossbar import (
-    CrossbarError,
     DeviceParams,
-    SliceArray,
+    ProgrammedState,
+    column_resistances,
     draw_read_factors,
     program_slice,
     read_round,
+    resolve,
     scheme_for,
 )
 from .gift import GIFT_SBOX, CipherState, CipherVariant, SBoxTable, encrypt_block, variant_for
@@ -107,17 +114,21 @@ class EncryptionSession:
         self._slice_rngs = [np.random.default_rng(s) for s in seeds]
 
         self.write_log = EventLog(self.variant.name, self.scheme.name)
-        self.slices: list[SliceArray] = []
+        slices = []
         for j, km in enumerate(self.bundle.slices):
             arr = program_slice(km, self.bundle.sbox_matrix, self.params, self._slice_rngs[j])
-            self.slices.append(arr)
+            slices.append(arr)
             self.write_log.add("cell_write", arr.cell_count)
+        self.state = ProgrammedState.from_slices(slices, self.params.wire_r_per_cell)
+        self._n_xor = int(self.state.xor_mask.sum())
+        self._n_readout = 4 * n - self._n_xor
 
         if self.feedback == "permuted":
-            self._targets = np.array(self.bundle.wiring.targets)
+            targets = np.array(self.bundle.wiring.targets)
         else:
-            self._targets = np.arange(self.variant.block_bits)
-        self._rebuild_column_stacks()
+            targets = np.arange(self.variant.block_bits)
+        # the wiring inverted: next-state bit i is sensed bit _sources[i]
+        self._sources = np.argsort(targets)
 
         self.register_bits = np.zeros(self.variant.block_bits, dtype=np.uint8)
         self.round_counter = 0
@@ -127,54 +138,23 @@ class EncryptionSession:
 
     # -- programming ------------------------------------------------------
 
-    def _rebuild_column_stacks(self) -> None:
-        """Stack per-slice arrays into session-wide views for the read path."""
-        S, R = self.variant.nibbles, self.variant.rounds
-        self._sb_res_all = np.stack([s.sb_res for s in self.slices])
-        self._sb_bits_all = np.stack([s.sb_bits for s in self.slices])
-        partner_res = np.full((S, R, 4), np.inf)
-        partner_bits = np.zeros((S, R, 4), dtype=np.uint8)
-        xor_mask = np.zeros((S, 4), dtype=bool)
-        for j, arr in enumerate(self.slices):
-            for k, col in enumerate(arr.key_columns):
-                partner_res[j, :, col] = arr.key_res[:, k]
-                partner_bits[j, :, col] = arr.key_bits[:, k]
-                xor_mask[j, col] = True
-        for a in (partner_res, partner_bits, xor_mask):
-            a.setflags(write=False)
-        wire = self.params.wire_r_per_cell
-        # branch conductances of ideal reads, computed once per programming
-        self._sb_g = 1.0 / (self._sb_res_all + wire)
-        self._partner_g = 1.0 / (partner_res + wire)
-        self._partner_res = partner_res
-        self._partner_bits = partner_bits
-        self._xor_mask = xor_mask
-        self._n_xor = int(xor_mask.sum())
-        self._n_readout = 4 * S - self._n_xor
-        self._slice_index = np.arange(S)
-
     def reprogram_sbox(self, sbox: SBoxTable) -> None:
         """Rewrite only the 16x4 S-box region of every slice (run-time
         reconfiguration); key/constant cells are untouched."""
         matrix = sbox_bit_matrix(sbox)
-        new_slices = []
-        for j, old in enumerate(self.slices):
-            km_like = _KeyRegionView(old)
-            arr = program_slice(km_like, matrix, self.params, self._slice_rngs[j])
-            # keep the already-programmed key region (no key-cell writes)
-            arr = SliceArray(
-                slice_index=old.slice_index,
-                sb_bits=arr.sb_bits,
-                sb_res=arr.sb_res,
-                key_bits=old.key_bits,
-                key_res=old.key_res,
-                key_columns=old.key_columns,
-            )
-            new_slices.append(arr)
+        written = []
+        for j, km in enumerate(self.bundle.slices):
+            # program_slice also draws the key region's d2d normals; they are
+            # discarded (no key-cell writes) but keep every slice's noise
+            # stream where a whole-slice write would leave it.
+            written.append(program_slice(km, matrix, self.params, self._slice_rngs[j]))
             self.write_log.add("cell_write", 16 * 4)
-        self.slices = new_slices
+        self.state = replace(
+            self.state,
+            sb_bits=np.stack([arr.sb_bits for arr in written]),
+            sb_res=np.stack([arr.sb_res for arr in written]),
+        )
         self.sbox = sbox
-        self._rebuild_column_stacks()
 
     # -- reads --------------------------------------------------------------
 
@@ -199,59 +179,45 @@ class EncryptionSession:
             factors[:, j] = draw_read_factors(sigmas, rng, reads)
         return factors
 
-    def _read_rounds(self, bits: np.ndarray, rounds: range, factors=None, count_errors=False):
+    def _read_rounds(
+        self, bits: np.ndarray, rounds: range, factors=None, count_errors=False, traces=None
+    ):
         """The read kernel: run `rounds` on every lane of `bits`, shape (B, n).
 
         factors, when given, has shape (B, S, len(rounds), 2, 4): entry
         [..., 0, :] scales a read's S-box cells, [..., 1, :] its partner
         cells.  Returns the bits after the last round and, per lane, the
         number of sensed bits that disagree with the ideal digital value
-        (zeros unless count_errors).
+        (zeros unless count_errors).  With a `traces` list (B = 1), each
+        round is read by read_round, which also captures the analog nodes,
+        and its RoundTrace is appended.
         """
         lanes = bits.shape[0]
-        idx = self._slice_index
-        wire, vdd = self.params.wire_r_per_cell, self.params.vdd
+        state, vdd = self.state, self.params.vdd
         xor_amp, ro_amp = self.scheme.xor_amp, self.scheme.readout_amp
+        idx = state.slice_index
         errors = np.zeros(lanes, dtype=np.int64)
         for i, rnd in enumerate(rounds):
             rows = bits.reshape(lanes, len(idx), 4) @ _NIBBLE_WEIGHTS
-            if factors is None:
-                g = self._sb_g[idx, rows] + self._partner_g[:, rnd]
+            f = None if factors is None else factors[:, :, i]
+            if traces is None:
+                r_eq = column_resistances(state, rows, rnd, f)
+                xor_bits, ro_bits = resolve(xor_amp, r_eq, vdd), resolve(ro_amp, r_eq, vdd)
+                out = np.where(state.xor_mask, xor_bits, ro_bits)
             else:
-                f = factors[:, :, i]
-                g = 1.0 / (self._sb_res_all[idx, rows] * f[..., 0, :] + wire) + 1.0 / (
-                    self._partner_res[:, rnd] * f[..., 1, :] + wire
-                )
-            r_eq = 1.0 / g
-            out = np.where(self._xor_mask, xor_amp.decide(r_eq, vdd), ro_amp.decide(r_eq, vdd))
+                f = None if f is None else f[0]
+                out, reads = read_round(state, rows[0], rnd, self.scheme, vdd, f)
+                out = out[None]
             if count_errors:
-                expected = self._sb_bits_all[idx, rows] ^ self._partner_bits[:, rnd]
+                expected = state.sb_bits[idx, rows] ^ state.partner_bits[:, rnd]
                 errors += (out != expected).sum(axis=(1, 2))
-            bits = np.empty_like(bits)
-            bits[:, self._targets] = out.reshape(lanes, -1)
+            # a bool array is its 0/1 bytes, so the view skips a cast
+            bits = out.reshape(lanes, -1).view(np.uint8).take(self._sources, axis=1)
+            if traces is not None:
+                outputs = tuple((out[0] @ _NIBBLE_WEIGHTS).tolist())
+                post = bits_to_state(bits[0])
+                traces.append(RoundTrace(rnd, tuple(rows[0].tolist()), outputs, reads, post))
         return bits, errors
-
-    def _step_traced(self, state_bits: np.ndarray, rnd: int):
-        rows = state_bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS
-        outs = np.zeros((self.variant.nibbles, 4), dtype=np.uint8)
-        reads = []
-        noisy = self.params.sigma_c2c > 0
-        for j, arr in enumerate(self.slices):
-            nib, cols = read_round(
-                arr,
-                int(rows[j]),
-                rnd,
-                self.scheme,
-                self.params,
-                self._slice_rngs[j] if noisy else None,
-            )
-            for b in range(4):
-                outs[j, b] = (nib >> b) & 1
-            reads.extend(cols)
-        next_bits = np.empty_like(state_bits)
-        next_bits[self._targets] = outs.reshape(-1)
-        out_nibbles = tuple(int(v) for v in outs @ _NIBBLE_WEIGHTS)
-        return next_bits, reads, out_nibbles
 
     def step_round(self, state: int) -> int:
         """Run one read cycle on the given state and latch the result."""
@@ -275,14 +241,14 @@ class EncryptionSession:
         self.register_bits = state_to_bits(pt, self.variant.block_bits)
         return self.register_bits
 
-    def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool):
+    def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
         """Encrypt one block once per cycle-to-cycle sigma, all lanes in one
         pass of the read kernel; every lane counts as one read per round.
         Returns the lanes' ciphertexts and bit-error counts."""
         bits = np.tile(self._begin_block(pt), (len(sigmas), 1))
         rounds = self.variant.rounds
         factors = self._read_factors(rounds, sigmas)
-        bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors)
+        bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, traces)
         reads = len(sigmas) * rounds
         self._log_reads(reads)
         self.round_counter = rounds
@@ -291,26 +257,13 @@ class EncryptionSession:
         self.register_bits = bits[-1]
         return [bits_to_state(b) for b in bits], errors
 
-    def _encrypt_traced(self, pt: int):
-        bits = self._begin_block(pt)
-        traces = []
-        for r in range(self.variant.rounds):
-            input_nibbles = tuple(int(v) for v in bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS)
-            bits, reads, output_nibbles = self._step_traced(bits, r)
-            self._log_reads(1)
-            self.round_counter = r + 1
-            self.reads_executed += 1
-            self.register_bits = bits
-            traces.append(RoundTrace(r, input_nibbles, output_nibbles, reads, bits_to_state(bits)))
-        self.blocks_encrypted += 1
-        return bits_to_state(bits), traces
-
     def encrypt(self, pt: int, trace: bool = False):
-        """Run all rounds from the plaintext; returns (ciphertext, traces)."""
-        if trace:
-            return self._encrypt_traced(pt)
-        cts, _ = self._encrypt_lanes(pt, (self.params.sigma_c2c,), False)
-        return cts[0], []
+        """Run all rounds from the plaintext; returns (ciphertext, traces),
+        with one RoundTrace per round when trace is set."""
+        traces = []
+        sigmas = (self.params.sigma_c2c,)
+        cts, _ = self._encrypt_lanes(pt, sigmas, False, traces if trace else None)
+        return cts[0], traces
 
     def encrypt_with_error_count(self, pt: int):
         """Like encrypt, but also counts sensed bits that disagree with the
@@ -327,45 +280,12 @@ class EncryptionSession:
     def sensed_bits_per_block(self) -> int:
         return self.variant.rounds * 4 * self.variant.nibbles
 
-    def cell_fingerprint(self) -> tuple:
-        return tuple(arr.state_fingerprint() for arr in self.slices)
+    def cell_fingerprint(self) -> int:
+        return self.state.fingerprint()
 
     def session_log(self) -> EventLog:
         """Programming events plus the last encrypted block's events."""
         return self.write_log.merged_with(self.current_log)
-
-
-class _KeyRegionView:
-    """Adapter so program_slice can rewrite the S-box region with an empty
-    key region (no key-cell writes)."""
-
-    def __init__(self, arr: SliceArray):
-        self.slice_index = arr.slice_index
-        self.columns = arr.key_columns
-        self.bits = np.zeros((arr.rounds, len(arr.key_columns)), dtype=np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation wrappers
-
-
-def initialize_session(
-    key: int,
-    variant=None,
-    sa_scheme="dxor",
-    params: Optional[DeviceParams] = None,
-    feedback_mode: str = "permuted",
-    sbox: SBoxTable = GIFT_SBOX,
-) -> EncryptionSession:
-    return EncryptionSession(key, variant, sa_scheme, params, feedback_mode, sbox)
-
-
-def step_round(session: EncryptionSession, state: int) -> int:
-    return session.step_round(state)
-
-
-def encrypt(session: EncryptionSession, plaintext: int, trace: bool = False):
-    return session.encrypt(plaintext, trace)
 
 
 # ---------------------------------------------------------------------------

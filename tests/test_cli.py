@@ -89,6 +89,14 @@ def test_encrypt_pt_file_and_remask(capsys, tmp_path):
         assert int(line, 16) == encrypt_block(int(pt, 16), key, GIFT128)
 
 
+def test_encrypt_negative_remask_every_exits_2(capsys):
+    code, out, err = run(
+        capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--remask-every", "-1"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--remask-every" in err
+
+
 def test_unknown_arguments_exit_2(capsys):
     assert run(capsys, "encrypt", "--nope")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2

@@ -11,12 +11,15 @@ from memgift.crossbar import (
     DeviceParams,
     DXOR_SCHEME,
     SXOR_SCHEME,
+    ProgrammedState,
     bitline_equivalent_resistance,
     check_margins,
+    draw_read_factors,
     load_device_config,
     nominal_resistance,
     program_slice,
     read_round,
+    resolve,
     round_selector,
     select_rows,
     sense,
@@ -33,6 +36,14 @@ def make_slice(params=None, key_bits=None, columns=(1, 2), index=0, rng=None):
         key_bits = np.zeros((40, len(columns)), dtype=np.uint8)
     km = SliceKeyMatrix(index, columns, np.asarray(key_bits, dtype=np.uint8))
     return program_slice(km, sbox_bit_matrix(GIFT_SBOX), params, rng)
+
+
+def read_one(arr, nib, rnd, scheme, params, factors=None):
+    """read_round on the one-slice stacked state of `arr`: returns the
+    output nibble and the four ColumnReads."""
+    state = ProgrammedState.from_slices([arr], params.wire_r_per_cell)
+    bits, reads = read_round(state, [nib], rnd, scheme, params.vdd, factors)
+    return int(bits[0] @ [1, 2, 4, 8]), reads
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +198,7 @@ def test_dxor_is_nor_of_and_and_nor():
         r_eq = bitline_equivalent_resistance(
             [nominal_resistance(b, params) for b in bits]
         )
-        res = DXOR_SCHEME.xor_amp.sense(r_eq, params.vdd)
+        res = sense(r_eq, DXOR_SCHEME.xor_amp, params.vdd)
         decisions = dict(res.decisions)
         assert decisions["x1"] == (1 if bits == (1, 1) else 0)
         assert decisions["x2"] == (1 if bits == (0, 0) else 0)
@@ -211,11 +222,11 @@ def test_sensed_voltage_monotone_single_crossing(scheme):
     params = DeviceParams()
     sweep = np.geomspace(100.0, 5e6, 400)
     for amp in (scheme.xor_amp, scheme.readout_amp):
-        names = [n for n, _ in amp.sense(1e3, params.vdd).decisions]
+        names = [n for n, _ in sense(1e3, amp, params.vdd).decisions]
         volts = {n: [] for n in names}
         decisions = {n: [] for n in names}
         for r in sweep:
-            res = amp.sense(float(r), params.vdd)
+            res = sense(float(r), amp, params.vdd)
             for n, d in res.decisions:
                 volts[n].append(res.nodes[n])
                 decisions[n].append(d)
@@ -225,6 +236,21 @@ def test_sensed_voltage_monotone_single_crossing(scheme):
             # decision flips at most once across the sweep
             flips = np.count_nonzero(np.diff(decisions[n]))
             assert flips <= 1
+
+
+@pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
+def test_resolve_matches_scalar_sense(scheme):
+    # one statement of each amp's maths serves arrays and scalars alike
+    params = DeviceParams()
+    sweep = np.geomspace(100.0, 5e6, 64)
+    for amp in (scheme.xor_amp, scheme.readout_amp):
+        bits = resolve(amp, sweep, params.vdd)
+        captured = resolve(amp, sweep, params.vdd, capture=True)
+        assert np.array_equal(captured.bit, bits)
+        for i, r in enumerate(sweep):
+            res = sense(float(r), amp, params.vdd)
+            assert res.bit == bits[i]
+            assert res.nodes == {name: v[i] for name, v in captured.nodes.items()}
 
 
 def test_sense_rejects_bad_resistance():
@@ -248,7 +274,7 @@ def test_variation_factor_clamps():
 def test_zero_key_rows_read_back_sbox(scheme):
     arr = make_slice()
     for nib in range(16):
-        out, reads = read_round(arr, nib, 0, scheme, DeviceParams())
+        out, reads = read_one(arr, nib, 0, scheme, DeviceParams())
         assert out == GIFT_SBOX[nib]
         assert len(reads) == 4
         assert {r.kind for r in reads} == {"xor", "readout"}
@@ -259,7 +285,7 @@ def test_all_ones_key_row_flips_rc_slice_columns(scheme):
     key_bits = np.ones((40, 3), dtype=np.uint8)
     arr = make_slice(key_bits=key_bits, columns=(1, 2, 3))
     for nib in range(16):
-        out, _ = read_round(arr, nib, 5, scheme, DeviceParams())
+        out, _ = read_one(arr, nib, 5, scheme, DeviceParams())
         assert out == GIFT_SBOX[nib] ^ 0b1110  # bits 1, 2 and 3 flipped
 
 
@@ -274,7 +300,7 @@ def test_full_sweep_matches_digital_oracle(scheme):
         arr = program_slice(km, bundle.sbox_matrix, params)
         for nib in range(16):
             for rnd in range(40):
-                out, _ = read_round(arr, nib, rnd, scheme, params)
+                out, _ = read_one(arr, nib, rnd, scheme, params)
                 expected = GIFT_SBOX[nib]
                 for k, b in enumerate(km.columns):
                     expected ^= int(km.bits[rnd, k]) << b
@@ -282,25 +308,39 @@ def test_full_sweep_matches_digital_oracle(scheme):
 
 
 def test_reads_do_not_disturb_cells():
-    arr = make_slice()
-    before = (arr.sb_bits.copy(), arr.key_bits.copy(), arr.sb_res.copy())
-    fp = arr.state_fingerprint()
+    state = ProgrammedState.from_slices([make_slice()], 0.0)
+    before = (state.sb_bits.copy(), state.partner_bits.copy(), state.sb_res.copy())
+    fp = state.fingerprint()
     for nib in range(16):
-        read_round(arr, nib, nib % 40, "sxor", DeviceParams())
-    assert arr.state_fingerprint() == fp
-    assert np.array_equal(arr.sb_bits, before[0])
-    assert np.array_equal(arr.key_bits, before[1])
-    assert np.array_equal(arr.sb_res, before[2])
+        read_round(state, [nib], nib % 40, "sxor", 0.9)
+    assert state.fingerprint() == fp
+    assert np.array_equal(state.sb_bits, before[0])
+    assert np.array_equal(state.partner_bits, before[1])
+    assert np.array_equal(state.sb_res, before[2])
+    with pytest.raises(ValueError):
+        state.sb_res[0, 0, 0] = 1.0
+
+
+def test_read_round_rejects_bad_selection():
+    state = ProgrammedState.from_slices([make_slice()], 0.0)
+    for rows, rnd in (([3], 40), ([3], -1), ([16], 0), ([-1], 0), ([1, 2], 0)):
+        with pytest.raises(CrossbarError):
+            read_round(state, rows, rnd, "dxor", 0.9)
 
 
 def test_noisy_read_requires_rng_and_is_deterministic():
     params = DeviceParams(sigma_c2c=0.05)
     arr = make_slice()
     with pytest.raises(CrossbarError):
-        read_round(arr, 3, 0, "sxor", params, rng=None)
-    a = read_round(arr, 3, 0, "sxor", params, rng=np.random.default_rng(5))
-    b = read_round(arr, 3, 0, "sxor", params, rng=np.random.default_rng(5))
+        draw_read_factors((params.sigma_c2c,), None)
+
+    def noisy_read(seed):
+        factors = draw_read_factors((params.sigma_c2c,), np.random.default_rng(seed))[0]
+        return read_one(arr, 3, 0, "sxor", params, factors)
+
+    a, b = noisy_read(5), noisy_read(5)
     assert [c.r_eq for c in a[1]] == [c.r_eq for c in b[1]]
+    assert [c.r_eq for c in a[1]] != [c.r_eq for c in read_one(arr, 3, 0, "sxor", params)[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +372,20 @@ ro_d.vref = 0.40
 def test_device_config_rejects_unknown_key(tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("r_lrs = 3000\nbogus = 1\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown device parameter 'bogus'"):
+        load_device_config(cfg)
+    cfg.write_text("sxor.bogus = 1\n")
+    with pytest.raises(ConfigError, match="unknown sxor parameter 'bogus'"):
+        load_device_config(cfg)
+    cfg.write_text("warp.m1 = 1\n")
+    with pytest.raises(ConfigError, match="unknown parameter section 'warp'"):
         load_device_config(cfg)
 
 
 def test_device_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("r_lrs = fast\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="invalid value 'fast'"):
         load_device_config(cfg)
     cfg.write_text("sxor.vth = 5.0\n")  # above vdd
     with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from memgift.crossbar import ConfigError
@@ -155,15 +157,30 @@ area.register = 0.0008
 def test_energy_config_rejects_unknown(tmp_path):
     cfg = tmp_path / "energy.cfg"
     cfg.write_text("warp_core = 9\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown energy parameter 'warp_core'"):
         load_energy_config(cfg)
     cfg.write_text("static.flux = 1\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown component 'flux'"):
+        load_energy_config(cfg)
+    cfg.write_text("area.register = big\n")
+    with pytest.raises(ConfigError, match="invalid value 'big'"):
         load_energy_config(cfg)
 
 
-def test_energy_params_validation():
+def test_energy_params_validation(tmp_path):
     with pytest.raises(ValueError):
         EnergyParams(dxor_sense=-1.0)
     with pytest.raises(ValueError):
         EnergyParams(static_power={"decoders": 1e-6})
+    cfg = tmp_path / "energy.cfg"
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            EnergyParams(dxor_sense=value)
+        with pytest.raises(ValueError, match="finite"):
+            EnergyParams(clock_hz=value)
+        with pytest.raises(ValueError, match="finite"):
+            EnergyParams(area_mm2={**EnergyParams().area_mm2, "register": value})
+        for line in (f"dxor_sense = {value}", f"static.crossbar = {value}"):
+            cfg.write_text(line + "\n")
+            with pytest.raises(ConfigError, match="finite"):
+                load_energy_config(cfg)

@@ -1,0 +1,92 @@
+"""Golden outputs of seeded traced runs and of the energy report.
+
+The files in tests/data pin the round trace (committed whole), the
+SHA-256 of the analog trace (too large to commit) and `energy-report
+--json` for both schemes, so a refactor of the read path cannot shift
+them unnoticed.  Regenerate, only for a deliberate change, with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from memgift.cli import main
+from memgift.crossbar import DeviceParams
+from memgift.gift import GIFT64, GIFT128
+from memgift.masking import apply_mask, encrypt_masked
+from memgift.pipeline import EncryptionSession, export_analog_trace, export_round_trace
+
+DATA_DIR = Path(__file__).parent / "data"
+
+KEY = 0x0F1E2D3C4B5A69788796A5B4C3D2E1F0
+MASK = 9
+
+# One block, then apply_mask(MASK), then one masked block.
+TRACE_RUNS = {
+    "trace_gift64_sxor": dict(
+        variant=GIFT64, scheme="sxor", feedback="permuted",
+        params=DeviceParams(sigma_c2c=0.08, sigma_d2d=0.03, seed=5),
+        pts=(0x0123456789ABCDEF, 0xFEDCBA9876543210),
+    ),
+    "trace_gift128_dxor_wire_local": dict(
+        variant=GIFT128, scheme="dxor", feedback="local",
+        params=DeviceParams(sigma_c2c=0.08, sigma_d2d=0.03, wire_r_per_cell=150.0, seed=5),
+        pts=(0x00112233445566778899AABBCCDDEEFF, 0xFFEEDDCCBBAA99887766554433221100),
+    ),
+}
+
+
+def traced_run(case) -> tuple[str, str]:
+    """Round trace and analog trace text of one golden run."""
+    session = EncryptionSession(
+        KEY, case["variant"], case["scheme"], case["params"], case["feedback"]
+    )
+    first, second = case["pts"]
+    _, traces = session.encrypt(first, trace=True)
+    apply_mask(session, MASK)
+    _, masked = encrypt_masked(session, second, MASK, trace=True)
+    traces = traces + masked
+    round_fp, analog_fp = io.StringIO(), io.StringIO()
+    export_round_trace(session, traces, round_fp)
+    export_analog_trace(traces, analog_fp)
+    return round_fp.getvalue(), analog_fp.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest() + "\n"
+
+
+def energy_json(scheme: str, out: Path) -> str:
+    assert main(["energy-report", "--scheme", scheme, "--json", str(out)]) == 0
+    return out.read_text()
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_RUNS))
+def test_traces_match_golden(name):
+    round_text, analog_text = traced_run(TRACE_RUNS[name])
+    assert round_text == (DATA_DIR / f"{name}.jsonl").read_text()
+    assert sha256(analog_text) == (DATA_DIR / f"{name}.analog.sha256").read_text()
+
+
+@pytest.mark.parametrize("scheme", ["sxor", "dxor"])
+def test_energy_report_matches_golden(tmp_path, scheme, capsys):
+    got = energy_json(scheme, tmp_path / "energy.json")
+    capsys.readouterr()
+    assert got == (DATA_DIR / f"energy_{scheme}.json").read_text()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name, case in TRACE_RUNS.items():
+        round_text, analog_text = traced_run(case)
+        (DATA_DIR / f"{name}.jsonl").write_text(round_text)
+        (DATA_DIR / f"{name}.analog.sha256").write_text(sha256(analog_text))
+    with tempfile.TemporaryDirectory() as tmp:
+        for scheme in ("sxor", "dxor"):
+            text = energy_json(scheme, Path(tmp) / "energy.json")
+            (DATA_DIR / f"energy_{scheme}.json").write_text(text)

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, encrypt_block
+from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block
 from memgift.masking import (
     MaskMismatchError,
     apply_mask,
@@ -125,3 +127,19 @@ def test_mask_survives_gift64_plane():
     apply_mask(session, 0xF)
     ct, _ = encrypt_masked(session, pt, 0xF)
     assert ct == encrypt_block(pt, key, GIFT64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sbox=st.permutations(range(16)),
+    mask=st.integers(0, 15),
+    key=st.integers(0, 2**128 - 1),
+    pt=st.integers(0, 2**64 - 1),
+)
+def test_masking_is_transparent_for_any_sbox(sbox, mask, key, pt):
+    # the mask must be applied to the session's own S-box, not GIFT's
+    session = EncryptionSession(key, GIFT64, "dxor", sbox=SBoxTable(sbox))
+    plain, _ = session.encrypt(pt)
+    apply_mask(session, mask)
+    masked, _ = encrypt_masked(session, pt, mask)
+    assert masked == plain

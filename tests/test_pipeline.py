@@ -19,13 +19,10 @@ from memgift.gift import (
 from memgift.pipeline import (
     EncryptionSession,
     PipelineError,
-    encrypt,
     export_analog_trace,
     export_round_trace,
     format_sweep_table,
-    initialize_session,
     run_sweep,
-    step_round,
 )
 
 RNG = random.Random(30)
@@ -42,7 +39,7 @@ def expected_write_count(variant):
 
 
 def test_write_event_count(variant):
-    session = initialize_session(0, variant, "dxor")
+    session = EncryptionSession(0, variant, "dxor")
     assert session.write_log.get("cell_write") == expected_write_count(variant)
     assert expected_write_count(GIFT128) == (16 * 4 + 40 * 2) * 32 + 40 * 7
 
@@ -52,13 +49,14 @@ def test_reinit_same_seed_same_resistances():
     key = RNG.getrandbits(128)
     a = EncryptionSession(key, GIFT128, "sxor", params)
     b = EncryptionSession(key, GIFT128, "sxor", params)
-    for sa, sb in zip(a.slices, b.slices):
-        assert np.array_equal(sa.sb_res, sb.sb_res)
-        assert np.array_equal(sa.key_res, sb.key_res)
+    assert np.array_equal(a.state.sb_res, b.state.sb_res)
+    assert np.array_equal(a.state.partner_res, b.state.partner_res)
+    assert a.cell_fingerprint() == b.cell_fingerprint()
+    assert not np.array_equal(a.state.sb_res, EncryptionSession(key, GIFT128, "sxor").state.sb_res)
 
 
 def test_no_reads_before_first_encrypt():
-    session = initialize_session(1, GIFT128, "dxor")
+    session = EncryptionSession(1, GIFT128, "dxor")
     assert session.reads_executed == 0
     assert session.current_log.rounds == 0
 
@@ -77,8 +75,8 @@ def test_bad_modes_rejected():
 def test_round_zero_matches_reference(variant):
     key = RNG.getrandbits(128)
     pt = RNG.getrandbits(variant.block_bits)
-    session = initialize_session(key, variant, "sxor")
-    got = step_round(session, pt)
+    session = EncryptionSession(key, variant, "sxor")
+    got = session.step_round(pt)
     rk = extract_round_key(key, variant)
     rc = RoundConstantState.initial()
     want = add_round_key_and_constant(
@@ -90,7 +88,7 @@ def test_round_zero_matches_reference(variant):
 
 
 def test_step_past_final_round_rejected():
-    session = initialize_session(0, GIFT64, "dxor")
+    session = EncryptionSession(0, GIFT64, "dxor")
     state = 0
     for _ in range(GIFT64.rounds):
         state = session.step_round(state)
@@ -126,21 +124,21 @@ def test_local_mode_is_slice_local():
 def test_pipeline_matches_reference(variant, scheme, kat64, kat128):
     vectors = kat64 if variant is GIFT64 else kat128
     for vec in vectors:
-        session = initialize_session(vec.key, variant, scheme)
-        ct, _ = encrypt(session, vec.pt)
+        session = EncryptionSession(vec.key, variant, scheme)
+        ct, _ = session.encrypt(vec.pt)
         assert ct == vec.ct
     for _ in range(20):
         key = RNG.getrandbits(128)
         pt = RNG.getrandbits(variant.block_bits)
-        session = initialize_session(key, variant, scheme)
-        ct, _ = encrypt(session, pt)
+        session = EncryptionSession(key, variant, scheme)
+        ct, _ = session.encrypt(pt)
         assert ct == encrypt_block(pt, key, variant)
 
 
 def test_local_mode_fails_reference(kat128):
     vec = kat128[1]
-    session = initialize_session(vec.key, GIFT128, "dxor", feedback_mode="local")
-    ct, _ = encrypt(session, vec.pt)
+    session = EncryptionSession(vec.key, GIFT128, "dxor", feedback="local")
+    ct, _ = session.encrypt(vec.pt)
     assert ct != vec.ct
 
 
