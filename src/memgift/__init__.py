@@ -7,7 +7,7 @@ The package splits into:
 * :mod:`memgift.layout` -- offline compiler folding key schedule, round
   constants and the bit permutation into per-slice crossbar contents.
 * :mod:`memgift.crossbar` -- analog-behavioral slice model: resistive
-  cells, decoders, and both sense-amplifier schemes.
+  programmed cells, bit lines and both sense-amplifier schemes.
 * :mod:`memgift.pipeline` -- encryption sessions: program once, then one
   crossbar read per round, with traces and event logs.
 * :mod:`memgift.energy` -- event-based energy/power/latency/area reports.

@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import secrets
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .crossbar import SCHEMES, ConfigError, CrossbarError, DeviceParams, load_device_config
@@ -110,10 +112,14 @@ def cmd_encrypt(args) -> int:
     want_trace = bool(args.trace or args.analog_trace)
     all_traces = []
     digits = variant.block_bits // 4
-    mask_rng = random.Random(params.seed)
+    # remasks are unpredictable unless --seed asks for a repeatable run
+    if args.seed is None:
+        next_mask = partial(secrets.randbelow, 16)
+    else:
+        next_mask = partial(random.Random(args.seed).randrange, 16)
     for i, pt in enumerate(blocks):
         if args.remask_every and i and i % args.remask_every == 0:
-            mask = mask_rng.randrange(16)
+            mask = next_mask()
             apply_mask(session, mask)
         if mask is not None:
             ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)

@@ -6,8 +6,8 @@ selects one row in each region; the selected cells sit in parallel on each
 bit line and the resulting equivalent resistance is resolved by a sense
 amplifier into a digital bit.
 
-`program_slice` writes one slice; a session holds the result of every
-slice once, stacked into a `ProgrammedState`.  One vectorised read serves
+`program_slice` writes every slice of a layout in one pass, into the
+stacked `ProgrammedState` a session holds once.  One vectorised read serves
 every mode: `column_resistances` gives every column's bit-line resistance
 and `resolve` senses it with the amp's one statement of its maths.  The
 fast path stops at the bits; `read_round` is the same read with node
@@ -101,67 +101,6 @@ def nominal_resistance(bit: int, params: DeviceParams) -> float:
     return params.r_lrs if bit else params.r_hrs
 
 
-@dataclass
-class SliceArray:
-    """What programming one slice wrote: its bits and drawn resistances.
-
-    All arrays are read-only once programmed: a round read can never move
-    a cell between resistive states.
-    """
-
-    slice_index: int
-    sb_bits: np.ndarray  # (16, 4) uint8
-    sb_res: np.ndarray  # (16, 4) float
-    key_bits: np.ndarray  # (rounds, len(key_columns)) uint8
-    key_res: np.ndarray  # same shape, float
-    key_columns: tuple[int, ...]
-
-    @property
-    def rounds(self) -> int:
-        return self.key_bits.shape[0]
-
-    @property
-    def cell_count(self) -> int:
-        return self.sb_bits.size + self.key_bits.size
-
-
-def program_slice(
-    key_matrix: SliceKeyMatrix,
-    sbox_matrix: np.ndarray,
-    params: DeviceParams,
-    rng: Optional[np.random.Generator] = None,
-) -> SliceArray:
-    """Write one slice: every cell's state matches its layout bit and its
-    resistance is drawn once (device-to-device variation)."""
-    sb_bits = np.asarray(sbox_matrix, dtype=np.uint8)
-    key_bits = np.asarray(key_matrix.bits, dtype=np.uint8)
-    if sb_bits.shape != (16, 4):
-        raise CrossbarError(f"S-box region must be 16x4, got {sb_bits.shape}")
-    if key_bits.ndim != 2 or key_bits.shape[1] != len(key_matrix.columns):
-        raise CrossbarError("key region shape does not match its column list")
-
-    def resistances(bits: np.ndarray) -> np.ndarray:
-        res = np.where(bits != 0, params.r_lrs, params.r_hrs).astype(float)
-        if params.sigma_d2d > 0:
-            if rng is None:
-                raise CrossbarError("sigma_d2d > 0 requires an RNG")
-            res = res * variation_factor(params.sigma_d2d, rng.standard_normal(bits.shape))
-        return res
-
-    sb_res = resistances(sb_bits)
-    key_res = resistances(key_bits)
-    for arr in (sb_bits, sb_res, key_bits, key_res):
-        arr.setflags(write=False)
-    return SliceArray(
-        slice_index=key_matrix.slice_index,
-        sb_bits=sb_bits,
-        sb_res=sb_res,
-        key_bits=key_bits,
-        key_res=key_res,
-        key_columns=key_matrix.columns,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class ProgrammedState:
     """Programmed state of every slice, stacked along the slice axis S.
@@ -169,7 +108,9 @@ class ProgrammedState:
     Each column has one S-box cell per S-box row and, on key columns, one
     partner (key/constant) cell per round; read-out columns have no
     partner, which the stack encodes as an infinite resistance.  The
-    branch conductances of ideal reads are computed once, here.
+    branch conductances of ideal reads are computed once, here.  Written
+    by `program_slice`; its arrays are read-only, so a read can never move
+    a cell between resistive states.
     """
 
     sb_bits: np.ndarray  # (S, 16, 4) uint8
@@ -189,74 +130,68 @@ class ProgrammedState:
         object.__setattr__(self, "partner_g", 1.0 / (self.partner_res + self.wire_r))
         object.__setattr__(self, "slice_index", np.arange(len(self.sb_bits)))
 
-    @classmethod
-    def from_slices(cls, slices: Sequence[SliceArray], wire_r: float) -> "ProgrammedState":
-        S, R = len(slices), slices[0].rounds
-        partner_bits = np.zeros((S, R, 4), dtype=np.uint8)
-        partner_res = np.full((S, R, 4), np.inf)
-        xor_mask = np.zeros((S, 4), dtype=bool)
-        # every slice's key columns, scattered in one assignment per array
-        owner = np.repeat(np.arange(S), [len(s.key_columns) for s in slices])
-        cols = [c for s in slices for c in s.key_columns]
-        partner_bits[owner, :, cols] = np.concatenate([s.key_bits for s in slices], axis=1).T
-        partner_res[owner, :, cols] = np.concatenate([s.key_res for s in slices], axis=1).T
-        xor_mask[owner, cols] = True
-        return cls(
-            np.stack([s.sb_bits for s in slices]),
-            np.stack([s.sb_res for s in slices]),
-            partner_bits,
-            partner_res,
-            xor_mask,
-            wire_r,
-        )
-
     @property
     def rounds(self) -> int:
         return self.partner_bits.shape[1]
+
+    @property
+    def cell_count(self) -> int:
+        """Cells written: every S-box cell and every key-column partner."""
+        return self.sb_bits.size + self.rounds * int(self.xor_mask.sum())
 
     def fingerprint(self) -> int:
         arrays = (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res)
         return hash(tuple(a.tobytes() for a in arrays))
 
 
-# ---------------------------------------------------------------------------
-# Address decoders and the shared RC/RK round selector
+def program_slice(
+    key_matrices: Sequence[SliceKeyMatrix],
+    sbox_matrix: np.ndarray,
+    params: DeviceParams,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
+) -> ProgrammedState:
+    """Write every slice in one pass: slice j gets the S-box region and
+    the key region of key_matrices[j].
 
+    Every cell's state matches its layout bit and its resistance is drawn
+    once (device-to-device variation): slice j draws its S-box normals,
+    then its key normals, from rngs[j], which only sigma_d2d > 0 needs.
+    """
+    sb_bits = np.asarray(sbox_matrix, dtype=np.uint8)
+    if sb_bits.shape != (16, 4):
+        raise CrossbarError(f"S-box region must be 16x4, got {sb_bits.shape}")
+    widths = [len(km.columns) for km in key_matrices]
+    key_bits = [np.asarray(km.bits, dtype=np.uint8) for km in key_matrices]
+    rounds = key_bits[0].shape[0]
+    if any(b.shape != (rounds, w) for b, w in zip(key_bits, widths)):
+        raise CrossbarError("key region shape does not match its column list")
+    S = len(key_bits)
+    sb_bits = np.repeat(sb_bits[None], S, axis=0)
+    key_bits = np.concatenate(key_bits, axis=1)  # (rounds, key columns)
+    sb_res = np.where(sb_bits != 0, params.r_lrs, params.r_hrs)
+    key_res = np.where(key_bits != 0, params.r_lrs, params.r_hrs)
+    if params.sigma_d2d > 0:
+        if rngs is None:
+            raise CrossbarError("sigma_d2d > 0 requires an RNG per slice")
+        z_sb, z_key = [], []
+        for rng, width in zip(rngs, widths, strict=True):
+            z_sb.append(rng.standard_normal((16, 4)))
+            z_key.append(rng.standard_normal((rounds, width)))
+        sb_res = sb_res * variation_factor(params.sigma_d2d, np.stack(z_sb))
+        key_res = key_res * variation_factor(params.sigma_d2d, np.concatenate(z_key, axis=1))
 
-@dataclass(frozen=True)
-class DecoderModel:
-    """NAND/NOR-tree address decoder abstracted to its one-hot function."""
-
-    width_in: int
-    width_out: int
-
-    def decode(self, value: int) -> tuple[int, ...]:
-        if not 0 <= value < (1 << self.width_in):
-            raise CrossbarError(
-                f"decoder input {value} outside {self.width_in}-bit range"
-            )
-        if value >= self.width_out:
-            raise CrossbarError(
-                f"decoder input {value} has no word line (only {self.width_out})"
-            )
-        return tuple(1 if i == value else 0 for i in range(self.width_out))
-
-
-SB_DECODER = DecoderModel(4, 16)
-
-
-def round_selector(rounds: int) -> DecoderModel:
-    """6-bit counter driving a 6-to-`rounds` decoder."""
-    return DecoderModel(6, rounds)
-
-
-def select_rows(
-    slice_array: SliceArray, sb_input: int, rnd: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Assert exactly one S-box word line and one key-region word line."""
-    sb_onehot = SB_DECODER.decode(sb_input)
-    key_onehot = round_selector(slice_array.rounds).decode(rnd)
-    return sb_onehot, key_onehot
+    # every slice's key columns, scattered in one assignment per array
+    owner = np.repeat(np.arange(S), widths)
+    cols = [c for km in key_matrices for c in km.columns]
+    partner_bits = np.zeros((S, rounds, 4), dtype=np.uint8)
+    partner_res = np.full((S, rounds, 4), np.inf)
+    xor_mask = np.zeros((S, 4), dtype=bool)
+    partner_bits[owner, :, cols] = key_bits.T
+    partner_res[owner, :, cols] = key_res.T
+    xor_mask[owner, cols] = True
+    return ProgrammedState(
+        sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell
+    )
 
 
 # ---------------------------------------------------------------------------

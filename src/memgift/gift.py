@@ -304,21 +304,45 @@ def add_round_key_and_constant(
     return state ^ rk.state_mask() ^ rc.state_mask(variant)
 
 
-def round_xor_mask(rk: RoundKey, rc: RoundConstantState, variant: CipherVariant) -> int:
-    """Full n-bit XOR vector applied after PermBits in one round."""
-    return rk.state_mask() | rc.state_mask(variant)
+# Bit i of a byte lands at bit 4i: one nibble plane of eight nibbles.
+_SPREAD = tuple(sum(((b >> i) & 1) << (4 * i) for i in range(8)) for b in range(256))
+
+
+@lru_cache(maxsize=None)
+def _round_constant_masks(block_bits: int) -> tuple[int, ...]:
+    variant = VARIANTS[block_bits]
+    masks, rc = [], RoundConstantState.initial()
+    for _ in range(variant.rounds):
+        masks.append(rc.state_mask(variant))
+        rc = update_round_constant(rc)
+    return tuple(masks)
 
 
 def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
-    """Per-round key+constant XOR vectors for a whole encryption."""
+    """Per-round key+constant XOR vectors for a whole encryption: round r
+    is extract_round_key(ks_r).state_mask() | rc_r.state_mask(variant).
+
+    Table form: each 16-bit word of U and V is spread onto its nibble
+    plane through `_SPREAD`, the key state is updated as a word list, and
+    the round-constant masks are cached per variant.
+    """
     _check_key(key)
+    lo, hi = variant.key_xor_bits
+    # (key word, shift): GIFT-64 puts V=k0 on plane lo and U=k1 on plane hi;
+    # GIFT-128 puts V=k1||k0 on lo and U=k5||k4 on hi, high words 16 nibbles up
+    if variant.block_bits == 64:
+        placement = ((0, lo), (1, hi))
+    else:
+        placement = ((0, lo), (1, 64 + lo), (4, hi), (5, 64 + hi))
+    words = [(key >> (16 * i)) & 0xFFFF for i in range(8)]
     masks = []
-    ks = key
-    rc = RoundConstantState.initial()
-    for _ in range(variant.rounds):
-        masks.append(round_xor_mask(extract_round_key(ks, variant), rc, variant))
-        ks = update_key_state(ks)
-        rc = update_round_constant(rc)
+    for mask in _round_constant_masks(variant.block_bits):
+        for w, shift in placement:
+            word = words[w]
+            mask |= (_SPREAD[word & 0xFF] | _SPREAD[word >> 8] << 32) << shift
+        masks.append(mask)
+        # update_key_state on the word list
+        words = words[2:] + [_rotr16(words[0], 12), _rotr16(words[1], 2)]
     return masks
 
 
@@ -326,17 +350,33 @@ def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
 # Block encryption
 
 
+@lru_cache(maxsize=16)
+def _round_tables(sbox: SBoxTable, block_bits: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """SubCells and PermBits folded per nibble: (4j, T_j) pairs with
+    T_j[x] = P(S(x) << 4j), so a round is XOR_j T_j[nibble j]."""
+    table = _perm_tables(block_bits)[0]
+    out = []
+    for j in range(block_bits // 4):
+        targets = table[4 * j : 4 * j + 4]
+        t = tuple(
+            sum(((y >> b) & 1) << targets[b] for b in range(4)) for y in sbox
+        )
+        out.append((4 * j, t))
+    return tuple(out)
+
+
 def encrypt_block(
     pt: int, key: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX
 ) -> int:
-    """Apply rounds x (SubCells -> PermBits -> AddRoundKey+Constant)."""
+    """Apply rounds x (SubCells -> PermBits -> AddRoundKey+Constant), each
+    round one lookup per nibble in the folded tables."""
     _check_state(pt, variant)
-    _check_key(key)
+    tables = _round_tables(sbox, variant.block_bits)
     state = pt
     for mask in round_addition_masks(key, variant):
-        state = sub_cells(state, variant, sbox)
-        state = perm_bits(state, variant)
-        state ^= mask
+        for shift, t in tables:
+            mask ^= t[(state >> shift) & 0xF]
+        state = mask
     return state
 
 

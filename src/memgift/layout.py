@@ -328,9 +328,9 @@ def import_layout(path) -> LayoutBundle:
         parts = ln.split()
         if len(parts) != 4 or parts[0] != "slice" or parts[2] not in ("sb", "rk"):
             raise LayoutError(f"malformed record: {ln!r}")
+        if not parts[1].isdecimal() or not 0 <= int(parts[1]) < variant.nibbles:
+            raise LayoutError(f"slice index not in 0..{variant.nibbles - 1}: {parts[1]!r}")
         j = int(parts[1])
-        if not 0 <= j < variant.nibbles:
-            raise LayoutError(f"slice index out of range: {j}")
         if parts[2] == "sb":
             sb_rows[j] = _parse_hex_digits(parts[3], 16, f"slice {j} sb")
         else:
@@ -343,6 +343,8 @@ def import_layout(path) -> LayoutBundle:
     first_sb = sb_rows[0]
     if any(sb_rows[j] != first_sb for j in sb_rows):
         raise LayoutError("slices carry different S-box contents")
+    if sorted(first_sb) != list(range(16)):
+        raise LayoutError("S-box rows are not a permutation of 0..15")
     sbox_matrix = np.array(
         [[(v >> b) & 1 for b in range(4)] for v in first_sb], dtype=np.uint8
     )

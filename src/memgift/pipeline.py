@@ -20,13 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .crossbar import (
     DeviceParams,
-    ProgrammedState,
     column_resistances,
     draw_read_factors,
     program_slice,
@@ -109,19 +109,13 @@ class EncryptionSession:
         self.sbox = sbox
         self.mask = 0
 
-        n = self.variant.nibbles
-        seeds = np.random.SeedSequence(self.params.seed).spawn(n)
-        self._slice_rngs = [np.random.default_rng(s) for s in seeds]
-
         self.write_log = EventLog(self.variant.name, self.scheme.name)
-        slices = []
-        for j, km in enumerate(self.bundle.slices):
-            arr = program_slice(km, self.bundle.sbox_matrix, self.params, self._slice_rngs[j])
-            slices.append(arr)
-            self.write_log.add("cell_write", arr.cell_count)
-        self.state = ProgrammedState.from_slices(slices, self.params.wire_r_per_cell)
+        self.state = program_slice(
+            self.bundle.slices, self.bundle.sbox_matrix, self.params, self._d2d_rngs()
+        )
+        self.write_log.add("cell_write", self.state.cell_count)
         self._n_xor = int(self.state.xor_mask.sum())
-        self._n_readout = 4 * n - self._n_xor
+        self._n_readout = 4 * self.variant.nibbles - self._n_xor
 
         if self.feedback == "permuted":
             targets = np.array(self.bundle.wiring.targets)
@@ -138,22 +132,27 @@ class EncryptionSession:
 
     # -- programming ------------------------------------------------------
 
+    @cached_property
+    def _slice_rngs(self) -> list:
+        """One noise stream per slice, created on first use: an ideal
+        session never draws from them."""
+        seeds = np.random.SeedSequence(self.params.seed).spawn(self.variant.nibbles)
+        return [np.random.default_rng(s) for s in seeds]
+
+    def _d2d_rngs(self):
+        return self._slice_rngs if self.params.sigma_d2d > 0 else None
+
     def reprogram_sbox(self, sbox: SBoxTable) -> None:
         """Rewrite only the 16x4 S-box region of every slice (run-time
         reconfiguration); key/constant cells are untouched."""
-        matrix = sbox_bit_matrix(sbox)
-        written = []
-        for j, km in enumerate(self.bundle.slices):
-            # program_slice also draws the key region's d2d normals; they are
-            # discarded (no key-cell writes) but keep every slice's noise
-            # stream where a whole-slice write would leave it.
-            written.append(program_slice(km, matrix, self.params, self._slice_rngs[j]))
-            self.write_log.add("cell_write", 16 * 4)
-        self.state = replace(
-            self.state,
-            sb_bits=np.stack([arr.sb_bits for arr in written]),
-            sb_res=np.stack([arr.sb_res for arr in written]),
+        # the key region is written too, only for its d2d normals: they are
+        # discarded (no key-cell writes) but keep every slice's noise stream
+        # where a whole-slice write would leave it.
+        written = program_slice(
+            self.bundle.slices, sbox_bit_matrix(sbox), self.params, self._d2d_rngs()
         )
+        self.write_log.add("cell_write", written.sb_bits.size)
+        self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)
         self.sbox = sbox
 
     # -- reads --------------------------------------------------------------
@@ -174,7 +173,7 @@ class EncryptionSession:
         is zero.  All lanes scale the same normals (common random numbers)."""
         if not any(s > 0 for s in sigmas):
             return None
-        factors = np.empty((len(sigmas), len(self._slice_rngs), reads, 2, 4))
+        factors = np.empty((len(sigmas), self.variant.nibbles, reads, 2, 4))
         for j, rng in enumerate(self._slice_rngs):
             factors[:, j] = draw_read_factors(sigmas, rng, reads)
         return factors

@@ -89,6 +89,32 @@ def test_encrypt_pt_file_and_remask(capsys, tmp_path):
         assert int(line, 16) == encrypt_block(int(pt, 16), key, GIFT128)
 
 
+@pytest.mark.parametrize("seed", [None, "3"])
+def test_remask_source_is_secrets_unless_seeded(capsys, tmp_path, monkeypatch, seed):
+    # without --seed the masks are unpredictable; with it the run repeats
+    drawn = []
+
+    def randbelow(n):
+        drawn.append(n)
+        return 7
+
+    monkeypatch.setattr("secrets.randbelow", randbelow)
+    pts = tmp_path / "blocks.txt"
+    blocks = ["%032x" % (0x0123456789ABCDEF * i) for i in range(5)]
+    pts.write_text("\n".join(blocks) + "\n")
+    argv = ["encrypt", "--key", KAT_KEY, "--pt-file", str(pts), "--remask-every", "2"]
+    trace = tmp_path / "trace.jsonl"
+    argv += ["--trace", str(trace)] + (["--seed", seed] if seed else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert drawn == ([16, 16] if seed is None else [])
+    header = json.loads(trace.read_text().splitlines()[0])
+    assert (header["mask"] == "7") == (seed is None)
+    key = int(KAT_KEY, 16)
+    for line, pt in zip(out.split(), blocks, strict=True):
+        assert int(line, 16) == encrypt_block(int(pt, 16), key, GIFT128)
+
+
 def test_encrypt_negative_remask_every_exits_2(capsys):
     code, out, err = run(
         capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--remask-every", "-1"

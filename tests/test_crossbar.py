@@ -7,11 +7,9 @@ import pytest
 from memgift.crossbar import (
     ConfigError,
     CrossbarError,
-    DecoderModel,
     DeviceParams,
     DXOR_SCHEME,
     SXOR_SCHEME,
-    ProgrammedState,
     bitline_equivalent_resistance,
     check_margins,
     draw_read_factors,
@@ -20,8 +18,6 @@ from memgift.crossbar import (
     program_slice,
     read_round,
     resolve,
-    round_selector,
-    select_rows,
     sense,
     sense_margin_report,
     variation_factor,
@@ -31,17 +27,23 @@ from memgift.layout import SliceKeyMatrix, compile_layout, sbox_bit_matrix
 
 
 def make_slice(params=None, key_bits=None, columns=(1, 2), index=0, rng=None):
+    """One GIFT S-box slice programmed alone: a one-slice stacked state."""
     params = params or DeviceParams()
     if key_bits is None:
         key_bits = np.zeros((40, len(columns)), dtype=np.uint8)
     km = SliceKeyMatrix(index, columns, np.asarray(key_bits, dtype=np.uint8))
-    return program_slice(km, sbox_bit_matrix(GIFT_SBOX), params, rng)
+    rngs = None if rng is None else [rng]
+    return program_slice([km], sbox_bit_matrix(GIFT_SBOX), params, rngs)
 
 
-def read_one(arr, nib, rnd, scheme, params, factors=None):
-    """read_round on the one-slice stacked state of `arr`: returns the
-    output nibble and the four ColumnReads."""
-    state = ProgrammedState.from_slices([arr], params.wire_r_per_cell)
+def key_res(state, columns=(1, 2)):
+    """Key-region resistances of a one-slice state, (rounds, len(columns))."""
+    return state.partner_res[0][:, list(columns)]
+
+
+def read_one(state, nib, rnd, scheme, params, factors=None):
+    """read_round on a one-slice stacked state: returns the output nibble
+    and the four ColumnReads."""
     bits, reads = read_round(state, [nib], rnd, scheme, params.vdd, factors)
     return int(bits[0] @ [1, 2, 4, 8]), reads
 
@@ -52,9 +54,9 @@ def read_one(arr, nib, rnd, scheme, params, factors=None):
 
 def test_all_zero_layout_programs_hrs():
     km = SliceKeyMatrix(0, (1, 2), np.zeros((40, 2), dtype=np.uint8))
-    arr = program_slice(km, np.zeros((16, 4), dtype=np.uint8), DeviceParams())
+    arr = program_slice([km], np.zeros((16, 4), dtype=np.uint8), DeviceParams())
     assert (arr.sb_res == DeviceParams().r_hrs).all()
-    assert (arr.key_res == DeviceParams().r_hrs).all()
+    assert (key_res(arr) == DeviceParams().r_hrs).all()
     assert arr.cell_count == 16 * 4 + 40 * 2
 
 
@@ -71,8 +73,10 @@ def test_programming_is_seed_deterministic():
     a = make_slice(params, rng=np.random.default_rng(7))
     b = make_slice(params, rng=np.random.default_rng(7))
     assert np.array_equal(a.sb_res, b.sb_res)
-    assert np.array_equal(a.key_res, b.key_res)
+    assert np.array_equal(key_res(a), key_res(b))
     assert not np.array_equal(a.sb_res, make_slice(params, rng=np.random.default_rng(8)).sb_res)
+    with pytest.raises(CrossbarError):
+        make_slice(params)  # d2d variation needs an RNG per slice
 
 
 def test_d2d_draws_are_clamped():
@@ -86,55 +90,81 @@ def test_d2d_draws_are_clamped():
 def test_programmed_arrays_are_read_only():
     arr = make_slice()
     with pytest.raises(ValueError):
-        arr.sb_res[0, 0] = 1.0
+        arr.sb_res[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        arr.key_bits[0, 0] = 1
+        arr.partner_bits[0, 0, 1] = 1
 
 
 def test_dimension_mismatch_rejected():
     km = SliceKeyMatrix(0, (1, 2), np.zeros((40, 3), dtype=np.uint8))
     with pytest.raises(CrossbarError):
-        program_slice(km, sbox_bit_matrix(GIFT_SBOX), DeviceParams())
+        program_slice([km], sbox_bit_matrix(GIFT_SBOX), DeviceParams())
     km = SliceKeyMatrix(0, (1, 2), np.zeros((40, 2), dtype=np.uint8))
     with pytest.raises(CrossbarError):
-        program_slice(km, np.zeros((8, 4), dtype=np.uint8), DeviceParams())
+        program_slice([km], np.zeros((8, 4), dtype=np.uint8), DeviceParams())
 
 
 # ---------------------------------------------------------------------------
-# Decoders / selection
+# Row selection: a read asserts exactly one S-box word line and one key
+# word line per slice
+
+
+def selection_slice():
+    """A slice with d2d variation and random key rows, so every cell's
+    resistance differs and a column's r_eq names the cells it selected."""
+    rng = np.random.default_rng(11)
+    key_bits = rng.integers(0, 2, (40, 3))
+    return make_slice(DeviceParams(sigma_d2d=0.05), key_bits, (1, 2, 3), rng=rng)
+
+
+def assert_selects(state, nib, rnd, reads):
+    """Every column read exactly S-box row nib and key row rnd."""
+    for cr in reads:
+        col = cr.column
+        cells = [state.sb_res[0, nib, col]]
+        stored = (state.sb_bits[0, nib, col],)
+        if cr.kind == "xor":
+            cells.append(state.partner_res[0, rnd, col])
+            stored += (state.partner_bits[0, rnd, col],)
+        assert cr.stored_bits == stored
+        assert cr.r_eq == pytest.approx(bitline_equivalent_resistance(cells), rel=1e-12)
 
 
 def test_decoder_one_hot_exhaustive():
-    dec = DecoderModel(4, 16)
+    state = selection_slice()
     seen = set()
-    for v in range(16):
-        out = dec.decode(v)
-        assert sum(out) == 1 and out.index(1) == v
-        seen.add(out)
+    for nib in range(16):
+        _, reads = read_one(state, nib, 0, "dxor", DeviceParams())
+        assert_selects(state, nib, 0, reads)
+        seen.add(tuple(cr.r_eq for cr in reads))
     assert len(seen) == 16
+    for nib in (16, -1):
+        with pytest.raises(CrossbarError):
+            read_round(state, [nib], 0, "dxor", 0.9)
 
 
 def test_round_selector_range():
-    sel = round_selector(40)
-    for v in range(40):
-        assert sum(sel.decode(v)) == 1
-    with pytest.raises(CrossbarError):
-        sel.decode(40)
-    with pytest.raises(CrossbarError):
-        sel.decode(64)
-    with pytest.raises(CrossbarError):
-        sel.decode(-1)
+    state = selection_slice()
+    seen = set()
+    for rnd in range(40):
+        _, reads = read_one(state, 5, rnd, "sxor", DeviceParams())
+        assert_selects(state, 5, rnd, reads)
+        seen.add(tuple(cr.r_eq for cr in reads))
+    assert len(seen) == 40
+    for rnd in (40, 64, -1):
+        with pytest.raises(CrossbarError):
+            read_round(state, [5], rnd, "sxor", 0.9)
 
 
 def test_select_rows_exhaustive():
-    arr = make_slice()
+    state = selection_slice()
     for nib in range(16):
         for rnd in range(40):
-            sb, key = select_rows(arr, nib, rnd)
-            assert sum(sb) + sum(key) == 2
-            assert sb.index(1) == nib and key.index(1) == rnd
+            out, reads = read_one(state, nib, rnd, "dxor", DeviceParams())
+            assert_selects(state, nib, rnd, reads)
+            assert out == GIFT_SBOX[nib] ^ int(state.partner_bits[0, rnd] @ [1, 2, 4, 8])
     with pytest.raises(CrossbarError):
-        select_rows(arr, 0, 40)
+        read_round(state, [0], 40, "dxor", 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +327,7 @@ def test_full_sweep_matches_digital_oracle(scheme):
     params = DeviceParams()
     for j in (0, 3, 28):  # plain slice and both RC slice kinds
         km = bundle.slices[j]
-        arr = program_slice(km, bundle.sbox_matrix, params)
+        arr = program_slice([km], bundle.sbox_matrix, params)
         for nib in range(16):
             for rnd in range(40):
                 out, _ = read_one(arr, nib, rnd, scheme, params)
@@ -308,7 +338,7 @@ def test_full_sweep_matches_digital_oracle(scheme):
 
 
 def test_reads_do_not_disturb_cells():
-    state = ProgrammedState.from_slices([make_slice()], 0.0)
+    state = make_slice()
     before = (state.sb_bits.copy(), state.partner_bits.copy(), state.sb_res.copy())
     fp = state.fingerprint()
     for nib in range(16):
@@ -322,7 +352,7 @@ def test_reads_do_not_disturb_cells():
 
 
 def test_read_round_rejects_bad_selection():
-    state = ProgrammedState.from_slices([make_slice()], 0.0)
+    state = make_slice()
     for rows, rnd in (([3], 40), ([3], -1), ([16], 0), ([-1], 0), ([1, 2], 0)):
         with pytest.raises(CrossbarError):
             read_round(state, rows, rnd, "dxor", 0.9)

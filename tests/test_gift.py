@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgift.gift import (
     GIFT64,
@@ -306,6 +308,52 @@ def test_round_addition_masks_line_up(kat64, kat128):
         for mask in round_addition_masks(vec.key, vec.variant):
             state = perm_bits(sub_cells(state, vec.variant), vec.variant) ^ mask
         assert state == vec.ct
+
+
+# ---------------------------------------------------------------------------
+# Slow oracle: the table-driven schedule and cipher against the per-bit
+# round primitives
+
+
+def slow_round_masks(key, variant):
+    masks = []
+    ks, rc = key, RoundConstantState.initial()
+    for _ in range(variant.rounds):
+        masks.append(extract_round_key(ks, variant).state_mask() | rc.state_mask(variant))
+        ks, rc = update_key_state(ks), update_round_constant(rc)
+    return masks
+
+
+def slow_encrypt(pt, key, variant, sbox):
+    state = pt
+    for mask in slow_round_masks(key, variant):
+        state = perm_bits(sub_cells(state, variant, sbox), variant) ^ mask
+    return state
+
+
+variants = st.sampled_from([GIFT64, GIFT128])
+keys = st.integers(0, (1 << 128) - 1)
+sboxes = st.permutations(range(16)).map(SBoxTable)
+
+
+@settings(max_examples=60)
+@given(variants, keys)
+def test_round_addition_masks_match_per_bit_build(variant, key):
+    assert round_addition_masks(key, variant) == slow_round_masks(key, variant)
+
+
+@settings(max_examples=40)
+@given(variants, keys, st.data(), st.one_of(st.just(GIFT_SBOX), sboxes))
+def test_encrypt_block_matches_per_bit_rounds(variant, key, data, sbox):
+    pt = data.draw(st.integers(0, (1 << variant.block_bits) - 1), label="pt")
+    assert encrypt_block(pt, key, variant, sbox) == slow_encrypt(pt, key, variant, sbox)
+
+
+@settings(max_examples=40)
+@given(variants, keys, st.data(), st.one_of(st.just(GIFT_SBOX), sboxes))
+def test_encrypt_decrypt_round_trip_property(variant, key, data, sbox):
+    pt = data.draw(st.integers(0, (1 << variant.block_bits) - 1), label="pt")
+    assert decrypt_block(encrypt_block(pt, key, variant, sbox), key, variant, sbox) == pt
 
 
 # ---------------------------------------------------------------------------

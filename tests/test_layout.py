@@ -1,4 +1,5 @@
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -223,4 +224,39 @@ def test_foreign_file_rejected(tmp_path):
     path = tmp_path / "other.txt"
     path.write_text("not a layout\n")
     with pytest.raises(LayoutError):
+        import_layout(path)
+
+
+def rewrite_checksummed(path, edit):
+    """Apply edit to the record lines of a layout file and re-checksum it,
+    so only the record parser can reject the result."""
+    lines = path.read_text().splitlines()[:-1]
+    body = "\n".join(edit(lines)) + "\n"
+    crc = zlib.crc32(body.encode()) & 0xFFFFFFFF
+    path.write_text(body + f"crc32 {crc:08x}\n")
+
+
+@pytest.mark.parametrize("index", ["x", "1.5", "-0", "+1", "99"])
+def test_bad_slice_index_is_layout_error(tmp_path, index):
+    path = tmp_path / "layout.mgl"
+    export_layout(compile_layout(42, GIFT64), path)
+
+    def edit(lines):
+        lines[1] = lines[1].replace("slice 0 sb", f"slice {index} sb")
+        return lines
+
+    rewrite_checksummed(path, edit)
+    with pytest.raises(LayoutError, match="slice index"):
+        import_layout(path)
+
+
+def test_non_permutation_sbox_is_layout_error(tmp_path):
+    path = tmp_path / "layout.mgl"
+    export_layout(compile_layout(42, GIFT64), path)
+    # every slice carries the same table, with one entry duplicated
+    bad_sb = "1a4c6f392db7508e".replace("e", "1")
+    rewrite_checksummed(path, lambda lines: [
+        " ".join(ln.split()[:3] + [bad_sb]) if " sb " in ln else ln for ln in lines
+    ])
+    with pytest.raises(LayoutError, match="permutation"):
         import_layout(path)

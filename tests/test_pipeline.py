@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from memgift.crossbar import DeviceParams
+from memgift.crossbar import DeviceParams, variation_factor
 from memgift.gift import (
     GIFT64,
     GIFT128,
@@ -53,6 +53,39 @@ def test_reinit_same_seed_same_resistances():
     assert np.array_equal(a.state.partner_res, b.state.partner_res)
     assert a.cell_fingerprint() == b.cell_fingerprint()
     assert not np.array_equal(a.state.sb_res, EncryptionSession(key, GIFT128, "sxor").state.sb_res)
+
+
+def test_d2d_programming_draws_each_slice_in_order(variant):
+    # Slice j's stream (spawned from the seed) gives its S-box normals
+    # (16, 4), then its key normals (rounds, columns); an S-box rewrite
+    # draws both again and keeps only the S-box ones.
+    params = DeviceParams(sigma_d2d=0.05, seed=41)
+    session = EncryptionSession(random.Random(41).getrandbits(128), variant, "dxor", params)
+    session.reprogram_sbox(session.sbox.inverse())
+    seeds = np.random.SeedSequence(params.seed).spawn(variant.nibbles)
+    nominal = lambda bits: np.where(bits != 0, params.r_lrs, params.r_hrs)
+    for j, km in enumerate(session.bundle.slices):
+        rng = np.random.default_rng(seeds[j])
+        sb_first = nominal(session.bundle.sbox_matrix) * variation_factor(
+            0.05, rng.standard_normal((16, 4))
+        )
+        key = nominal(km.bits) * variation_factor(0.05, rng.standard_normal(km.bits.shape))
+        sb_second = nominal(session.state.sb_bits[j]) * variation_factor(
+            0.05, rng.standard_normal((16, 4))
+        )
+        rng.standard_normal(km.bits.shape)  # discarded with the rewrite
+        assert np.array_equal(session.state.partner_res[j][:, list(km.columns)], key)
+        assert np.array_equal(session.state.sb_res[j], sb_second)
+        assert not np.array_equal(sb_first, sb_second)
+        # the read noise continues exactly there
+        assert np.array_equal(session._slice_rngs[j].standard_normal(4), rng.standard_normal(4))
+
+
+def test_ideal_session_creates_no_noise_streams():
+    session = EncryptionSession(random.Random(42).getrandbits(128), GIFT128, "dxor")
+    session.encrypt(0)
+    session.reprogram_sbox(session.sbox)
+    assert "_slice_rngs" not in vars(session)
 
 
 def test_no_reads_before_first_encrypt():
