@@ -24,6 +24,7 @@ from .crossbar import (
     sense_margin_report,
 )
 from .energy import EnergyParams, EnergyReport, account, area_report
+from .errors import MemgiftError
 from .gift import (
     GIFT64,
     GIFT128,
@@ -48,6 +49,7 @@ from .pipeline import EncryptionSession, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
+    "MemgiftError",
     "GIFT64",
     "GIFT128",
     "GIFT_SBOX",

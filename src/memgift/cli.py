@@ -19,8 +19,9 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .crossbar import SCHEMES, ConfigError, CrossbarError, DeviceParams, load_device_config
+from .crossbar import SCHEMES, ConfigError, DeviceParams, load_device_config
 from .energy import EnergyParams, account, area_report, load_energy_config
+from .errors import MemgiftError
 from .gift import (
     GiftError,
     decrypt_block,
@@ -28,7 +29,7 @@ from .gift import (
     load_kat_file,
     variant_for,
 )
-from .layout import LayoutError, compile_layout, export_layout
+from .layout import compile_layout, export_layout
 from .masking import apply_mask, encrypt_masked
 from .pipeline import (
     EncryptionSession,
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GiftError, LayoutError, PipelineError, CrossbarError) as exc:
+    except MemgiftError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:

@@ -40,15 +40,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .errors import MemgiftError
 from .layout import SliceKeyMatrix
 
 
-class CrossbarError(ValueError):
+class CrossbarError(MemgiftError, ValueError):
     """Bad geometry, selection or sense input."""
 
 
-class ConfigError(ValueError):
-    """Malformed or unknown key in a parameter file."""
+class ConfigError(MemgiftError, ValueError):
+    """Malformed or unknown key in a parameter file, or an energy
+    parameter out of range."""
 
 
 # Clamp for the Gaussian variation draws, in units of sigma.
@@ -120,14 +122,16 @@ class ProgrammedState:
     xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
     wire_r: float
     sb_g: np.ndarray = field(init=False, repr=False)
-    partner_g: np.ndarray = field(init=False, repr=False)
+    partner_g: np.ndarray = field(init=False, repr=False)  # (rounds, S, 4)
     slice_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res, self.xor_mask):
             a.setflags(write=False)
         object.__setattr__(self, "sb_g", 1.0 / (self.sb_res + self.wire_r))
-        object.__setattr__(self, "partner_g", 1.0 / (self.partner_res + self.wire_r))
+        # round-major, so that a read of several rounds gathers them at once
+        partner_g = 1.0 / (self.partner_res.transpose(1, 0, 2) + self.wire_r)
+        object.__setattr__(self, "partner_g", np.ascontiguousarray(partner_g))
         object.__setattr__(self, "slice_index", np.arange(len(self.sb_bits)))
 
     @property
@@ -442,15 +446,17 @@ def draw_read_factors(
     return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1, 1), z)
 
 
-def column_resistances(state: ProgrammedState, rows, rnd: int, factors=None) -> np.ndarray:
+def column_resistances(state: ProgrammedState, rows, rnd, factors=None) -> np.ndarray:
     """Bit-line equivalent resistance of every column when slice j's S-box
     row rows[..., j] and the key row of round rnd are selected: shape
     rows.shape + (4,).  factors, shape rows.shape + (2, 4), scale the
     selected S-box ([..., 0, :]) and partner ([..., 1, :]) cells; without
-    them the ideal branch conductances are gathered as they are."""
+    them the ideal branch conductances are gathered as they are, and rnd
+    may be an array of rounds, shape (k, 1), read alike: shape
+    (k,) + rows.shape + (4,)."""
     idx = state.slice_index
     if factors is None:
-        g = state.sb_g[idx, rows] + state.partner_g[:, rnd]
+        g = state.sb_g[idx, rows] + state.partner_g[rnd]
     else:
         wire = state.wire_r
         g = 1.0 / (state.sb_res[idx, rows] * factors[..., 0, :] + wire) + 1.0 / (

@@ -17,10 +17,11 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .crossbar import ConfigError, parse_kv_file, parse_number
+from .errors import MemgiftError
 from .pipeline import SENSE_EVENT, EventLog
 
 
-class MissingEventsError(ValueError):
+class MissingEventsError(MemgiftError, ValueError):
     """The event log lacks categories required for a complete report."""
 
 
@@ -89,17 +90,17 @@ class EnergyParams:
             value = getattr(self, f.name)
             if isinstance(value, dict):
                 if set(value) != set(COMPONENTS):
-                    raise ValueError(f"{f.name} must cover exactly {COMPONENTS}")
+                    raise ConfigError(f"{f.name} must cover exactly {COMPONENTS}")
                 entries = [(f"{f.name}[{k!r}]", v) for k, v in value.items()]
             else:
                 entries = [(f.name, value)]
             for name, v in entries:
                 if not math.isfinite(v):
-                    raise ValueError(f"{name} must be finite, got {v}")
+                    raise ConfigError(f"{name} must be finite, got {v}")
                 if v < 0:
-                    raise ValueError(f"{name} must be non-negative")
+                    raise ConfigError(f"{name} must be non-negative")
         if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be positive")
+            raise ConfigError("clock_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,4 @@ def load_energy_config(path) -> EnergyParams:
             tables[table_name][comp] = parse_number(name, value)
         else:
             raise ConfigError(f"unknown energy parameter {name!r}")
-    try:
-        return EnergyParams(static_power=tables["static"], area_mm2=tables["area"], **kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return EnergyParams(static_power=tables["static"], area_mm2=tables["area"], **kwargs)

@@ -16,8 +16,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .errors import MemgiftError
 
-class GiftError(ValueError):
+
+class GiftError(MemgiftError, ValueError):
     """Malformed state, key, table or KAT input."""
 
 
@@ -199,14 +201,6 @@ def perm_bits(state: int, variant: CipherVariant) -> int:
     return out
 
 
-def _inverse_perm_bits(state: int, variant: CipherVariant) -> int:
-    table = inverse_perm_table(variant)
-    out = 0
-    for i in range(variant.block_bits):
-        out |= ((state >> i) & 1) << table[i]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Key schedule and round constants
 
@@ -350,19 +344,23 @@ def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
 # Block encryption
 
 
+def _nibble_spreads(table: Sequence[int], values: Iterable[int]) -> tuple:
+    """A bit permutation folded per nibble: (4j, W_j) pairs with W_j[x] the
+    bits of values[x] moved to positions table[4j .. 4j+3]."""
+    values = tuple(values)
+    out = []
+    for j in range(len(table) // 4):
+        targets = table[4 * j : 4 * j + 4]
+        w = tuple(sum(((y >> b) & 1) << targets[b] for b in range(4)) for y in values)
+        out.append((4 * j, w))
+    return tuple(out)
+
+
 @lru_cache(maxsize=16)
 def _round_tables(sbox: SBoxTable, block_bits: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """SubCells and PermBits folded per nibble: (4j, T_j) pairs with
     T_j[x] = P(S(x) << 4j), so a round is XOR_j T_j[nibble j]."""
-    table = _perm_tables(block_bits)[0]
-    out = []
-    for j in range(block_bits // 4):
-        targets = table[4 * j : 4 * j + 4]
-        t = tuple(
-            sum(((y >> b) & 1) << targets[b] for b in range(4)) for y in sbox
-        )
-        out.append((4 * j, t))
-    return tuple(out)
+    return _nibble_spreads(_perm_tables(block_bits)[0], sbox)
 
 
 def encrypt_block(
@@ -380,18 +378,32 @@ def encrypt_block(
     return state
 
 
+@lru_cache(maxsize=16)
+def _inverse_round_tables(
+    sbox: SBoxTable, block_bits: int
+) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    """PermBits inverted per nibble, (4j, U_j) pairs with U_j[x] =
+    P^-1(x << 4j), and the inverse S-box entries."""
+    return _nibble_spreads(_perm_tables(block_bits)[1], range(16)), sbox.inverse().entries
+
+
 def decrypt_block(
     ct: int, key: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX
 ) -> int:
-    """Inverse of encrypt_block (software test oracle)."""
+    """Inverse of encrypt_block (software test oracle): per round, undo the
+    key+constant XOR, then PermBits by one lookup per nibble, then SubCells
+    nibble by nibble."""
     _check_state(ct, variant)
-    _check_key(key)
-    inv_sbox = sbox.inverse()
+    spread, inv = _inverse_round_tables(sbox, variant.block_bits)
     state = ct
     for mask in reversed(round_addition_masks(key, variant)):
         state ^= mask
-        state = _inverse_perm_bits(state, variant)
-        state = sub_cells(state, variant, inv_sbox)
+        permuted = 0
+        for shift, u in spread:
+            permuted ^= u[(state >> shift) & 0xF]
+        state = 0
+        for shift, _ in spread:
+            state |= inv[(permuted >> shift) & 0xF] << shift
     return state
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import MemgiftError
 from .gift import (
     GIFT_SBOX,
     CipherVariant,
@@ -28,7 +29,7 @@ from .gift import (
 )
 
 
-class LayoutError(ValueError):
+class LayoutError(MemgiftError, ValueError):
     """Malformed layout bundle or layout file."""
 
 
@@ -232,14 +233,14 @@ def evaluate_digital_batch(
 
 
 def state_to_bits(value: int, n: int) -> np.ndarray:
-    return np.array([(value >> i) & 1 for i in range(n)], dtype=np.uint8)
+    """The low n bits of value as a uint8 array, bit i at index i."""
+    raw = (value & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
 
 
 def bits_to_state(bits: np.ndarray) -> int:
-    value = 0
-    for i, b in enumerate(bits.tolist()):
-        value |= int(b) << i
-    return value
+    """Inverse of state_to_bits for a 0/1 array."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +292,12 @@ def _parse_hex_digits(text: str, expected: int, what: str) -> list[int]:
 
 
 def import_layout(path) -> LayoutBundle:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        text = Path(path).read_bytes().decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise LayoutError(f"non-ASCII byte at offset {exc.start}") from None
+    # only "\n" ends a line: str.splitlines would also break on \v, \f, \r, ...
+    lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise LayoutTruncatedError("empty layout file")
     header = lines[0].split()
@@ -307,12 +312,12 @@ def import_layout(path) -> LayoutBundle:
 
     if not lines[-1].startswith("crc32 "):
         raise LayoutTruncatedError("missing checksum line")
-    stated = lines[-1].split()[1]
     body = "\n".join(lines[:-1]) + "\n"
     actual = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
-    if f"{actual:08x}" != stated.lower():
+    # the whole line, as export_layout writes it: the checksum covers every other byte
+    if lines[-1] != f"crc32 {actual:08x}" or not text.endswith("\n"):
         raise LayoutChecksumError(
-            f"checksum mismatch: stated {stated}, computed {actual:08x}"
+            f"checksum line {lines[-1]!r} does not state the computed crc32 {actual:08x}"
         )
 
     records = lines[1:-1]

@@ -15,7 +15,7 @@ reproduces the unmasked ciphertext exactly.
 
 from __future__ import annotations
 
-from .gift import SBoxTable
+from .gift import GiftError, SBoxTable
 from .pipeline import EncryptionSession, PipelineError
 
 
@@ -26,7 +26,7 @@ class MaskMismatchError(PipelineError):
 def remask_sbox(sbox: SBoxTable, mask: int) -> SBoxTable:
     """Masked table S'(x) = S(x ^ m) ^ m; bijective for every mask."""
     if not 0 <= mask < 16:
-        raise ValueError("mask must be a 4-bit value")
+        raise GiftError(f"mask must be a 4-bit value, got {mask}")
     return SBoxTable(tuple(sbox[x ^ mask] ^ mask for x in range(16)))
 
 
@@ -40,11 +40,10 @@ def replicate_mask(mask: int, nibbles: int) -> int:
 def apply_mask(session: EncryptionSession, mask: int) -> None:
     """Reprogram every slice's S-box region with the session's base S-box
     (the table it was compiled with) masked by `mask` (16x4 cell writes per
-    slice, logged for energy reporting)."""
-    if not 0 <= mask < 16:
-        raise ValueError("mask must be a 4-bit value")
+    slice, logged for energy reporting); a mask outside 0..15 raises
+    GiftError before any write."""
     session.reprogram_sbox(remask_sbox(session.bundle.sbox, mask))
-    session.mask = mask
+    session.mask = mask  # reprogram_sbox cleared it
 
 
 def encrypt_masked(session: EncryptionSession, pt: int, mask: int, trace: bool = False):

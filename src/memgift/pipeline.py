@@ -13,6 +13,14 @@ The session holds its programmed cells once, as the stacked
 lanes of blocks: fast, noisy, stepped and traced encryption and the
 sweep's sigma points all run through it.  A traced read is the same read
 with node capture (`crossbar.read_round`).
+
+An ideal read (no cycle-to-cycle noise) depends only on the round, the
+slice and its input nibble while the cells stay as programmed.  So once
+the cells have served enough ideal, untraced blocks to pay for it, a
+session reads every S-box row of every round once, through the same
+kernel, into a read table of shape (rounds, 16, S, 4), and its ideal reads
+become lookups in it.  An S-box rewrite drops the table; the next
+programming builds one at once only if the last one served enough blocks.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .crossbar import (
     resolve,
     scheme_for,
 )
+from .errors import MemgiftError
 from .gift import GIFT_SBOX, CipherState, CipherVariant, SBoxTable, encrypt_block, variant_for
 from .layout import (
     LayoutBundle,
@@ -44,11 +53,22 @@ from .layout import (
 )
 
 
-class PipelineError(RuntimeError):
+class PipelineError(MemgiftError, RuntimeError):
     """Session misuse: stepping past the last round, size mismatch, ..."""
 
 
 _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
+
+# A read table costs 1.1-1.4 kernel blocks to build and makes a block about
+# 3x cheaper (GIFT-128 dxor on a 2-vCPU VM: build 1.3-1.7 ms, kernel 1.2,
+# lookup 0.38 ms per block), so it pays from about the second block it
+# serves.  A session builds one once the current programming, or the one
+# before it, has served 3 ideal blocks: the margin keeps a programming that
+# serves only 2 from paying for a table it cannot earn back.
+_TABLE_AFTER_BLOCKS = 3
+# Lanes per kernel call while building: the temporaries stay near 64 KB,
+# where the element-wise work runs fastest.
+_TABLE_BUILD_LANES = 8192
 
 # Event kinds of a scheme's (XOR amp, read-out amp) senses.
 SENSE_EVENT = {"sxor": ("sxor_sense", "ro_s_sense"), "dxor": ("dxor_sense", "ro_d_sense")}
@@ -84,6 +104,8 @@ class RoundTrace:
     output_nibbles: tuple
     column_reads: list
     post_state: int
+    block: int  # the session's block index, counted from 0
+    active_mask: int  # S-box mask programmed when the round was read
 
 
 class EncryptionSession:
@@ -129,6 +151,9 @@ class EncryptionSession:
         self.reads_executed = 0
         self.blocks_encrypted = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
+        self._read_table = None
+        # ideal, untraced blocks read from this programming and from the last
+        self._ideal_blocks = self._last_ideal_blocks = 0
 
     # -- programming ------------------------------------------------------
 
@@ -144,7 +169,8 @@ class EncryptionSession:
 
     def reprogram_sbox(self, sbox: SBoxTable) -> None:
         """Rewrite only the 16x4 S-box region of every slice (run-time
-        reconfiguration); key/constant cells are untouched."""
+        reconfiguration); key/constant cells are untouched.  The session's
+        mask reads 0 until `masking.apply_mask` names the mask it wrote."""
         # the key region is written too, only for its d2d normals: they are
         # discarded (no key-cell writes) but keep every slice's noise stream
         # where a whole-slice write would leave it.
@@ -154,8 +180,37 @@ class EncryptionSession:
         self.write_log.add("cell_write", written.sb_bits.size)
         self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)
         self.sbox = sbox
+        self.mask = 0
+        # the table describes the cells it was read from
+        self._read_table = None
+        self._last_ideal_blocks, self._ideal_blocks = self._ideal_blocks, 0
 
     # -- reads --------------------------------------------------------------
+
+    def _sense(self, rows, rnd, factors=None) -> np.ndarray:
+        """Bits sensed on every column when slice j's S-box row rows[..., j]
+        and round rnd are selected: shape rows.shape + (4,); an ideal read
+        of k rounds at once, rnd shape (k, 1), gives (k,) + rows.shape + (4,)."""
+        state, vdd = self.state, self.params.vdd
+        r_eq = column_resistances(state, rows, rnd, factors)
+        xor_bits = resolve(self.scheme.xor_amp, r_eq, vdd)
+        ro_bits = resolve(self.scheme.readout_amp, r_eq, vdd)
+        return np.where(state.xor_mask, xor_bits, ro_bits)
+
+    def _build_read_table(self) -> np.ndarray:
+        """Every ideal read of the programmed state, shape (rounds, 16, S, 4):
+        entry [rnd, row, j] is what slice j senses on S-box row `row` in
+        round rnd.  Kernel reads of a few rounds at a time, the 16 rows as
+        lanes."""
+        rounds, nibbles = self.variant.rounds, self.variant.nibbles
+        rows = np.broadcast_to(np.arange(16)[:, None], (16, nibbles))
+        step = max(1, _TABLE_BUILD_LANES // (16 * nibbles * 4))
+        table = np.empty((rounds, 16, nibbles, 4), dtype=bool)
+        for first in range(0, rounds, step):
+            rnds = np.arange(first, min(first + step, rounds))[:, None]
+            table[first : first + len(rnds)] = self._sense(rows, rnds)
+        table.setflags(write=False)
+        return table
 
     def _log_reads(self, reads: int) -> None:
         log = self.current_log
@@ -189,23 +244,24 @@ class EncryptionSession:
         number of sensed bits that disagree with the ideal digital value
         (zeros unless count_errors).  With a `traces` list (B = 1), each
         round is read by read_round, which also captures the analog nodes,
-        and its RoundTrace is appended.
+        and its RoundTrace is appended.  An ideal untraced read looks its
+        bits up in the read table when the session has built one.
         """
         lanes = bits.shape[0]
-        state, vdd = self.state, self.params.vdd
-        xor_amp, ro_amp = self.scheme.xor_amp, self.scheme.readout_amp
+        state = self.state
         idx = state.slice_index
+        table = self._read_table if factors is None and traces is None else None
         errors = np.zeros(lanes, dtype=np.int64)
         for i, rnd in enumerate(rounds):
             rows = bits.reshape(lanes, len(idx), 4) @ _NIBBLE_WEIGHTS
             f = None if factors is None else factors[:, :, i]
-            if traces is None:
-                r_eq = column_resistances(state, rows, rnd, f)
-                xor_bits, ro_bits = resolve(xor_amp, r_eq, vdd), resolve(ro_amp, r_eq, vdd)
-                out = np.where(state.xor_mask, xor_bits, ro_bits)
+            if table is not None:
+                out = table[rnd, rows, idx]
+            elif traces is None:
+                out = self._sense(rows, rnd, f)
             else:
                 f = None if f is None else f[0]
-                out, reads = read_round(state, rows[0], rnd, self.scheme, vdd, f)
+                out, reads = read_round(state, rows[0], rnd, self.scheme, self.params.vdd, f)
                 out = out[None]
             if count_errors:
                 expected = state.sb_bits[idx, rows] ^ state.partner_bits[:, rnd]
@@ -215,7 +271,10 @@ class EncryptionSession:
             if traces is not None:
                 outputs = tuple((out[0] @ _NIBBLE_WEIGHTS).tolist())
                 post = bits_to_state(bits[0])
-                traces.append(RoundTrace(rnd, tuple(rows[0].tolist()), outputs, reads, post))
+                inputs = tuple(rows[0].tolist())
+                traces.append(
+                    RoundTrace(rnd, inputs, outputs, reads, post, self.blocks_encrypted, self.mask)
+                )
         return bits, errors
 
     def step_round(self, state: int) -> int:
@@ -247,6 +306,11 @@ class EncryptionSession:
         bits = np.tile(self._begin_block(pt), (len(sigmas), 1))
         rounds = self.variant.rounds
         factors = self._read_factors(rounds, sigmas)
+        if factors is None and traces is None:
+            served = max(self._ideal_blocks, self._last_ideal_blocks)
+            if self._read_table is None and served >= _TABLE_AFTER_BLOCKS:
+                self._read_table = self._build_read_table()
+            self._ideal_blocks += 1
         bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, traces)
         reads = len(sigmas) * rounds
         self._log_reads(reads)
@@ -292,7 +356,9 @@ class EncryptionSession:
 
 
 def export_round_trace(session: EncryptionSession, traces, fp) -> None:
-    """JSON lines: a session header record, then one record per round."""
+    """JSON lines: a session header record, then one record per round.
+    The header states the session's mask when the trace is written; each
+    round record names its block and the mask it was read under."""
     digits = session.variant.block_bits // 4
     header = {
         "record": "session",
@@ -310,7 +376,9 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
             json.dumps(
                 {
                     "record": "round",
+                    "block": t.block,
                     "round": t.round_index,
+                    "active_mask": f"{t.active_mask:x}",
                     "inputs": "".join(f"{v:x}" for v in reversed(t.input_nibbles)),
                     "outputs": "".join(f"{v:x}" for v in reversed(t.output_nibbles)),
                     "post_state": f"{t.post_state:0{digits}x}",

@@ -16,6 +16,7 @@ from memgift.gift import (
     decrypt_block,
     encrypt_block,
     extract_round_key,
+    inverse_perm_table,
     parse_kat_lines,
     perm_bits,
     perm_table,
@@ -331,6 +332,17 @@ def slow_encrypt(pt, key, variant, sbox):
     return state
 
 
+def slow_decrypt(ct, key, variant, sbox):
+    """The per-bit inverse: undo the mask, move bit i to P^-1(i), then S^-1."""
+    table = inverse_perm_table(variant)
+    state = ct
+    for mask in reversed(slow_round_masks(key, variant)):
+        state ^= mask
+        state = sum(((state >> i) & 1) << table[i] for i in range(variant.block_bits))
+        state = sub_cells(state, variant, sbox.inverse())
+    return state
+
+
 variants = st.sampled_from([GIFT64, GIFT128])
 keys = st.integers(0, (1 << 128) - 1)
 sboxes = st.permutations(range(16)).map(SBoxTable)
@@ -354,6 +366,13 @@ def test_encrypt_block_matches_per_bit_rounds(variant, key, data, sbox):
 def test_encrypt_decrypt_round_trip_property(variant, key, data, sbox):
     pt = data.draw(st.integers(0, (1 << variant.block_bits) - 1), label="pt")
     assert decrypt_block(encrypt_block(pt, key, variant, sbox), key, variant, sbox) == pt
+
+
+@settings(max_examples=40)
+@given(variants, keys, st.data(), st.one_of(st.just(GIFT_SBOX), sboxes))
+def test_decrypt_block_matches_per_bit_inverse(variant, key, data, sbox):
+    ct = data.draw(st.integers(0, (1 << variant.block_bits) - 1), label="ct")
+    assert decrypt_block(ct, key, variant, sbox) == slow_decrypt(ct, key, variant, sbox)
 
 
 # ---------------------------------------------------------------------------

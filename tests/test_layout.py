@@ -3,11 +3,14 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgift.gift import (
     GIFT64,
     GIFT128,
     RoundConstantState,
+    SBoxTable,
     encrypt_block,
     extract_round_key,
     perm_position,
@@ -176,6 +179,35 @@ def test_export_import_round_trip(tmp_path, variant):
         path = tmp_path / f"layout{variant.block_bits}_{i}.mgl"
         export_layout(bundle, path)
         assert import_layout(path) == bundle
+
+
+@settings(max_examples=30)
+@given(
+    st.sampled_from([GIFT64, GIFT128]),
+    st.integers(0, (1 << 128) - 1),
+    st.permutations(range(16)).map(SBoxTable),
+)
+def test_export_import_round_trip_property(tmp_path_factory, variant, key, sbox):
+    bundle = compile_layout(key, variant, sbox)
+    path = tmp_path_factory.mktemp("layout") / "layout.mgl"
+    export_layout(bundle, path)
+    assert import_layout(path) == bundle
+
+
+# Bytes str.splitlines treats as line ends, and the space split() drops.
+LINE_BREAKS = b"\n\x0b\x0c\r\x1c\x1d\x1e "
+
+
+def test_every_single_byte_corruption_is_layout_error(tmp_path):
+    path = tmp_path / "layout.mgl"
+    export_layout(compile_layout(42, GIFT64), path)
+    raw = path.read_bytes()
+    for i, byte in enumerate(raw):
+        # one low and one high bit flipped, and every line-break byte
+        for value in {byte ^ 0x01, byte ^ 0x80, *LINE_BREAKS} - {byte}:
+            path.write_bytes(raw[:i] + bytes([value]) + raw[i + 1 :])
+            with pytest.raises(LayoutError):
+                import_layout(path)
 
 
 def test_zero_key_file_equals_fresh_compile(tmp_path, variant):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memgift.errors import MemgiftError
 from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block
 from memgift.masking import (
     MaskMismatchError,
@@ -110,6 +111,15 @@ def test_remask_write_accounting():
     # encrypting afterwards still adds no writes
     session.encrypt(0)
     assert session.current_log.get("cell_write") == 0
+
+
+@pytest.mark.parametrize("mask", [16, -1])
+def test_apply_mask_rejects_wide_mask_before_any_write(mask):
+    session = EncryptionSession(0, GIFT128, "dxor")
+    writes = session.write_log.get("cell_write")
+    with pytest.raises(MemgiftError, match="4-bit"):
+        apply_mask(session, mask)
+    assert session.write_log.get("cell_write") == writes and session.mask == 0
 
 
 def test_mask_mismatch_rejected():

@@ -1,9 +1,12 @@
 import io
+import json
 import random
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgift.crossbar import DeviceParams, variation_factor
 from memgift.gift import (
@@ -16,6 +19,7 @@ from memgift.gift import (
     perm_bits,
     sub_cells,
 )
+from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked
 from memgift.pipeline import (
     EncryptionSession,
     PipelineError,
@@ -285,6 +289,112 @@ def test_gift64_event_counts():
 
 
 # ---------------------------------------------------------------------------
+# Read table: once the cells have served three ideal untraced blocks, a
+# session looks its reads up instead of running the kernel
+
+
+def kernel_session(*args):
+    """A session whose ideal reads always run the read kernel."""
+    session = EncryptionSession(*args)
+    session._build_read_table = lambda: None
+    return session
+
+
+@settings(max_examples=25)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    key=st.integers(0, (1 << 128) - 1),
+    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1]),
+    wire=st.sampled_from([0.0, 150.0, 20e3]),
+    mask=st.integers(1, 15),
+    data=st.data(),
+)
+def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2d, wire, mask, data):
+    params = DeviceParams(sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=key % 1000)
+    walk = EncryptionSession(key, variant, scheme, params, feedback)
+    kernel = kernel_session(key, variant, scheme, params, feedback)
+    pts = data.draw(st.lists(st.integers(0, (1 << variant.block_bits) - 1), min_size=5, max_size=5))
+    cts = [walk.encrypt_with_error_count(pt) for pt in pts]
+    table = walk._read_table
+    assert table is not None
+    assert cts == [kernel.encrypt_with_error_count(pt) for pt in pts]
+    # a remask rewrites the S-box cells: the walk must use a rebuilt table
+    apply_mask(walk, mask)
+    apply_mask(kernel, mask)
+    masked = [encrypt_masked(walk, pt, mask)[0] for pt in pts]
+    assert walk._read_table is not None and walk._read_table is not table
+    assert masked == [encrypt_masked(kernel, pt, mask)[0] for pt in pts]
+
+
+def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch):
+    key = RNG.getrandbits(128)
+    session = EncryptionSession(key, GIFT64, "dxor")
+    for pt in range(3):
+        session.encrypt(pt)
+        assert session._read_table is None
+    session.encrypt(3)
+    assert session._read_table.shape == (28, 16, 16, 4)
+    # the last programming served 4 blocks: the next builds on its first
+    apply_mask(session, 3)
+    assert session._read_table is None
+    encrypt_masked(session, 4, 3)
+    assert session._read_table is not None
+    # ... and that one served only 1, so the next waits for 3 again
+    session.reprogram_sbox(session.sbox.inverse())
+    for pt in range(3):
+        session.encrypt(pt)
+        assert session._read_table is None
+    session.encrypt(3)
+    assert session._read_table is not None
+    # traced and noisy reads never build one
+    traced = EncryptionSession(key, GIFT64, "dxor")
+    noisy = EncryptionSession(key, GIFT64, "dxor", DeviceParams(sigma_c2c=0.05))
+    for pt in range(5):
+        traced.encrypt(pt, trace=True)
+        noisy.encrypt(pt)
+    assert traced._read_table is None and noisy._read_table is None
+
+    def no_table(self):
+        raise AssertionError("a read table was built for too few blocks")
+
+    monkeypatch.setattr(EncryptionSession, "_build_read_table", no_table)
+    # one- and two-block sessions: the sweep's trials, even with every lane ideal
+    run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2)
+    two = EncryptionSession(key, GIFT128, "sxor")
+    two.encrypt(6)
+    two.encrypt(7)
+    # a session remasked every 2 blocks
+    remasked = EncryptionSession(key, GIFT128, "sxor")
+    for i in range(12):
+        if i and i % 2 == 0:
+            apply_mask(remasked, i % 16)
+        encrypt_masked(remasked, i, remasked.mask)
+
+
+@pytest.mark.parametrize("scheme", ["sxor", "dxor"])
+def test_read_table_keeps_counters_and_logs(scheme):
+    key = RNG.getrandbits(128)
+    pts = [RNG.getrandbits(128) for _ in range(5)]
+    walk = EncryptionSession(key, GIFT128, scheme)
+    kernel = kernel_session(key, GIFT128, scheme)
+    for pt in pts:
+        assert walk.encrypt(pt)[0] == kernel.encrypt(pt)[0]
+        assert walk.current_log == kernel.current_log
+    assert walk._read_table is not None and kernel._read_table is None
+    assert walk.session_log() == kernel.session_log()
+    assert walk.current_log.rounds == kernel.current_log.rounds == 40
+    assert walk.reads_executed == kernel.reads_executed == 5 * 40
+    assert walk.blocks_encrypted == kernel.blocks_encrypted == 5
+    assert walk.output_register == kernel.output_register
+    # a stepped read walks the table too
+    walk.round_counter = kernel.round_counter = 0
+    assert walk.step_round(pts[0]) == kernel.step_round(pts[0])
+    assert walk.reads_executed == kernel.reads_executed
+
+
+# ---------------------------------------------------------------------------
 # Trace export
 
 
@@ -303,6 +413,24 @@ def test_trace_export_deterministic():
     header = blobs[0][0].splitlines()[0]
     assert '"record": "session"' in header and '"scheme": "sxor"' in header
     assert len(blobs[0][1].splitlines()) == 40 * 32 * 4
+
+
+def test_round_records_name_their_block_and_mask():
+    session = EncryptionSession(0x77, GIFT64, "dxor")
+    traces = session.encrypt(1, trace=True)[1]
+    apply_mask(session, 5)
+    traces += encrypt_masked(session, 2, 5, trace=True)[1]
+    # a direct S-box rewrite is read under no mask
+    session.reprogram_sbox(session.bundle.sbox.inverse())
+    assert session.mask == 0
+    traces += session.encrypt(3, trace=True)[1]
+    fp = io.StringIO()
+    export_round_trace(session, traces, fp)
+    records = [json.loads(line) for line in fp.getvalue().splitlines()[1:]]
+    assert [(r["block"], r["active_mask"]) for r in records[::28]] == [(0, "0"), (1, "5"), (2, "0")]
+    assert [r["round"] for r in records] == list(range(28)) * 3
+    with pytest.raises(MaskMismatchError):
+        encrypt_masked(session, 4, 5)
 
 
 # ---------------------------------------------------------------------------
