@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .crossbar import SCHEMES, ConfigError, DeviceParams, load_device_config
 from .energy import EnergyParams, account, area_report, load_energy_config
-from .errors import MemgiftError
+from .errors import MemgiftError, read_text
 from .gift import (
     GiftError,
     decrypt_block,
@@ -64,10 +64,7 @@ def _parse_hex(text: str, digits: int, what: str) -> int:
 def _load_setup(args):
     """Device parameters + sense-amp schemes from file/flags."""
     if getattr(args, "device_params", None):
-        path = Path(args.device_params)
-        if not path.exists():
-            raise ConfigError(f"device parameter file not found: {path}")
-        params, schemes = load_device_config(path)
+        params, schemes = load_device_config(args.device_params)
     else:
         params, schemes = DeviceParams(), dict(SCHEMES)
     if getattr(args, "seed", None) is not None:
@@ -81,11 +78,9 @@ def _read_blocks(args, variant) -> list[int]:
     digits = variant.block_bits // 4
     if args.pt is not None:
         return [_parse_hex(args.pt, digits, "plaintext")]
-    path = Path(args.pt_file)
-    if not path.exists():
-        raise GiftError(f"plaintext file not found: {path}")
+    path = args.pt_file
     blocks = []
-    for line in path.read_text().splitlines():
+    for line in read_text(path, GiftError).splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             blocks.append(_parse_hex(line, digits, f"{path}: plaintext"))
@@ -160,10 +155,7 @@ def cmd_compile_layout(args) -> int:
 
 
 def cmd_kat(args) -> int:
-    path = Path(args.file)
-    if not path.exists():
-        raise GiftError(f"KAT file not found: {path}")
-    vectors = load_kat_file(path)
+    vectors = load_kat_file(args.file)
     params, schemes = _load_setup(args)
     passed = failed = 0
     for i, vec in enumerate(vectors):
@@ -185,12 +177,7 @@ def cmd_kat(args) -> int:
 
 def cmd_energy_report(args) -> int:
     variant = variant_for(args.variant)
-    energy_params = EnergyParams()
-    if args.params:
-        path = Path(args.params)
-        if not path.exists():
-            raise ConfigError(f"energy parameter file not found: {path}")
-        energy_params = load_energy_config(path)
+    energy_params = load_energy_config(args.params) if args.params else EnergyParams()
     device_params, schemes = _load_setup(args)
     session = EncryptionSession(0, variant, schemes[args.scheme], device_params)
     session.encrypt(0)

@@ -11,7 +11,7 @@ stacked `ProgrammedState` a session holds once.  One vectorised read serves
 every mode: `column_resistances` gives every column's bit-line resistance
 and `resolve` senses it with the amp's one statement of its maths.  The
 fast path stops at the bits; `read_round` is the same read with node
-capture, packed into per-column `ColumnRead`s for the analog trace.
+capture, over all of a block's rounds in one pass, as columnar arrays.
 
 Electrical model
 ----------------
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MemgiftError
+from .errors import MemgiftError, read_text
 from .layout import SliceKeyMatrix
 
 
@@ -83,6 +82,8 @@ class DeviceParams:
             value = getattr(self, f.name)
             if f.name != "seed" and not math.isfinite(value):
                 raise CrossbarError(f"{f.name} must be finite, got {value}")
+        if self.seed < 0:
+            raise CrossbarError(f"seed must be non-negative, got {self.seed}")
         if not self.r_hrs > self.r_lrs > 0:
             raise CrossbarError("need r_hrs > r_lrs > 0")
         if self.sigma_d2d < 0 or self.sigma_c2c < 0:
@@ -370,8 +371,8 @@ class SenseAmpScheme:
                         raise CrossbarError(
                             f"{self.name}: reference {f.name}={value} outside (0, {vdd})"
                         )
-                elif value <= 0:
-                    raise CrossbarError(f"{self.name}: {f.name} must be positive")
+                elif not (math.isfinite(value) and value > 0):
+                    raise CrossbarError(f"{self.name}: {f.name} must be finite and positive")
 
 
 SXOR_SCHEME = SenseAmpScheme("sxor", ScoutingXorAmp(), ScoutingReadoutAmp())
@@ -405,30 +406,6 @@ def sense(r_eq: float, sa, vdd: float = 0.9) -> SenseResult:
 # One round read on every slice
 
 
-@dataclass(frozen=True)
-class ColumnRead:
-    slice_index: int
-    round_index: int
-    column: int
-    kind: str  # "xor" | "readout"
-    stored_bits: tuple[int, ...]
-    r_eq: float
-    nodes: dict
-    bit: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "slice": self.slice_index,
-            "round": self.round_index,
-            "column": self.column,
-            "kind": self.kind,
-            "stored_bits": list(self.stored_bits),
-            "r_eq": self.r_eq,
-            "nodes": {k: round(v, 6) for k, v in self.nodes.items()},
-            "bit": self.bit,
-        }
-
-
 def draw_read_factors(
     sigmas: Sequence[float], rng: Optional[np.random.Generator], reads: int = 1
 ) -> np.ndarray:
@@ -449,60 +426,61 @@ def draw_read_factors(
 def column_resistances(state: ProgrammedState, rows, rnd, factors=None) -> np.ndarray:
     """Bit-line equivalent resistance of every column when slice j's S-box
     row rows[..., j] and the key row of round rnd are selected: shape
-    rows.shape + (4,).  factors, shape rows.shape + (2, 4), scale the
-    selected S-box ([..., 0, :]) and partner ([..., 1, :]) cells; without
-    them the ideal branch conductances are gathered as they are, and rnd
-    may be an array of rounds, shape (k, 1), read alike: shape
-    (k,) + rows.shape + (4,)."""
+    rows.shape + (4,).  rnd may be an array of rounds: shape (R,) with rows
+    (R, S) reads round rnd[i] on rows[i]; shape (k, 1) reads every round on
+    every row, giving (k,) + rows.shape + (4,).  factors, shape
+    (..., 2, 4), scale the selected S-box ([..., 0, :]) and partner
+    ([..., 1, :]) cells; without them the ideal conductances are used."""
     idx = state.slice_index
     if factors is None:
         g = state.sb_g[idx, rows] + state.partner_g[rnd]
     else:
         wire = state.wire_r
+        partner_res = state.partner_res.transpose(1, 0, 2)[rnd]
         g = 1.0 / (state.sb_res[idx, rows] * factors[..., 0, :] + wire) + 1.0 / (
-            state.partner_res[:, rnd] * factors[..., 1, :] + wire
+            partner_res * factors[..., 1, :] + wire
         )
     return 1.0 / g
 
 
-def read_round(
-    state: ProgrammedState, rows, rnd: int, scheme, vdd: float, factors=None
-) -> tuple[np.ndarray, list[ColumnRead]]:
-    """Traced read of round rnd on every slice, slice j on S-box row rows[j].
+@dataclass(frozen=True, eq=False)
+class ReadCapture:
+    """Every node of R reads on every slice, as columns: each array has
+    shape (R, S, 4), entry [i, j, col] being column col of slice j in read
+    i.  Both amps sense every column; xor_mask says whose bit counts."""
 
-    Key columns are XOR-sensed (S-box cell against key/constant cell); the
-    remaining columns are read out alone.  factors, shape (S, 2, 4), are
-    the read's cycle-to-cycle factors.  Returns the sensed bits, shape
-    (S, 4), and one ColumnRead per column, slice by slice.
-    """
+    bits: np.ndarray  # bool, the sensed bits
+    r_eq: np.ndarray  # bit-line equivalent resistance
+    nodes: dict  # "xor" / "readout" -> node name -> volts
+    sb_bits: np.ndarray  # uint8, the selected S-box cell
+    partner_bits: np.ndarray  # uint8, the selected partner cell, 0 on read-out columns
+    xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
+
+
+def read_round(
+    state: ProgrammedState, rows, rnds, scheme, vdd: float, factors=None
+) -> ReadCapture:
+    """Traced reads, captured in one pass: read i selects round rnds[i] and
+    S-box row rows[i, j] on slice j.  rows has shape (R, S), rnds (R,) and
+    factors, the reads' cycle-to-cycle factors, (R, S, 2, 4).  Key columns
+    are XOR-sensed (S-box cell against key/constant cell); the remaining
+    columns are read out alone."""
     scheme = scheme_for(scheme)
-    rows = np.asarray(rows)
-    if not 0 <= rnd < state.rounds:
-        raise CrossbarError(f"round {rnd} out of range")
-    if rows.shape != state.slice_index.shape or not ((rows >= 0) & (rows < 16)).all():
-        raise CrossbarError("need one S-box row in 0..15 per slice")
-    r_eq = column_resistances(state, rows, rnd, factors)
+    rows, rnds = np.asarray(rows), np.asarray(rnds)
+    if rnds.ndim != 1 or not ((rnds >= 0) & (rnds < state.rounds)).all():
+        raise CrossbarError(f"need a list of rounds in 0..{state.rounds - 1}")
+    in_range = ((rows >= 0) & (rows < 16)).all()
+    if rows.shape != rnds.shape + state.slice_index.shape or not in_range:
+        raise CrossbarError("need one S-box row in 0..15 per slice and read")
+    if factors is not None and np.shape(factors) != rows.shape + (2, 4):
+        raise CrossbarError(f"need factors of shape {rows.shape + (2, 4)}")
+    r_eq = column_resistances(state, rows, rnds, factors)
     xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
     readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
     bits = np.where(state.xor_mask, xor.bit, readout.bit)
-
-    captured = {
-        kind: {name: v.tolist() for name, v in res.nodes.items()}
-        for kind, res in (("xor", xor), ("readout", readout))
-    }
-    sb_bits = state.sb_bits[state.slice_index, rows].tolist()
-    partner_bits = state.partner_bits[:, rnd].tolist()
-    reads = []
-    for j, (xor_cols, r_row, bit_row) in enumerate(
-        zip(state.xor_mask.tolist(), r_eq.tolist(), bits.tolist())
-    ):
-        for col in range(4):
-            kind = "xor" if xor_cols[col] else "readout"
-            stored = (sb_bits[j][col],) + ((partner_bits[j][col],) if xor_cols[col] else ())
-            nodes = {name: v[j][col] for name, v in captured[kind].items()}
-            bit = int(bit_row[col])
-            reads.append(ColumnRead(j, rnd, col, kind, stored, r_row[col], nodes, bit))
-    return bits, reads
+    nodes = {"xor": xor.nodes, "readout": readout.nodes}
+    stored = state.sb_bits[state.slice_index, rows], state.partner_bits[:, rnds].swapaxes(0, 1)
+    return ReadCapture(bits, r_eq, nodes, *stored, state.xor_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +552,7 @@ _AMP_SECTIONS = {
 
 def parse_kv_file(path) -> dict[str, str]:
     entries = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import MemgiftError
+from .errors import MemgiftError, read_text
 
 
 class GiftError(MemgiftError, ValueError):
@@ -451,4 +450,4 @@ def parse_kat_lines(lines: Iterable[str]) -> list[KatVector]:
 
 
 def load_kat_file(path) -> list[KatVector]:
-    return parse_kat_lines(Path(path).read_text().splitlines())
+    return parse_kat_lines(read_text(path, GiftError).splitlines())

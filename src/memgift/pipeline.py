@@ -11,8 +11,8 @@ inter-nibble diffusion and intentionally fails the reference oracle.
 The session holds its programmed cells once, as the stacked
 `ProgrammedState`, and reads them with one kernel, `_read_rounds`, over
 lanes of blocks: fast, noisy, stepped and traced encryption and the
-sweep's sigma points all run through it.  A traced read is the same read
-with node capture (`crossbar.read_round`).
+sweep's sigma points all run through it.  A traced block then captures
+the nodes of all its rounds' reads in one `crossbar.read_round` pass.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its input nibble while the cells stay as programmed.  So once
@@ -29,12 +29,14 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
 from .crossbar import (
     DeviceParams,
+    ReadCapture,
     column_resistances,
     draw_read_factors,
     program_slice,
@@ -102,7 +104,7 @@ class RoundTrace:
     round_index: int
     input_nibbles: tuple
     output_nibbles: tuple
-    column_reads: list
+    analog: ReadCapture  # the block's capture, shared by its rounds; this round is row round_index
     post_state: int
     block: int  # the session's block index, counted from 0
     active_mask: int  # S-box mask programmed when the round was read
@@ -234,7 +236,7 @@ class EncryptionSession:
         return factors
 
     def _read_rounds(
-        self, bits: np.ndarray, rounds: range, factors=None, count_errors=False, traces=None
+        self, bits: np.ndarray, rounds: range, factors=None, count_errors=False, rows_read=None
     ):
         """The read kernel: run `rounds` on every lane of `bits`, shape (B, n).
 
@@ -242,39 +244,29 @@ class EncryptionSession:
         [..., 0, :] scales a read's S-box cells, [..., 1, :] its partner
         cells.  Returns the bits after the last round and, per lane, the
         number of sensed bits that disagree with the ideal digital value
-        (zeros unless count_errors).  With a `traces` list (B = 1), each
-        round is read by read_round, which also captures the analog nodes,
-        and its RoundTrace is appended.  An ideal untraced read looks its
-        bits up in the read table when the session has built one.
+        (zeros unless count_errors).  An ideal read looks its bits up in the
+        read table when the session has built one, unless it is recorded:
+        with a `rows_read` list, each round's selected S-box rows, shape
+        (B, S), are appended to it for a trace to capture.
         """
         lanes = bits.shape[0]
         state = self.state
         idx = state.slice_index
-        table = self._read_table if factors is None and traces is None else None
+        table = self._read_table if factors is None and rows_read is None else None
         errors = np.zeros(lanes, dtype=np.int64)
         for i, rnd in enumerate(rounds):
             rows = bits.reshape(lanes, len(idx), 4) @ _NIBBLE_WEIGHTS
-            f = None if factors is None else factors[:, :, i]
             if table is not None:
                 out = table[rnd, rows, idx]
-            elif traces is None:
-                out = self._sense(rows, rnd, f)
             else:
-                f = None if f is None else f[0]
-                out, reads = read_round(state, rows[0], rnd, self.scheme, self.params.vdd, f)
-                out = out[None]
+                out = self._sense(rows, rnd, None if factors is None else factors[:, :, i])
             if count_errors:
                 expected = state.sb_bits[idx, rows] ^ state.partner_bits[:, rnd]
                 errors += (out != expected).sum(axis=(1, 2))
             # a bool array is its 0/1 bytes, so the view skips a cast
             bits = out.reshape(lanes, -1).view(np.uint8).take(self._sources, axis=1)
-            if traces is not None:
-                outputs = tuple((out[0] @ _NIBBLE_WEIGHTS).tolist())
-                post = bits_to_state(bits[0])
-                inputs = tuple(rows[0].tolist())
-                traces.append(
-                    RoundTrace(rnd, inputs, outputs, reads, post, self.blocks_encrypted, self.mask)
-                )
+            if rows_read is not None:
+                rows_read.append(rows)
         return bits, errors
 
     def step_round(self, state: int) -> int:
@@ -282,7 +274,7 @@ class EncryptionSession:
         if self.round_counter >= self.variant.rounds:
             raise PipelineError("stepping past the final round")
         rnd = self.round_counter
-        bits = state_to_bits(state, self.variant.block_bits)[None]
+        bits = self._state_bits(state, "state")[None]
         factors = self._read_factors(1, (self.params.sigma_c2c,))
         bits, _ = self._read_rounds(bits, range(rnd, rnd + 1), factors)
         self._log_reads(1)
@@ -291,27 +283,44 @@ class EncryptionSession:
         self.reads_executed += 1
         return bits_to_state(bits[0])
 
+    def _state_bits(self, value: int, what: str) -> np.ndarray:
+        if not 0 <= value < (1 << self.variant.block_bits):
+            raise PipelineError(f"{what} does not fit in {self.variant.block_bits} bits")
+        return state_to_bits(value, self.variant.block_bits)
+
     def _begin_block(self, pt: int) -> np.ndarray:
-        if not 0 <= pt < (1 << self.variant.block_bits):
-            raise PipelineError(f"plaintext does not fit in {self.variant.block_bits} bits")
+        self.register_bits = self._state_bits(pt, "plaintext")
         self.round_counter = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
-        self.register_bits = state_to_bits(pt, self.variant.block_bits)
         return self.register_bits
 
     def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
         """Encrypt one block once per cycle-to-cycle sigma, all lanes in one
         pass of the read kernel; every lane counts as one read per round.
-        Returns the lanes' ciphertexts and bit-error counts."""
+        Returns the lanes' ciphertexts and bit-error counts.  With a
+        `traces` list (one lane), one RoundTrace per round is appended."""
         bits = np.tile(self._begin_block(pt), (len(sigmas), 1))
         rounds = self.variant.rounds
         factors = self._read_factors(rounds, sigmas)
+        rows_read = None if traces is None else []
         if factors is None and traces is None:
             served = max(self._ideal_blocks, self._last_ideal_blocks)
             if self._read_table is None and served >= _TABLE_AFTER_BLOCKS:
                 self._read_table = self._build_read_table()
             self._ideal_blocks += 1
-        bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, traces)
+        bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, rows_read)
+        if traces is not None:
+            # one capture repeats the block's reads: the same rows, the same factors
+            rows, rnds = np.concatenate(rows_read), np.arange(rounds)
+            f = None if factors is None else factors[0].swapaxes(0, 1)
+            analog = read_round(self.state, rows, rnds, self.scheme, self.params.vdd, f)
+            outputs = (analog.bits @ _NIBBLE_WEIGHTS).tolist()
+            posts = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
+            for rnd, inputs in enumerate(rows.tolist()):
+                post, block = bits_to_state(posts[rnd]), self.blocks_encrypted
+                traces.append(RoundTrace(
+                    rnd, tuple(inputs), tuple(outputs[rnd]), analog, post, block, self.mask
+                ))
         reads = len(sigmas) * rounds
         self._log_reads(reads)
         self.round_counter = rounds
@@ -389,10 +398,21 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
 
 
 def export_analog_trace(traces, fp) -> None:
-    """JSON lines: one record per column per read."""
-    for t in traces:
-        for cr in t.column_reads:
-            fp.write(json.dumps(cr.to_json_dict()) + "\n")
+    """JSON lines: one record per column per read (its amp kind, selected
+    cells' bits, r_eq, node volts and bit), from each block's capture."""
+    for analog, block in groupby(traces, key=lambda t: t.analog):
+        r_eq, sb, partner = (a.tolist() for a in (analog.r_eq, analog.sb_bits, analog.partner_bits))
+        bits, xor_mask = analog.bits.view(np.uint8).tolist(), analog.xor_mask.tolist()
+        volts = {k: {n: v.tolist() for n, v in nodes.items()} for k, nodes in analog.nodes.items()}
+        for i in (t.round_index for t in block):
+            for j, col in np.ndindex(analog.xor_mask.shape):
+                kind = "xor" if xor_mask[j][col] else "readout"
+                stored = [sb[i][j][col]] + ([partner[i][j][col]] if kind == "xor" else [])
+                nodes = {name: round(v[i][j][col], 6) for name, v in volts[kind].items()}
+                record = {"slice": j, "round": i, "column": col, "kind": kind,
+                          "stored_bits": stored, "r_eq": r_eq[i][j][col], "nodes": nodes,
+                          "bit": bits[i][j][col]}
+                fp.write(json.dumps(record) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +461,8 @@ def run_sweep(
             raise PipelineError("sigma values must be non-negative")
     if blocks < 0:
         raise PipelineError(f"blocks must be non-negative, got {blocks}")
+    if seed < 0:
+        raise PipelineError(f"seed must be non-negative, got {seed}")
     if not sigmas:
         return []
     variant = variant_for(variant)

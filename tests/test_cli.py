@@ -115,6 +115,42 @@ def test_remask_source_is_secrets_unless_seeded(capsys, tmp_path, monkeypatch, s
         assert int(line, 16) == encrypt_block(int(pt, 16), key, GIFT128)
 
 
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--device-params"], 3, "configuration"),
+        (["energy-report", "--params"], 3, "configuration"),
+        (["encrypt", "--key", KAT_KEY, "--pt-file"], 2, "input"),
+        (["kat", "--file"], 2, "input"),
+    ],
+    ids=["device-params", "energy-params", "pt-file", "kat-file"],
+)
+def test_unreadable_input_file_is_typed_error(capsys, tmp_path, argv, code, prefix):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n")
+    got, out, err = run(capsys, *argv, str(path))
+    assert got == code and out == ""
+    assert f"{prefix} error: {path}: not UTF-8 text (byte offset 5)" in err
+    got, out, err = run(capsys, *argv, str(tmp_path / "missing.txt"))
+    assert got == code and out == "" and f"{prefix} error: " in err and "file not found" in err
+
+
+def test_encrypt_negative_seed_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "c2c.cfg"
+    cfg.write_text("sigma_c2c = 0.05\n")
+    code, out, err = run(
+        capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--device-params", str(cfg),
+        "--seed", "-5",
+    )
+    assert code == 2 and "input error: seed must be non-negative" in err and out == ""
+    # from a parameter file it is a configuration error
+    cfg.write_text("sigma_c2c = 0.05\nseed = -5\n")
+    code, out, err = run(
+        capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--device-params", str(cfg)
+    )
+    assert code == 3 and "configuration error: seed must be non-negative" in err and out == ""
+
+
 def test_encrypt_negative_remask_every_exits_2(capsys):
     code, out, err = run(
         capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--remask-every", "-1"
@@ -261,3 +297,8 @@ def test_sweep_stdout_and_bad_sigmas(capsys):
     assert code == 2 and "input error" in err and out == ""
     code, out, err = run(capsys, "sweep", "--blocks", "-3")
     assert code == 2 and "input error" in err and out == ""
+
+
+def test_sweep_negative_seed_exits_2(capsys):
+    code, out, err = run(capsys, "sweep", "--seed", "-1", "--blocks", "1")
+    assert code == 2 and "input error: seed must be non-negative" in err and out == ""

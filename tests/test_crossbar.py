@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memgift.crossbar import (
     ConfigError,
@@ -22,6 +25,7 @@ from memgift.crossbar import (
     sense_margin_report,
     variation_factor,
 )
+from memgift.energy import load_energy_config
 from memgift.gift import GIFT128, GIFT_SBOX
 from memgift.layout import SliceKeyMatrix, compile_layout, sbox_bit_matrix
 
@@ -42,10 +46,11 @@ def key_res(state, columns=(1, 2)):
 
 
 def read_one(state, nib, rnd, scheme, params, factors=None):
-    """read_round on a one-slice stacked state: returns the output nibble
-    and the four ColumnReads."""
-    bits, reads = read_round(state, [nib], rnd, scheme, params.vdd, factors)
-    return int(bits[0] @ [1, 2, 4, 8]), reads
+    """One read_round read on a one-slice stacked state, factors shape
+    (1, 2, 4): returns the output nibble and the read's capture."""
+    factors = None if factors is None else factors[None]
+    analog = read_round(state, [[nib]], [rnd], scheme, params.vdd, factors)
+    return int(analog.bits[0, 0] @ [1, 2, 4, 8]), analog
 
 
 # ---------------------------------------------------------------------------
@@ -117,54 +122,61 @@ def selection_slice():
     return make_slice(DeviceParams(sigma_d2d=0.05), key_bits, (1, 2, 3), rng=rng)
 
 
-def assert_selects(state, nib, rnd, reads):
-    """Every column read exactly S-box row nib and key row rnd."""
-    for cr in reads:
-        col = cr.column
+def assert_selects(state, nib, rnd, analog, i=0):
+    """Every column of read i of a capture read exactly S-box row nib and
+    key row rnd."""
+    for col in range(4):
         cells = [state.sb_res[0, nib, col]]
         stored = (state.sb_bits[0, nib, col],)
-        if cr.kind == "xor":
+        captured = (analog.sb_bits[i, 0, col],)
+        if analog.xor_mask[0, col]:
             cells.append(state.partner_res[0, rnd, col])
             stored += (state.partner_bits[0, rnd, col],)
-        assert cr.stored_bits == stored
-        assert cr.r_eq == pytest.approx(bitline_equivalent_resistance(cells), rel=1e-12)
+            captured += (analog.partner_bits[i, 0, col],)
+        else:
+            assert analog.partner_bits[i, 0, col] == 0
+        assert captured == stored
+        r_eq = analog.r_eq[i, 0, col]
+        assert r_eq == pytest.approx(bitline_equivalent_resistance(cells), rel=1e-12)
 
 
 def test_decoder_one_hot_exhaustive():
     state = selection_slice()
     seen = set()
     for nib in range(16):
-        _, reads = read_one(state, nib, 0, "dxor", DeviceParams())
-        assert_selects(state, nib, 0, reads)
-        seen.add(tuple(cr.r_eq for cr in reads))
+        _, analog = read_one(state, nib, 0, "dxor", DeviceParams())
+        assert_selects(state, nib, 0, analog)
+        seen.add(tuple(analog.r_eq.ravel().tolist()))
     assert len(seen) == 16
     for nib in (16, -1):
         with pytest.raises(CrossbarError):
-            read_round(state, [nib], 0, "dxor", 0.9)
+            read_round(state, [[nib]], [0], "dxor", 0.9)
 
 
 def test_round_selector_range():
     state = selection_slice()
     seen = set()
     for rnd in range(40):
-        _, reads = read_one(state, 5, rnd, "sxor", DeviceParams())
-        assert_selects(state, 5, rnd, reads)
-        seen.add(tuple(cr.r_eq for cr in reads))
+        _, analog = read_one(state, 5, rnd, "sxor", DeviceParams())
+        assert_selects(state, 5, rnd, analog)
+        seen.add(tuple(analog.r_eq.ravel().tolist()))
     assert len(seen) == 40
     for rnd in (40, 64, -1):
         with pytest.raises(CrossbarError):
-            read_round(state, [5], rnd, "sxor", 0.9)
+            read_round(state, [[5]], [rnd], "sxor", 0.9)
 
 
 def test_select_rows_exhaustive():
+    # every row x round pair as the reads of one capture
     state = selection_slice()
-    for nib in range(16):
-        for rnd in range(40):
-            out, reads = read_one(state, nib, rnd, "dxor", DeviceParams())
-            assert_selects(state, nib, rnd, reads)
-            assert out == GIFT_SBOX[nib] ^ int(state.partner_bits[0, rnd] @ [1, 2, 4, 8])
+    nibs, rnds = np.divmod(np.arange(16 * 40), 40)
+    analog = read_round(state, nibs[:, None], rnds, "dxor", 0.9)
+    outs = analog.bits[:, 0] @ [1, 2, 4, 8]
+    for i, (nib, rnd) in enumerate(zip(nibs, rnds)):
+        assert_selects(state, nib, rnd, analog, i)
+        assert outs[i] == GIFT_SBOX[nib] ^ int(state.partner_bits[0, rnd] @ [1, 2, 4, 8])
     with pytest.raises(CrossbarError):
-        read_round(state, [0], 40, "dxor", 0.9)
+        read_round(state, [[0]], [40], "dxor", 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +316,10 @@ def test_variation_factor_clamps():
 def test_zero_key_rows_read_back_sbox(scheme):
     arr = make_slice()
     for nib in range(16):
-        out, reads = read_one(arr, nib, 0, scheme, DeviceParams())
+        out, analog = read_one(arr, nib, 0, scheme, DeviceParams())
         assert out == GIFT_SBOX[nib]
-        assert len(reads) == 4
-        assert {r.kind for r in reads} == {"xor", "readout"}
+        assert analog.r_eq.shape == analog.bits.shape == (1, 1, 4)
+        assert set(analog.xor_mask[0].tolist()) == {True, False}
 
 
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
@@ -342,7 +354,7 @@ def test_reads_do_not_disturb_cells():
     before = (state.sb_bits.copy(), state.partner_bits.copy(), state.sb_res.copy())
     fp = state.fingerprint()
     for nib in range(16):
-        read_round(state, [nib], nib % 40, "sxor", 0.9)
+        read_round(state, [[nib]], [nib % 40], "sxor", 0.9)
     assert state.fingerprint() == fp
     assert np.array_equal(state.sb_bits, before[0])
     assert np.array_equal(state.partner_bits, before[1])
@@ -353,9 +365,14 @@ def test_reads_do_not_disturb_cells():
 
 def test_read_round_rejects_bad_selection():
     state = make_slice()
-    for rows, rnd in (([3], 40), ([3], -1), ([16], 0), ([-1], 0), ([1, 2], 0)):
+    for rows, rnds in (
+        ([[3]], [40]), ([[3]], [-1]), ([[16]], [0]), ([[-1]], [0]), ([[1, 2]], [0]),
+        ([3], [0]), ([[3], [4]], [0]), ([[3]], 0), ([[3]], [[0]]),
+    ):
         with pytest.raises(CrossbarError):
-            read_round(state, rows, rnd, "dxor", 0.9)
+            read_round(state, rows, rnds, "dxor", 0.9)
+    with pytest.raises(CrossbarError):
+        read_round(state, [[3]], [0], "dxor", 0.9, np.ones((1, 2, 4)))
 
 
 def test_noisy_read_requires_rng_and_is_deterministic():
@@ -369,8 +386,8 @@ def test_noisy_read_requires_rng_and_is_deterministic():
         return read_one(arr, 3, 0, "sxor", params, factors)
 
     a, b = noisy_read(5), noisy_read(5)
-    assert [c.r_eq for c in a[1]] == [c.r_eq for c in b[1]]
-    assert [c.r_eq for c in a[1]] != [c.r_eq for c in read_one(arr, 3, 0, "sxor", params)[1]]
+    assert a[1].r_eq.tolist() == b[1].r_eq.tolist()
+    assert a[1].r_eq.tolist() != read_one(arr, 3, 0, "sxor", params)[1].r_eq.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +444,8 @@ def test_invalid_device_params():
         DeviceParams(r_lrs=10.0, r_hrs=5.0)
     with pytest.raises(CrossbarError):
         DeviceParams(sigma_c2c=-0.1)
+    with pytest.raises(CrossbarError, match="seed must be non-negative"):
+        DeviceParams(seed=-1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -441,3 +460,40 @@ def test_non_finite_device_params_rejected(tmp_path, name, value):
     cfg.write_text(f"{name} = {value}\n")
     with pytest.raises(ConfigError, match="finite"):
         load_device_config(cfg)
+
+
+@pytest.mark.parametrize("name", ["sxor.m2", "ro_s.gain", "dxor.r_nor", "ro_d.r_ro"])
+def test_non_finite_amp_params_rejected(tmp_path, name):
+    # `value <= 0` is false for NaN, so a NaN branch resistance ran silently
+    cfg = tmp_path / "params.cfg"
+    for value in ("nan", "inf"):
+        cfg.write_text(f"{name} = {value}\n")
+        with pytest.raises(ConfigError, match="must be finite and positive"):
+            load_device_config(cfg)
+
+
+AMP_KEYS = ["sxor.m2", "ro_s.vth", "dxor.r_nor", "ro_d.gain"]
+DEVICE_KEYS = [f.name for f in fields(DeviceParams)] + AMP_KEYS
+ENERGY_KEYS = ["dxor_sense", "cell_write", "clock_hz", "static.decoders", "area.crossbar"]
+param_lines = st.builds(
+    "{} = {}".format,
+    st.one_of(st.sampled_from(DEVICE_KEYS + ENERGY_KEYS), st.text(max_size=10)),
+    st.one_of(st.integers().map(str), st.floats().map(repr), st.text(max_size=10)),
+)
+param_files = st.one_of(
+    st.binary(max_size=200),
+    st.text(max_size=200).map(str.encode),
+    st.lists(param_lines, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+)
+
+
+@settings(max_examples=300)
+@given(param_files)
+def test_parameter_files_raise_only_config_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    path.write_bytes(data)
+    for load in (load_device_config, load_energy_config):
+        try:
+            load(path)
+        except ConfigError:
+            pass

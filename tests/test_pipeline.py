@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memgift import pipeline
 from memgift.crossbar import DeviceParams, variation_factor
 from memgift.gift import (
     GIFT64,
@@ -133,6 +134,17 @@ def test_step_past_final_round_rejected():
         session.step_round(state)
 
 
+def test_step_round_rejects_state_outside_block():
+    # a wide state used to read its low bits, a negative one all ones
+    session = EncryptionSession(0, GIFT64, "dxor")
+    for state in ((1 << 70) | 5, -1, 1 << 64):
+        with pytest.raises(PipelineError, match="does not fit in 64 bits"):
+            session.step_round(state)
+    assert session.round_counter == 0 and session.reads_executed == 0
+    session.step_round((1 << 64) - 1)
+    assert session.round_counter == 1
+
+
 def test_local_mode_is_slice_local():
     key = RNG.getrandbits(128)
     session = EncryptionSession(key, GIFT128, "dxor", feedback="local")
@@ -217,7 +229,45 @@ def test_trace_bookkeeping():
         assert prev.post_state == reconstructed
     assert traces[-1].post_state == ct
     assert session.output_register.bits == ct
-    assert all(len(t.column_reads) == 4 * 32 for t in traces)
+    # one capture serves the block: each round is its row, 4 x 32 columns
+    assert all(t.analog is traces[0].analog for t in traces)
+    assert all(t.analog.r_eq[t.round_index].size == 4 * 32 for t in traces)
+    assert traces[0].analog.r_eq.shape == (40, 32, 4)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [DeviceParams(), DeviceParams(sigma_c2c=0.3, sigma_d2d=0.03, wire_r_per_cell=150.0, seed=8)],
+    ids=["ideal", "noisy"],
+)
+def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
+    session = EncryptionSession(RNG.getrandbits(128), GIFT128, "dxor", params)
+    for pt in range(4):  # the cells have served enough blocks for a read table
+        session.encrypt(pt)
+    kernel_bits, kernel_r_eq, captures = [], [], []
+    sense, resistances, capture = session._sense, pipeline.column_resistances, pipeline.read_round
+
+    def recorded(record, fn):
+        def call(*args):
+            record.append(fn(*args))
+            return record[-1]
+
+        return call
+
+    session._sense = recorded(kernel_bits, sense)
+    monkeypatch.setattr(pipeline, "column_resistances", recorded(kernel_r_eq, resistances))
+    monkeypatch.setattr(pipeline, "read_round", recorded(captures, capture))
+    ct, traces = session.encrypt(RNG.getrandbits(128), trace=True)
+    # the block runs the kernel round by round, then one capture of all 40 rounds
+    assert len(captures) == 1 and len(kernel_bits) == len(kernel_r_eq) == 40
+    analog = captures[0]
+    assert all(t.analog is analog for t in traces)
+    assert np.array_equal(analog.bits, np.concatenate(kernel_bits))
+    assert np.array_equal(analog.r_eq, np.concatenate(kernel_r_eq))
+    assert traces[-1].post_state == ct
+    # with noise the sensed bits leave the digital value, and the capture follows
+    flipped = analog.bits != (analog.sb_bits ^ analog.partner_bits).astype(bool)
+    assert flipped.any() == (params.sigma_c2c > 0)
 
 
 def test_traced_and_fast_paths_agree_under_noise():
@@ -435,6 +485,12 @@ def test_round_records_name_their_block_and_mask():
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo sweep
+
+
+def test_sweep_rejects_negative_seed():
+    # numpy's seeding raised its own ValueError for it
+    with pytest.raises(PipelineError, match="seed must be non-negative"):
+        run_sweep(GIFT64, "dxor", [0.05], blocks=1, seed=-1)
 
 
 def test_sweep_zero_sigma_is_error_free():
