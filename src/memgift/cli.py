@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import secrets
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -113,24 +115,39 @@ def cmd_encrypt(args) -> int:
         next_mask = partial(secrets.randbelow, 16)
     else:
         next_mask = partial(random.Random(args.seed).randrange, 16)
-    for i, pt in enumerate(blocks):
-        if args.remask_every and i and i % args.remask_every == 0:
-            mask = next_mask()
-            apply_mask(session, mask)
-        if mask is not None:
-            ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)
-        else:
-            ct, traces = session.encrypt(pt, trace=want_trace)
-        all_traces.extend(traces)
-        print(f"{ct:0{digits}x}")
-
-    if args.trace:
-        with open(args.trace, "w") as fp:
-            export_round_trace(session, all_traces, fp)
-    if args.analog_trace:
-        with open(args.analog_trace, "w") as fp:
-            export_analog_trace(all_traces, fp)
+    with ExitStack() as stack:
+        trace_fp, analog_fp = _create_outputs(stack, args.trace, args.analog_trace)
+        for i, pt in enumerate(blocks):
+            if args.remask_every and i and i % args.remask_every == 0:
+                mask = next_mask()
+                apply_mask(session, mask)
+            if mask is not None:
+                ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)
+            else:
+                ct, traces = session.encrypt(pt, trace=want_trace)
+            all_traces.extend(traces)
+            print(f"{ct:0{digits}x}")
+        if trace_fp:
+            export_round_trace(session, all_traces, trace_fp)
+        if analog_fp:
+            export_analog_trace(all_traces, analog_fp)
     return EXIT_OK
+
+
+def _create_outputs(stack: ExitStack, *paths):
+    """Open each given path for writing (None where none is given) before
+    any block is encrypted, so a bad path costs nothing; if one cannot be
+    opened, the files already created are removed."""
+    files = []
+    try:
+        for path in paths:
+            files.append(stack.enter_context(open(path, "w")) if path else None)
+    except OSError:
+        for fp in filter(None, files):
+            fp.close()
+            os.remove(fp.name)
+        raise
+    return files
 
 
 def cmd_decrypt(args) -> int:

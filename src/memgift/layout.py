@@ -172,63 +172,22 @@ def compile_layout(
 # intermediate oracle between the reference cipher and the analog model.
 
 
-def digital_round(
-    bundle: LayoutBundle, state: int, rnd: int, feedback: str = "permuted"
-) -> int:
-    """One round: per slice, out = S(in) XOR key row, then feedback wiring."""
-    variant = bundle.variant
-    sbox = bundle.sbox
-    if feedback not in ("permuted", "local"):
-        raise LayoutError(f"unknown feedback mode: {feedback!r}")
-    out = 0
-    for j, km in enumerate(bundle.slices):
-        nib = sbox[(state >> (4 * j)) & 0xF]
-        for k, b in enumerate(km.columns):
-            nib ^= int(km.bits[rnd, k]) << b
-        for b in range(4):
-            target = bundle.wiring.targets[4 * j + b] if feedback == "permuted" else 4 * j + b
-            out |= ((nib >> b) & 1) << target
-    return out
-
-
 def evaluate_digital(bundle: LayoutBundle, pt: int, feedback: str = "permuted") -> int:
-    state = pt
-    for r in range(bundle.variant.rounds):
-        state = digital_round(bundle, state, r, feedback)
-    return state
-
-
-def evaluate_digital_batch(
-    bundle: LayoutBundle, pts: np.ndarray, feedback: str = "permuted"
-) -> np.ndarray:
-    """Vectorised evaluator over a batch of plaintexts.
-
-    pts and the result are (n_blocks, n_bits) uint8 bit arrays, bit index =
-    state bit position.
-    """
-    variant = bundle.variant
+    """Every round: per slice, out = S(in) XOR key row, then feedback wiring."""
     if feedback not in ("permuted", "local"):
         raise LayoutError(f"unknown feedback mode: {feedback!r}")
-    n = variant.block_bits
-    sbox_bits = bundle.sbox_matrix  # (16, 4)
-    weights = np.array([1, 2, 4, 8], dtype=np.uint8)
-    # per-round key bits expanded to one (rounds, n) bit plane
-    key_plane = np.zeros((variant.rounds, n), dtype=np.uint8)
-    for km in bundle.slices:
-        for k, b in enumerate(km.columns):
-            key_plane[:, 4 * km.slice_index + b] = km.bits[:, k]
-    if feedback == "permuted":
-        targets = np.array(bundle.wiring.targets)
-    else:
-        targets = np.arange(n)
-    state = np.array(pts, dtype=np.uint8)  # private copy; rounds run in place
-    out = np.empty_like(state)
-    for r in range(variant.rounds):
-        rows = state.reshape(-1, variant.nibbles, 4) @ weights
-        sb = sbox_bits[rows].reshape(-1, n)
-        sb ^= key_plane[r]
-        out[:, targets] = sb
-        state, out = out, state
+    sbox, targets = bundle.sbox, bundle.wiring.targets
+    state = pt
+    for rnd in range(bundle.variant.rounds):
+        out = 0
+        for j, km in enumerate(bundle.slices):
+            nib = sbox[(state >> (4 * j)) & 0xF]
+            for k, b in enumerate(km.columns):
+                nib ^= int(km.bits[rnd, k]) << b
+            for b in range(4):
+                target = targets[4 * j + b] if feedback == "permuted" else 4 * j + b
+                out |= ((nib >> b) & 1) << target
+        state = out
     return state
 
 

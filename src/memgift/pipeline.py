@@ -364,6 +364,44 @@ class EncryptionSession:
 # Trace export
 
 
+# Both exporters write, one block at a time, the bytes one json.dumps per
+# record would write.
+
+
+def _blocks(traces):
+    """The traces in runs that share one block's capture, in their order."""
+    return (list(run) for _, run in groupby(traces, key=lambda t: t.analog))
+
+
+def _json_texts(values: np.ndarray, ndigits=None) -> np.ndarray:
+    """The JSON text of every entry of `values`, as an object array of its
+    shape.  Each distinct value goes once through json's own encoder, so
+    inf, nan and -0.0 are spelled as json.dumps spells them; with ndigits,
+    after round(v, ndigits)."""
+    # floats are told apart by their bits, so -0.0 and 0.0 stay distinct
+    keys = values.view(np.uint64) if values.dtype == np.float64 else values
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    distinct = distinct.view(values.dtype).tolist()
+    if ndigits is not None:
+        distinct = [round(v, ndigits) for v in distinct]
+    texts = np.array(json.dumps(distinct)[1:-1].split(", "), dtype=object)
+    # the inverse's shape differs across numpy versions
+    return texts[inverse.ravel()].reshape(values.shape)
+
+
+# A value's place in a record's shape, and how json.dumps spells it.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
+
+
+def _record_parts(record: dict) -> list:
+    """The line json.dumps(record) writes, split around its _SLOT values:
+    the text before each value, then the text after the last one."""
+    parts = json.dumps(record).split(_SLOT_TEXT)
+    parts[-1] += "\n"
+    return parts
+
+
 def export_round_trace(session: EncryptionSession, traces, fp) -> None:
     """JSON lines: a session header record, then one record per round.
     The header states the session's mask when the trace is written; each
@@ -380,39 +418,62 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
         "mask": f"{session.mask:x}",
     }
     fp.write(json.dumps(header) + "\n")
-    for t in traces:
-        fp.write(
-            json.dumps(
-                {
-                    "record": "round",
-                    "block": t.block,
-                    "round": t.round_index,
-                    "active_mask": f"{t.active_mask:x}",
-                    "inputs": "".join(f"{v:x}" for v in reversed(t.input_nibbles)),
-                    "outputs": "".join(f"{v:x}" for v in reversed(t.output_nibbles)),
-                    "post_state": f"{t.post_state:0{digits}x}",
-                }
-            )
-            + "\n"
-        )
+    template = (
+        f'{{"record": "round", "block": %d, "round": %d, "active_mask": "%x", '
+        f'"inputs": "%0{digits}x", "outputs": "%0{digits}x", "post_state": "%0{digits}x"}}\n'
+    )
+    for block in _blocks(traces):
+        # each read's inputs and outputs, two nibbles a byte, least significant first
+        nibbles = np.array([(t.input_nibbles, t.output_nibbles) for t in block], dtype=np.uint8)
+        packed = (nibbles[..., 0::2] | nibbles[..., 1::2] << 4).tolist()
+        values = []
+        for t, fields in zip(block, packed):
+            inputs, outputs = (int.from_bytes(bytes(f), "little") for f in fields)
+            values += (t.block, t.round_index, t.active_mask, inputs, outputs, t.post_state)
+        fp.write((template * len(block)) % tuple(values))
 
 
 def export_analog_trace(traces, fp) -> None:
     """JSON lines: one record per column per read (its amp kind, selected
     cells' bits, r_eq, node volts and bit), from each block's capture."""
-    for analog, block in groupby(traces, key=lambda t: t.analog):
-        r_eq, sb, partner = (a.tolist() for a in (analog.r_eq, analog.sb_bits, analog.partner_bits))
-        bits, xor_mask = analog.bits.view(np.uint8).tolist(), analog.xor_mask.tolist()
-        volts = {k: {n: v.tolist() for n, v in nodes.items()} for k, nodes in analog.nodes.items()}
-        for i in (t.round_index for t in block):
-            for j, col in np.ndindex(analog.xor_mask.shape):
-                kind = "xor" if xor_mask[j][col] else "readout"
-                stored = [sb[i][j][col]] + ([partner[i][j][col]] if kind == "xor" else [])
-                nodes = {name: round(v[i][j][col], 6) for name, v in volts[kind].items()}
-                record = {"slice": j, "round": i, "column": col, "kind": kind,
-                          "stored_bits": stored, "r_eq": r_eq[i][j][col], "nodes": nodes,
-                          "bit": bits[i][j][col]}
-                fp.write(json.dumps(record) + "\n")
+    for block in _blocks(traces):
+        analog = block[0].analog
+        reads = [t.round_index for t in block]
+        mask = analog.xor_mask
+        slices, columns = _json_texts(np.indices(mask.shape))
+        rounds = _json_texts(np.array(reads))[:, None, None]
+        # per column of each read: slice, round and column; S-box, partner and bit
+        where = np.stack(np.broadcast_arrays(slices, rounds, columns), axis=-1)
+        cells = _json_texts(np.stack(
+            [analog.sb_bits[reads], analog.partner_bits[reads], analog.bits[reads].view(np.uint8)],
+            axis=-1,
+        ))
+        r_eq = _json_texts(analog.r_eq[reads])
+        records = []
+        for kind, sensed in (("xor", mask), ("readout", ~mask)):
+            names = analog.nodes[kind]
+            stored = 2 if kind == "xor" else 1
+            parts = _record_parts({
+                "slice": _SLOT, "round": _SLOT, "column": _SLOT, "kind": kind,
+                "stored_bits": [_SLOT] * stored, "r_eq": _SLOT,
+                "nodes": dict.fromkeys(names, _SLOT), "bit": _SLOT,
+            })
+            volts = np.stack([v[reads][:, sensed] for v in names.values()], axis=-1)
+            values = np.concatenate([
+                where[:, sensed], cells[:, sensed, :stored], r_eq[:, sensed, None],
+                _json_texts(volts, 6), cells[:, sensed, 2:],
+            ], axis=-1)
+            records.append((sensed, parts, values))
+        # a line is its record's parts with the values between them; the
+        # kind with fewer values leaves empty texts at the end of its lines
+        width = max(2 * len(parts) - 1 for _, parts, _ in records)
+        lines = np.empty(r_eq.shape + (width,), dtype=object)
+        for sensed, parts, values in records:
+            end = 2 * len(parts) - 1
+            lines[:, sensed, :end:2] = np.array(parts, dtype=object)
+            lines[:, sensed, 1:end:2] = values
+            lines[:, sensed, end:] = ""
+        fp.write("".join(lines.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ def test_unknown_arguments_exit_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize("bad", ["--trace", "--analog-trace"])
+def test_encrypt_bad_trace_path_fails_before_any_block(capsys, tmp_path, bad):
+    paths = {"--trace": tmp_path / "t.jsonl", "--analog-trace": tmp_path / "a.jsonl"}
+    paths[bad] = tmp_path / "missing" / "out.jsonl"
+    argv = ["encrypt", "--key", KAT_KEY, "--pt", KAT_PT]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "i/o error" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decrypt_reference(capsys):
     code, out, _ = run(capsys, "decrypt", "--key", KAT_KEY, "--ct", KAT_CT)
     assert code == 0 and out.strip() == KAT_PT

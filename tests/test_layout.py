@@ -26,7 +26,6 @@ from memgift.layout import (
     bits_to_state,
     compile_layout,
     evaluate_digital,
-    evaluate_digital_batch,
     export_layout,
     import_layout,
     rc_slice_set,
@@ -129,6 +128,30 @@ def test_single_key_bit_flip_rounds(variant):
 
 # ---------------------------------------------------------------------------
 # Digital evaluator (layout master property)
+
+
+def evaluate_digital_batch(bundle, pts, feedback="permuted"):
+    """evaluate_digital over a batch of plaintexts, vectorised: pts and the
+    result are (n_blocks, n_bits) uint8 bit arrays, bit index = state bit
+    position."""
+    variant = bundle.variant
+    n = variant.block_bits
+    weights = np.array([1, 2, 4, 8], dtype=np.uint8)
+    # per-round key bits expanded to one (rounds, n) bit plane
+    key_plane = np.zeros((variant.rounds, n), dtype=np.uint8)
+    for km in bundle.slices:
+        for k, b in enumerate(km.columns):
+            key_plane[:, 4 * km.slice_index + b] = km.bits[:, k]
+    targets = np.array(bundle.wiring.targets) if feedback == "permuted" else np.arange(n)
+    state = np.array(pts, dtype=np.uint8)  # private copy; rounds run in place
+    out = np.empty_like(state)
+    for r in range(variant.rounds):
+        rows = state.reshape(-1, variant.nibbles, 4) @ weights
+        sb = bundle.sbox_matrix[rows].reshape(-1, n)
+        sb ^= key_plane[r]
+        out[:, targets] = sb
+        state, out = out, state
+    return state
 
 
 def test_digital_evaluator_matches_reference_kats(kat64, kat128):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memgift import pipeline
-from memgift.crossbar import DeviceParams, variation_factor
+from memgift.crossbar import DeviceParams, ReadCapture, variation_factor
 from memgift.gift import (
     GIFT64,
     GIFT128,
@@ -24,6 +25,7 @@ from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked
 from memgift.pipeline import (
     EncryptionSession,
     PipelineError,
+    RoundTrace,
     export_analog_trace,
     export_round_trace,
     format_sweep_table,
@@ -446,6 +448,124 @@ def test_read_table_keeps_counters_and_logs(scheme):
 
 # ---------------------------------------------------------------------------
 # Trace export
+
+
+def slow_round_trace(session, traces, fp):
+    """The oracle of export_round_trace: one json.dumps per record."""
+    digits = session.variant.block_bits // 4
+    header = {
+        "record": "session",
+        "variant": session.variant.name,
+        "scheme": session.scheme.name,
+        "feedback": session.feedback,
+        "seed": session.params.seed,
+        "sigma_d2d": session.params.sigma_d2d,
+        "sigma_c2c": session.params.sigma_c2c,
+        "mask": f"{session.mask:x}",
+    }
+    fp.write(json.dumps(header) + "\n")
+    for t in traces:
+        fp.write(
+            json.dumps(
+                {
+                    "record": "round",
+                    "block": t.block,
+                    "round": t.round_index,
+                    "active_mask": f"{t.active_mask:x}",
+                    "inputs": "".join(f"{v:x}" for v in reversed(t.input_nibbles)),
+                    "outputs": "".join(f"{v:x}" for v in reversed(t.output_nibbles)),
+                    "post_state": f"{t.post_state:0{digits}x}",
+                }
+            )
+            + "\n"
+        )
+
+
+def slow_analog_trace(traces, fp):
+    """The oracle of export_analog_trace: one json.dumps per record."""
+    for analog, block in groupby(traces, key=lambda t: t.analog):
+        r_eq, sb, partner = (a.tolist() for a in (analog.r_eq, analog.sb_bits, analog.partner_bits))
+        bits, xor_mask = analog.bits.view(np.uint8).tolist(), analog.xor_mask.tolist()
+        volts = {k: {n: v.tolist() for n, v in nodes.items()} for k, nodes in analog.nodes.items()}
+        for i in (t.round_index for t in block):
+            for j, col in np.ndindex(analog.xor_mask.shape):
+                kind = "xor" if xor_mask[j][col] else "readout"
+                stored = [sb[i][j][col]] + ([partner[i][j][col]] if kind == "xor" else [])
+                nodes = {name: round(v[i][j][col], 6) for name, v in volts[kind].items()}
+                record = {"slice": j, "round": i, "column": col, "kind": kind,
+                          "stored_bits": stored, "r_eq": r_eq[i][j][col], "nodes": nodes,
+                          "bit": bits[i][j][col]}
+                fp.write(json.dumps(record) + "\n")
+
+
+def written(export, *args) -> str:
+    fp = io.StringIO()
+    export(*args, fp)
+    return fp.getvalue()
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    # line by line: pytest's diff of two whole traces takes minutes
+    got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        assert g == w, f"line {i}"
+    assert len(got_lines) == len(want_lines)
+
+
+@settings(max_examples=12)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    sigma_c2c=st.sampled_from([0.0, 0.05, 0.1]),
+    sigma_d2d=st.sampled_from([0.0, 0.03, 0.05]),
+    wire=st.sampled_from([0.0, 150.0, 20e3]),
+    masks=st.lists(st.integers(0, 15), min_size=0, max_size=2),
+    key=st.integers(0, (1 << 128) - 1),
+    data=st.data(),
+)
+def test_trace_exports_match_per_record_oracle(
+    variant, scheme, feedback, sigma_c2c, sigma_d2d, wire, masks, key, data
+):
+    params = DeviceParams(sigma_c2c=sigma_c2c, sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=3)
+    session = EncryptionSession(key, variant, scheme, params, feedback)
+    pt = st.integers(0, (1 << variant.block_bits) - 1)
+    traces = session.encrypt(data.draw(pt), trace=True)[1]
+    for mask in masks:  # 1-3 blocks, remasked between them
+        apply_mask(session, mask)
+        traces += encrypt_masked(session, data.draw(pt), mask, trace=True)[1]
+    # a block's traces reversed, or any run of them
+    block = traces[-variant.rounds :]
+    first = data.draw(st.integers(0, variant.rounds - 1))
+    last = data.draw(st.integers(first + 1, variant.rounds))
+    for subset in (traces, block[::-1], block[first:last]):
+        assert_same_lines(
+            written(export_round_trace, session, subset), written(slow_round_trace, session, subset)
+        )
+        assert_same_lines(written(export_analog_trace, subset), written(slow_analog_trace, subset))
+
+
+def test_analog_export_spells_special_floats_as_json_does():
+    # two reads of two slices; column 0 of each slice is XOR-sensed
+    shape = (2, 2, 4)
+    r_eq = np.array([np.inf, np.nan, -0.0, 5e-05, 1e16, -np.inf, 0.0, 1 / 3,
+                     2.8e3, 0.45, 0.0, -0.0, 5e-05, np.nan, 1e16, 1e6]).reshape(shape)
+    xor_mask = np.zeros((2, 4), dtype=bool)
+    xor_mask[:, 0] = True
+    nodes = {
+        "xor": {"x1_divider": r_eq[::-1], "x2": -r_eq, 'odd "%s" name': r_eq * 1e-7},
+        "readout": {"v1_divider": r_eq[:, ::-1], "v1": np.full(shape, -1e-8)},
+    }
+    bits = np.zeros(shape, dtype=bool)
+    bits[1] = True
+    ones = np.ones(shape, dtype=np.uint8)
+    capture = ReadCapture(bits, r_eq, nodes, ones, ones * xor_mask, xor_mask)
+    traces = [RoundTrace(i, (0, 0), (0, 0), capture, 0, 0, 0) for i in (1, 0, 1)]
+    text = written(export_analog_trace, traces)
+    assert text == written(slow_analog_trace, traces)
+    for spelling in ("Infinity", "-Infinity", "NaN", '"r_eq": -0.0', "5e-05", "1e+16", "-0.0,"):
+        assert spelling in text
+    assert '"odd \\"%s\\" name": ' in text
 
 
 def test_trace_export_deterministic():
