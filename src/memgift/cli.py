@@ -37,8 +37,9 @@ from .pipeline import (
     EncryptionSession,
     PipelineError,
     export_analog_trace,
-    export_round_trace,
     format_sweep_table,
+    round_trace_header,
+    round_trace_records,
     run_sweep,
 )
 
@@ -108,7 +109,8 @@ def cmd_encrypt(args) -> int:
         apply_mask(session, mask)
 
     want_trace = bool(args.trace or args.analog_trace)
-    all_traces = []
+    # the round file's header names the final mask, so its records wait as text
+    round_records = []
     digits = variant.block_bits // 4
     # remasks are unpredictable unless --seed asks for a repeatable run
     if args.seed is None:
@@ -125,12 +127,14 @@ def cmd_encrypt(args) -> int:
                 ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)
             else:
                 ct, traces = session.encrypt(pt, trace=want_trace)
-            all_traces.extend(traces)
+            if trace_fp:
+                round_records.append(round_trace_records(session, traces))
+            if analog_fp:
+                export_analog_trace(traces, analog_fp)
             print(f"{ct:0{digits}x}")
         if trace_fp:
-            export_round_trace(session, all_traces, trace_fp)
-        if analog_fp:
-            export_analog_trace(all_traces, analog_fp)
+            trace_fp.write(round_trace_header(session))
+            trace_fp.writelines(round_records)
     return EXIT_OK
 
 

@@ -443,6 +443,29 @@ def column_resistances(state: ProgrammedState, rows, rnd, factors=None) -> np.nd
     return 1.0 / g
 
 
+# Partner codes of `nominal_reads`: a partner cell's bit, or no partner.
+PARTNER_ABSENT = 2
+
+
+def nominal_reads(params: DeviceParams, scheme) -> np.ndarray:
+    """Every ideal read of nominal cells, sensed once: bool (2, 3, 2), entry
+    [s, p, a] being what amp a (0 the XOR amp, 1 the read-out amp) senses
+    for an S-box cell holding bit s against a partner holding bit p, or no
+    partner (p = PARTNER_ABSENT).  The resistances, conductances and r_eq
+    are computed as `program_slice` and `column_resistances` compute them,
+    so on devices without d2d variation each entry is bit-exact with the
+    kernel's read of any cell pair in that state."""
+    scheme = scheme_for(scheme)
+    sb_res = np.array([params.r_hrs, params.r_lrs])
+    partner_res = np.array([params.r_hrs, params.r_lrs, np.inf])
+    g = 1.0 / (sb_res[:, None] + params.wire_r_per_cell) + 1.0 / (
+        partner_res + params.wire_r_per_cell
+    )
+    r_eq = 1.0 / g
+    amps = (scheme.xor_amp, scheme.readout_amp)
+    return np.stack([resolve(amp, r_eq, params.vdd) for amp in amps], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class ReadCapture:
     """Every node of R reads on every slice, as columns: each array has

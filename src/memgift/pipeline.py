@@ -15,12 +15,14 @@ sweep's sigma points all run through it.  A traced block then captures
 the nodes of all its rounds' reads in one `crossbar.read_round` pass.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
-slice and its input nibble while the cells stay as programmed.  So once
-the cells have served enough ideal, untraced blocks to pay for it, a
-session reads every S-box row of every round once, through the same
-kernel, into a read table of shape (rounds, 16, S, 4), and its ideal reads
-become lookups in it.  An S-box rewrite drops the table; the next
-programming builds one at once only if the last one served enough blocks.
+slice and its input nibble while the cells stay as programmed, so a
+session looks its ideal, untraced reads up in a read table of shape
+(rounds, 16, S, 4).  On nominal devices (no d2d variation) every cell is
+LRS or HRS, so the table is gathered from `crossbar.nominal_reads`, one
+sense of each operand pairing, and is built at the first such block of
+every programming.  With d2d variation every cell differs: the kernel
+reads every S-box row of every round once, which pays only once the cells
+have served enough blocks.  An S-box rewrite drops the table.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from typing import Optional
 import numpy as np
 
 from .crossbar import (
+    PARTNER_ABSENT,
     DeviceParams,
     ReadCapture,
     column_resistances,
     draw_read_factors,
+    nominal_reads,
     program_slice,
     read_round,
     resolve,
@@ -61,12 +65,14 @@ class PipelineError(MemgiftError, RuntimeError):
 
 _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 
-# A read table costs 1.1-1.4 kernel blocks to build and makes a block about
-# 3x cheaper (GIFT-128 dxor on a 2-vCPU VM: build 1.3-1.7 ms, kernel 1.2,
-# lookup 0.38 ms per block), so it pays from about the second block it
-# serves.  A session builds one once the current programming, or the one
-# before it, has served 3 ideal blocks: the margin keeps a programming that
-# serves only 2 from paying for a table it cannot earn back.
+# With d2d variation, a read table costs 1.1-1.4 kernel blocks to build and
+# makes a block about 3x cheaper (GIFT-128 dxor on a 2-vCPU VM: build
+# 1.3-1.7 ms, kernel 1.2, lookup 0.38 ms per block), so it pays from about
+# the second block it serves.  Such a session builds one once the current
+# programming, or the one before it, has served 3 ideal blocks: the margin
+# keeps a programming that serves only 2 from paying for a table it cannot
+# earn back.  A nominal session's table is gathered, not read, and pays on
+# the first block it serves.
 _TABLE_AFTER_BLOCKS = 3
 # Lanes per kernel call while building: the temporaries stay near 64 KB,
 # where the element-wise work runs fastest.
@@ -202,8 +208,26 @@ class EncryptionSession:
     def _build_read_table(self) -> np.ndarray:
         """Every ideal read of the programmed state, shape (rounds, 16, S, 4):
         entry [rnd, row, j] is what slice j senses on S-box row `row` in
-        round rnd.  Kernel reads of a few rounds at a time, the 16 rows as
-        lanes."""
+        round rnd."""
+        if self.params.sigma_d2d > 0:
+            return self._kernel_read_table()
+        # Nominal cells: every read is one of the grid's cell pairings.  A
+        # column's partner code is its partner's bit on XOR columns, sensed
+        # by the XOR amp, and PARTNER_ABSENT on read-out columns (whose
+        # partner bits are 0), sensed by the read-out amp.
+        state = self.state
+        code = state.partner_bits.transpose(1, 0, 2) | PARTNER_ABSENT * ~state.xor_mask
+        sensed = nominal_reads(self.params, self.scheme)[:, [0, 1, PARTNER_ABSENT], [0, 0, 1]]
+        # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
+        lo, hi = sensed.take(code, axis=1)
+        sb_bits = np.ascontiguousarray(state.sb_bits.transpose(1, 0, 2)).view(bool)
+        table = lo[:, None] ^ (sb_bits & (lo ^ hi)[:, None])
+        table.setflags(write=False)
+        return table
+
+    def _kernel_read_table(self) -> np.ndarray:
+        """The read table by kernel reads of a few rounds at a time, the 16
+        rows as lanes."""
         rounds, nibbles = self.variant.rounds, self.variant.nibbles
         rows = np.broadcast_to(np.arange(16)[:, None], (16, nibbles))
         step = max(1, _TABLE_BUILD_LANES // (16 * nibbles * 4))
@@ -305,7 +329,8 @@ class EncryptionSession:
         rows_read = None if traces is None else []
         if factors is None and traces is None:
             served = max(self._ideal_blocks, self._last_ideal_blocks)
-            if self._read_table is None and served >= _TABLE_AFTER_BLOCKS:
+            pays = self.params.sigma_d2d == 0 or served >= _TABLE_AFTER_BLOCKS
+            if self._read_table is None and pays:
                 self._read_table = self._build_read_table()
             self._ideal_blocks += 1
         bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, rows_read)
@@ -406,7 +431,13 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
     """JSON lines: a session header record, then one record per round.
     The header states the session's mask when the trace is written; each
     round record names its block and the mask it was read under."""
-    digits = session.variant.block_bits // 4
+    fp.write(round_trace_header(session))
+    for block in _blocks(traces):
+        fp.write(round_trace_records(session, block))
+
+
+def round_trace_header(session: EncryptionSession) -> str:
+    """The header line of a round trace written now."""
     header = {
         "record": "session",
         "variant": session.variant.name,
@@ -417,20 +448,24 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
         "sigma_c2c": session.params.sigma_c2c,
         "mask": f"{session.mask:x}",
     }
-    fp.write(json.dumps(header) + "\n")
+    return json.dumps(header) + "\n"
+
+
+def round_trace_records(session: EncryptionSession, traces) -> str:
+    """The round records of `traces`, one line each, in their order."""
+    digits = session.variant.block_bits // 4
     template = (
         f'{{"record": "round", "block": %d, "round": %d, "active_mask": "%x", '
         f'"inputs": "%0{digits}x", "outputs": "%0{digits}x", "post_state": "%0{digits}x"}}\n'
     )
-    for block in _blocks(traces):
-        # each read's inputs and outputs, two nibbles a byte, least significant first
-        nibbles = np.array([(t.input_nibbles, t.output_nibbles) for t in block], dtype=np.uint8)
-        packed = (nibbles[..., 0::2] | nibbles[..., 1::2] << 4).tolist()
-        values = []
-        for t, fields in zip(block, packed):
-            inputs, outputs = (int.from_bytes(bytes(f), "little") for f in fields)
-            values += (t.block, t.round_index, t.active_mask, inputs, outputs, t.post_state)
-        fp.write((template * len(block)) % tuple(values))
+    # each read's inputs and outputs, two nibbles a byte, least significant first
+    nibbles = np.array([(t.input_nibbles, t.output_nibbles) for t in traces], dtype=np.uint8)
+    packed = (nibbles[..., 0::2] | nibbles[..., 1::2] << 4).tolist()
+    values = []
+    for t, fields in zip(traces, packed):
+        inputs, outputs = (int.from_bytes(bytes(f), "little") for f in fields)
+        values += (t.block, t.round_index, t.active_mask, inputs, outputs, t.post_state)
+    return (template * len(traces)) % tuple(values)
 
 
 def export_analog_trace(traces, fp) -> None:

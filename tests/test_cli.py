@@ -1,10 +1,18 @@
+import io
 import json
+import random
+import weakref
+from functools import partial
 
 import pytest
 
+from memgift import pipeline
 from memgift.cli import main
-from memgift.gift import GIFT128, encrypt_block
+from memgift.crossbar import DeviceParams
+from memgift.gift import GIFT64, GIFT128, encrypt_block
 from memgift.layout import compile_layout, import_layout
+from memgift.masking import apply_mask, encrypt_masked
+from memgift.pipeline import EncryptionSession, export_analog_trace, export_round_trace
 
 KAT_KEY = "d0f5c59a7700d3e799028fa9f90ad837"
 KAT_PT = "e39c141fa57dba43f08a85b6a91f86c1"
@@ -180,6 +188,48 @@ def test_encrypt_bad_trace_path_fails_before_any_block(capsys, tmp_path, bad):
 def test_decrypt_reference(capsys):
     code, out, _ = run(capsys, "decrypt", "--key", KAT_KEY, "--ct", KAT_CT)
     assert code == 0 and out.strip() == KAT_PT
+
+
+def test_encrypt_trace_writes_blocks_as_it_goes(capsys, tmp_path, monkeypatch):
+    # A traced block's capture is released once its records are written:
+    # when block k is read, nothing holds block k - 2's capture any more.
+    captures, read_round = [], pipeline.read_round
+
+    def recorded(*args):
+        assert all(ref() is None for ref in captures[:-1])
+        capture = read_round(*args)
+        captures.append(weakref.ref(capture))
+        return capture
+
+    monkeypatch.setattr(pipeline, "read_round", recorded)
+    key, seed, every = int(KAT_KEY, 16), 4, 3
+    pts = [(0x0123456789ABCDEF * i) % (1 << 64) for i in range(8)]
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("".join(f"{pt:016x}\n" for pt in pts))
+    t, a = tmp_path / "t.jsonl", tmp_path / "a.jsonl"
+    code, out, _ = run(
+        capsys, "encrypt", "--variant", "64", "--key", KAT_KEY, "--pt-file", str(blocks),
+        "--seed", str(seed), "--remask-every", str(every), "--trace", str(t),
+        "--analog-trace", str(a),
+    )
+    assert code == 0 and len(captures) == len(pts)
+    monkeypatch.undo()
+    # the files hold what one export of every block's traces writes
+    session = EncryptionSession(key, GIFT64, "dxor", DeviceParams(seed=seed))
+    next_mask = partial(random.Random(seed).randrange, 16)
+    cts, traces = [], []
+    for i, pt in enumerate(pts):
+        if i and i % every == 0:
+            apply_mask(session, next_mask())
+        ct, block = encrypt_masked(session, pt, session.mask, trace=True)
+        cts.append(f"{ct:016x}")
+        traces += block
+    assert out.split() == cts
+    rounds, analog = io.StringIO(), io.StringIO()
+    export_round_trace(session, traces, rounds)
+    export_analog_trace(traces, analog)
+    assert t.read_text() == rounds.getvalue()
+    assert a.read_text() == analog.getvalue()
 
 
 def test_trace_files_deterministic(capsys, tmp_path):

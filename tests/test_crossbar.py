@@ -16,7 +16,9 @@ from memgift.crossbar import (
     bitline_equivalent_resistance,
     check_margins,
     draw_read_factors,
+    PARTNER_ABSENT,
     load_device_config,
+    nominal_reads,
     nominal_resistance,
     program_slice,
     read_round,
@@ -293,6 +295,27 @@ def test_resolve_matches_scalar_sense(scheme):
             res = sense(float(r), amp, params.vdd)
             assert res.bit == bits[i]
             assert res.nodes == {name: v[i] for name, v in captured.nodes.items()}
+
+
+@pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
+@pytest.mark.parametrize("wire", [0.0, 150.0, 20e3])
+def test_nominal_reads_sense_every_cell_pairing(scheme, wire):
+    # one sense per (S-box cell, partner or none, amp), as the scalar oracle senses it
+    params = DeviceParams(wire_r_per_cell=wire)
+    grid = nominal_reads(params, scheme)
+    assert grid.shape == (2, 3, 2) and grid.dtype == bool
+    for s in (0, 1):
+        for p in (0, 1, PARTNER_ABSENT):
+            cells = [nominal_resistance(s, params)]
+            if p != PARTNER_ABSENT:
+                cells.append(nominal_resistance(p, params))
+            r_eq = bitline_equivalent_resistance(cells, wire)
+            for a, amp in enumerate((scheme.xor_amp, scheme.readout_amp)):
+                assert grid[s, p, a] == sense(r_eq, amp, params.vdd).bit
+    # within margins, the XOR amp senses s ^ p and the read-out amp s
+    digital = [[s, s ^ 1, s] for s in (0, 1)]
+    sensed = [[grid[s, 0, 0], grid[s, 1, 0], grid[s, PARTNER_ABSENT, 1]] for s in (0, 1)]
+    assert (sensed == digital) == (wire < 20e3)
 
 
 def test_sense_rejects_bad_resistance():

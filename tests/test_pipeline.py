@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memgift import pipeline
-from memgift.crossbar import DeviceParams, ReadCapture, variation_factor
+from memgift.crossbar import (
+    SCHEMES,
+    DeviceParams,
+    ReadCapture,
+    load_device_config,
+    variation_factor,
+)
 from memgift.gift import (
     GIFT64,
     GIFT128,
@@ -341,8 +348,9 @@ def test_gift64_event_counts():
 
 
 # ---------------------------------------------------------------------------
-# Read table: once the cells have served three ideal untraced blocks, a
-# session looks its reads up instead of running the kernel
+# Read table: a session looks its ideal, untraced reads up instead of
+# running the kernel, from the first block on nominal devices and once the
+# cells have served three such blocks with d2d variation
 
 
 def kernel_session(*args):
@@ -381,8 +389,10 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
 
 
 def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch):
+    # the rule of sessions with d2d variation, whose cells all differ
     key = RNG.getrandbits(128)
-    session = EncryptionSession(key, GIFT64, "dxor")
+    d2d = DeviceParams(sigma_d2d=0.03, seed=12)
+    session = EncryptionSession(key, GIFT64, "dxor", d2d)
     for pt in range(3):
         session.encrypt(pt)
         assert session._read_table is None
@@ -401,8 +411,8 @@ def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch
     session.encrypt(3)
     assert session._read_table is not None
     # traced and noisy reads never build one
-    traced = EncryptionSession(key, GIFT64, "dxor")
-    noisy = EncryptionSession(key, GIFT64, "dxor", DeviceParams(sigma_c2c=0.05))
+    traced = EncryptionSession(key, GIFT64, "dxor", d2d)
+    noisy = EncryptionSession(key, GIFT64, "dxor", replace(d2d, sigma_c2c=0.05))
     for pt in range(5):
         traced.encrypt(pt, trace=True)
         noisy.encrypt(pt)
@@ -413,16 +423,80 @@ def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch
 
     monkeypatch.setattr(EncryptionSession, "_build_read_table", no_table)
     # one- and two-block sessions: the sweep's trials, even with every lane ideal
-    run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2)
-    two = EncryptionSession(key, GIFT128, "sxor")
+    run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=d2d)
+    two = EncryptionSession(key, GIFT128, "sxor", d2d)
     two.encrypt(6)
     two.encrypt(7)
     # a session remasked every 2 blocks
-    remasked = EncryptionSession(key, GIFT128, "sxor")
+    remasked = EncryptionSession(key, GIFT128, "sxor", d2d)
     for i in range(12):
         if i and i % 2 == 0:
             apply_mask(remasked, i % 16)
         encrypt_masked(remasked, i, remasked.mask)
+
+
+def test_nominal_read_table_is_built_at_the_first_block_of_each_programming(monkeypatch):
+    def no_kernel_table(self):
+        raise AssertionError("a nominal session read its table through the kernel")
+
+    monkeypatch.setattr(EncryptionSession, "_kernel_read_table", no_kernel_table)
+    key = RNG.getrandbits(128)
+    session = EncryptionSession(key, GIFT64, "dxor")
+    assert session._read_table is None
+    session.encrypt(0)
+    assert session._read_table.shape == (28, 16, 16, 4)
+    table = session._read_table
+    session.encrypt(1)
+    assert session._read_table is table
+    apply_mask(session, 3)
+    assert session._read_table is None
+    encrypt_masked(session, 4, 3)
+    assert session._read_table is not None and session._read_table is not table
+    # so does a one-block sweep trial with every lane ideal
+    sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2)
+    assert [p.bit_errors for p in sweep] == [0, 0]
+    # traced and noisy reads never build one
+    traced = EncryptionSession(key, GIFT64, "dxor")
+    noisy = EncryptionSession(key, GIFT64, "dxor", DeviceParams(sigma_c2c=0.05))
+    for pt in range(5):
+        traced.encrypt(pt, trace=True)
+        noisy.encrypt(pt)
+    assert traced._read_table is None and noisy._read_table is None
+    apply_mask(traced, 5)
+    encrypt_masked(traced, 5, 5, trace=True)
+    assert traced._read_table is None
+
+
+MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misread
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    key=st.integers(0, (1 << 128) - 1),
+    wire=st.sampled_from([0.0, 150.0, 20e3]),
+    mask=st.integers(0, 15),
+    miscalibrated=st.booleans(),
+)
+def test_nominal_read_table_equals_kernel_build(
+    tmp_path_factory, variant, scheme, feedback, key, wire, mask, miscalibrated
+):
+    # the table gathered from one sense per cell pairing is the one the
+    # kernel reads, amp for amp, analog outcomes (20 kOhm wire) included
+    params, schemes = DeviceParams(), SCHEMES
+    if miscalibrated:
+        path = tmp_path_factory.mktemp("params") / "amps.cfg"
+        path.write_text(MISCALIBRATED)
+        params, schemes = load_device_config(path)
+    params = replace(params, wire_r_per_cell=wire)
+    session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
+    apply_mask(session, mask)
+    table = session._build_read_table()
+    kernel = session._kernel_read_table()
+    assert table.dtype == kernel.dtype and not table.flags.writeable
+    assert np.array_equal(table, kernel)
 
 
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
