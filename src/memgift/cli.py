@@ -109,8 +109,6 @@ def cmd_encrypt(args) -> int:
         apply_mask(session, mask)
 
     want_trace = bool(args.trace or args.analog_trace)
-    # the round file's header names the final mask, so its records wait as text
-    round_records = []
     digits = variant.block_bits // 4
     # remasks are unpredictable unless --seed asks for a repeatable run
     if args.seed is None:
@@ -119,6 +117,14 @@ def cmd_encrypt(args) -> int:
         next_mask = partial(random.Random(args.seed).randrange, 16)
     with ExitStack() as stack:
         trace_fp, analog_fp = _create_outputs(stack, args.trace, args.analog_trace)
+        # The round file's header names the final mask.  A file that can
+        # seek gets it now, each block's records as the block is read, and
+        # the final header over the first at exit; elsewhere the records
+        # wait as text until the header is known.
+        round_records = None if trace_fp is None or trace_fp.seekable() else []
+        if trace_fp and round_records is None:
+            header = round_trace_header(session)
+            trace_fp.write(header)
         for i, pt in enumerate(blocks):
             if args.remask_every and i and i % args.remask_every == 0:
                 mask = next_mask()
@@ -127,14 +133,22 @@ def cmd_encrypt(args) -> int:
                 ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)
             else:
                 ct, traces = session.encrypt(pt, trace=want_trace)
-            if trace_fp:
+            if round_records is not None:
                 round_records.append(round_trace_records(session, traces))
+            elif trace_fp:
+                trace_fp.write(round_trace_records(session, traces))
             if analog_fp:
                 export_analog_trace(traces, analog_fp)
             print(f"{ct:0{digits}x}")
-        if trace_fp:
+        if round_records is not None:
             trace_fp.write(round_trace_header(session))
             trace_fp.writelines(round_records)
+        elif trace_fp:
+            final = round_trace_header(session)
+            # only the one-digit mask can differ, so the line keeps its length
+            assert len(final) == len(header)
+            trace_fp.seek(0)
+            trace_fp.write(final)
     return EXIT_OK
 
 

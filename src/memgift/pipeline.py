@@ -16,7 +16,7 @@ the nodes of all its rounds' reads in one `crossbar.read_round` pass.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its input nibble while the cells stay as programmed, so a
-session looks its ideal, untraced reads up in a read table of shape
+session looks its ideal reads, traced or not, up in a read table of shape
 (rounds, 16, S, 4).  On nominal devices (no d2d variation) every cell is
 LRS or HRS, so the table is gathered from `crossbar.nominal_reads`, one
 sense of each operand pairing, and is built at the first such block of
@@ -160,7 +160,7 @@ class EncryptionSession:
         self.blocks_encrypted = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
         self._read_table = None
-        # ideal, untraced blocks read from this programming and from the last
+        # ideal blocks read from this programming and from the last
         self._ideal_blocks = self._last_ideal_blocks = 0
 
     # -- programming ------------------------------------------------------
@@ -269,14 +269,14 @@ class EncryptionSession:
         cells.  Returns the bits after the last round and, per lane, the
         number of sensed bits that disagree with the ideal digital value
         (zeros unless count_errors).  An ideal read looks its bits up in the
-        read table when the session has built one, unless it is recorded:
-        with a `rows_read` list, each round's selected S-box rows, shape
-        (B, S), are appended to it for a trace to capture.
+        read table when the session has built one.  With a `rows_read`
+        list, each round's selected S-box rows, shape (B, S), are appended
+        to it for a trace to capture.
         """
         lanes = bits.shape[0]
         state = self.state
         idx = state.slice_index
-        table = self._read_table if factors is None and rows_read is None else None
+        table = self._read_table if factors is None else None
         errors = np.zeros(lanes, dtype=np.int64)
         for i, rnd in enumerate(rounds):
             rows = bits.reshape(lanes, len(idx), 4) @ _NIBBLE_WEIGHTS
@@ -327,7 +327,7 @@ class EncryptionSession:
         rounds = self.variant.rounds
         factors = self._read_factors(rounds, sigmas)
         rows_read = None if traces is None else []
-        if factors is None and traces is None:
+        if factors is None:
             served = max(self._ideal_blocks, self._last_ideal_blocks)
             pays = self.params.sigma_d2d == 0 or served >= _TABLE_AFTER_BLOCKS
             if self._read_table is None and pays:
@@ -468,23 +468,33 @@ def round_trace_records(session: EncryptionSession, traces) -> str:
     return (template * len(traces)) % tuple(values)
 
 
+def _distinct_rows(keys: np.ndarray):
+    """Group the equal rows of `keys`, shape (n, F) uint64: the index of
+    one row per group, and each row's group.  The rows are sorted by a
+    hash and only neighbours are compared, so unequal rows never share a
+    group; equal rows that a hash collision separates form two groups,
+    which costs one more format and nothing else."""
+    # odd multipliers: a row's hash is the wrapped sum of its weighted words
+    weights = (2 * np.arange(keys.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
+    order = np.argsort(keys @ weights)
+    ordered = np.take(keys, order, axis=0)
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def export_analog_trace(traces, fp) -> None:
     """JSON lines: one record per column per read (its amp kind, selected
     cells' bits, r_eq, node volts and bit), from each block's capture."""
     for block in _blocks(traces):
         analog = block[0].analog
-        reads = [t.round_index for t in block]
+        reads = np.array([t.round_index for t in block])
         mask = analog.xor_mask
-        slices, columns = _json_texts(np.indices(mask.shape))
-        rounds = _json_texts(np.array(reads))[:, None, None]
-        # per column of each read: slice, round and column; S-box, partner and bit
-        where = np.stack(np.broadcast_arrays(slices, rounds, columns), axis=-1)
-        cells = _json_texts(np.stack(
-            [analog.sb_bits[reads], analog.partner_bits[reads], analog.bits[reads].view(np.uint8)],
-            axis=-1,
-        ))
-        r_eq = _json_texts(analog.r_eq[reads])
-        records = []
+        # A record's tail, everything after its column, repeats across a
+        # block on nominal devices: each distinct tail is formatted once.
+        tails = np.empty((len(reads),) + mask.shape, dtype=object)
         for kind, sensed in (("xor", mask), ("readout", ~mask)):
             names = analog.nodes[kind]
             stored = 2 if kind == "xor" else 1
@@ -493,21 +503,35 @@ def export_analog_trace(traces, fp) -> None:
                 "stored_bits": [_SLOT] * stored, "r_eq": _SLOT,
                 "nodes": dict.fromkeys(names, _SLOT), "bit": _SLOT,
             })
-            volts = np.stack([v[reads][:, sensed] for v in names.values()], axis=-1)
+            # the text around slice, round and column is the same for both kinds
+            head, tail_parts = parts[:3], parts[3:]
+            # the tail's values in record order: stored bits, r_eq, nodes, bit
+            fields = (analog.sb_bits, analog.partner_bits)[:stored]
+            fields += (analog.r_eq, *names.values(), analog.bits)
+            # the flat index of each sensed column of each read, in record order
+            at = (reads[:, None] * mask.size + np.flatnonzero(sensed)).ravel()
+            columns = [f.take(at) for f in fields]
+            # keyed on the value bits, so -0.0 and 0.0 stay apart
+            keys = np.stack(columns, axis=-1).astype(np.float64, copy=False).view(np.uint64)
+            first, inverse = _distinct_rows(keys)
+            distinct = [c[first] for c in columns]
+            cells = _json_texts(np.stack(distinct[:stored] + [distinct[-1].view(np.uint8)], -1))
             values = np.concatenate([
-                where[:, sensed], cells[:, sensed, :stored], r_eq[:, sensed, None],
-                _json_texts(volts, 6), cells[:, sensed, 2:],
+                cells[:, :stored], _json_texts(distinct[stored])[:, None],
+                _json_texts(np.stack(distinct[stored + 1 : -1], axis=-1), 6), cells[:, stored:],
             ], axis=-1)
-            records.append((sensed, parts, values))
-        # a line is its record's parts with the values between them; the
-        # kind with fewer values leaves empty texts at the end of its lines
-        width = max(2 * len(parts) - 1 for _, parts, _ in records)
-        lines = np.empty(r_eq.shape + (width,), dtype=object)
-        for sensed, parts, values in records:
-            end = 2 * len(parts) - 1
-            lines[:, sensed, :end:2] = np.array(parts, dtype=object)
-            lines[:, sensed, 1:end:2] = values
-            lines[:, sensed, end:] = ""
+            texts = np.empty((len(first), 2 * len(tail_parts) - 1), dtype=object)
+            texts[:, ::2] = np.array(tail_parts, dtype=object)
+            texts[:, 1::2] = values
+            # json.dumps escapes every line break, so each tail is one line
+            distinct_tails = "".join(texts.ravel().tolist()).splitlines(keepends=True)
+            tails[:, sensed] = np.array(distinct_tails, dtype=object)[inverse].reshape(len(reads), -1)
+        # a line is its slice's prefix, its round, its column and its tail
+        lines = np.empty(tails.shape + (4,), dtype=object)
+        lines[..., 0] = head[0] + _json_texts(np.arange(mask.shape[0]))[:, None] + head[1]
+        lines[..., 1] = (_json_texts(reads) + head[2])[:, None, None]
+        lines[..., 2] = _json_texts(np.arange(mask.shape[1]))
+        lines[..., 3] = tails
         fp.write("".join(lines.ravel().tolist()))
 
 

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import threading
 import weakref
 from functools import partial
 
@@ -230,6 +232,55 @@ def test_encrypt_trace_writes_blocks_as_it_goes(capsys, tmp_path, monkeypatch):
     export_analog_trace(traces, analog)
     assert t.read_text() == rounds.getvalue()
     assert a.read_text() == analog.getvalue()
+
+
+def twin_round_trace(seed, mask, every, pts) -> str:
+    """The round trace a library session writes for `encrypt --variant 64
+    --seed SEED --mask MASK --remask-every EVERY` over pts."""
+    session = EncryptionSession(int(KAT_KEY, 16), GIFT64, "dxor", DeviceParams(seed=seed))
+    apply_mask(session, mask)
+    next_mask = partial(random.Random(seed).randrange, 16)
+    traces = []
+    for i, pt in enumerate(pts):
+        if i and i % every == 0:
+            apply_mask(session, next_mask())
+        traces += encrypt_masked(session, pt, session.mask, trace=True)[1]
+    fp = io.StringIO()
+    export_round_trace(session, traces, fp)
+    return fp.getvalue()
+
+
+@pytest.mark.parametrize("target", ["file", "pipe"])
+def test_round_trace_header_names_the_final_mask(capsys, tmp_path, target):
+    # The header is first written under the mask programmed before block 0
+    # (3), and at exit under the last one (f): over the first on a file,
+    # ahead of the held records on a pipe, which cannot seek.
+    seed, mask, every = 6, 3, 2
+    pts = [(0x0123456789ABCDEF * (i + 1)) % (1 << 64) for i in range(5)]
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("".join(f"{pt:016x}\n" for pt in pts))
+    path = tmp_path / "trace.jsonl"
+    if target == "pipe":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes on this platform")
+        os.mkfifo(path)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(path.read_text()), daemon=True)
+        reader.start()
+    code, _, _ = run(
+        capsys, "encrypt", "--variant", "64", "--key", KAT_KEY, "--pt-file", str(blocks),
+        "--seed", str(seed), "--mask", f"{mask:x}", "--remask-every", str(every),
+        "--trace", str(path),
+    )
+    assert code == 0
+    if target == "pipe":
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        text = got[0]
+    else:
+        text = path.read_text()
+    assert text == twin_round_trace(seed, mask, every, pts)
+    assert json.loads(text.splitlines()[0])["mask"] == "f"
 
 
 def test_trace_files_deterministic(capsys, tmp_path):

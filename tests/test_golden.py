@@ -3,7 +3,9 @@
 The files in tests/data pin the round trace (committed whole), the
 SHA-256 of the analog trace (too large to commit) and `energy-report
 --json` for both schemes, so a refactor of the read path cannot shift
-them unnoticed.  Regenerate, only for a deliberate change, with
+them unnoticed.  Both trace files of one remasked, noisy `memgift
+encrypt` run are pinned the same way, so the CLI's own writing of them
+is covered too.  Regenerate, only for a deliberate change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,6 +42,13 @@ TRACE_RUNS = {
 }
 
 
+# `memgift encrypt` over 7 GIFT-128 blocks, remasked every 2 blocks, with
+# c2c and d2d variation and wire resistance, both traces written.
+CLI_RUN = "cli_gift128_remask"
+CLI_DEVICE = "sigma_c2c = 0.05\nsigma_d2d = 0.02\nwire_r_per_cell = 100\n"
+CLI_PTS = [(0x0123456789ABCDEF0F1E2D3C4B5A6978 * (i + 1)) % (1 << 128) for i in range(7)]
+
+
 def traced_run(case) -> tuple[str, str]:
     """Round trace and analog trace text of one golden run."""
     session = EncryptionSession(
@@ -54,6 +63,21 @@ def traced_run(case) -> tuple[str, str]:
     export_round_trace(session, traces, round_fp)
     export_analog_trace(traces, analog_fp)
     return round_fp.getvalue(), analog_fp.getvalue()
+
+
+def cli_traced_run(tmp: Path) -> tuple[str, str]:
+    """Round trace and analog trace files of the golden CLI run."""
+    device, pts = tmp / "device.cfg", tmp / "blocks.txt"
+    device.write_text(CLI_DEVICE)
+    pts.write_text("".join(f"{pt:032x}\n" for pt in CLI_PTS))
+    round_path, analog_path = tmp / "trace.jsonl", tmp / "analog.jsonl"
+    argv = [
+        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(pts), "--remask-every", "2",
+        "--seed", "5", "--device-params", str(device), "--trace", str(round_path),
+        "--analog-trace", str(analog_path),
+    ]
+    assert main(argv) == 0
+    return round_path.read_text(), analog_path.read_text()
 
 
 def sha256(text: str) -> str:
@@ -72,6 +96,13 @@ def test_traces_match_golden(name):
     assert sha256(analog_text) == (DATA_DIR / f"{name}.analog.sha256").read_text()
 
 
+def test_cli_traces_match_golden(tmp_path, capsys):
+    round_text, analog_text = cli_traced_run(tmp_path)
+    capsys.readouterr()
+    assert round_text == (DATA_DIR / f"{CLI_RUN}.jsonl").read_text()
+    assert sha256(analog_text) == (DATA_DIR / f"{CLI_RUN}.analog.sha256").read_text()
+
+
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
 def test_energy_report_matches_golden(tmp_path, scheme, capsys):
     got = energy_json(scheme, tmp_path / "energy.json")
@@ -87,6 +118,9 @@ if __name__ == "__main__":
         (DATA_DIR / f"{name}.jsonl").write_text(round_text)
         (DATA_DIR / f"{name}.analog.sha256").write_text(sha256(analog_text))
     with tempfile.TemporaryDirectory() as tmp:
+        round_text, analog_text = cli_traced_run(Path(tmp))
+        (DATA_DIR / f"{CLI_RUN}.jsonl").write_text(round_text)
+        (DATA_DIR / f"{CLI_RUN}.analog.sha256").write_text(sha256(analog_text))
         for scheme in ("sxor", "dxor"):
             text = energy_json(scheme, Path(tmp) / "energy.json")
             (DATA_DIR / f"energy_{scheme}.json").write_text(text)

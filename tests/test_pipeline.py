@@ -267,12 +267,25 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     monkeypatch.setattr(pipeline, "column_resistances", recorded(kernel_r_eq, resistances))
     monkeypatch.setattr(pipeline, "read_round", recorded(captures, capture))
     ct, traces = session.encrypt(RNG.getrandbits(128), trace=True)
-    # the block runs the kernel round by round, then one capture of all 40 rounds
-    assert len(captures) == 1 and len(kernel_bits) == len(kernel_r_eq) == 40
+    # an ideal block walks the read table, a noisy one runs the kernel
+    # round by round; then one capture of all 40 rounds
+    noisy = params.sigma_c2c > 0
+    assert len(captures) == 1 and len(kernel_bits) == len(kernel_r_eq) == (40 if noisy else 0)
     analog = captures[0]
     assert all(t.analog is analog for t in traces)
-    assert np.array_equal(analog.bits, np.concatenate(kernel_bits))
-    assert np.array_equal(analog.r_eq, np.concatenate(kernel_r_eq))
+    if noisy:
+        assert np.array_equal(analog.bits, np.concatenate(kernel_bits))
+        assert np.array_equal(analog.r_eq, np.concatenate(kernel_r_eq))
+    else:
+        # the table's bits, which are the kernel's, of the rows the walk read
+        rows = np.array([t.input_nibbles for t in traces])
+        table = session._read_table[np.arange(40)[:, None], rows, session.state.slice_index]
+        assert np.array_equal(analog.bits, table)
+    # round r's captured bits, through the wiring, are the rows round r + 1 read
+    routed = analog.bits.reshape(40, -1).view(np.uint8)[:, session._sources]
+    nibbles = routed.reshape(40, -1, 4) @ np.array([1, 2, 4, 8])
+    for captured, nxt in zip(nibbles[:-1].tolist(), traces[1:]):
+        assert tuple(captured) == nxt.input_nibbles
     assert traces[-1].post_state == ct
     # with noise the sensed bits leave the digital value, and the capture follows
     flipped = analog.bits != (analog.sb_bits ^ analog.partner_bits).astype(bool)
@@ -348,7 +361,7 @@ def test_gift64_event_counts():
 
 
 # ---------------------------------------------------------------------------
-# Read table: a session looks its ideal, untraced reads up instead of
+# Read table: a session looks its ideal reads up instead of
 # running the kernel, from the first block on nominal devices and once the
 # cells have served three such blocks with d2d variation
 
@@ -410,13 +423,17 @@ def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch
         assert session._read_table is None
     session.encrypt(3)
     assert session._read_table is not None
-    # traced and noisy reads never build one
+    # traced blocks count as untraced ones do; noisy reads never build one
     traced = EncryptionSession(key, GIFT64, "dxor", d2d)
     noisy = EncryptionSession(key, GIFT64, "dxor", replace(d2d, sigma_c2c=0.05))
+    for pt in range(3):
+        traced.encrypt(pt, trace=pt != 1)
+        assert traced._read_table is None
+    traced.encrypt(3, trace=True)
+    assert traced._read_table is not None
     for pt in range(5):
-        traced.encrypt(pt, trace=True)
         noisy.encrypt(pt)
-    assert traced._read_table is None and noisy._read_table is None
+    assert noisy._read_table is None
 
     def no_table(self):
         raise AssertionError("a read table was built for too few blocks")
@@ -433,6 +450,12 @@ def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch
         if i and i % 2 == 0:
             apply_mask(remasked, i % 16)
         encrypt_masked(remasked, i, remasked.mask)
+    # ... traced or not
+    traced = EncryptionSession(key, GIFT128, "sxor", d2d)
+    for i in range(6):
+        if i and i % 2 == 0:
+            apply_mask(traced, i % 16)
+        encrypt_masked(traced, i, traced.mask, trace=True)
 
 
 def test_nominal_read_table_is_built_at_the_first_block_of_each_programming(monkeypatch):
@@ -455,16 +478,18 @@ def test_nominal_read_table_is_built_at_the_first_block_of_each_programming(monk
     # so does a one-block sweep trial with every lane ideal
     sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2)
     assert [p.bit_errors for p in sweep] == [0, 0]
-    # traced and noisy reads never build one
+    # so does a traced block; noisy reads never build one
     traced = EncryptionSession(key, GIFT64, "dxor")
     noisy = EncryptionSession(key, GIFT64, "dxor", DeviceParams(sigma_c2c=0.05))
+    traced.encrypt(0, trace=True)
+    assert traced._read_table is not None
     for pt in range(5):
-        traced.encrypt(pt, trace=True)
         noisy.encrypt(pt)
-    assert traced._read_table is None and noisy._read_table is None
+    assert noisy._read_table is None
     apply_mask(traced, 5)
-    encrypt_masked(traced, 5, 5, trace=True)
     assert traced._read_table is None
+    encrypt_masked(traced, 5, 5, trace=True)
+    assert traced._read_table is not None
 
 
 MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misread
@@ -640,6 +665,37 @@ def test_analog_export_spells_special_floats_as_json_does():
     for spelling in ("Infinity", "-Infinity", "NaN", '"r_eq": -0.0', "5e-05", "1e+16", "-0.0,"):
         assert spelling in text
     assert '"odd \\"%s\\" name": ' in text
+
+
+def test_analog_export_keeps_records_apart_that_share_a_tail():
+    # The exporter formats each distinct record tail (everything after the
+    # column) once.  On nominal devices an XOR column holding (S-box 1,
+    # key 0) senses the same r_eq, nodes and bit as one holding (0, 1), so
+    # only the stored bits tell their tails apart; and many records share
+    # a whole tail, told apart only by slice, round and column.
+    session = EncryptionSession(0x2468ACE, GIFT128, "dxor")
+    traces = session.encrypt(0x13579BDF, trace=True)[1]
+    analog = traces[0].analog
+    xor = np.broadcast_to(analog.xor_mask, analog.bits.shape)
+    one_zero = xor & (analog.sb_bits == 1) & (analog.partner_bits == 0)
+    zero_one = xor & (analog.sb_bits == 0) & (analog.partner_bits == 1)
+    a, b = np.argwhere(one_zero)[0], np.argwhere(zero_one)[0]
+    assert analog.r_eq[tuple(a)] == analog.r_eq[tuple(b)]
+    assert analog.bits[tuple(a)] == analog.bits[tuple(b)]
+    for volts in analog.nodes["xor"].values():
+        assert volts[tuple(a)] == volts[tuple(b)]
+    text = written(export_analog_trace, traces)
+    assert_same_lines(text, written(slow_analog_trace, traces))
+    records = [json.loads(line) for line in text.splitlines()]
+    where = [(r["slice"], r["round"], r["column"]) for r in records]
+    assert where == [(j, i, c) for i in range(40) for j in range(32) for c in range(4)]
+    for i, j, c in (a, b):
+        record = records[(i * 32 + j) * 4 + c]
+        stored = [int(analog.sb_bits[i, j, c]), int(analog.partner_bits[i, j, c])]
+        assert record["kind"] == "xor" and record["stored_bits"] == stored
+    # 5120 records, 6 tails: 4 pairings on XOR columns, 2 cells on read-out ones
+    tails = {line.partition('"column": ')[2].partition(", ")[2] for line in text.splitlines()}
+    assert len(tails) == 6
 
 
 def test_trace_export_deterministic():
