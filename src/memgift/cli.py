@@ -29,6 +29,7 @@ from .gift import (
     decrypt_block,
     encrypt_block,
     load_kat_file,
+    parse_hex,
     variant_for,
 )
 from .layout import compile_layout, export_layout
@@ -58,10 +59,7 @@ def _parse_hex(text: str, digits: int, what: str) -> int:
     text = text.strip().lower().removeprefix("0x")
     if len(text) != digits:
         raise GiftError(f"{what}: expected {digits} hex digits, got {len(text)}")
-    try:
-        return int(text, 16)
-    except ValueError:
-        raise GiftError(f"{what}: invalid hex {text!r}") from None
+    return parse_hex(text, what)
 
 
 def _load_setup(args):
@@ -95,6 +93,9 @@ def _read_blocks(args, variant) -> list[int]:
 def cmd_encrypt(args) -> int:
     if args.remask_every < 0:
         raise PipelineError(f"--remask-every must be non-negative, got {args.remask_every}")
+    if args.trace and args.analog_trace:
+        if Path(args.trace).resolve() == Path(args.analog_trace).resolve():
+            raise PipelineError(f"--trace and --analog-trace name the same file: {args.trace}")
     variant = variant_for(args.variant)
     key = _parse_hex(args.key, 32, "key")
     params, schemes = _load_setup(args)
@@ -108,47 +109,39 @@ def cmd_encrypt(args) -> int:
         mask = _parse_hex(args.mask, 1, "mask")
         apply_mask(session, mask)
 
-    want_trace = bool(args.trace or args.analog_trace)
-    digits = variant.block_bits // 4
-    # remasks are unpredictable unless --seed asks for a repeatable run
+    # The mask schedule is drawn before the first block, so that the round
+    # trace's header can name the final mask and every block stream after
+    # it.  Remasks are unpredictable unless --seed asks for a repeatable run.
     if args.seed is None:
         next_mask = partial(secrets.randbelow, 16)
     else:
         next_mask = partial(random.Random(args.seed).randrange, 16)
+    every = args.remask_every
+    remasks = {i: next_mask() for i in (range(every, len(blocks), every) if every else ())}
+    want_trace = bool(args.trace or args.analog_trace)
+    digits = variant.block_bits // 4
     with ExitStack() as stack:
         trace_fp, analog_fp = _create_outputs(stack, args.trace, args.analog_trace)
-        # The round file's header names the final mask.  A file that can
-        # seek gets it now, each block's records as the block is read, and
-        # the final header over the first at exit; elsewhere the records
-        # wait as text until the header is known.
-        round_records = None if trace_fp is None or trace_fp.seekable() else []
-        if trace_fp and round_records is None:
-            header = round_trace_header(session)
-            trace_fp.write(header)
+        if trace_fp:
+            final_mask = next(reversed(remasks.values()), session.mask)
+            trace_fp.write(round_trace_header(session, final_mask))
         for i, pt in enumerate(blocks):
-            if args.remask_every and i and i % args.remask_every == 0:
-                mask = next_mask()
+            if trace_fp:
+                # a reader at the other end of a pipe gets the header and
+                # each block's records before the next block is read
+                trace_fp.flush()
+            if i in remasks:
+                mask = remasks[i]
                 apply_mask(session, mask)
             if mask is not None:
                 ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)
             else:
                 ct, traces = session.encrypt(pt, trace=want_trace)
-            if round_records is not None:
-                round_records.append(round_trace_records(session, traces))
-            elif trace_fp:
+            if trace_fp:
                 trace_fp.write(round_trace_records(session, traces))
             if analog_fp:
                 export_analog_trace(traces, analog_fp)
             print(f"{ct:0{digits}x}")
-        if round_records is not None:
-            trace_fp.write(round_trace_header(session))
-            trace_fp.writelines(round_records)
-        elif trace_fp:
-            final = round_trace_header(session)
-            # only the one-digit mask can differ, so the line keeps its length
-            assert len(final) == len(header)
-            trace_fp.seek(0)
-            trace_fp.write(final)
     return EXIT_OK
 
 

@@ -13,6 +13,12 @@ and `resolve` senses it with the amp's one statement of its maths.  The
 fast path stops at the bits; `read_round` is the same read with node
 capture, over all of a block's rounds in one pass, as columnar arrays.
 
+On nominal cells every read is one of six pairings: an S-box cell holding
+0 or 1 against a partner holding 0 or 1 (sensed by the XOR amp) or no
+partner (sensed by the read-out amp).  That grid is the one statement of
+a nominal read: `nominal_reads` gives its bits, from which a session
+gathers its read table, and `sense_margin_report` its captured nodes.
+
 Electrical model
 ----------------
 Each sense branch is a resistive divider followed by a regenerative output
@@ -98,10 +104,6 @@ def variation_factor(sigma: float, z):
     """Multiplicative resistance variation: 1 + sigma*z with z clamped."""
     z = np.clip(z, -VARIATION_CLAMP_SIGMA, VARIATION_CLAMP_SIGMA)
     return np.maximum(1.0 + sigma * z, MIN_RESISTANCE_FACTOR)
-
-
-def nominal_resistance(bit: int, params: DeviceParams) -> float:
-    return params.r_lrs if bit else params.r_hrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,29 +202,6 @@ def program_slice(
 
 
 # ---------------------------------------------------------------------------
-# Bit line
-
-
-def bitline_equivalent_resistance(
-    cell_resistances: Sequence[float], wire_r: float = 0.0
-) -> float:
-    """Parallel combination of the selected cells, each with its series
-    path resistance."""
-    if not cell_resistances:
-        raise CrossbarError("no selected cells on a sensed column")
-    conductance = 0.0
-    for r in cell_resistances:
-        branch = r + wire_r
-        if branch <= 0:
-            raise CrossbarError("non-positive branch resistance")
-        if not math.isinf(branch):
-            conductance += 1.0 / branch
-    if conductance == 0.0:
-        return math.inf
-    return 1.0 / conductance
-
-
-# ---------------------------------------------------------------------------
 # Sense amplifiers
 
 
@@ -242,7 +221,7 @@ def _regenerate(v, vref: float, gain: float, vdd: float):
 
 @dataclass(frozen=True)
 class SenseResult:
-    bit: object  # int from sense(); a bool array from resolve(capture=True)
+    bit: object  # bool array, as resolve() returns the bits
     nodes: dict  # node name -> volts (divider taps and decision nodes)
     decisions: tuple  # (node name, decided bit) per comparator
 
@@ -389,19 +368,6 @@ def scheme_for(spec) -> SenseAmpScheme:
         raise CrossbarError(f"unknown sense-amp scheme: {spec!r}") from None
 
 
-def sense(r_eq: float, sa, vdd: float = 0.9) -> SenseResult:
-    """Resolve one bit-line resistance with the given amp model: the scalar
-    case of `resolve`, with plain int bits and float volts."""
-    if r_eq <= 0:
-        raise CrossbarError("non-positive equivalent resistance")
-    res = resolve(sa, np.float64(r_eq), vdd, capture=True)
-    return SenseResult(
-        int(res.bit),
-        {name: float(v) for name, v in res.nodes.items()},
-        tuple((name, int(d)) for name, d in res.decisions),
-    )
-
-
 # ---------------------------------------------------------------------------
 # One round read on every slice
 
@@ -443,27 +409,37 @@ def column_resistances(state: ProgrammedState, rows, rnd, factors=None) -> np.nd
     return 1.0 / g
 
 
-# Partner codes of `nominal_reads`: a partner cell's bit, or no partner.
+# Partner codes of the nominal read grid: a partner cell's bit, or no partner.
 PARTNER_ABSENT = 2
 
 
-def nominal_reads(params: DeviceParams, scheme) -> np.ndarray:
-    """Every ideal read of nominal cells, sensed once: bool (2, 3, 2), entry
-    [s, p, a] being what amp a (0 the XOR amp, 1 the read-out amp) senses
-    for an S-box cell holding bit s against a partner holding bit p, or no
-    partner (p = PARTNER_ABSENT).  The resistances, conductances and r_eq
-    are computed as `program_slice` and `column_resistances` compute them,
-    so on devices without d2d variation each entry is bit-exact with the
+def _sense_nominal_grid(scheme: SenseAmpScheme, params: DeviceParams, capture=False):
+    """The nominal read grid, sensed as wired: the bit line of an S-box cell
+    holding bit s (axis 0) against a partner holding bit p, or no partner
+    (p = PARTNER_ABSENT), on nominal cells.  Returns the XOR amp's sense of
+    the pairings with a partner, indexed [s, p], and the read-out amp's of
+    those without, indexed [s].  The resistances, conductances and r_eq are
+    computed as `program_slice` and `column_resistances` compute them, so on
+    devices without d2d variation each pairing is bit-exact with the
     kernel's read of any cell pair in that state."""
-    scheme = scheme_for(scheme)
     sb_res = np.array([params.r_hrs, params.r_lrs])
     partner_res = np.array([params.r_hrs, params.r_lrs, np.inf])
     g = 1.0 / (sb_res[:, None] + params.wire_r_per_cell) + 1.0 / (
         partner_res + params.wire_r_per_cell
     )
     r_eq = 1.0 / g
-    amps = (scheme.xor_amp, scheme.readout_amp)
-    return np.stack([resolve(amp, r_eq, params.vdd) for amp in amps], axis=-1)
+    return (
+        resolve(scheme.xor_amp, r_eq[:, :PARTNER_ABSENT], params.vdd, capture),
+        resolve(scheme.readout_amp, r_eq[:, PARTNER_ABSENT], params.vdd, capture),
+    )
+
+
+def nominal_reads(params: DeviceParams, scheme) -> np.ndarray:
+    """Every ideal read of nominal cells, sensed once: bool (2, 3), entry
+    [s, p] being the bit a column senses with an S-box cell holding bit s
+    against a partner holding bit p (XOR-sensed), or no partner (p =
+    PARTNER_ABSENT, read out)."""
+    return np.column_stack(_sense_nominal_grid(scheme_for(scheme), params))
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,23 +497,22 @@ class MarginRecord:
 
 def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     """Exhaustive operand sweep of both amps at nominal resistances,
-    reporting every comparator's decision node."""
+    reporting every comparator's decision node: the nominal read grid that
+    `nominal_reads` senses, with its nodes captured."""
     scheme = scheme_for(scheme)
     scheme.validate(params.vdd)
+    xor, readout = _sense_nominal_grid(scheme, params, capture=True)
     records = []
-
-    def audit(amp, name, combos):
-        for bits in combos:
-            cells = [nominal_resistance(b, params) for b in bits]
-            r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
-            result = sense(r_eq, amp, params.vdd)
-            for node, decision in result.decisions:
+    for kind, result, pairings in (
+        ("xor", xor, [(1, 1), (1, 0), (0, 1), (0, 0)]),
+        ("readout", readout, [(1,), (0,)]),
+    ):
+        for bits in pairings:
+            for node, decided in result.decisions:
+                volts = float(result.nodes[node][bits])
                 records.append(
-                    MarginRecord(name, bits, node, result.nodes[node], decision)
+                    MarginRecord(f"{scheme.name}.{kind}", bits, node, volts, int(decided[bits]))
                 )
-
-    audit(scheme.xor_amp, f"{scheme.name}.xor", [(1, 1), (1, 0), (0, 1), (0, 0)])
-    audit(scheme.readout_amp, f"{scheme.name}.readout", [(1,), (0,)])
     return records
 
 

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -20,6 +21,18 @@ from .errors import MemgiftError, read_text
 
 class GiftError(MemgiftError, ValueError):
     """Malformed state, key, table or KAT input."""
+
+
+_HEX = re.compile("[0-9a-fA-F]+")
+
+
+def parse_hex(text: str, what: str) -> int:
+    """The value of `text`, which must be ASCII hex digits and nothing else:
+    int(text, 16) alone also takes a sign, `_` between digits and non-ASCII
+    digits."""
+    if not _HEX.fullmatch(text):
+        raise GiftError(f"{what}: invalid hex {text!r}")
+    return int(text, 16)
 
 
 @dataclass(frozen=True)
@@ -120,11 +133,7 @@ class CipherState:
             raise GiftError(
                 f"expected {width // 4} hex digits for a {width}-bit state, got {len(text)}"
             )
-        try:
-            value = int(text, 16)
-        except ValueError:
-            raise GiftError(f"invalid hex state: {text!r}") from None
-        return cls(value, width)
+        return cls(parse_hex(text, f"{width}-bit state"), width)
 
     def to_hex(self) -> str:
         return f"{self.bits:0{self.width // 4}x}"
@@ -439,12 +448,9 @@ def parse_kat_lines(lines: Iterable[str]) -> list[KatVector]:
         if len(fields["pt"]) != len(fields["ct"]) or len(fields["pt"]) not in (16, 32):
             raise GiftError(f"KAT line {lineno}: pt/ct must both be 16 or 32 digits")
         variant = GIFT64 if len(fields["pt"]) == 16 else GIFT128
-        try:
-            key = int(fields["key"], 16)
-            pt = int(fields["pt"], 16)
-            ct = int(fields["ct"], 16)
-        except ValueError:
-            raise GiftError(f"KAT line {lineno}: invalid hex") from None
+        key, pt, ct = (
+            parse_hex(fields[name], f"KAT line {lineno}: {name}") for name in ("key", "pt", "ct")
+        )
         vectors.append(KatVector(key, pt, ct, variant))
     return vectors
 

@@ -24,7 +24,6 @@ from .gift import (
     SBoxTable,
     perm_table,
     round_addition_masks,
-    sub_cells,
     variant_for,
 )
 
@@ -253,6 +252,8 @@ def _parse_hex_digits(text: str, expected: int, what: str) -> list[int]:
 def import_layout(path) -> LayoutBundle:
     try:
         text = Path(path).read_bytes().decode("ascii")
+    except FileNotFoundError:
+        raise LayoutError(f"{path}: file not found") from None
     except UnicodeDecodeError as exc:
         raise LayoutError(f"non-ASCII byte at offset {exc.start}") from None
     # only "\n" ends a line: str.splitlines would also break on \v, \f, \r, ...

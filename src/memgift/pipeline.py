@@ -217,9 +217,8 @@ class EncryptionSession:
         # partner bits are 0), sensed by the read-out amp.
         state = self.state
         code = state.partner_bits.transpose(1, 0, 2) | PARTNER_ABSENT * ~state.xor_mask
-        sensed = nominal_reads(self.params, self.scheme)[:, [0, 1, PARTNER_ABSENT], [0, 0, 1]]
         # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
-        lo, hi = sensed.take(code, axis=1)
+        lo, hi = nominal_reads(self.params, self.scheme).take(code, axis=1)
         sb_bits = np.ascontiguousarray(state.sb_bits.transpose(1, 0, 2)).view(bool)
         table = lo[:, None] ^ (sb_bits & (lo ^ hi)[:, None])
         table.setflags(write=False)
@@ -431,13 +430,13 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
     """JSON lines: a session header record, then one record per round.
     The header states the session's mask when the trace is written; each
     round record names its block and the mask it was read under."""
-    fp.write(round_trace_header(session))
+    fp.write(round_trace_header(session, session.mask))
     for block in _blocks(traces):
         fp.write(round_trace_records(session, block))
 
 
-def round_trace_header(session: EncryptionSession) -> str:
-    """The header line of a round trace written now."""
+def round_trace_header(session: EncryptionSession, mask: int) -> str:
+    """The header line of a round trace of `session` that states `mask`."""
     header = {
         "record": "session",
         "variant": session.variant.name,
@@ -446,7 +445,7 @@ def round_trace_header(session: EncryptionSession) -> str:
         "seed": session.params.seed,
         "sigma_d2d": session.params.sigma_d2d,
         "sigma_c2c": session.params.sigma_c2c,
-        "mask": f"{session.mask:x}",
+        "mask": f"{mask:x}",
     }
     return json.dumps(header) + "\n"
 

@@ -12,6 +12,22 @@ settings.register_profile("memgift", deadline=None)
 settings.load_profile("memgift")
 
 
+# Spellings of n characters that int(text, 16) takes although they are not
+# ASCII hex digits alone: a sign, `_` between digits, non-ASCII digits.
+BAD_HEX = {
+    "plus": lambda n: "+" + "0" * (n - 1),
+    "minus": lambda n: "-" + "0" * (n - 1),
+    "underscore": lambda n: "0" * (n - 2) + "_1",
+    "arabic-indic": lambda n: "\u0663" * n,
+}
+
+
+@pytest.fixture(params=sorted(BAD_HEX))
+def bad_hex(request):
+    """A function giving one malformed hex spelling of n characters."""
+    return BAD_HEX[request.param]
+
+
 @pytest.fixture(scope="session")
 def kat64():
     return load_kat_file(DATA_DIR / "gift64.kat")

@@ -68,6 +68,20 @@ def test_encrypt_malformed_hex_exits_2(capsys):
     assert code == 2 and "input error" in err
 
 
+def test_hex_arguments_take_ascii_hex_digits_only(capsys, tmp_path, bad_hex):
+    pt_file = tmp_path / "blocks.txt"
+    pt_file.write_text(bad_hex(32) + "\n", encoding="utf-8")
+    for argv in (
+        ["encrypt", "--key", bad_hex(32), "--pt", KAT_PT],
+        ["encrypt", "--key", KAT_KEY, "--pt", bad_hex(32)],
+        ["encrypt", "--key", KAT_KEY, "--pt-file", str(pt_file)],
+        ["encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--mask", bad_hex(1)],
+        ["decrypt", "--key", KAT_KEY, "--ct", bad_hex(32)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "input error" in err, argv
+
+
 def test_encrypt_bad_device_config_exits_3(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("r_lrs = -5\n")
@@ -187,6 +201,16 @@ def test_encrypt_bad_trace_path_fails_before_any_block(capsys, tmp_path, bad):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_encrypt_rejects_one_file_for_both_traces(capsys, tmp_path):
+    path = tmp_path / "trace.jsonl"
+    code, out, err = run(
+        capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT, "--trace", str(path),
+        "--analog-trace", f"{tmp_path}/./trace.jsonl",
+    )
+    assert code == 2 and out == "" and "same file" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_decrypt_reference(capsys):
     code, out, _ = run(capsys, "decrypt", "--key", KAT_KEY, "--ct", KAT_CT)
     assert code == 0 and out.strip() == KAT_PT
@@ -281,6 +305,52 @@ def test_round_trace_header_names_the_final_mask(capsys, tmp_path, target):
         text = path.read_text()
     assert text == twin_round_trace(seed, mask, every, pts)
     assert json.loads(text.splitlines()[0])["mask"] == "f"
+
+
+def test_round_trace_streams_to_a_pipe(capsys, tmp_path, monkeypatch):
+    # each block's round records reach the pipe before the next block is read
+    if not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes on this platform")
+    path = tmp_path / "trace.jsonl"
+    os.mkfifo(path)
+    lines, arrived = [], threading.Condition()
+
+    def reader():
+        with open(path) as fp:
+            for line in fp:
+                with arrived:
+                    lines.append(line)
+                    arrived.notify_all()
+
+    thread = threading.Thread(target=reader, daemon=True)
+    thread.start()
+    on_time, read_round = [], pipeline.read_round
+
+    def recorded(*args):
+        # block k is being read: the header and k blocks of records are due
+        due = 1 + len(on_time) * GIFT64.rounds
+        with arrived:
+            timeout = 10 if all(on_time) else 0
+            on_time.append(arrived.wait_for(lambda: len(lines) >= due, timeout))
+        return read_round(*args)
+
+    monkeypatch.setattr(pipeline, "read_round", recorded)
+    # 4 blocks remasked every 2: block 4 would be a remask point, but it is
+    # never read, so no mask is drawn for it
+    seed, mask, every = 2, 3, 2
+    pts = [0x0123456789ABCDEF * i for i in range(4)]
+    blocks = tmp_path / "blocks.txt"
+    blocks.write_text("".join(f"{pt:016x}\n" for pt in pts))
+    code, _, _ = run(
+        capsys, "encrypt", "--variant", "64", "--key", KAT_KEY, "--pt-file", str(blocks),
+        "--seed", str(seed), "--mask", f"{mask:x}", "--remask-every", str(every),
+        "--trace", str(path),
+    )
+    monkeypatch.undo()
+    thread.join(timeout=60)
+    assert code == 0 and not thread.is_alive()
+    assert on_time == [True] * len(pts)
+    assert "".join(lines) == twin_round_trace(seed, mask, every, pts)
 
 
 def test_trace_files_deterministic(capsys, tmp_path):

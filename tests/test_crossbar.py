@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import fields
@@ -12,24 +13,80 @@ from memgift.crossbar import (
     CrossbarError,
     DeviceParams,
     DXOR_SCHEME,
+    SCHEMES,
     SXOR_SCHEME,
-    bitline_equivalent_resistance,
+    MarginRecord,
+    SenseResult,
     check_margins,
     draw_read_factors,
     PARTNER_ABSENT,
     load_device_config,
     nominal_reads,
-    nominal_resistance,
     program_slice,
     read_round,
     resolve,
-    sense,
     sense_margin_report,
     variation_factor,
 )
 from memgift.energy import load_energy_config
 from memgift.gift import GIFT128, GIFT_SBOX
 from memgift.layout import SliceKeyMatrix, compile_layout, sbox_bit_matrix
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: one bit line and one sense at a time, written apart from
+# the vectorised read they check.
+
+
+def nominal_resistance(bit: int, params: DeviceParams) -> float:
+    return params.r_lrs if bit else params.r_hrs
+
+
+def bitline_equivalent_resistance(cell_resistances, wire_r: float = 0.0) -> float:
+    """Parallel combination of the selected cells, each with its series
+    path resistance."""
+    if not cell_resistances:
+        raise CrossbarError("no selected cells on a sensed column")
+    conductance = 0.0
+    for r in cell_resistances:
+        branch = r + wire_r
+        if branch <= 0:
+            raise CrossbarError("non-positive branch resistance")
+        if not math.isinf(branch):
+            conductance += 1.0 / branch
+    if conductance == 0.0:
+        return math.inf
+    return 1.0 / conductance
+
+
+def sense(r_eq: float, sa, vdd: float = 0.9) -> SenseResult:
+    """Resolve one bit-line resistance with the given amp model: the scalar
+    case of `resolve`, with plain int bits and float volts."""
+    if r_eq <= 0:
+        raise CrossbarError("non-positive equivalent resistance")
+    res = resolve(sa, np.float64(r_eq), vdd, capture=True)
+    return SenseResult(
+        int(res.bit),
+        {name: float(v) for name, v in res.nodes.items()},
+        tuple((name, int(d)) for name, d in res.decisions),
+    )
+
+
+def scalar_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
+    """The margin audit one operand combination at a time."""
+    records = []
+
+    def audit(amp, name, combos):
+        for bits in combos:
+            cells = [nominal_resistance(b, params) for b in bits]
+            r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
+            result = sense(r_eq, amp, params.vdd)
+            for node, decision in result.decisions:
+                records.append(MarginRecord(name, bits, node, result.nodes[node], decision))
+
+    audit(scheme.xor_amp, f"{scheme.name}.xor", [(1, 1), (1, 0), (0, 1), (0, 0)])
+    audit(scheme.readout_amp, f"{scheme.name}.readout", [(1,), (0,)])
+    return records
 
 
 def make_slice(params=None, key_bits=None, columns=(1, 2), index=0, rng=None):
@@ -300,22 +357,71 @@ def test_resolve_matches_scalar_sense(scheme):
 @pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
 @pytest.mark.parametrize("wire", [0.0, 150.0, 20e3])
 def test_nominal_reads_sense_every_cell_pairing(scheme, wire):
-    # one sense per (S-box cell, partner or none, amp), as the scalar oracle senses it
+    # one sense per (S-box cell, partner or none), by the amp wired to it,
+    # as the scalar oracle senses it
     params = DeviceParams(wire_r_per_cell=wire)
     grid = nominal_reads(params, scheme)
-    assert grid.shape == (2, 3, 2) and grid.dtype == bool
+    assert grid.shape == (2, 3) and grid.dtype == bool
     for s in (0, 1):
         for p in (0, 1, PARTNER_ABSENT):
             cells = [nominal_resistance(s, params)]
+            amp = scheme.readout_amp
             if p != PARTNER_ABSENT:
                 cells.append(nominal_resistance(p, params))
+                amp = scheme.xor_amp
             r_eq = bitline_equivalent_resistance(cells, wire)
-            for a, amp in enumerate((scheme.xor_amp, scheme.readout_amp)):
-                assert grid[s, p, a] == sense(r_eq, amp, params.vdd).bit
+            assert grid[s, p] == sense(r_eq, amp, params.vdd).bit
     # within margins, the XOR amp senses s ^ p and the read-out amp s
     digital = [[s, s ^ 1, s] for s in (0, 1)]
-    sensed = [[grid[s, 0, 0], grid[s, 1, 0], grid[s, PARTNER_ABSENT, 1]] for s in (0, 1)]
-    assert (sensed == digital) == (wire < 20e3)
+    assert (grid.tolist() == digital) == (wire < 20e3)
+
+
+def margin_cases(tmp_path):
+    """Every nominal read grid of the margin audit's cases: each scheme,
+    with default amps and with amps from a parameter file, at two supplies,
+    three wire resistances and two LRS and HRS values each."""
+    cfg = tmp_path / "amps.cfg"
+    cfg.write_text("sxor.vth = 0.25\ndxor.vref_and = 0.3\n")
+    for schemes in (SCHEMES, load_device_config(cfg)[1]):
+        for scheme in schemes.values():
+            for vdd, wire, r_lrs, r_hrs in itertools.product(
+                (0.9, 1.2), (0.0, 150.0, 20e3), (2.8e3, 3e3), (1e6, 2e6)
+            ):
+                yield scheme, DeviceParams(r_lrs=r_lrs, r_hrs=r_hrs, wire_r_per_cell=wire, vdd=vdd)
+
+
+def test_margin_report_equals_scalar_oracle(tmp_path):
+    cases = 0
+    for scheme, params in margin_cases(tmp_path):
+        records = sense_margin_report(scheme, params)
+        expected = scalar_margin_report(scheme, params)
+        assert records == expected, (scheme, params)
+        # volts bit for bit: == would let -0.0 pass for 0.0
+        assert [r.volts.hex() for r in records] == [r.volts.hex() for r in expected]
+        hi, lo = 0.6 * params.vdd, 0.4 * params.vdd
+        slacks = [r.volts - hi if r.decision else lo - r.volts for r in expected]
+        if min(slacks) < 0:
+            with pytest.raises(CrossbarError, match="margin violation"):
+                check_margins(scheme, params)
+        else:
+            assert check_margins(scheme, params) == min(slacks)
+        cases += 1
+    assert cases == 96
+
+
+def test_margin_audit_decides_what_the_read_table_gathers(tmp_path):
+    # the amp's gate over the audit's recorded decisions of a pairing is the
+    # nominal_reads entry a session's read table gathers for it
+    for scheme, params in margin_cases(tmp_path):
+        grid = nominal_reads(params, scheme)
+        decisions = {}
+        for rec in sense_margin_report(scheme, params):
+            decisions.setdefault((rec.amp, rec.operands), []).append(np.bool_(rec.decision))
+        assert len(decisions) == 6
+        for (name, bits), decided in decisions.items():
+            amp = scheme.xor_amp if name.endswith(".xor") else scheme.readout_amp
+            s, p = bits if len(bits) == 2 else (bits[0], PARTNER_ABSENT)
+            assert amp.gate(*decided) == grid[s, p], (name, bits, params)
 
 
 def test_sense_rejects_bad_resistance():

@@ -395,6 +395,16 @@ def test_cipher_state_validation():
         CipherState(1 << 64, 64)
 
 
+def test_hex_parsers_take_ascii_hex_digits_only(bad_hex):
+    with pytest.raises(GiftError, match="invalid hex"):
+        CipherState.from_hex(bad_hex(16), 64)
+    fields = {"key": "0" * 32, "pt": "0" * 16, "ct": "0" * 16}
+    for name in fields:
+        line = " ".join(f"{f}={bad_hex(len(v)) if f == name else v}" for f, v in fields.items())
+        with pytest.raises(GiftError, match=f"{name}: invalid hex"):
+            parse_kat_lines([line])
+
+
 def test_kat_parser_errors():
     with pytest.raises(GiftError):
         parse_kat_lines(["key=00 pt=00 ct=00"])

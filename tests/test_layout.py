@@ -252,6 +252,13 @@ def test_corrupted_checksum_rejected(tmp_path):
         import_layout(path)
 
 
+def test_missing_layout_file_is_layout_error(tmp_path):
+    path = tmp_path / "missing.mgl"
+    with pytest.raises(LayoutError) as info:
+        import_layout(path)
+    assert str(info.value) == f"{path}: file not found"
+
+
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "layout.mgl"
     export_layout(compile_layout(42, GIFT128), path)
