@@ -75,6 +75,23 @@ def _load_setup(args):
     return params, schemes
 
 
+# The file options of every command, by their argparse dest.
+INPUT_FILES = ("pt_file", "device_params", "params")
+OUTPUT_FILES = ("trace", "analog_trace", "out", "json")
+
+
+def _check_outputs(args) -> None:
+    """Before any work: each output path must name a file that is no input
+    and no other output, so that no command overwrites what it reads."""
+    seen = {}  # resolved path -> the first option naming it
+    for dest in INPUT_FILES + OUTPUT_FILES:
+        if path := getattr(args, dest, None):
+            option, resolved = "--" + dest.replace("_", "-"), Path(path).resolve()
+            if dest in OUTPUT_FILES and resolved in seen:
+                raise PipelineError(f"{seen[resolved]} and {option} name the same file: {path}")
+            seen.setdefault(resolved, option)
+
+
 def _read_blocks(args, variant) -> list[int]:
     digits = variant.block_bits // 4
     if args.pt is not None:
@@ -93,9 +110,6 @@ def _read_blocks(args, variant) -> list[int]:
 def cmd_encrypt(args) -> int:
     if args.remask_every < 0:
         raise PipelineError(f"--remask-every must be non-negative, got {args.remask_every}")
-    if args.trace and args.analog_trace:
-        if Path(args.trace).resolve() == Path(args.analog_trace).resolve():
-            raise PipelineError(f"--trace and --analog-trace name the same file: {args.trace}")
     variant = variant_for(args.variant)
     key = _parse_hex(args.key, 32, "key")
     params, schemes = _load_setup(args)
@@ -328,6 +342,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

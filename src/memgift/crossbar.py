@@ -54,8 +54,8 @@ class CrossbarError(MemgiftError, ValueError):
 
 
 class ConfigError(MemgiftError, ValueError):
-    """Malformed or unknown key in a parameter file, or an energy
-    parameter out of range."""
+    """Malformed or unknown key in a parameter file, or a parameter out of
+    range."""
 
 
 # Clamp for the Gaussian variation draws, in units of sigma.
@@ -98,6 +98,17 @@ class DeviceParams:
             raise CrossbarError("vdd must be positive")
         if self.wire_r_per_cell < 0:
             raise CrossbarError("wire resistance must be non-negative")
+        # The largest bit-line resistance a read can meet, an HRS cell at the
+        # top of both variation clamps read out alone, must be finite, and so
+        # must its round trip through the conductance the read sums.
+        d2d, c2c = (1 + VARIATION_CLAMP_SIGMA * s for s in (self.sigma_d2d, self.sigma_c2c))
+        r_max = self.r_hrs * d2d * c2c + self.wire_r_per_cell
+        if not (math.isfinite(r_max) and math.isfinite(1 / (1 / r_max))):
+            raise CrossbarError(
+                "the largest read resistance, r_hrs*(1 + 4*sigma_d2d)*(1 + 4*sigma_c2c) + "
+                f"wire_r_per_cell, is not finite at sigma_d2d={self.sigma_d2d}, "
+                f"sigma_c2c={self.sigma_c2c}"
+            )
 
 
 def variation_factor(sigma: float, z):
@@ -536,34 +547,17 @@ def check_margins(scheme, params: DeviceParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Parameter files: `name = value` lines, # comments.  Device keys are the
-# DeviceParams field names; sense-amp keys are prefixed with the amp they
-# configure, e.g. `sxor.m1 = 2000` or `ro_d.vref = 0.43`.
+# Parameter files, device and energy alike: `name = value` lines, # comments,
+# each name once.  A plain name is one of the file's fields, a dotted
+# `section.key` a key of one of its sections.  A device file's fields are the
+# DeviceParams fields and its sections the amps, e.g. `sxor.m1 = 2000`.
 
 _AMP_SECTIONS = {
-    "sxor": ("xor_amp", ScoutingXorAmp),
-    "ro_s": ("readout_amp", ScoutingReadoutAmp),
-    "dxor": ("xor_amp", DualXorAmp),
-    "ro_d": ("readout_amp", DualReadoutAmp),
+    "sxor": ScoutingXorAmp,
+    "ro_s": ScoutingReadoutAmp,
+    "dxor": DualXorAmp,
+    "ro_d": DualReadoutAmp,
 }
-
-
-def parse_kv_file(path) -> dict[str, str]:
-    entries = {}
-    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `name = value`")
-        name, _, value = line.partition("=")
-        name, value = name.strip(), value.strip()
-        if not name or not value:
-            raise ConfigError(f"{path}:{lineno}: expected `name = value`")
-        if name in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {name!r}")
-        entries[name] = value
-    return entries
 
 
 def parse_number(name: str, value: str, caster=float):
@@ -574,46 +568,57 @@ def parse_number(name: str, value: str, caster=float):
         raise ConfigError(f"parameter {name!r}: invalid value {value!r}") from None
 
 
+def read_parameter_file(path, kind: str, casters: dict, sections: dict) -> tuple[dict, dict]:
+    """The fields and, per section, the keys (floats) a parameter file of
+    `kind` sets.  casters maps each field to the type of its value, and
+    sections each section to (its keys, the noun naming one in an error).
+    The first error in line order raises a ConfigError."""
+    values, section_values, seen = {}, {name: {} for name in sections}, set()
+    for lineno, raw in enumerate(read_text(path, ConfigError).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        name, equals, value = (part.strip() for part in line.partition("="))
+        if not (equals and name and value):
+            raise ConfigError(f"{path}:{lineno}: expected `name = value`")
+        if name in seen:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {name!r}")
+        seen.add(name)
+        section, dot, key = name.partition(".")
+        if dot:
+            if section not in sections:
+                raise ConfigError(f"unknown parameter section {section!r}")
+            keys, noun = sections[section]
+            if key not in keys:
+                raise ConfigError(f"unknown {noun} {key!r}")
+            section_values[section][key] = parse_number(name, value)
+        elif name in casters:
+            values[name] = parse_number(name, value, casters[name])
+        else:
+            raise ConfigError(f"unknown {kind} parameter {name!r}")
+    return values, section_values
+
+
 def load_device_config(path) -> tuple[DeviceParams, dict[str, SenseAmpScheme]]:
     """Build DeviceParams and both sense-amp schemes from a config file."""
-    entries = parse_kv_file(path)
-    device_fields = {f.name: f for f in fields(DeviceParams)}
-    device_kwargs = {}
-    amp_overrides: dict[str, dict[str, float]] = {k: {} for k in _AMP_SECTIONS}
-
-    for name, value in entries.items():
-        if "." in name:
-            section, _, key = name.partition(".")
-            if section not in _AMP_SECTIONS:
-                raise ConfigError(f"unknown parameter section {section!r}")
-            _, amp_cls = _AMP_SECTIONS[section]
-            if key not in {f.name for f in fields(amp_cls)}:
-                raise ConfigError(f"unknown {section} parameter {key!r}")
-            amp_overrides[section][key] = parse_number(name, value)
-        elif name in device_fields:
-            device_kwargs[name] = parse_number(name, value, int if name == "seed" else float)
-        else:
-            raise ConfigError(f"unknown device parameter {name!r}")
-
+    casters = {f.name: int if f.name == "seed" else float for f in fields(DeviceParams)}
+    sections = {
+        name: ({f.name for f in fields(amp)}, f"{name} parameter")
+        for name, amp in _AMP_SECTIONS.items()
+    }
+    values, amps = read_parameter_file(path, "device", casters, sections)
     try:
-        params = DeviceParams(**device_kwargs)
+        params = DeviceParams(**values)
+        schemes = {
+            "sxor": SenseAmpScheme(
+                "sxor", ScoutingXorAmp(**amps["sxor"]), ScoutingReadoutAmp(**amps["ro_s"])
+            ),
+            "dxor": SenseAmpScheme(
+                "dxor", DualXorAmp(**amps["dxor"]), DualReadoutAmp(**amps["ro_d"])
+            ),
+        }
+        for scheme in schemes.values():
+            scheme.validate(params.vdd)
     except CrossbarError as exc:
         raise ConfigError(str(exc)) from None
-    schemes = {
-        "sxor": SenseAmpScheme(
-            "sxor",
-            ScoutingXorAmp(**amp_overrides["sxor"]),
-            ScoutingReadoutAmp(**amp_overrides["ro_s"]),
-        ),
-        "dxor": SenseAmpScheme(
-            "dxor",
-            DualXorAmp(**amp_overrides["dxor"]),
-            DualReadoutAmp(**amp_overrides["ro_d"]),
-        ),
-    }
-    for scheme in schemes.values():
-        try:
-            scheme.validate(params.vdd)
-        except CrossbarError as exc:
-            raise ConfigError(str(exc)) from None
     return params, schemes

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .crossbar import ConfigError, parse_kv_file, parse_number
+from .crossbar import ConfigError, read_parameter_file
 from .errors import MemgiftError
 from .pipeline import SENSE_EVENT, EventLog
 
@@ -224,25 +224,19 @@ def area_report(variant=None, params: EnergyParams = None) -> AreaReport:
 
 
 # ---------------------------------------------------------------------------
-# Parameter file: event-energy keys as named above (joules), `clock_hz`,
-# plus `static.<component>` (watts) and `area.<component>` (mm^2).
+# Parameter file, read as `crossbar.read_parameter_file` reads a device file:
+# the event-energy fields as named above (joules) and `clock_hz`, plus the
+# sections `static.<component>` (watts) and `area.<component>` (mm^2).
 
 
 def load_energy_config(path) -> EnergyParams:
-    entries = parse_kv_file(path)
-    scalar_keys = {
-        f.name for f in fields(EnergyParams) if f.name not in ("static_power", "area_mm2")
+    casters = {
+        f.name: float for f in fields(EnergyParams) if f.name not in ("static_power", "area_mm2")
     }
-    kwargs = {}
-    tables = {"static": _default_static_power(), "area": _default_area()}
-    for name, value in entries.items():
-        if name in scalar_keys:
-            kwargs[name] = parse_number(name, value)
-        elif name.startswith(("static.", "area.")):
-            table_name, _, comp = name.partition(".")
-            if comp not in COMPONENTS:
-                raise ConfigError(f"unknown component {comp!r}")
-            tables[table_name][comp] = parse_number(name, value)
-        else:
-            raise ConfigError(f"unknown energy parameter {name!r}")
-    return EnergyParams(static_power=tables["static"], area_mm2=tables["area"], **kwargs)
+    sections = {"static": (COMPONENTS, "component"), "area": (COMPONENTS, "component")}
+    values, tables = read_parameter_file(path, "energy", casters, sections)
+    return EnergyParams(
+        static_power={**_default_static_power(), **tables["static"]},
+        area_mm2={**_default_area(), **tables["area"]},
+        **values,
+    )

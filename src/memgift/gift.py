@@ -439,6 +439,10 @@ def parse_kat_lines(lines: Iterable[str]) -> list[KatVector]:
             if "=" not in token:
                 raise GiftError(f"KAT line {lineno}: malformed token {token!r}")
             name, _, value = token.partition("=")
+            if name not in ("key", "pt", "ct"):
+                raise GiftError(f"KAT line {lineno}: unknown field {name!r}")
+            if name in fields:
+                raise GiftError(f"KAT line {lineno}: repeated field {name!r}")
             fields[name] = value
         missing = {"key", "pt", "ct"} - fields.keys()
         if missing:

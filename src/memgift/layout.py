@@ -48,20 +48,6 @@ LAYOUT_MAGIC = "MEMGIFT-LAYOUT"
 LAYOUT_VERSION = "v1"
 
 
-@dataclass(frozen=True)
-class PermWiring:
-    """Inter-round feedback wiring: round-output bit i lands at targets[i]."""
-
-    targets: tuple[int, ...]
-
-    @classmethod
-    def for_variant(cls, variant: CipherVariant) -> "PermWiring":
-        return cls(perm_table(variant))
-
-    def __len__(self) -> int:
-        return len(self.targets)
-
-
 @dataclass
 class SliceKeyMatrix:
     """Key/constant region of one slice.
@@ -85,13 +71,12 @@ class SliceKeyMatrix:
 
 @dataclass
 class LayoutBundle:
-    """Everything needed to program and wire the slices for one key."""
+    """Everything needed to program the slices for one key; the feedback
+    wiring is the variant's `perm_table`."""
 
     variant: CipherVariant
     sbox_matrix: np.ndarray  # (16, 4) uint8; row k = S(k), column b = bit b
     slices: list[SliceKeyMatrix]
-    wiring: PermWiring
-    rc_slices: frozenset[int]
 
     def __eq__(self, other) -> bool:
         return (
@@ -99,8 +84,6 @@ class LayoutBundle:
             and self.variant == other.variant
             and np.array_equal(self.sbox_matrix, other.sbox_matrix)
             and self.slices == other.slices
-            and self.wiring == other.wiring
-            and self.rc_slices == other.rc_slices
         )
 
     @property
@@ -145,25 +128,18 @@ def compile_layout(
     """Pre-compute the per-slice RK/RC bits for all rounds of one key."""
     variant = variant_for(variant)
     masks = round_addition_masks(key, variant)
-    wiring = PermWiring.for_variant(variant)
     nbytes = variant.block_bits // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
     # (rounds, n) bit-plane of the masks, gathered at each slice's targets
     plane = np.unpackbits(
         np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little"
     )
-    targets = np.array(wiring.targets).reshape(variant.nibbles, 4)
+    targets = np.array(perm_table(variant)).reshape(variant.nibbles, 4)
     slices = []
     for j in range(variant.nibbles):
         cols = slice_columns(variant, j)
         slices.append(SliceKeyMatrix(j, cols, plane[:, targets[j, list(cols)]]))
-    return LayoutBundle(
-        variant=variant,
-        sbox_matrix=sbox_bit_matrix(sbox),
-        slices=slices,
-        wiring=wiring,
-        rc_slices=rc_slice_set(variant),
-    )
+    return LayoutBundle(variant=variant, sbox_matrix=sbox_bit_matrix(sbox), slices=slices)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +151,7 @@ def evaluate_digital(bundle: LayoutBundle, pt: int, feedback: str = "permuted") 
     """Every round: per slice, out = S(in) XOR key row, then feedback wiring."""
     if feedback not in ("permuted", "local"):
         raise LayoutError(f"unknown feedback mode: {feedback!r}")
-    sbox, targets = bundle.sbox, bundle.wiring.targets
+    sbox, targets = bundle.sbox, perm_table(bundle.variant)
     state = pt
     for rnd in range(bundle.variant.rounds):
         out = 0
@@ -310,11 +286,7 @@ def import_layout(path) -> LayoutBundle:
         raise LayoutError("slices carry different S-box contents")
     if sorted(first_sb) != list(range(16)):
         raise LayoutError("S-box rows are not a permutation of 0..15")
-    sbox_matrix = np.array(
-        [[(v >> b) & 1 for b in range(4)] for v in first_sb], dtype=np.uint8
-    )
 
-    rc = rc_slice_set(variant)
     slices = []
     for j in range(variant.nibbles):
         cols = slice_columns(variant, j)
@@ -327,10 +299,5 @@ def import_layout(path) -> LayoutBundle:
             for k in range(len(cols)):
                 bits[r, k] = (v >> k) & 1
         slices.append(SliceKeyMatrix(j, cols, bits))
-    return LayoutBundle(
-        variant=variant,
-        sbox_matrix=sbox_matrix,
-        slices=slices,
-        wiring=PermWiring.for_variant(variant),
-        rc_slices=rc,
-    )
+    sbox_matrix = sbox_bit_matrix(SBoxTable(first_sb))
+    return LayoutBundle(variant=variant, sbox_matrix=sbox_matrix, slices=slices)

@@ -28,7 +28,6 @@ have served enough blocks.  An S-box rewrite drops the table.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -38,6 +37,7 @@ import numpy as np
 
 from .crossbar import (
     PARTNER_ABSENT,
+    CrossbarError,
     DeviceParams,
     ReadCapture,
     column_resistances,
@@ -49,7 +49,15 @@ from .crossbar import (
     scheme_for,
 )
 from .errors import MemgiftError
-from .gift import GIFT_SBOX, CipherState, CipherVariant, SBoxTable, encrypt_block, variant_for
+from .gift import (
+    GIFT_SBOX,
+    CipherState,
+    CipherVariant,
+    SBoxTable,
+    encrypt_block,
+    perm_table,
+    variant_for,
+)
 from .layout import (
     LayoutBundle,
     bits_to_state,
@@ -136,7 +144,6 @@ class EncryptionSession:
             raise PipelineError(f"unknown feedback mode: {feedback!r}")
         self.feedback = feedback
         self.bundle: LayoutBundle = compile_layout(key, self.variant, sbox)
-        self.sbox = sbox
         self.mask = 0
 
         self.write_log = EventLog(self.variant.name, self.scheme.name)
@@ -148,7 +155,7 @@ class EncryptionSession:
         self._n_readout = 4 * self.variant.nibbles - self._n_xor
 
         if self.feedback == "permuted":
-            targets = np.array(self.bundle.wiring.targets)
+            targets = np.array(perm_table(self.variant))
         else:
             targets = np.arange(self.variant.block_bits)
         # the wiring inverted: next-state bit i is sensed bit _sources[i]
@@ -187,7 +194,6 @@ class EncryptionSession:
         )
         self.write_log.add("cell_write", written.sb_bits.size)
         self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)
-        self.sbox = sbox
         self.mask = 0
         # the table describes the cells it was read from
         self._read_table = None
@@ -573,19 +579,19 @@ def run_sweep(
     over the rounds, and the reference ciphertext is computed once.
     """
     sigmas = tuple(float(s) for s in sigmas)
-    for sigma in sigmas:
-        if not math.isfinite(sigma):
-            raise PipelineError(f"sigma values must be finite, got {sigma}")
-        if sigma < 0:
-            raise PipelineError("sigma values must be non-negative")
     if blocks < 0:
         raise PipelineError(f"blocks must be non-negative, got {blocks}")
-    if seed < 0:
-        raise PipelineError(f"seed must be non-negative, got {seed}")
+    base = base_params if base_params is not None else DeviceParams()
+    # a lane is the base device at its sigma_c2c: DeviceParams checks each
+    # sigma, with the base's sigma_d2d, and the seed (alone, with no lane)
+    try:
+        for sigma in sigmas or (base.sigma_c2c,):
+            replace(base, sigma_c2c=sigma, seed=seed)
+    except CrossbarError as exc:
+        raise PipelineError(str(exc)) from None
     if not sigmas:
         return []
     variant = variant_for(variant)
-    base = base_params if base_params is not None else DeviceParams()
     bit_errors = np.zeros(len(sigmas), dtype=np.int64)
     block_errors = np.zeros(len(sigmas), dtype=np.int64)
     sensed = 0

@@ -5,6 +5,7 @@ import random
 import threading
 import weakref
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -84,12 +85,19 @@ def test_hex_arguments_take_ascii_hex_digits_only(capsys, tmp_path, bad_hex):
 
 def test_encrypt_bad_device_config_exits_3(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("r_lrs = -5\n")
-    code, _, err = run(
-        capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT,
-        "--device-params", str(cfg),
-    )
-    assert code == 3 and "configuration error" in err
+    # the unbounded sigmas encrypted, exit 0, through overflow and NaN warnings
+    for contents in (
+        "r_lrs = -5\n",
+        "sigma_c2c = 1e308\n",
+        "sigma_d2d = 1e308\n",
+        "sigma_d2d = 1e154\nsigma_c2c = 1e154\n",
+    ):
+        cfg.write_text(contents)
+        code, out, err = run(
+            capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT,
+            "--device-params", str(cfg),
+        )
+        assert code == 3 and out == "" and "configuration error" in err
     code, _, _ = run(
         capsys, "encrypt", "--key", KAT_KEY, "--pt", KAT_PT,
         "--device-params", str(tmp_path / "missing.cfg"),
@@ -209,6 +217,45 @@ def test_encrypt_rejects_one_file_for_both_traces(capsys, tmp_path):
     )
     assert code == 2 and out == "" and "same file" in err
     assert list(tmp_path.iterdir()) == []
+
+
+PT_FILE = ("--pt-file", KAT_PT + "\n")
+DEVICE_FILE = ("--device-params", "seed = 3\n")
+ENCRYPT = ("encrypt", "--key", KAT_KEY)
+
+
+@pytest.mark.parametrize(
+    "argv, given, output, spelling",
+    [
+        (ENCRYPT, PT_FILE, "--trace", "{}"),
+        (ENCRYPT, PT_FILE, "--analog-trace", "{}"),
+        (ENCRYPT + ("--pt", KAT_PT), DEVICE_FILE, "--trace", "./{}"),
+        (ENCRYPT + ("--pt", KAT_PT), DEVICE_FILE, "--analog-trace", "{}"),
+        (("sweep", "--sigmas", "0", "--blocks", "1"), DEVICE_FILE, "--out", "{}"),
+        (("energy-report",), ("--params", "clock_hz = 10e6\n"), "--json", "{}"),
+        (("energy-report",), DEVICE_FILE, "--json", "./{}"),
+    ],
+    ids=[
+        "pt-file/trace",
+        "pt-file/analog-trace",
+        "device-params/trace",
+        "device-params/analog-trace",
+        "sweep-device-params/out",
+        "params/json",
+        "energy-device-params/json",
+    ],
+)
+def test_no_output_overwrites_an_input(
+    capsys, tmp_path, monkeypatch, argv, given, output, spelling
+):
+    # each of these ran, exited 0 and replaced the input with its output
+    monkeypatch.chdir(tmp_path)
+    option, contents = given
+    Path("input.txt").write_text(contents)
+    code, out, err = run(capsys, *argv, option, "input.txt", output, spelling.format("input.txt"))
+    assert code == 2 and out == "" and "same file" in err
+    assert Path("input.txt").read_text() == contents
+    assert os.listdir(tmp_path) == ["input.txt"]
 
 
 def test_decrypt_reference(capsys):
@@ -420,6 +467,14 @@ def test_kat_command_fails_on_bad_vector(capsys, tmp_path):
     assert code == 1 and "0/1 passed" in out
 
 
+def test_kat_command_rejects_a_repeated_field(capsys, tmp_path):
+    # the last ct, the right one, was checked and the line passed
+    f = tmp_path / "v.kat"
+    f.write_text(f"key={KAT_KEY} pt={KAT_PT} ct={'0' * 32} ct={KAT_CT}\n")
+    code, out, err = run(capsys, "kat", "--file", str(f))
+    assert code == 2 and out == "" and "repeated field 'ct'" in err
+
+
 def test_kat_command_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "kat", "--file", str(tmp_path / "none.kat"))
     assert code == 2 and "input error" in err
@@ -481,6 +536,18 @@ def test_sweep_stdout_and_bad_sigmas(capsys):
     assert code == 2 and "input error" in err and out == ""
     code, out, err = run(capsys, "sweep", "--blocks", "-3")
     assert code == 2 and "input error" in err and out == ""
+
+
+def test_sweep_rejects_unbounded_sigmas_exits_2(capsys, tmp_path):
+    # 1e308 reported a BER of 0.526; 1e154 is out of bounds on a d2d of 1e154
+    code, out, err = run(capsys, "sweep", "--sigmas", "0,1e308", "--blocks", "1")
+    assert code == 2 and out == "" and "largest read resistance" in err
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("sigma_d2d = 1e154\n")
+    code, out, err = run(
+        capsys, "sweep", "--sigmas", "0,1e154", "--blocks", "1", "--device-params", str(cfg)
+    )
+    assert code == 2 and out == "" and "largest read resistance" in err
 
 
 def test_sweep_negative_seed_exits_2(capsys):

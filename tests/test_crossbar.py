@@ -601,6 +601,21 @@ def test_non_finite_amp_params_rejected(tmp_path, name):
             load_device_config(cfg)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [{"sigma_c2c": 1e308}, {"sigma_d2d": 1e308}, {"sigma_d2d": 1e154, "sigma_c2c": 1e154}],
+)
+def test_variation_sigmas_bounded_together(tmp_path, values):
+    # A read of an HRS cell at the top of both clamps overflowed into NaN
+    # nodes; 1e154 passes a bound on each sigma alone, not on their product.
+    with pytest.raises(CrossbarError, match="largest read resistance"):
+        DeviceParams(**values)
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+    with pytest.raises(ConfigError, match="largest read resistance"):
+        load_device_config(cfg)
+
+
 AMP_KEYS = ["sxor.m2", "ro_s.vth", "dxor.r_nor", "ro_d.gain"]
 DEVICE_KEYS = [f.name for f in fields(DeviceParams)] + AMP_KEYS
 ENERGY_KEYS = ["dxor_sense", "cell_write", "clock_hz", "static.decoders", "area.crossbar"]

@@ -412,3 +412,8 @@ def test_kat_parser_errors():
         parse_kat_lines(["key=" + "0" * 32 + " pt=" + "0" * 16])
     with pytest.raises(GiftError):
         parse_kat_lines(["key=" + "0" * 32 + " pt=" + "0" * 16 + " ct=" + "0" * 32])
+    # each of key, pt and ct once, and nothing else
+    line = "key=" + "0" * 32 + " pt=0001020304050607 ct=0001020304050607"
+    for extra in (" ct=ffffffffffffffff", " foo=zz", " key=" + "0" * 32, " PT=0001020304050607"):
+        with pytest.raises(GiftError, match="KAT line 1: (repeated|unknown) field"):
+            parse_kat_lines([line + extra])

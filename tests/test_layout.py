@@ -142,7 +142,7 @@ def evaluate_digital_batch(bundle, pts, feedback="permuted"):
     for km in bundle.slices:
         for k, b in enumerate(km.columns):
             key_plane[:, 4 * km.slice_index + b] = km.bits[:, k]
-    targets = np.array(bundle.wiring.targets) if feedback == "permuted" else np.arange(n)
+    targets = np.array(perm_table(bundle.variant)) if feedback == "permuted" else np.arange(n)
     state = np.array(pts, dtype=np.uint8)  # private copy; rounds run in place
     out = np.empty_like(state)
     for r in range(variant.rounds):

@@ -1,18 +1,22 @@
 import io
 import json
 import random
+import sys
+import warnings
 from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from memgift import pipeline
 from memgift.crossbar import (
     SCHEMES,
+    VARIATION_CLAMP_SIGMA,
+    CrossbarError,
     DeviceParams,
     ReadCapture,
     load_device_config,
@@ -75,7 +79,7 @@ def test_d2d_programming_draws_each_slice_in_order(variant):
     # draws both again and keeps only the S-box ones.
     params = DeviceParams(sigma_d2d=0.05, seed=41)
     session = EncryptionSession(random.Random(41).getrandbits(128), variant, "dxor", params)
-    session.reprogram_sbox(session.sbox.inverse())
+    session.reprogram_sbox(session.bundle.sbox.inverse())
     seeds = np.random.SeedSequence(params.seed).spawn(variant.nibbles)
     nominal = lambda bits: np.where(bits != 0, params.r_lrs, params.r_hrs)
     for j, km in enumerate(session.bundle.slices):
@@ -98,7 +102,7 @@ def test_d2d_programming_draws_each_slice_in_order(variant):
 def test_ideal_session_creates_no_noise_streams():
     session = EncryptionSession(random.Random(42).getrandbits(128), GIFT128, "dxor")
     session.encrypt(0)
-    session.reprogram_sbox(session.sbox)
+    session.reprogram_sbox(session.bundle.sbox)
     assert "_slice_rngs" not in vars(session)
 
 
@@ -417,7 +421,7 @@ def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch
     encrypt_masked(session, 4, 3)
     assert session._read_table is not None
     # ... and that one served only 1, so the next waits for 3 again
-    session.reprogram_sbox(session.sbox.inverse())
+    session.reprogram_sbox(session.bundle.sbox.inverse())
     for pt in range(3):
         session.encrypt(pt)
         assert session._read_table is None
@@ -759,6 +763,62 @@ def test_sweep_rejects_bad_inputs_before_any_work(monkeypatch, sigmas, blocks):
     monkeypatch.setattr("memgift.pipeline.EncryptionSession", no_session)
     with pytest.raises(PipelineError):
         run_sweep(GIFT128, "dxor", sigmas, blocks=blocks)
+
+
+def test_sweep_bounds_each_sigma_with_the_base_d2d(monkeypatch):
+    # 1e308 overflowed a read into NaN nodes and a BER of 0.526; 1e154 passes
+    # alone, but not on top of the base's sigma_d2d of 1e154
+    def no_session(*args, **kwargs):
+        raise AssertionError("a session was built before the sigmas were checked")
+
+    monkeypatch.setattr("memgift.pipeline.EncryptionSession", no_session)
+    with pytest.raises(PipelineError, match="largest read resistance"):
+        run_sweep(GIFT128, "dxor", [0.0, 1e308], blocks=1)
+    base = DeviceParams(sigma_d2d=1e154)
+    with pytest.raises(PipelineError, match="largest read resistance"):
+        run_sweep(GIFT128, "dxor", [0.0, 1e154], blocks=1, base_params=base)
+
+
+@st.composite
+def params_near_the_sigma_bound(draw):
+    """DeviceParams fields whose largest read resistance lies at or near the
+    top of the float range: r_hrs, wire and sigma_d2d are drawn, and
+    sigma_c2c is a drawn fraction of the largest they leave (all of it, at 1)."""
+    top = sys.float_info.max
+    # r_hrs = top is finite, but its conductance, 1/top, inverts to inf
+    exponents = st.floats(3.5, 308.25).map(lambda e: 10.0**e)
+    r_hrs = draw(st.one_of(st.just(top), st.floats(3.5e3, top), exponents))
+    sigma_d2d = ((top / r_hrs) ** draw(st.floats(0.0, 1.0)) - 1) / VARIATION_CLAMP_SIGMA
+    wire = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3), st.floats(0.0, top)))
+    headroom = (top - wire) / (r_hrs * (1 + VARIATION_CLAMP_SIGMA * sigma_d2d))
+    largest_c2c = max(headroom - 1, 0.0) / VARIATION_CLAMP_SIGMA
+    sigma_c2c = largest_c2c * draw(st.one_of(st.just(1.0), st.floats(0.5, 1.0)))
+    return dict(r_hrs=r_hrs, wire_r_per_cell=wire, sigma_d2d=sigma_d2d, sigma_c2c=sigma_c2c)
+
+
+@settings(max_examples=60)
+@given(
+    values=params_near_the_sigma_bound(),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    key=st.integers(0, 2**128 - 1),
+    pt=st.integers(0, 2**64 - 1),
+)
+def test_reads_near_the_sigma_bound_stay_finite(values, scheme, key, pt):
+    # DeviceParams rejects the parameters, or every read of them stays finite
+    try:
+        params = DeviceParams(**values, seed=3)
+    except CrossbarError:
+        event("rejected by the bound")
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_sweep(GIFT64, scheme, [params.sigma_c2c], blocks=1, base_params=params)
+        _, traces = EncryptionSession(key, GIFT64, scheme, params).encrypt(pt, trace=True)
+    capture = traces[0].analog
+    assert not np.isnan(capture.r_eq).any()
+    for nodes in capture.nodes.values():
+        for volts in nodes.values():
+            assert not np.isnan(volts).any()
 
 
 def test_sweep_monotone_and_deterministic():
