@@ -13,6 +13,12 @@ and `resolve` senses it with the amp's one statement of its maths.  The
 fast path stops at the bits; `read_round` is the same read with node
 capture, over all of a block's rounds in one pass, as columnar arrays.
 
+A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
+of the stacked cells seen as (S*16, 4) (`flat_rows`), so any selection,
+of one lane or many, is one `take`.  The partner branch does not depend
+on the selected rows: `partner_conductances` gives it for any set of
+rounds, so a caller reading many rounds computes it once.
+
 On nominal cells every read is one of six pairings: an S-box cell holding
 0 or 1 against a partner holding 0 or 1 (sensed by the XOR amp) or no
 partner (sensed by the read-out amp).  That grid is the one statement of
@@ -108,6 +114,19 @@ class DeviceParams:
                 "the largest read resistance, r_hrs*(1 + 4*sigma_d2d)*(1 + 4*sigma_c2c) + "
                 f"wire_r_per_cell, is not finite at sigma_d2d={self.sigma_d2d}, "
                 f"sigma_c2c={self.sigma_c2c}"
+            )
+        # The smallest, an LRS cell at the bottom of both clamps, must have a
+        # finite conductance, and so must two such cells in parallel.
+        d2d, c2c = (
+            max(1 - VARIATION_CLAMP_SIGMA * s, MIN_RESISTANCE_FACTOR)
+            for s in (self.sigma_d2d, self.sigma_c2c)
+        )
+        r_min = self.r_lrs * d2d * c2c + self.wire_r_per_cell
+        if not (r_min > 0 and math.isfinite(2 / r_min)):
+            raise CrossbarError(
+                "the smallest read resistance, r_lrs*max(1 - 4*sigma_d2d, 0.01)*"
+                "max(1 - 4*sigma_c2c, 0.01) + wire_r_per_cell, has no finite conductance"
+                f" at r_lrs={self.r_lrs}, wire_r_per_cell={self.wire_r_per_cell}"
             )
 
 
@@ -384,40 +403,54 @@ def scheme_for(spec) -> SenseAmpScheme:
 
 
 def draw_read_factors(
-    sigmas: Sequence[float], rng: Optional[np.random.Generator], reads: int = 1
+    sigmas: Sequence[float], rngs: Optional[Sequence[np.random.Generator]], reads: int = 1
 ) -> np.ndarray:
-    """Cycle-to-cycle factors for the next `reads` reads of one slice, one
-    set per sigma: shape (len(sigmas), reads, 2, 4).  Row 0 of a read
-    scales the four S-box cells, row 1 the four partner cells (unused
-    entries are drawn anyway so the stream position never depends on slice
-    geometry).  The normals are drawn once, in read order, and scaled by
+    """Cycle-to-cycle factors for the next `reads` reads of every slice, one
+    set per sigma, in the read kernel's layout: shape (reads, 2,
+    len(sigmas), S, 4).  Row 0 of a read scales slice j's four S-box
+    cells, row 1 its four partner cells (unused entries are drawn anyway so
+    the stream position never depends on slice geometry).  Slice j's
+    normals come from rngs[j], drawn once, in read order, and scaled by
     every sigma, so all sigmas share one noise stream; drawing `reads`
-    reads at once leaves the generator where `reads` single draws would.
+    reads at once leaves each generator where `reads` single draws would.
     """
-    if rng is None:
-        raise CrossbarError("sigma_c2c > 0 requires an RNG")
-    z = rng.standard_normal((reads, 2, 4))
-    return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1, 1), z)
+    if rngs is None:
+        raise CrossbarError("sigma_c2c > 0 requires an RNG per slice")
+    z = np.stack([rng.standard_normal((reads, 2, 4)) for rng in rngs], axis=2)
+    return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1), z[:, :, None])
 
 
-def column_resistances(state: ProgrammedState, rows, rnd, factors=None) -> np.ndarray:
-    """Bit-line equivalent resistance of every column when slice j's S-box
-    row rows[..., j] and the key row of round rnd are selected: shape
-    rows.shape + (4,).  rnd may be an array of rounds: shape (R,) with rows
-    (R, S) reads round rnd[i] on rows[i]; shape (k, 1) reads every round on
-    every row, giving (k,) + rows.shape + (4,).  factors, shape
-    (..., 2, 4), scale the selected S-box ([..., 0, :]) and partner
-    ([..., 1, :]) cells; without them the ideal conductances are used."""
-    idx = state.slice_index
+def partner_conductances(state: ProgrammedState, rnd, factors=None) -> np.ndarray:
+    """Conductance of every column's partner branch in round rnd, an int or
+    an int array: shape rnd.shape + (S, 4), zero on read-out columns.
+    factors, broadcast against that shape, scale the partner cells as
+    1/(r*f + wire); without them the ideal conductances are used.  It does
+    not depend on the selected S-box rows, so a noisy block computes it for
+    all of its rounds and lanes at once."""
     if factors is None:
-        g = state.sb_g[idx, rows] + state.partner_g[rnd]
+        return state.partner_g[rnd]
+    return 1.0 / (state.partner_res.transpose(1, 0, 2)[rnd] * factors + state.wire_r)
+
+
+def column_resistances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
+    """Bit-line equivalent resistance of every column that reads the flat
+    S-box rows `at` against partner branches of conductance partner_g:
+    shape at.shape + (4,), broadcast with partner_g.  Flat row 16*j + row
+    is slice j's S-box row `row`, so a read of any selection is one `take`
+    on the (S*16, 4) rows.  factors, shape at.shape + (4,), scale the
+    selected S-box cells as 1/(r*f + wire); without them the ideal
+    conductances are used.  The branches are summed, then inverted."""
+    if factors is None:
+        g = state.sb_g.reshape(-1, 4).take(at, axis=0) + partner_g
     else:
-        wire = state.wire_r
-        partner_res = state.partner_res.transpose(1, 0, 2)[rnd]
-        g = 1.0 / (state.sb_res[idx, rows] * factors[..., 0, :] + wire) + 1.0 / (
-            partner_res * factors[..., 1, :] + wire
-        )
+        sb_res = state.sb_res.reshape(-1, 4).take(at, axis=0)
+        g = 1.0 / (sb_res * factors + state.wire_r) + partner_g
     return 1.0 / g
+
+
+def flat_rows(state: ProgrammedState, rows) -> np.ndarray:
+    """The flat S-box rows 16*j + rows[..., j] of per-slice rows (..., S)."""
+    return np.asarray(rows) + 16 * state.slice_index
 
 
 # Partner codes of the nominal read grid: a partner cell's bit, or no partner.
@@ -484,13 +517,16 @@ def read_round(
         raise CrossbarError("need one S-box row in 0..15 per slice and read")
     if factors is not None and np.shape(factors) != rows.shape + (2, 4):
         raise CrossbarError(f"need factors of shape {rows.shape + (2, 4)}")
-    r_eq = column_resistances(state, rows, rnds, factors)
+    at = flat_rows(state, rows)
+    sb_f, partner_f = (None, None) if factors is None else np.moveaxis(factors, -2, 0)
+    r_eq = column_resistances(state, at, partner_conductances(state, rnds, partner_f), sb_f)
     xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
     readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
     bits = np.where(state.xor_mask, xor.bit, readout.bit)
     nodes = {"xor": xor.nodes, "readout": readout.nodes}
-    stored = state.sb_bits[state.slice_index, rows], state.partner_bits[:, rnds].swapaxes(0, 1)
-    return ReadCapture(bits, r_eq, nodes, *stored, state.xor_mask)
+    sb_bits = state.sb_bits.reshape(-1, 4).take(at, axis=0)
+    partner_bits = state.partner_bits[:, rnds].swapaxes(0, 1)
+    return ReadCapture(bits, r_eq, nodes, sb_bits, partner_bits, state.xor_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -95,9 +95,14 @@ class LayoutBundle:
         return sum(16 * 4 + m.bits.size for m in self.slices)
 
 
+@lru_cache(maxsize=64)
 def sbox_bit_matrix(sbox: SBoxTable) -> np.ndarray:
+    """The (16, 4) bits of an S-box, row k = S(k), column b = bit b; cached
+    per S-box, so read-only."""
     rows = [[(sbox[k] >> b) & 1 for b in range(4)] for k in range(16)]
-    return np.array(rows, dtype=np.uint8)
+    matrix = np.array(rows, dtype=np.uint8)
+    matrix.setflags(write=False)
+    return matrix
 
 
 @lru_cache(maxsize=None)
@@ -122,6 +127,18 @@ def slice_columns(variant: CipherVariant, slice_index: int) -> tuple[int, ...]:
     return cols
 
 
+@lru_cache(maxsize=None)
+def _key_geometry(block_bits: int):
+    """Every slice's key columns, the mask bit that each key column of each
+    slice holds (slices in order), and each slice's span of those columns."""
+    variant = variant_for(block_bits)
+    table = perm_table(variant)
+    columns = [slice_columns(variant, j) for j in range(variant.nibbles)]
+    targets = np.array([table[4 * j + b] for j, cols in enumerate(columns) for b in cols])
+    ends = np.cumsum([len(cols) for cols in columns]).tolist()
+    return columns, targets, list(zip([0] + ends[:-1], ends))
+
+
 def compile_layout(
     key: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX
 ) -> LayoutBundle:
@@ -130,15 +147,17 @@ def compile_layout(
     masks = round_addition_masks(key, variant)
     nbytes = variant.block_bits // 8
     raw = b"".join(m.to_bytes(nbytes, "little") for m in masks)
-    # (rounds, n) bit-plane of the masks, gathered at each slice's targets
+    # (rounds, n) bit-plane of the masks
     plane = np.unpackbits(
         np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little"
     )
-    targets = np.array(perm_table(variant)).reshape(variant.nibbles, 4)
-    slices = []
-    for j in range(variant.nibbles):
-        cols = slice_columns(variant, j)
-        slices.append(SliceKeyMatrix(j, cols, plane[:, targets[j, list(cols)]]))
+    columns, targets, spans = _key_geometry(variant.block_bits)
+    # every slice's key columns in one gather; each slice's bits are a view
+    bits = plane[:, targets]
+    slices = [
+        SliceKeyMatrix(j, cols, bits[:, start:end])
+        for j, (cols, (start, end)) in enumerate(zip(columns, spans))
+    ]
     return LayoutBundle(variant=variant, sbox_matrix=sbox_bit_matrix(sbox), slices=slices)
 
 

@@ -14,13 +14,25 @@ lanes of blocks: fast, noisy, stepped and traced encryption and the
 sweep's sigma points all run through it.  A traced block then captures
 the nodes of all its rounds' reads in one `crossbar.read_round` pass.
 
+The kernel's state is, per lane, the flat S-box row each slice reads:
+`at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
+slices (B*S).  A round takes those rows (from the read table, or from the
+cells through `crossbar.column_resistances` and the amps), takes the
+sensed bits the wiring routes to each next-state bit, packs every 4 of
+them into a nibble and adds 16*j back.  A noisy block computes what does
+not depend on the selected rows once: its factors come in the kernel's
+layout, (rounds, 2, B, S, 4), its partner branches for every round and
+lane in one operation, and its bit errors in one comparison over the
+recorded rows after the last round.  A traced block records `at & 15`.
+
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its input nibble while the cells stay as programmed, so a
-session looks its ideal reads, traced or not, up in a read table of shape
-(rounds, 16, S, 4).  On nominal devices (no d2d variation) every cell is
-LRS or HRS, so the table is gathered from `crossbar.nominal_reads`, one
-sense of each operand pairing, and is built at the first such block of
-every programming.  With d2d variation every cell differs: the kernel
+session looks its ideal reads, traced or not, up in a read table of 0/1
+bytes, slice-major, shape (rounds, S, 16, 4): round rnd's reads are the
+flat rows of `table[rnd].reshape(S * 16, 4)`.  On nominal devices (no
+d2d variation) every cell is LRS or HRS, so the table is gathered from
+`crossbar.nominal_reads`, one sense of each operand pairing, and is built
+at the first such block of every programming.  With d2d variation every cell differs: the kernel
 reads every S-box row of every round once, which pays only once the cells
 have served enough blocks.  An S-box rewrite drops the table.
 """
@@ -42,7 +54,9 @@ from .crossbar import (
     ReadCapture,
     column_resistances,
     draw_read_factors,
+    flat_rows,
     nominal_reads,
+    partner_conductances,
     program_slice,
     read_round,
     resolve,
@@ -72,6 +86,8 @@ class PipelineError(MemgiftError, RuntimeError):
 
 
 _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
+# set bits of every nibble value
+_POPCOUNT = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
 
 # With d2d variation, a read table costs 1.1-1.4 kernel blocks to build and
 # makes a block about 3x cheaper (GIFT-128 dxor on a 2-vCPU VM: build
@@ -160,6 +176,8 @@ class EncryptionSession:
             targets = np.arange(self.variant.block_bits)
         # the wiring inverted: next-state bit i is sensed bit _sources[i]
         self._sources = np.argsort(targets)
+        # slice j's first flat S-box row, 16*j
+        self._row_base = flat_rows(self.state, 0)
 
         self.register_bits = np.zeros(self.variant.block_bits, dtype=np.uint8)
         self.round_counter = 0
@@ -201,20 +219,22 @@ class EncryptionSession:
 
     # -- reads --------------------------------------------------------------
 
-    def _sense(self, rows, rnd, factors=None) -> np.ndarray:
-        """Bits sensed on every column when slice j's S-box row rows[..., j]
-        and round rnd are selected: shape rows.shape + (4,); an ideal read
-        of k rounds at once, rnd shape (k, 1), gives (k,) + rows.shape + (4,)."""
+    def _sense(self, at, partner_g, factors=None) -> np.ndarray:
+        """Bits sensed on every column of the flat S-box rows `at`, shape
+        (..., S), against partner branches of conductance partner_g (see
+        `column_resistances`): shape at.shape + (4,), broadcast with
+        partner_g."""
         state, vdd = self.state, self.params.vdd
-        r_eq = column_resistances(state, rows, rnd, factors)
+        r_eq = column_resistances(state, at, partner_g, factors)
         xor_bits = resolve(self.scheme.xor_amp, r_eq, vdd)
         ro_bits = resolve(self.scheme.readout_amp, r_eq, vdd)
         return np.where(state.xor_mask, xor_bits, ro_bits)
 
     def _build_read_table(self) -> np.ndarray:
-        """Every ideal read of the programmed state, shape (rounds, 16, S, 4):
-        entry [rnd, row, j] is what slice j senses on S-box row `row` in
-        round rnd."""
+        """Every ideal read of the programmed state, slice-major, shape
+        (rounds, S, 16, 4): entry [rnd, j, row] is what slice j senses on
+        S-box row `row` in round rnd, so round rnd's reads are the flat rows
+        of `table[rnd].reshape(S * 16, 4)`."""
         if self.params.sigma_d2d > 0:
             return self._kernel_read_table()
         # Nominal cells: every read is one of the grid's cell pairings.  A
@@ -225,8 +245,13 @@ class EncryptionSession:
         code = state.partner_bits.transpose(1, 0, 2) | PARTNER_ABSENT * ~state.xor_mask
         # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
         lo, hi = nominal_reads(self.params, self.scheme).take(code, axis=1)
-        sb_bits = np.ascontiguousarray(state.sb_bits.transpose(1, 0, 2)).view(bool)
-        table = lo[:, None] ^ (sb_bits & (lo ^ hi)[:, None])
+        # A row's 4 cells as one 4-byte word, so that the broadcast over the
+        # 16 rows runs on words; the bitwise ops act on each byte alike.
+        lo, flip, cells = (
+            np.ascontiguousarray(a).view(np.uint32)[..., 0] for a in (lo, lo ^ hi, state.sb_bits)
+        )
+        table = lo[..., None] ^ (cells & flip[..., None])  # (rounds, S, 16)
+        table = table.view(np.uint8).reshape(state.rounds, -1, 16, 4)
         table.setflags(write=False)
         return table
 
@@ -234,12 +259,13 @@ class EncryptionSession:
         """The read table by kernel reads of a few rounds at a time, the 16
         rows as lanes."""
         rounds, nibbles = self.variant.rounds, self.variant.nibbles
-        rows = np.broadcast_to(np.arange(16)[:, None], (16, nibbles))
+        at = np.arange(16)[:, None] + self._row_base  # (16, S)
         step = max(1, _TABLE_BUILD_LANES // (16 * nibbles * 4))
-        table = np.empty((rounds, 16, nibbles, 4), dtype=bool)
+        table = np.empty((rounds, nibbles, 16, 4), dtype=np.uint8)
         for first in range(0, rounds, step):
             rnds = np.arange(first, min(first + step, rounds))[:, None]
-            table[first : first + len(rnds)] = self._sense(rows, rnds)
+            reads = self._sense(at, self.state.partner_g[rnds])  # (k, 16, S, 4)
+            table[first : first + len(rnds)] = reads.transpose(0, 2, 1, 3)
         table.setflags(write=False)
         return table
 
@@ -255,48 +281,73 @@ class EncryptionSession:
 
     def _read_factors(self, reads: int, sigmas):
         """Cycle-to-cycle factors for the next `reads` reads of one lane per
-        sigma, shape (len(sigmas), S, reads, 2, 4), or None when every sigma
+        sigma, shape (reads, 2, len(sigmas), S, 4), or None when every sigma
         is zero.  All lanes scale the same normals (common random numbers)."""
         if not any(s > 0 for s in sigmas):
             return None
-        factors = np.empty((len(sigmas), self.variant.nibbles, reads, 2, 4))
-        for j, rng in enumerate(self._slice_rngs):
-            factors[:, j] = draw_read_factors(sigmas, rng, reads)
-        return factors
+        return draw_read_factors(sigmas, self._slice_rngs, reads)
 
     def _read_rounds(
         self, bits: np.ndarray, rounds: range, factors=None, count_errors=False, rows_read=None
     ):
         """The read kernel: run `rounds` on every lane of `bits`, shape (B, n).
 
-        factors, when given, has shape (B, S, len(rounds), 2, 4): entry
-        [..., 0, :] scales a read's S-box cells, [..., 1, :] its partner
-        cells.  Returns the bits after the last round and, per lane, the
-        number of sensed bits that disagree with the ideal digital value
-        (zeros unless count_errors).  An ideal read looks its bits up in the
+        factors, when given, has shape (len(rounds), 2, B, S, 4): entry
+        [i, 0] scales the S-box cells of round i's reads, [i, 1] their
+        partner cells.  Returns the bits after the last round and, per lane,
+        the number of sensed bits that disagree with the ideal digital value
+        (zeros unless count_errors).  An ideal read takes its bits from the
         read table when the session has built one.  With a `rows_read`
         list, each round's selected S-box rows, shape (B, S), are appended
         to it for a trace to capture.
         """
-        lanes = bits.shape[0]
-        state = self.state
-        idx = state.slice_index
+        lanes, nibbles = bits.shape[0], self.variant.nibbles
+        state, rnds = self.state, np.asarray(rounds, dtype=np.intp)
         table = self._read_table if factors is None else None
-        errors = np.zeros(lanes, dtype=np.int64)
+        base, sources = self._row_base, self._sources
+        if lanes > 1:
+            base = np.tile(base, lanes)
+            sources = (sources + bits.shape[1] * np.arange(lanes)[:, None]).ravel()
+        # the wiring's sources of each next-state nibble's 4 bits
+        sources = sources.reshape(-1, 4)
+        # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
+        at = np.add(bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
+        history = [at] if count_errors or rows_read is not None else None
+        if table is not None:
+            table = table.reshape(len(table), -1, 4)
+        elif factors is not None:
+            # computed once: the partner branch of every round's reads
+            sb_f, partner_f = factors[:, 0], factors[:, 1]
+            partner_g = partner_conductances(state, rnds[:, None], partner_f)
         for i, rnd in enumerate(rounds):
-            rows = bits.reshape(lanes, len(idx), 4) @ _NIBBLE_WEIGHTS
             if table is not None:
-                out = table[rnd, rows, idx]
+                out = table[rnd].take(at, axis=0)
             else:
-                out = self._sense(rows, rnd, None if factors is None else factors[:, :, i])
+                if factors is None:
+                    g, f = state.partner_g[rnd], None
+                else:
+                    g, f = partner_g[i], sb_f[i]
+                # a bool array is its 0/1 bytes, so the view skips a cast
+                out = self._sense(at.reshape(lanes, nibbles), g, f).view(np.uint8)
+            bits = out.take(sources)
+            at = np.add(bits @ _NIBBLE_WEIGHTS, base)
+            if history is not None:
+                history.append(at)
+        errors = np.zeros(lanes, dtype=np.int64)
+        if history is not None:
+            ats = np.stack(history)
+            read, sensed = ats[:-1], ats[1:] & 15
             if count_errors:
-                expected = state.sb_bits[idx, rows] ^ state.partner_bits[:, rnd]
-                errors += (out != expected).sum(axis=(1, 2))
-            # a bool array is its 0/1 bytes, so the view skips a cast
-            bits = out.reshape(lanes, -1).view(np.uint8).take(self._sources, axis=1)
+                # each read's digital value, routed as its sensed bits were
+                cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
+                partner = state.partner_bits.transpose(1, 0, 2)[rnds, None]
+                expected = cells.reshape(len(read), lanes, nibbles, 4) ^ partner
+                routed = expected.reshape(len(read), lanes * nibbles * 4).take(sources, axis=1)
+                wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ sensed)
+                errors += wrong.reshape(len(read), lanes, nibbles).sum(axis=(0, 2))
             if rows_read is not None:
-                rows_read.append(rows)
-        return bits, errors
+                rows_read.extend((read & 15).reshape(len(read), lanes, nibbles))
+        return bits.reshape(lanes, -1), errors
 
     def step_round(self, state: int) -> int:
         """Run one read cycle on the given state and latch the result."""
@@ -342,7 +393,7 @@ class EncryptionSession:
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
             rows, rnds = np.concatenate(rows_read), np.arange(rounds)
-            f = None if factors is None else factors[0].swapaxes(0, 1)
+            f = None if factors is None else factors[:, :, 0].swapaxes(1, 2)
             analog = read_round(self.state, rows, rnds, self.scheme, self.params.vdd, f)
             outputs = (analog.bits @ _NIBBLE_WEIGHTS).tolist()
             posts = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)

@@ -91,6 +91,7 @@ def test_encrypt_bad_device_config_exits_3(capsys, tmp_path):
         "sigma_c2c = 1e308\n",
         "sigma_d2d = 1e308\n",
         "sigma_d2d = 1e154\nsigma_c2c = 1e154\n",
+        "r_lrs = 1e-320\n",  # encrypted to a wrong ciphertext through overflow warnings
     ):
         cfg.write_text(contents)
         code, out, err = run(

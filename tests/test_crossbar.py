@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -29,7 +30,7 @@ from memgift.crossbar import (
     variation_factor,
 )
 from memgift.energy import load_energy_config
-from memgift.gift import GIFT128, GIFT_SBOX
+from memgift.gift import GIFT64, GIFT128, GIFT_SBOX
 from memgift.layout import SliceKeyMatrix, compile_layout, sbox_bit_matrix
 
 
@@ -511,7 +512,7 @@ def test_noisy_read_requires_rng_and_is_deterministic():
         draw_read_factors((params.sigma_c2c,), None)
 
     def noisy_read(seed):
-        factors = draw_read_factors((params.sigma_c2c,), np.random.default_rng(seed))[0]
+        factors = draw_read_factors((params.sigma_c2c,), [np.random.default_rng(seed)])[:, :, 0, 0]
         return read_one(arr, 3, 0, "sxor", params, factors)
 
     a, b = noisy_read(5), noisy_read(5)
@@ -614,6 +615,57 @@ def test_variation_sigmas_bounded_together(tmp_path, values):
     cfg.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
     with pytest.raises(ConfigError, match="largest read resistance"):
         load_device_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"r_lrs": 1e-320},  # a subnormal: 1/r overflows
+        {"r_lrs": 1e-308},  # 1/r is finite, two such cells in parallel are not
+        {"r_lrs": 1e-306, "sigma_c2c": 0.25},  # at the 0.01 floor of the clamp
+        {"r_lrs": 1e-306, "sigma_d2d": 0.3, "sigma_c2c": 0.3},
+        {"r_lrs": 1e-320, "wire_r_per_cell": 1e-320},
+    ],
+)
+def test_smallest_read_resistance_has_a_finite_conductance(tmp_path, values):
+    # r_lrs = 1e-320 passed `r_lrs > 0`, and every read then overflowed into
+    # a wrong ciphertext with three RuntimeWarnings
+    with pytest.raises(CrossbarError, match="smallest read resistance"):
+        DeviceParams(**values)
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("".join(f"{name} = {value}\n" for name, value in values.items()))
+    with pytest.raises(ConfigError, match="smallest read resistance"):
+        load_device_config(cfg)
+
+
+@settings(max_examples=40)
+@given(
+    exponent=st.floats(-324.0, -290.0),
+    sigma_d2d=st.sampled_from([0.0, 0.1, 0.3]),
+    sigma_c2c=st.sampled_from([0.0, 0.1, 0.3]),
+    wire=st.sampled_from([0.0, 1e-320, 1e-300]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+)
+def test_reads_near_the_resistance_floor_stay_finite(exponent, sigma_d2d, sigma_c2c, wire, scheme):
+    # DeviceParams rejects the parameters, or every read of them is finite
+    try:
+        params = DeviceParams(
+            r_lrs=10.0**exponent, sigma_d2d=sigma_d2d, sigma_c2c=sigma_c2c,
+            wire_r_per_cell=wire, seed=5,
+        )
+    except CrossbarError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        state = program_slice(
+            compile_layout(0x5A, GIFT64).slices, sbox_bit_matrix(GIFT_SBOX), params,
+            [np.random.default_rng(j) for j in range(GIFT64.nibbles)],
+        )
+        rows = np.broadcast_to(np.arange(16)[:, None], (16, GIFT64.nibbles))
+        factors = variation_factor(params.sigma_c2c, np.full((16, GIFT64.nibbles, 2, 4), -9.0))
+        for f in (None, factors):
+            capture = read_round(state, rows, np.arange(16), scheme, params.vdd, f)
+            assert np.isfinite(capture.r_eq).all() and (capture.r_eq > 0).all()
 
 
 AMP_KEYS = ["sxor.m2", "ro_s.vth", "dxor.r_nor", "ro_d.gain"]

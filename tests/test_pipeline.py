@@ -20,6 +20,7 @@ from memgift.crossbar import (
     DeviceParams,
     ReadCapture,
     load_device_config,
+    resolve,
     variation_factor,
 )
 from memgift.gift import (
@@ -283,7 +284,7 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     else:
         # the table's bits, which are the kernel's, of the rows the walk read
         rows = np.array([t.input_nibbles for t in traces])
-        table = session._read_table[np.arange(40)[:, None], rows, session.state.slice_index]
+        table = session._read_table[np.arange(40)[:, None], session.state.slice_index, rows]
         assert np.array_equal(analog.bits, table)
     # round r's captured bits, through the wiring, are the rows round r + 1 read
     routed = analog.bits.reshape(40, -1).view(np.uint8)[:, session._sources]
@@ -414,7 +415,7 @@ def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch
         session.encrypt(pt)
         assert session._read_table is None
     session.encrypt(3)
-    assert session._read_table.shape == (28, 16, 16, 4)
+    assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
     # the last programming served 4 blocks: the next builds on its first
     apply_mask(session, 3)
     assert session._read_table is None
@@ -471,7 +472,7 @@ def test_nominal_read_table_is_built_at_the_first_block_of_each_programming(monk
     session = EncryptionSession(key, GIFT64, "dxor")
     assert session._read_table is None
     session.encrypt(0)
-    assert session._read_table.shape == (28, 16, 16, 4)
+    assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
     table = session._read_table
     session.encrypt(1)
     assert session._read_table is table
@@ -494,6 +495,102 @@ def test_nominal_read_table_is_built_at_the_first_block_of_each_programming(monk
     assert traced._read_table is None
     encrypt_masked(traced, 5, 5, trace=True)
     assert traced._read_table is not None
+
+
+def oracle_factors(session, reads, sigmas):
+    """The per-slice factor draw the kernel's layout replaced: slice j's
+    (reads, 2, 4) normals from its own stream, scaled by every sigma, as
+    (lanes, S, reads, 2, 4); None when every sigma is zero."""
+    if not any(s > 0 for s in sigmas):
+        return None
+    sigma = np.asarray(sigmas, dtype=float).reshape(-1, 1, 1, 1)
+    normals = [rng.standard_normal((reads, 2, 4)) for rng in session._slice_rngs]
+    return np.stack([variation_factor(sigma, z) for z in normals], axis=1)
+
+
+def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, rows_read=None):
+    """The per-round read the flat-row kernel replaced: rows fancy-indexed
+    by (slice, row) every round, column resistances summed per round, and
+    the bit errors counted inside the loop.  factors as oracle_factors."""
+    state, vdd = session.state, session.params.vdd
+    lanes, idx = bits.shape[0], np.arange(len(state.sb_bits))
+    table = session._read_table if factors is None else None
+    errors = np.zeros(lanes, dtype=np.int64)
+    for i, rnd in enumerate(rounds):
+        rows = bits.reshape(lanes, len(idx), 4) @ np.array([1, 2, 4, 8])
+        if table is not None:
+            out = table[rnd, idx, rows].astype(bool)
+        else:
+            if factors is None:
+                g = state.sb_g[idx, rows] + state.partner_g[rnd]
+            else:
+                f, wire = factors[:, :, i], state.wire_r
+                g = 1.0 / (state.sb_res[idx, rows] * f[..., 0, :] + wire) + 1.0 / (
+                    state.partner_res[:, rnd] * f[..., 1, :] + wire
+                )
+            r_eq = 1.0 / g
+            xor_bits = resolve(session.scheme.xor_amp, r_eq, vdd)
+            ro_bits = resolve(session.scheme.readout_amp, r_eq, vdd)
+            out = np.where(state.xor_mask, xor_bits, ro_bits)
+        if count_errors:
+            expected = state.sb_bits[idx, rows] ^ state.partner_bits[:, rnd]
+            errors += (out != expected).sum(axis=(1, 2))
+        bits = out.reshape(lanes, -1).view(np.uint8).take(session._sources, axis=1)
+        if rows_read is not None:
+            rows_read.append(rows)
+    return bits, errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    lanes=st.integers(1, 8),
+    sigma_d2d=st.sampled_from([0.0, 0.05]),
+    wire=st.sampled_from([0.0, 150.0]),
+    with_table=st.booleans(),
+    record_rows=st.booleans(),
+    count_errors=st.booleans(),
+    key=st.integers(0, (1 << 128) - 1),
+    data=st.data(),
+)
+def test_read_kernel_matches_per_round_oracle(
+    variant, scheme, feedback, lanes, sigma_d2d, wire, with_table, record_rows, count_errors,
+    key, data,
+):
+    # every lane's bits, error count and recorded rows, and where each
+    # slice's noise stream is left, as the per-round read gives them
+    params = DeviceParams(sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=key % 997)
+    sigma = st.sampled_from([0.0, 0.05, 0.1, 0.3])
+    sigmas = data.draw(st.lists(sigma, min_size=lanes, max_size=lanes))
+    sigmas[data.draw(st.integers(0, lanes - 1))] = 0.0
+    first = data.draw(st.integers(0, variant.rounds - 1))
+    rounds = range(first, data.draw(st.integers(first, variant.rounds)))
+    block = st.integers(0, (1 << variant.block_bits) - 1)
+    pts = data.draw(st.lists(block, min_size=lanes, max_size=lanes))
+    bits = np.array([pipeline.state_to_bits(pt, variant.block_bits) for pt in pts])
+    kernel, oracle = (EncryptionSession(key, variant, scheme, params, feedback) for _ in range(2))
+    if with_table:
+        kernel._read_table = kernel._build_read_table()
+        oracle._read_table = oracle._build_read_table()
+    got_rows, want_rows = ([] if record_rows else None for _ in range(2))
+    got = kernel._read_rounds(
+        bits, rounds, kernel._read_factors(len(rounds), sigmas), count_errors, got_rows
+    )
+    want = oracle_read_rounds(
+        oracle, bits, rounds, oracle_factors(oracle, len(rounds), sigmas), count_errors, want_rows
+    )
+    assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+    assert got[1].tolist() == want[1].tolist()
+    if record_rows:
+        assert len(got_rows) == len(want_rows) == len(rounds)
+        assert all(np.array_equal(g, w) for g, w in zip(got_rows, want_rows))
+    if any(sigmas) or sigma_d2d:
+        for a, b in zip(kernel._slice_rngs, oracle._slice_rngs):
+            assert a.standard_normal() == b.standard_normal()
+    else:
+        assert "_slice_rngs" not in vars(kernel)
 
 
 MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misread
@@ -854,6 +951,11 @@ GOLDEN_SWEEPS = {
     "sweep_local_feedback": dict(
         variant=GIFT64, scheme="sxor", sigmas=(0.0, 0.06, 0.12), blocks=2, seed=3,
         feedback="local",
+    ),
+    # the noisy kernel on a wired d2d array, pinned before the flat-row kernel
+    "sweep_d2d_wire_sxor": dict(
+        variant=GIFT128, scheme="sxor", sigmas=(0.0, 0.1, 0.2), blocks=3, seed=11,
+        base_params=DeviceParams(sigma_d2d=0.03, wire_r_per_cell=150.0),
     ),
 }
 
