@@ -510,9 +510,11 @@ def read_round(
     columns are read out alone."""
     scheme = scheme_for(scheme)
     rows, rnds = np.asarray(rows), np.asarray(rnds)
-    if rnds.ndim != 1 or not ((rnds >= 0) & (rnds < state.rounds)).all():
+    # integers only: a bool or a float would index as something else, or not at all
+    integral = rnds.dtype.kind in "iu" and rnds.ndim == 1
+    if not (integral and ((rnds >= 0) & (rnds < state.rounds)).all()):
         raise CrossbarError(f"need a list of rounds in 0..{state.rounds - 1}")
-    in_range = ((rows >= 0) & (rows < 16)).all()
+    in_range = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < 16)).all()
     if rows.shape != rnds.shape + state.slice_index.shape or not in_range:
         raise CrossbarError("need one S-box row in 0..15 per slice and read")
     if factors is not None and np.shape(factors) != rows.shape + (2, 4):

@@ -16,25 +16,27 @@ the nodes of all its rounds' reads in one `crossbar.read_round` pass.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
-slices (B*S).  A round takes those rows (from the read table, or from the
-cells through `crossbar.column_resistances` and the amps), takes the
-sensed bits the wiring routes to each next-state bit, packs every 4 of
-them into a nibble and adds 16*j back.  A noisy block computes what does
-not depend on the selected rows once: its factors come in the kernel's
-layout, (rounds, 2, B, S, 4), its partner branches for every round and
-lane in one operation, and its bit errors in one comparison over the
-recorded rows after the last round.  A traced block records `at & 15`.
+slices (B*S).  A round takes those rows (from the read table when ideal,
+from the cells through `crossbar.column_resistances` and the amps when
+noisy), takes the sensed bits the wiring routes to each next-state bit,
+packs every 4 of them into a nibble and adds 16*j back.  A noisy block
+computes what does not depend on the selected rows once: its factors come
+in the kernel's layout, (rounds, 2, B, S, 4), its partner branches for
+every round and lane in one operation, and its bit errors in one
+comparison over the recorded rows after the last round.  A traced block
+records `at & 15`.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
-slice and its input nibble while the cells stay as programmed, so a
-session looks its ideal reads, traced or not, up in a read table of 0/1
+slice and its input nibble while the cells stay as programmed, so every
+ideal read, traced, stepped or plain, is a walk of a read table of 0/1
 bytes, slice-major, shape (rounds, S, 16, 4): round rnd's reads are the
-flat rows of `table[rnd].reshape(S * 16, 4)`.  On nominal devices (no
-d2d variation) every cell is LRS or HRS, so the table is gathered from
-`crossbar.nominal_reads`, one sense of each operand pairing, and is built
-at the first such block of every programming.  With d2d variation every cell differs: the kernel
-reads every S-box row of every round once, which pays only once the cells
-have served enough blocks.  An S-box rewrite drops the table.
+flat rows of `table[rnd].reshape(S * 16, 4)`.  The table is built at the
+first ideal read of each programming, and an S-box rewrite drops it.  On
+nominal devices (no d2d variation) every cell is LRS or HRS, so it is
+gathered from `crossbar.nominal_reads`, one sense of each operand
+pairing.  With d2d variation every cell differs, so every entry is sensed
+with the kernel's arithmetic, one column kind at a time: a read-out
+column, which has no partner, reads the same in every round.
 """
 
 from __future__ import annotations
@@ -88,19 +90,6 @@ class PipelineError(MemgiftError, RuntimeError):
 _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 # set bits of every nibble value
 _POPCOUNT = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
-
-# With d2d variation, a read table costs 1.1-1.4 kernel blocks to build and
-# makes a block about 3x cheaper (GIFT-128 dxor on a 2-vCPU VM: build
-# 1.3-1.7 ms, kernel 1.2, lookup 0.38 ms per block), so it pays from about
-# the second block it serves.  Such a session builds one once the current
-# programming, or the one before it, has served 3 ideal blocks: the margin
-# keeps a programming that serves only 2 from paying for a table it cannot
-# earn back.  A nominal session's table is gathered, not read, and pays on
-# the first block it serves.
-_TABLE_AFTER_BLOCKS = 3
-# Lanes per kernel call while building: the temporaries stay near 64 KB,
-# where the element-wise work runs fastest.
-_TABLE_BUILD_LANES = 8192
 
 # Event kinds of a scheme's (XOR amp, read-out amp) senses.
 SENSE_EVENT = {"sxor": ("sxor_sense", "ro_s_sense"), "dxor": ("dxor_sense", "ro_d_sense")}
@@ -185,8 +174,6 @@ class EncryptionSession:
         self.blocks_encrypted = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
         self._read_table = None
-        # ideal blocks read from this programming and from the last
-        self._ideal_blocks = self._last_ideal_blocks = 0
 
     # -- programming ------------------------------------------------------
 
@@ -215,15 +202,14 @@ class EncryptionSession:
         self.mask = 0
         # the table describes the cells it was read from
         self._read_table = None
-        self._last_ideal_blocks, self._ideal_blocks = self._ideal_blocks, 0
 
     # -- reads --------------------------------------------------------------
 
-    def _sense(self, at, partner_g, factors=None) -> np.ndarray:
+    def _sense(self, at, partner_g, factors) -> np.ndarray:
         """Bits sensed on every column of the flat S-box rows `at`, shape
-        (..., S), against partner branches of conductance partner_g (see
-        `column_resistances`): shape at.shape + (4,), broadcast with
-        partner_g."""
+        (..., S), under cycle-to-cycle factors, against partner branches of
+        conductance partner_g (see `column_resistances`): shape at.shape +
+        (4,), broadcast with partner_g."""
         state, vdd = self.state, self.params.vdd
         r_eq = column_resistances(state, at, partner_g, factors)
         xor_bits = resolve(self.scheme.xor_amp, r_eq, vdd)
@@ -236,7 +222,7 @@ class EncryptionSession:
         S-box row `row` in round rnd, so round rnd's reads are the flat rows
         of `table[rnd].reshape(S * 16, 4)`."""
         if self.params.sigma_d2d > 0:
-            return self._kernel_read_table()
+            return self._sensed_read_table()
         # Nominal cells: every read is one of the grid's cell pairings.  A
         # column's partner code is its partner's bit on XOR columns, sensed
         # by the XOR amp, and PARTNER_ABSENT on read-out columns (whose
@@ -255,17 +241,23 @@ class EncryptionSession:
         table.setflags(write=False)
         return table
 
-    def _kernel_read_table(self) -> np.ndarray:
-        """The read table by kernel reads of a few rounds at a time, the 16
-        rows as lanes."""
-        rounds, nibbles = self.variant.rounds, self.variant.nibbles
-        at = np.arange(16)[:, None] + self._row_base  # (16, S)
-        step = max(1, _TABLE_BUILD_LANES // (16 * nibbles * 4))
-        table = np.empty((rounds, nibbles, 16, 4), dtype=np.uint8)
-        for first in range(0, rounds, step):
-            rnds = np.arange(first, min(first + step, rounds))[:, None]
-            reads = self._sense(at, self.state.partner_g[rnds])  # (k, 16, S, 4)
-            table[first : first + len(rnds)] = reads.transpose(0, 2, 1, 3)
+    def _sensed_read_table(self) -> np.ndarray:
+        """The read table of cells with d2d variation, every entry sensed
+        as the kernel senses it, 1/(sb_g + partner_g) through the column's
+        amp, one column kind at a time.  A read-out column has no partner
+        branch (partner_g is 0 in every round), so its 16 rows are sensed
+        once and broadcast over the rounds; an XOR column is sensed per
+        round."""
+        state, scheme = self.state, self.scheme
+        table = np.empty((state.rounds, self.variant.nibbles, 16, 4), dtype=np.uint8)
+        # each column's 16 rows last, so a column kind selects whole columns
+        by_column, sb_g = table.transpose(0, 1, 3, 2), state.sb_g.transpose(0, 2, 1)
+        for amp, columns, rnds in (
+            (scheme.readout_amp, ~state.xor_mask, slice(0, 1)),
+            (scheme.xor_amp, state.xor_mask, slice(None)),
+        ):
+            g = sb_g[columns] + state.partner_g[rnds, columns, None]  # (rounds or 1, n, 16)
+            by_column[:, columns] = resolve(amp, 1.0 / g, self.params.vdd)
         table.setflags(write=False)
         return table
 
@@ -296,14 +288,14 @@ class EncryptionSession:
         [i, 0] scales the S-box cells of round i's reads, [i, 1] their
         partner cells.  Returns the bits after the last round and, per lane,
         the number of sensed bits that disagree with the ideal digital value
-        (zeros unless count_errors).  An ideal read takes its bits from the
-        read table when the session has built one.  With a `rows_read`
-        list, each round's selected S-box rows, shape (B, S), are appended
-        to it for a trace to capture.
+        (zeros unless count_errors).  An ideal read (no factors) walks the
+        read table, built here at the first ideal read of each programming;
+        a noisy one senses the cells.  With a `rows_read` list, each round's
+        selected S-box rows, shape (B, S), are appended to it for a trace to
+        capture.
         """
         lanes, nibbles = bits.shape[0], self.variant.nibbles
         state, rnds = self.state, np.asarray(rounds, dtype=np.intp)
-        table = self._read_table if factors is None else None
         base, sources = self._row_base, self._sources
         if lanes > 1:
             base = np.tile(base, lanes)
@@ -313,22 +305,20 @@ class EncryptionSession:
         # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
         at = np.add(bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
         history = [at] if count_errors or rows_read is not None else None
-        if table is not None:
-            table = table.reshape(len(table), -1, 4)
-        elif factors is not None:
+        if factors is None:
+            if self._read_table is None:
+                self._read_table = self._build_read_table()
+            table = self._read_table.reshape(state.rounds, -1, 4)
+        else:
             # computed once: the partner branch of every round's reads
             sb_f, partner_f = factors[:, 0], factors[:, 1]
             partner_g = partner_conductances(state, rnds[:, None], partner_f)
         for i, rnd in enumerate(rounds):
-            if table is not None:
+            if factors is None:
                 out = table[rnd].take(at, axis=0)
             else:
-                if factors is None:
-                    g, f = state.partner_g[rnd], None
-                else:
-                    g, f = partner_g[i], sb_f[i]
                 # a bool array is its 0/1 bytes, so the view skips a cast
-                out = self._sense(at.reshape(lanes, nibbles), g, f).view(np.uint8)
+                out = self._sense(at.reshape(lanes, nibbles), partner_g[i], sb_f[i]).view(np.uint8)
             bits = out.take(sources)
             at = np.add(bits @ _NIBBLE_WEIGHTS, base)
             if history is not None:
@@ -383,12 +373,6 @@ class EncryptionSession:
         rounds = self.variant.rounds
         factors = self._read_factors(rounds, sigmas)
         rows_read = None if traces is None else []
-        if factors is None:
-            served = max(self._ideal_blocks, self._last_ideal_blocks)
-            pays = self.params.sigma_d2d == 0 or served >= _TABLE_AFTER_BLOCKS
-            if self._read_table is None and pays:
-                self._read_table = self._build_read_table()
-            self._ideal_blocks += 1
         bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, rows_read)
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors

@@ -498,6 +498,7 @@ def test_read_round_rejects_bad_selection():
     for rows, rnds in (
         ([[3]], [40]), ([[3]], [-1]), ([[16]], [0]), ([[-1]], [0]), ([[1, 2]], [0]),
         ([3], [0]), ([[3], [4]], [0]), ([[3]], 0), ([[3]], [[0]]),
+        ([[3.5]], [0]), ([[3]], [0.5]), ([[3]], [True]),
     ):
         with pytest.raises(CrossbarError):
             read_round(state, rows, rnds, "dxor", 0.9)

@@ -5,11 +5,14 @@ SHA-256 of the analog trace (too large to commit) and `energy-report
 --json` for both schemes, so a refactor of the read path cannot shift
 them unnoticed.  Both trace files of one remasked, noisy `memgift
 encrypt` run are pinned the same way, so the CLI's own writing of them
-is covered too.  Regenerate, only for a deliberate change, with
+is covered too, and so are the ciphertexts of `memgift encrypt` on cells
+with device-to-device variation only, at three remask intervals.
+Regenerate, only for a deliberate change, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
 import io
 from pathlib import Path
@@ -47,6 +50,27 @@ TRACE_RUNS = {
 CLI_RUN = "cli_gift128_remask"
 CLI_DEVICE = "sigma_c2c = 0.05\nsigma_d2d = 0.02\nwire_r_per_cell = 100\n"
 CLI_PTS = [(0x0123456789ABCDEF0F1E2D3C4B5A6978 * (i + 1)) % (1 << 128) for i in range(7)]
+
+
+# `memgift encrypt` over 64 GIFT-128 blocks on cells with d2d variation
+# only, remasked every 0, 1 and 3 blocks: every read walks a read table
+# sensed on varied cells.  At sigma_d2d = 0.1 most ciphertexts carry device
+# faults, so these pin the analog outcome, not GIFT.
+D2D_BLOCKS, D2D_DEVICE = DATA_DIR / "cli_d2d_blocks.txt", DATA_DIR / "cli_d2d_device.cfg"
+D2D_INTERVALS = (0, 1, 3)
+
+
+def cli_d2d_run(every: int) -> str:
+    """What `memgift encrypt` prints for the d2d golden run remasked every
+    `every` blocks."""
+    argv = [
+        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(D2D_BLOCKS),
+        "--device-params", str(D2D_DEVICE), "--seed", "4", "--remask-every", str(every),
+    ]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
 
 
 def traced_run(case) -> tuple[str, str]:
@@ -103,6 +127,11 @@ def test_cli_traces_match_golden(tmp_path, capsys):
     assert sha256(analog_text) == (DATA_DIR / f"{CLI_RUN}.analog.sha256").read_text()
 
 
+@pytest.mark.parametrize("every", D2D_INTERVALS)
+def test_cli_d2d_ciphertexts_match_golden(every):
+    assert cli_d2d_run(every) == (DATA_DIR / f"cli_d2d_every{every}.txt").read_text()
+
+
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
 def test_energy_report_matches_golden(tmp_path, scheme, capsys):
     got = energy_json(scheme, tmp_path / "energy.json")
@@ -117,6 +146,8 @@ if __name__ == "__main__":
         round_text, analog_text = traced_run(case)
         (DATA_DIR / f"{name}.jsonl").write_text(round_text)
         (DATA_DIR / f"{name}.analog.sha256").write_text(sha256(analog_text))
+    for every in D2D_INTERVALS:
+        (DATA_DIR / f"cli_d2d_every{every}.txt").write_text(cli_d2d_run(every))
     with tempfile.TemporaryDirectory() as tmp:
         round_text, analog_text = cli_traced_run(Path(tmp))
         (DATA_DIR / f"{CLI_RUN}.jsonl").write_text(round_text)

@@ -19,6 +19,7 @@ from memgift.crossbar import (
     CrossbarError,
     DeviceParams,
     ReadCapture,
+    column_resistances,
     load_device_config,
     resolve,
     variation_factor,
@@ -26,6 +27,7 @@ from memgift.crossbar import (
 from memgift.gift import (
     GIFT64,
     GIFT128,
+    CipherState,
     RoundConstantState,
     add_round_key_and_constant,
     encrypt_block,
@@ -33,9 +35,10 @@ from memgift.gift import (
     perm_bits,
     sub_cells,
 )
-from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked
+from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
     EncryptionSession,
+    EventLog,
     PipelineError,
     RoundTrace,
     export_analog_trace,
@@ -256,8 +259,6 @@ def test_trace_bookkeeping():
 )
 def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     session = EncryptionSession(RNG.getrandbits(128), GIFT128, "dxor", params)
-    for pt in range(4):  # the cells have served enough blocks for a read table
-        session.encrypt(pt)
     kernel_bits, kernel_r_eq, captures = [], [], []
     sense, resistances, capture = session._sense, pipeline.column_resistances, pipeline.read_round
 
@@ -366,135 +367,8 @@ def test_gift64_event_counts():
 
 
 # ---------------------------------------------------------------------------
-# Read table: a session looks its ideal reads up instead of
-# running the kernel, from the first block on nominal devices and once the
-# cells have served three such blocks with d2d variation
-
-
-def kernel_session(*args):
-    """A session whose ideal reads always run the read kernel."""
-    session = EncryptionSession(*args)
-    session._build_read_table = lambda: None
-    return session
-
-
-@settings(max_examples=25)
-@given(
-    variant=st.sampled_from([GIFT64, GIFT128]),
-    scheme=st.sampled_from(["sxor", "dxor"]),
-    feedback=st.sampled_from(["permuted", "local"]),
-    key=st.integers(0, (1 << 128) - 1),
-    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1]),
-    wire=st.sampled_from([0.0, 150.0, 20e3]),
-    mask=st.integers(1, 15),
-    data=st.data(),
-)
-def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2d, wire, mask, data):
-    params = DeviceParams(sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=key % 1000)
-    walk = EncryptionSession(key, variant, scheme, params, feedback)
-    kernel = kernel_session(key, variant, scheme, params, feedback)
-    pts = data.draw(st.lists(st.integers(0, (1 << variant.block_bits) - 1), min_size=5, max_size=5))
-    cts = [walk.encrypt_with_error_count(pt) for pt in pts]
-    table = walk._read_table
-    assert table is not None
-    assert cts == [kernel.encrypt_with_error_count(pt) for pt in pts]
-    # a remask rewrites the S-box cells: the walk must use a rebuilt table
-    apply_mask(walk, mask)
-    apply_mask(kernel, mask)
-    masked = [encrypt_masked(walk, pt, mask)[0] for pt in pts]
-    assert walk._read_table is not None and walk._read_table is not table
-    assert masked == [encrypt_masked(kernel, pt, mask)[0] for pt in pts]
-
-
-def test_read_table_is_built_once_the_cells_have_served_three_blocks(monkeypatch):
-    # the rule of sessions with d2d variation, whose cells all differ
-    key = RNG.getrandbits(128)
-    d2d = DeviceParams(sigma_d2d=0.03, seed=12)
-    session = EncryptionSession(key, GIFT64, "dxor", d2d)
-    for pt in range(3):
-        session.encrypt(pt)
-        assert session._read_table is None
-    session.encrypt(3)
-    assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
-    # the last programming served 4 blocks: the next builds on its first
-    apply_mask(session, 3)
-    assert session._read_table is None
-    encrypt_masked(session, 4, 3)
-    assert session._read_table is not None
-    # ... and that one served only 1, so the next waits for 3 again
-    session.reprogram_sbox(session.bundle.sbox.inverse())
-    for pt in range(3):
-        session.encrypt(pt)
-        assert session._read_table is None
-    session.encrypt(3)
-    assert session._read_table is not None
-    # traced blocks count as untraced ones do; noisy reads never build one
-    traced = EncryptionSession(key, GIFT64, "dxor", d2d)
-    noisy = EncryptionSession(key, GIFT64, "dxor", replace(d2d, sigma_c2c=0.05))
-    for pt in range(3):
-        traced.encrypt(pt, trace=pt != 1)
-        assert traced._read_table is None
-    traced.encrypt(3, trace=True)
-    assert traced._read_table is not None
-    for pt in range(5):
-        noisy.encrypt(pt)
-    assert noisy._read_table is None
-
-    def no_table(self):
-        raise AssertionError("a read table was built for too few blocks")
-
-    monkeypatch.setattr(EncryptionSession, "_build_read_table", no_table)
-    # one- and two-block sessions: the sweep's trials, even with every lane ideal
-    run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=d2d)
-    two = EncryptionSession(key, GIFT128, "sxor", d2d)
-    two.encrypt(6)
-    two.encrypt(7)
-    # a session remasked every 2 blocks
-    remasked = EncryptionSession(key, GIFT128, "sxor", d2d)
-    for i in range(12):
-        if i and i % 2 == 0:
-            apply_mask(remasked, i % 16)
-        encrypt_masked(remasked, i, remasked.mask)
-    # ... traced or not
-    traced = EncryptionSession(key, GIFT128, "sxor", d2d)
-    for i in range(6):
-        if i and i % 2 == 0:
-            apply_mask(traced, i % 16)
-        encrypt_masked(traced, i, traced.mask, trace=True)
-
-
-def test_nominal_read_table_is_built_at_the_first_block_of_each_programming(monkeypatch):
-    def no_kernel_table(self):
-        raise AssertionError("a nominal session read its table through the kernel")
-
-    monkeypatch.setattr(EncryptionSession, "_kernel_read_table", no_kernel_table)
-    key = RNG.getrandbits(128)
-    session = EncryptionSession(key, GIFT64, "dxor")
-    assert session._read_table is None
-    session.encrypt(0)
-    assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
-    table = session._read_table
-    session.encrypt(1)
-    assert session._read_table is table
-    apply_mask(session, 3)
-    assert session._read_table is None
-    encrypt_masked(session, 4, 3)
-    assert session._read_table is not None and session._read_table is not table
-    # so does a one-block sweep trial with every lane ideal
-    sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2)
-    assert [p.bit_errors for p in sweep] == [0, 0]
-    # so does a traced block; noisy reads never build one
-    traced = EncryptionSession(key, GIFT64, "dxor")
-    noisy = EncryptionSession(key, GIFT64, "dxor", DeviceParams(sigma_c2c=0.05))
-    traced.encrypt(0, trace=True)
-    assert traced._read_table is not None
-    for pt in range(5):
-        noisy.encrypt(pt)
-    assert noisy._read_table is None
-    apply_mask(traced, 5)
-    assert traced._read_table is None
-    encrypt_masked(traced, 5, 5, trace=True)
-    assert traced._read_table is not None
+# Read table: every ideal read walks it, from the first ideal read of each
+# programming, on nominal devices and with d2d variation alike
 
 
 def oracle_factors(session, reads, sigmas):
@@ -511,7 +385,10 @@ def oracle_factors(session, reads, sigmas):
 def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, rows_read=None):
     """The per-round read the flat-row kernel replaced: rows fancy-indexed
     by (slice, row) every round, column resistances summed per round, and
-    the bit errors counted inside the loop.  factors as oracle_factors."""
+    the bit errors counted inside the loop.  factors as oracle_factors.
+    Without factors it walks the session's read table if it holds one, and
+    else senses the cells' ideal conductances, as the kernel's ideal
+    branch did."""
     state, vdd = session.state, session.params.vdd
     lanes, idx = bits.shape[0], np.arange(len(state.sb_bits))
     table = session._read_table if factors is None else None
@@ -539,6 +416,124 @@ def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, 
         if rows_read is not None:
             rows_read.append(rows)
     return bits, errors
+
+
+def oracle_encrypt(session, state, rounds=None, count_errors=False):
+    """`state` read through `rounds` (default: all) by oracle_read_rounds
+    on a session that never reads, so that it senses the cells: the
+    reference of a table walk.  Returns the state after the last round and
+    its bit-error count."""
+    assert session._read_table is None
+    bits = pipeline.state_to_bits(state, session.variant.block_bits)[None]
+    rounds = range(session.variant.rounds) if rounds is None else rounds
+    out, errors = oracle_read_rounds(session, bits, rounds, count_errors=count_errors)
+    return pipeline.bits_to_state(out[0]), int(errors[0])
+
+
+def oracle_table_build(session):
+    """The read table as the kernel's ideal branch built it: the 16 S-box
+    rows of a few rounds at a time read as lanes, both amps on every
+    column, each column's bit from the amp wired to it."""
+    state, vdd = session.state, session.params.vdd
+    rounds, nibbles = state.rounds, len(state.sb_bits)
+    at = np.arange(16)[:, None] + 16 * state.slice_index  # (16, S)
+    step = max(1, 8192 // (16 * nibbles * 4))
+    table = np.empty((rounds, nibbles, 16, 4), dtype=np.uint8)
+    for first in range(0, rounds, step):
+        rnds = np.arange(first, min(first + step, rounds))[:, None]
+        r_eq = column_resistances(state, at, state.partner_g[rnds])  # (k, 16, S, 4)
+        xor_bits = resolve(session.scheme.xor_amp, r_eq, vdd)
+        ro_bits = resolve(session.scheme.readout_amp, r_eq, vdd)
+        reads = np.where(state.xor_mask, xor_bits, ro_bits)
+        table[first : first + len(rnds)] = reads.transpose(0, 2, 1, 3)
+    return table
+
+
+@settings(max_examples=25)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    key=st.integers(0, (1 << 128) - 1),
+    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1]),
+    wire=st.sampled_from([0.0, 150.0, 20e3]),
+    mask=st.integers(1, 15),
+    data=st.data(),
+)
+def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2d, wire, mask, data):
+    params = DeviceParams(sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=key % 1000)
+    walk = EncryptionSession(key, variant, scheme, params, feedback)
+    cells = EncryptionSession(key, variant, scheme, params, feedback)  # read by the oracle
+    pts = data.draw(st.lists(st.integers(0, (1 << variant.block_bits) - 1), min_size=5, max_size=5))
+    cts = [walk.encrypt_with_error_count(pt) for pt in pts]
+    table = walk._read_table
+    assert table is not None
+    assert cts == [oracle_encrypt(cells, pt, count_errors=True) for pt in pts]
+    # a remask rewrites the S-box cells: the walk must use a rebuilt table
+    apply_mask(walk, mask)
+    apply_mask(cells, mask)
+    masked = [encrypt_masked(walk, pt, mask)[0] for pt in pts]
+    assert walk._read_table is not None and walk._read_table is not table
+    word = replicate_mask(mask, variant.nibbles)
+    assert masked == [oracle_encrypt(cells, pt ^ word)[0] ^ word for pt in pts]
+
+
+@pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
+def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
+    # nominal cells gather the table from the grid; cells with d2d
+    # variation, which all differ, sense it
+    def other_build(*args):
+        raise AssertionError("the read table was built the other way")
+
+    if sigma_d2d:
+        monkeypatch.setattr(pipeline, "nominal_reads", other_build)
+    else:
+        monkeypatch.setattr(EncryptionSession, "_sensed_read_table", other_build)
+    params = DeviceParams(sigma_d2d=sigma_d2d, seed=12)
+    key = RNG.getrandbits(128)
+    session = EncryptionSession(key, GIFT64, "dxor", params)
+    assert session._read_table is None
+    session.encrypt(0)
+    assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
+    table = session._read_table
+    session.encrypt(1)
+    assert session._read_table is table
+    apply_mask(session, 3)
+    assert session._read_table is None
+    encrypt_masked(session, 4, 3)
+    assert session._read_table is not None and session._read_table is not table
+    # so does a one-block sweep trial with every lane ideal
+    sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=params)
+    assert [p.bit_errors for p in sweep] == [0, 0]
+    # so do a traced block and a stepped read; noisy reads never build one
+    traced = EncryptionSession(key, GIFT64, "dxor", params)
+    stepped = EncryptionSession(key, GIFT64, "dxor", params)
+    noisy = EncryptionSession(key, GIFT64, "dxor", replace(params, sigma_c2c=0.05))
+    traced.encrypt(0, trace=True)
+    assert traced._read_table is not None
+    stepped.step_round(0)
+    assert stepped._read_table is not None
+    noisy.step_round(0)
+    for pt in range(5):
+        noisy.encrypt(pt)
+    assert noisy._read_table is None
+    apply_mask(traced, 5)
+    assert traced._read_table is None
+    encrypt_masked(traced, 5, 5, trace=True)
+    assert traced._read_table is not None
+
+
+def test_stepped_rounds_equal_encrypt_on_d2d_cells(variant):
+    # a fresh session's first step builds the read table its steps walk
+    params = DeviceParams(sigma_d2d=0.1, seed=9)
+    key = RNG.getrandbits(128)
+    for pt in (RNG.getrandbits(variant.block_bits) for _ in range(3)):
+        stepped = EncryptionSession(key, variant, "dxor", params)
+        state = pt
+        for _ in range(variant.rounds):
+            state = stepped.step_round(state)
+        assert state == EncryptionSession(key, variant, "dxor", params).encrypt(pt)[0]
+        assert state == oracle_encrypt(EncryptionSession(key, variant, "dxor", params), pt)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -596,8 +591,23 @@ def test_read_kernel_matches_per_round_oracle(
 MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misread
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+def assert_table_equals_kernel_build(
+    tmp_path_factory, variant, scheme, feedback, key, wire, sigma_d2d, mask, miscalibrated
+):
+    params, schemes = DeviceParams(), SCHEMES
+    if miscalibrated:
+        path = tmp_path_factory.mktemp("params") / "amps.cfg"
+        path.write_text(MISCALIBRATED)
+        params, schemes = load_device_config(path)
+    params = replace(params, wire_r_per_cell=wire, sigma_d2d=sigma_d2d, seed=key % 1000)
+    session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
+    apply_mask(session, mask)
+    table = session._build_read_table()
+    assert table.dtype == np.uint8 and not table.flags.writeable
+    assert np.array_equal(table, oracle_table_build(session))
+
+
+TABLE_BUILDS = dict(
     variant=st.sampled_from([GIFT64, GIFT128]),
     scheme=st.sampled_from(["sxor", "dxor"]),
     feedback=st.sampled_from(["permuted", "local"]),
@@ -606,23 +616,22 @@ MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misrea
     mask=st.integers(0, 15),
     miscalibrated=st.booleans(),
 )
-def test_nominal_read_table_equals_kernel_build(
-    tmp_path_factory, variant, scheme, feedback, key, wire, mask, miscalibrated
-):
+
+
+@settings(max_examples=40, deadline=None)
+@given(**TABLE_BUILDS)
+def test_nominal_read_table_equals_kernel_build(tmp_path_factory, **case):
     # the table gathered from one sense per cell pairing is the one the
     # kernel reads, amp for amp, analog outcomes (20 kOhm wire) included
-    params, schemes = DeviceParams(), SCHEMES
-    if miscalibrated:
-        path = tmp_path_factory.mktemp("params") / "amps.cfg"
-        path.write_text(MISCALIBRATED)
-        params, schemes = load_device_config(path)
-    params = replace(params, wire_r_per_cell=wire)
-    session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
-    apply_mask(session, mask)
-    table = session._build_read_table()
-    kernel = session._kernel_read_table()
-    assert table.dtype == kernel.dtype and not table.flags.writeable
-    assert np.array_equal(table, kernel)
+    assert_table_equals_kernel_build(tmp_path_factory, sigma_d2d=0.0, **case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sigma_d2d=st.sampled_from([0.05, 0.1]), **TABLE_BUILDS)
+def test_d2d_read_table_equals_kernel_build(tmp_path_factory, **case):
+    # the table sensed one column kind at a time, read-out columns once for
+    # every round, is the one the kernel reads, entry for entry
+    assert_table_equals_kernel_build(tmp_path_factory, **case)
 
 
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
@@ -630,20 +639,26 @@ def test_read_table_keeps_counters_and_logs(scheme):
     key = RNG.getrandbits(128)
     pts = [RNG.getrandbits(128) for _ in range(5)]
     walk = EncryptionSession(key, GIFT128, scheme)
-    kernel = kernel_session(key, GIFT128, scheme)
+    cells = EncryptionSession(key, GIFT128, scheme)  # read by the oracle
+    # one block's events: 40 reads of 32 slices, 71 XOR and 57 read-out senses each
+    xor_kind, ro_kind = pipeline.SENSE_EVENT[scheme]
+    block_log = EventLog(GIFT128.name, scheme, 40, {
+        "decoder_cycle": 40 * 32, "selector_cycle": 40, "register_cycle": 40,
+        xor_kind: 40 * 71, ro_kind: 40 * 57,
+    })
     for pt in pts:
-        assert walk.encrypt(pt)[0] == kernel.encrypt(pt)[0]
-        assert walk.current_log == kernel.current_log
-    assert walk._read_table is not None and kernel._read_table is None
-    assert walk.session_log() == kernel.session_log()
-    assert walk.current_log.rounds == kernel.current_log.rounds == 40
-    assert walk.reads_executed == kernel.reads_executed == 5 * 40
-    assert walk.blocks_encrypted == kernel.blocks_encrypted == 5
-    assert walk.output_register == kernel.output_register
+        ct = walk.encrypt(pt)[0]
+        assert ct == oracle_encrypt(cells, pt)[0]
+        assert walk.current_log == block_log
+    assert walk._read_table is not None
+    assert walk.session_log() == cells.write_log.merged_with(block_log)
+    assert walk.reads_executed == 5 * 40
+    assert walk.blocks_encrypted == 5
+    assert walk.output_register == CipherState(ct, 128)
     # a stepped read walks the table too
-    walk.round_counter = kernel.round_counter = 0
-    assert walk.step_round(pts[0]) == kernel.step_round(pts[0])
-    assert walk.reads_executed == kernel.reads_executed
+    walk.round_counter = 0
+    assert walk.step_round(pts[0]) == oracle_encrypt(cells, pts[0], range(1))[0]
+    assert walk.reads_executed == 5 * 40 + 1
 
 
 # ---------------------------------------------------------------------------
