@@ -8,10 +8,17 @@ amplifier into a digital bit.
 
 `program_slice` writes every slice of a layout in one pass, into the
 stacked `ProgrammedState` a session holds once.  One vectorised read serves
-every mode: `column_resistances` gives every column's bit-line resistance
-and `resolve` senses it with the amp's one statement of its maths.  The
-fast path stops at the bits; `read_round` is the same read with node
-capture, over all of a block's rounds in one pass, as columnar arrays.
+every mode: `column_conductances` gives every column's bit-line
+conductance.  Each amp states its maths once, as `comparators`, and
+`resolve` senses a resistance with them.  An uncaptured read (the noisy
+kernel, a d2d read table) decides on the conductance directly: the
+conductances at which an amp's bit changes are derived from its
+`comparators` once per amp, vdd and conductance domain
+(`decision_points`), and a read's bit is the parity of those below its
+conductance (`decide`), bit for bit what `resolve` gives.  Captured reads
+(`read_round`, over all of a block's rounds in one pass, as columnar
+arrays), `nominal_reads` and the margin audit still evaluate the nodes,
+through `column_resistances` and `resolve`, because they report them.
 
 A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
 of the stacked cells seen as (S*16, 4) (`flat_rows`), so any selection,
@@ -47,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -104,24 +112,18 @@ class DeviceParams:
             raise CrossbarError("vdd must be positive")
         if self.wire_r_per_cell < 0:
             raise CrossbarError("wire resistance must be non-negative")
-        # The largest bit-line resistance a read can meet, an HRS cell at the
-        # top of both variation clamps read out alone, must be finite, and so
-        # must its round trip through the conductance the read sums.
-        d2d, c2c = (1 + VARIATION_CLAMP_SIGMA * s for s in (self.sigma_d2d, self.sigma_c2c))
-        r_max = self.r_hrs * d2d * c2c + self.wire_r_per_cell
+        r_min, r_max = self._cell_path_range()
+        # The largest bit-line resistance a read can meet, the largest path
+        # read out alone, must be finite, and so must its round trip through
+        # the conductance the read sums.
         if not (math.isfinite(r_max) and math.isfinite(1 / (1 / r_max))):
             raise CrossbarError(
                 "the largest read resistance, r_hrs*(1 + 4*sigma_d2d)*(1 + 4*sigma_c2c) + "
                 f"wire_r_per_cell, is not finite at sigma_d2d={self.sigma_d2d}, "
                 f"sigma_c2c={self.sigma_c2c}"
             )
-        # The smallest, an LRS cell at the bottom of both clamps, must have a
-        # finite conductance, and so must two such cells in parallel.
-        d2d, c2c = (
-            max(1 - VARIATION_CLAMP_SIGMA * s, MIN_RESISTANCE_FACTOR)
-            for s in (self.sigma_d2d, self.sigma_c2c)
-        )
-        r_min = self.r_lrs * d2d * c2c + self.wire_r_per_cell
+        # The smallest path must have a finite conductance, and so must two
+        # such paths in parallel.
         if not (r_min > 0 and math.isfinite(2 / r_min)):
             raise CrossbarError(
                 "the smallest read resistance, r_lrs*max(1 - 4*sigma_d2d, 0.01)*"
@@ -129,11 +131,35 @@ class DeviceParams:
                 f" at r_lrs={self.r_lrs}, wire_r_per_cell={self.wire_r_per_cell}"
             )
 
+    def _cell_path_range(self) -> tuple[float, float]:
+        """The smallest and the largest resistance of one selected cell's
+        path: an LRS cell at the bottom of both variation clamps, an HRS
+        cell at their top, each plus the wire, computed as the reads compute
+        them (`variation_factor`, then r*d2d*c2c + wire)."""
+        sigmas = (self.sigma_d2d, self.sigma_c2c)
+        d2d, c2c = (max(1 - VARIATION_CLAMP_SIGMA * s, MIN_RESISTANCE_FACTOR) for s in sigmas)
+        r_min = self.r_lrs * d2d * c2c + self.wire_r_per_cell
+        d2d, c2c = (1 + VARIATION_CLAMP_SIGMA * s for s in sigmas)
+        return r_min, self.r_hrs * d2d * c2c + self.wire_r_per_cell
 
-def variation_factor(sigma: float, z):
-    """Multiplicative resistance variation: 1 + sigma*z with z clamped."""
-    z = np.clip(z, -VARIATION_CLAMP_SIGMA, VARIATION_CLAMP_SIGMA)
-    return np.maximum(1.0 + sigma * z, MIN_RESISTANCE_FACTOR)
+    def conductance_range(self) -> tuple[float, float]:
+        """The bit-line conductances a read can meet, (1/r_max, 2/r_min):
+        the largest cell path read out alone, and two of the smallest in
+        parallel.  Every read's conductance lies in it, because each step
+        of the reads' arithmetic is monotone and rounds as it does here."""
+        r_min, r_max = self._cell_path_range()
+        return 1 / r_max, 2 / r_min
+
+
+def variation_factor(sigma, z):
+    """Multiplicative resistance variation: 1 + sigma*z with z clamped, of
+    the shape sigma and z broadcast to (a scalar for scalars).  The product,
+    the sum and the floor are written in place, into one output array."""
+    # clipped into a C-ordered array whatever z's strides, so the broadcast runs on rows
+    z = np.clip(z, -VARIATION_CLAMP_SIGMA, VARIATION_CLAMP_SIGMA, out=np.empty(np.shape(z)))
+    f = np.multiply(sigma, z, out=np.empty(np.broadcast_shapes(np.shape(sigma), np.shape(z))))
+    f += 1.0
+    return np.maximum(f, MIN_RESISTANCE_FACTOR, out=f)[()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,6 +389,110 @@ def resolve(amp, r_eq, vdd: float, capture: bool = False):
     return SenseResult(bit, nodes, tuple((c[0], d) for c, d in zip(comparators, decisions)))
 
 
+# ---------------------------------------------------------------------------
+# Decision points: the sense of an uncaptured read
+#
+# As a function of a column's conductance g, the bit resolve(amp, 1/g, vdd)
+# is a step function: each comparator's exact divider voltage is monotone in
+# g, and rounding can move its computed decision only within a few floats of
+# the exact step.  So the conductances where the bit changes are found once
+# per amp, from its own comparators, and a read compares g against them.
+
+_U = 2.0**-53  # unit roundoff of float64
+# bound on the relative error of a computed divider voltage (see _band_floats)
+_DIVIDER_ERROR = 5 * _U
+# a reference whose band holds more floats than this is rejected by validate
+MAX_BAND_FLOATS = 2**20
+# the float order (bit pattern) of the smallest normal and the largest float
+_ORDER_TINY, _ORDER_MAX = np.array([np.finfo(float).tiny, np.finfo(float).max]).view(np.int64).tolist()
+
+
+def _band_floats(ref: float, vdd: float) -> float:
+    """At most how many floats g can hold a computed decision `v > ref`
+    that differs from the exact one; inf when ref is too close to vdd.
+
+    v takes four roundings from g: 1/g, then one product, one sum and one
+    quotient (`_divider_low`, `_divider_high`).  While the values are normal
+    floats each rounding is a factor within 1 +- u (u = 2^-53), and the error
+    of 1/g reaches v at most once, so |computed v - exact v| <=
+    4u/(1 - u)^2 * v < eps * v with eps = 5u.  The decision can thus differ
+    only where the exact v lies in [ref/(1 + eps), ref/(1 - eps)].  With
+    x = m*g, v/vdd is x/(1 + x) or 1/(1 + x), both monotone in g, and that
+    v interval maps onto a g interval [g_a, g_b] with
+    g_b/g_a - 1 = 2*eps*vdd/((1 - eps)*vdd - ref) exactly.  An interval of
+    relative width w holds at most w/u + 1 floats (an ulp of g exceeds u*g),
+    so the band holds about 10*vdd/(vdd - ref) floats: 21 for the default
+    references at vdd/2."""
+    slack = (1 - _DIVIDER_ERROR) * vdd - ref
+    if not slack > 0:
+        return math.inf
+    return 2 * (_DIVIDER_ERROR / _U) * vdd / slack + 1
+
+
+@lru_cache(maxsize=64)
+def decision_points(amp, vdd: float, domain: tuple[float, float]) -> np.ndarray:
+    """The sorted conductances at which the bit `resolve(amp, 1/g, vdd)`
+    changes as g steps through the floats of domain = (lo, hi): a point p
+    says that the bit at the float after p differs from the bit at p, and a
+    leading -inf that the bit at lo is set.  So the bit at any g of the
+    domain is the parity of the points below g (`decide`).  Derived once
+    per amp, vdd and domain, from the amp's own comparators; read-only.
+
+    Outside a band of floats around its exact step, each comparator
+    decides as exact arithmetic does: |computed v - exact v| < 5u*v
+    (u = 2^-53), so the band holds about 10*vdd/(vdd - ref) floats
+    (`_band_floats` derives it).  So the float order of g,
+    over the domain widened by the band, is bisected for a change of the
+    computed decision: there is one whenever the step can reach into the
+    domain, and it lies in the band.  Every float of a window around it that
+    holds the whole band is evaluated; between the windows no comparator
+    changes, so the bit changes exactly where it changes between neighbours
+    of the evaluated floats."""
+    lo, hi = np.array(domain, dtype=np.float64).view(np.int64).tolist()
+    evaluated = [np.array([lo, hi])]
+    for k, (_, _, ref) in enumerate(amp.comparators(np.ones(1), vdd)):
+
+        def decided(order, k=k):
+            _, v, ref = amp.comparators(1.0 / order.view(np.float64), vdd)[k]
+            return v > ref
+
+        reach = math.ceil(_band_floats(ref, vdd)) + 2
+        a, b = max(lo - reach, _ORDER_TINY), min(hi + reach, _ORDER_MAX)
+        start, end = decided(np.array([a, b]))
+        if start == end:
+            continue
+        # keep decided(a) == start != decided(b) while b - a shrinks 1024-fold
+        while b - a > 1:
+            probes = min(b - a - 1, 1023)
+            order = a + (b - a) // (probes + 1) * np.arange(1, probes + 1)
+            changed = np.flatnonzero(decided(order) != start)
+            if changed.size == 0:
+                a = int(order[-1])
+            else:
+                i = changed[0]
+                a, b = (int(order[i - 1]) if i else a), int(order[i])
+        evaluated.append(np.arange(max(a - reach, lo), min(b + reach, hi) + 1))
+    # sorted, each float once: a first np.unique(order) would import numpy.ma (~18 ms)
+    order = np.sort(np.concatenate(evaluated))
+    g = order[np.append(True, order[1:] != order[:-1])].view(np.float64)
+    bits = resolve(amp, 1.0 / g, vdd)
+    points = g[:-1][bits[:-1] != bits[1:]]
+    if bits[0]:
+        points = np.concatenate([[-np.inf], points])
+    points.setflags(write=False)
+    return points
+
+
+def decide(g, points) -> np.ndarray:
+    """The bits of conductances g, as bools: the parity of the decision
+    points below each g.  points has shape (K, ...), broadcast with g, and
+    holds for each g its amp's `decision_points`, padded with +inf."""
+    bits = np.zeros(np.shape(g), dtype=bool)
+    for p in points:
+        bits ^= g > p
+    return bits
+
+
 @dataclass(frozen=True)
 class SenseAmpScheme:
     """Per-session pairing of the XOR amp and the read-out amp."""
@@ -379,6 +509,11 @@ class SenseAmpScheme:
                     if not 0 < value < vdd:
                         raise CrossbarError(
                             f"{self.name}: reference {f.name}={value} outside (0, {vdd})"
+                        )
+                    if not _band_floats(value, vdd) <= MAX_BAND_FLOATS:
+                        raise CrossbarError(
+                            f"{self.name}: reference {f.name}={value} is too close to "
+                            f"vdd={vdd}: its decision band exceeds 2^20 floats"
                         )
                 elif not (math.isfinite(value) and value > 0):
                     raise CrossbarError(f"{self.name}: {f.name} must be finite and positive")
@@ -416,7 +551,11 @@ def draw_read_factors(
     """
     if rngs is None:
         raise CrossbarError("sigma_c2c > 0 requires an RNG per slice")
-    z = np.stack([rng.standard_normal((reads, 2, 4)) for rng in rngs], axis=2)
+    # every slice's normals drawn into one buffer, then seen read-major
+    z = np.empty((len(rngs), reads, 2, 4))
+    for rng, normals in zip(rngs, z):
+        rng.standard_normal(out=normals)
+    z = z.transpose(1, 2, 0, 3)
     return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1), z[:, :, None])
 
 
@@ -432,20 +571,24 @@ def partner_conductances(state: ProgrammedState, rnd, factors=None) -> np.ndarra
     return 1.0 / (state.partner_res.transpose(1, 0, 2)[rnd] * factors + state.wire_r)
 
 
-def column_resistances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
-    """Bit-line equivalent resistance of every column that reads the flat
-    S-box rows `at` against partner branches of conductance partner_g:
-    shape at.shape + (4,), broadcast with partner_g.  Flat row 16*j + row
-    is slice j's S-box row `row`, so a read of any selection is one `take`
-    on the (S*16, 4) rows.  factors, shape at.shape + (4,), scale the
-    selected S-box cells as 1/(r*f + wire); without them the ideal
-    conductances are used.  The branches are summed, then inverted."""
+def column_conductances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
+    """Bit-line conductance of every column that reads the flat S-box rows
+    `at` against partner branches of conductance partner_g: shape at.shape
+    + (4,), broadcast with partner_g.  Flat row 16*j + row is slice j's
+    S-box row `row`, so a read of any selection is one `take` on the
+    (S*16, 4) rows.  factors, shape at.shape + (4,), scale the selected
+    S-box cells as 1/(r*f + wire); without them the ideal conductances are
+    used.  The branches are summed."""
     if factors is None:
-        g = state.sb_g.reshape(-1, 4).take(at, axis=0) + partner_g
-    else:
-        sb_res = state.sb_res.reshape(-1, 4).take(at, axis=0)
-        g = 1.0 / (sb_res * factors + state.wire_r) + partner_g
-    return 1.0 / g
+        return state.sb_g.reshape(-1, 4).take(at, axis=0) + partner_g
+    sb_res = state.sb_res.reshape(-1, 4).take(at, axis=0)
+    return 1.0 / (sb_res * factors + state.wire_r) + partner_g
+
+
+def column_resistances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
+    """Bit-line equivalent resistance of every column: the inverse of its
+    `column_conductances`, which the amps' comparators sense."""
+    return 1.0 / column_conductances(state, at, partner_g, factors)
 
 
 def flat_rows(state: ProgrammedState, rows) -> np.ndarray:

@@ -17,14 +17,15 @@ the nodes of all its rounds' reads in one `crossbar.read_round` pass.
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
 slices (B*S).  A round takes those rows (from the read table when ideal,
-from the cells through `crossbar.column_resistances` and the amps when
-noisy), takes the sensed bits the wiring routes to each next-state bit,
-packs every 4 of them into a nibble and adds 16*j back.  A noisy block
-computes what does not depend on the selected rows once: its factors come
-in the kernel's layout, (rounds, 2, B, S, 4), its partner branches for
-every round and lane in one operation, and its bit errors in one
-comparison over the recorded rows after the last round.  A traced block
-records `at & 15`.
+from the cells when noisy: each column's conductance,
+`crossbar.column_conductances`, decided on its amp's decision points),
+takes the sensed bits the wiring routes to each next-state bit, packs
+every 4 of them into a nibble and adds 16*j back.  A noisy block computes
+what does not depend on the selected rows once: its factors come in the
+kernel's layout, (rounds, 2, B, S, 4), with the decision points that
+cover the conductances they reach, its partner branches for every round
+and lane in one operation, and its bit errors in one comparison over the
+recorded rows after the last round.  A traced block records `at & 15`.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its input nibble while the cells stay as programmed, so every
@@ -35,8 +36,8 @@ first ideal read of each programming, and an S-box rewrite drops it.  On
 nominal devices (no d2d variation) every cell is LRS or HRS, so it is
 gathered from `crossbar.nominal_reads`, one sense of each operand
 pairing.  With d2d variation every cell differs, so every entry is sensed
-with the kernel's arithmetic, one column kind at a time: a read-out
-column, which has no partner, reads the same in every round.
+as the kernel senses it, one column kind at a time: a read-out column,
+which has no partner, reads the same in every round.
 """
 
 from __future__ import annotations
@@ -54,14 +55,15 @@ from .crossbar import (
     CrossbarError,
     DeviceParams,
     ReadCapture,
-    column_resistances,
+    column_conductances,
+    decide,
+    decision_points,
     draw_read_factors,
     flat_rows,
     nominal_reads,
     partner_conductances,
     program_slice,
     read_round,
-    resolve,
     scheme_for,
 )
 from .errors import MemgiftError
@@ -174,6 +176,7 @@ class EncryptionSession:
         self.blocks_encrypted = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
         self._read_table = None
+        self._column_points = {}
 
     # -- programming ------------------------------------------------------
 
@@ -205,16 +208,35 @@ class EncryptionSession:
 
     # -- reads --------------------------------------------------------------
 
-    def _sense(self, at, partner_g, factors) -> np.ndarray:
+    def _amp_points(self, sigma_c2c: float) -> list:
+        """The XOR amp's and the read-out amp's `decision_points` over the
+        conductances that reads with cycle-to-cycle sigma up to sigma_c2c
+        can meet."""
+        params = replace(self.params, sigma_c2c=sigma_c2c)
+        domain = params.conductance_range()
+        amps = (self.scheme.xor_amp, self.scheme.readout_amp)
+        return [decision_points(amp, params.vdd, domain) for amp in amps]
+
+    def _points(self, sigma_c2c: float) -> np.ndarray:
+        """Every column's decision points, its amp's, padded with +inf:
+        shape (K, S, 4), for reads with cycle-to-cycle sigma up to
+        sigma_c2c.  Built at the first noisy read at each sigma."""
+        points = self._column_points.get(sigma_c2c)
+        if points is None:
+            xor, readout = self._amp_points(sigma_c2c)
+            k = max(len(xor), len(readout))
+            xor, readout = (np.concatenate([p, np.full(k - len(p), np.inf)]) for p in (xor, readout))
+            points = np.where(self.state.xor_mask, xor[:, None, None], readout[:, None, None])
+            self._column_points[sigma_c2c] = points
+        return points
+
+    def _sense(self, at, partner_g, factors, points) -> np.ndarray:
         """Bits sensed on every column of the flat S-box rows `at`, shape
         (..., S), under cycle-to-cycle factors, against partner branches of
-        conductance partner_g (see `column_resistances`): shape at.shape +
-        (4,), broadcast with partner_g."""
-        state, vdd = self.state, self.params.vdd
-        r_eq = column_resistances(state, at, partner_g, factors)
-        xor_bits = resolve(self.scheme.xor_amp, r_eq, vdd)
-        ro_bits = resolve(self.scheme.readout_amp, r_eq, vdd)
-        return np.where(state.xor_mask, xor_bits, ro_bits)
+        conductance partner_g (see `column_conductances`), decided on the
+        columns' decision points: shape at.shape + (4,), broadcast with
+        partner_g."""
+        return decide(column_conductances(self.state, at, partner_g, factors), points)
 
     def _build_read_table(self) -> np.ndarray:
         """Every ideal read of the programmed state, slice-major, shape
@@ -243,21 +265,22 @@ class EncryptionSession:
 
     def _sensed_read_table(self) -> np.ndarray:
         """The read table of cells with d2d variation, every entry sensed
-        as the kernel senses it, 1/(sb_g + partner_g) through the column's
-        amp, one column kind at a time.  A read-out column has no partner
-        branch (partner_g is 0 in every round), so its 16 rows are sensed
-        once and broadcast over the rounds; an XOR column is sensed per
-        round."""
+        as the kernel senses it: sb_g + partner_g decided on the column's
+        amp's decision points, one column kind at a time.  A read-out column
+        has no partner branch (partner_g is 0 in every round), so its 16
+        rows are sensed once and broadcast over the rounds; an XOR column is
+        sensed per round."""
         state, scheme = self.state, self.scheme
         table = np.empty((state.rounds, self.variant.nibbles, 16, 4), dtype=np.uint8)
         # each column's 16 rows last, so a column kind selects whole columns
         by_column, sb_g = table.transpose(0, 1, 3, 2), state.sb_g.transpose(0, 2, 1)
-        for amp, columns, rnds in (
-            (scheme.readout_amp, ~state.xor_mask, slice(0, 1)),
-            (scheme.xor_amp, state.xor_mask, slice(None)),
+        xor_points, readout_points = self._amp_points(self.params.sigma_c2c)
+        for points, columns, rnds in (
+            (readout_points, ~state.xor_mask, slice(0, 1)),
+            (xor_points, state.xor_mask, slice(None)),
         ):
             g = sb_g[columns] + state.partner_g[rnds, columns, None]  # (rounds or 1, n, 16)
-            by_column[:, columns] = resolve(amp, 1.0 / g, self.params.vdd)
+            by_column[:, columns] = decide(g, points)
         table.setflags(write=False)
         return table
 
@@ -272,23 +295,26 @@ class EncryptionSession:
         log.add(ro_kind, self._n_readout * reads)
 
     def _read_factors(self, reads: int, sigmas):
-        """Cycle-to-cycle factors for the next `reads` reads of one lane per
-        sigma, shape (reads, 2, len(sigmas), S, 4), or None when every sigma
-        is zero.  All lanes scale the same normals (common random numbers)."""
+        """The noise of the next `reads` reads of one lane per sigma: their
+        cycle-to-cycle factors, shape (reads, 2, len(sigmas), S, 4), and the
+        decision points (`_points`) that cover the conductances they reach;
+        None when every sigma is zero.  All lanes scale the same normals
+        (common random numbers)."""
         if not any(s > 0 for s in sigmas):
             return None
-        return draw_read_factors(sigmas, self._slice_rngs, reads)
+        return draw_read_factors(sigmas, self._slice_rngs, reads), self._points(max(sigmas))
 
     def _read_rounds(
-        self, bits: np.ndarray, rounds: range, factors=None, count_errors=False, rows_read=None
+        self, bits: np.ndarray, rounds: range, noise=None, count_errors=False, rows_read=None
     ):
         """The read kernel: run `rounds` on every lane of `bits`, shape (B, n).
 
-        factors, when given, has shape (len(rounds), 2, B, S, 4): entry
-        [i, 0] scales the S-box cells of round i's reads, [i, 1] their
-        partner cells.  Returns the bits after the last round and, per lane,
-        the number of sensed bits that disagree with the ideal digital value
-        (zeros unless count_errors).  An ideal read (no factors) walks the
+        noise, when given, is (factors, points) as `_read_factors` gives
+        it: factors has shape (len(rounds), 2, B, S, 4), entry [i, 0]
+        scaling the S-box cells of round i's reads and [i, 1] their partner
+        cells, and the reads decide on points.  Returns the bits after the
+        last round and, per lane, the number of sensed bits that disagree
+        with the ideal digital value (zeros unless count_errors).  An ideal read (no noise) walks the
         read table, built here at the first ideal read of each programming;
         a noisy one senses the cells.  With a `rows_read` list, each round's
         selected S-box rows, shape (B, S), are appended to it for a trace to
@@ -305,20 +331,22 @@ class EncryptionSession:
         # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
         at = np.add(bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
         history = [at] if count_errors or rows_read is not None else None
-        if factors is None:
+        if noise is None:
             if self._read_table is None:
                 self._read_table = self._build_read_table()
             table = self._read_table.reshape(state.rounds, -1, 4)
         else:
             # computed once: the partner branch of every round's reads
+            factors, points = noise
             sb_f, partner_f = factors[:, 0], factors[:, 1]
             partner_g = partner_conductances(state, rnds[:, None], partner_f)
         for i, rnd in enumerate(rounds):
-            if factors is None:
+            if noise is None:
                 out = table[rnd].take(at, axis=0)
             else:
+                at_lanes = at.reshape(lanes, nibbles)
                 # a bool array is its 0/1 bytes, so the view skips a cast
-                out = self._sense(at.reshape(lanes, nibbles), partner_g[i], sb_f[i]).view(np.uint8)
+                out = self._sense(at_lanes, partner_g[i], sb_f[i], points).view(np.uint8)
             bits = out.take(sources)
             at = np.add(bits @ _NIBBLE_WEIGHTS, base)
             if history is not None:
@@ -345,8 +373,8 @@ class EncryptionSession:
             raise PipelineError("stepping past the final round")
         rnd = self.round_counter
         bits = self._state_bits(state, "state")[None]
-        factors = self._read_factors(1, (self.params.sigma_c2c,))
-        bits, _ = self._read_rounds(bits, range(rnd, rnd + 1), factors)
+        noise = self._read_factors(1, (self.params.sigma_c2c,))
+        bits, _ = self._read_rounds(bits, range(rnd, rnd + 1), noise)
         self._log_reads(1)
         self.register_bits = bits[0]
         self.round_counter = rnd + 1
@@ -371,13 +399,13 @@ class EncryptionSession:
         `traces` list (one lane), one RoundTrace per round is appended."""
         bits = np.tile(self._begin_block(pt), (len(sigmas), 1))
         rounds = self.variant.rounds
-        factors = self._read_factors(rounds, sigmas)
+        noise = self._read_factors(rounds, sigmas)
         rows_read = None if traces is None else []
-        bits, errors = self._read_rounds(bits, range(rounds), factors, count_errors, rows_read)
+        bits, errors = self._read_rounds(bits, range(rounds), noise, count_errors, rows_read)
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
             rows, rnds = np.concatenate(rows_read), np.arange(rounds)
-            f = None if factors is None else factors[:, :, 0].swapaxes(1, 2)
+            f = None if noise is None else noise[0][:, :, 0].swapaxes(1, 2)
             analog = read_round(self.state, rows, rnds, self.scheme, self.params.vdd, f)
             outputs = (analog.bits @ _NIBBLE_WEIGHTS).tolist()
             posts = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)

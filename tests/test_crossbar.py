@@ -6,19 +6,27 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from memgift.crossbar import (
+    MAX_BAND_FLOATS,
     ConfigError,
     CrossbarError,
     DeviceParams,
+    DualReadoutAmp,
+    DualXorAmp,
     DXOR_SCHEME,
     SCHEMES,
     SXOR_SCHEME,
     MarginRecord,
+    ScoutingReadoutAmp,
+    ScoutingXorAmp,
+    SenseAmpScheme,
     SenseResult,
     check_margins,
+    decide,
+    decision_points,
     draw_read_factors,
     PARTNER_ABSENT,
     load_device_config,
@@ -436,6 +444,165 @@ def test_variation_factor_clamps():
     assert variation_factor(0.1, 10.0) == pytest.approx(1.4)
     assert variation_factor(0.1, -10.0) == pytest.approx(0.6)
     assert variation_factor(0.5, -10.0) == pytest.approx(0.01)  # floor
+    # a scalar in is a scalar out; arrays broadcast against the sigmas
+    assert np.ndim(variation_factor(0.1, 10.0)) == 0
+    assert variation_factor(np.array([[0.1], [0.2]]), np.zeros(3)).shape == (2, 3)
+
+
+def oracle_draw_read_factors(sigmas, rngs, reads):
+    """The factor draw as it was first written: every slice's normals
+    stacked, then clamped, scaled and floored as one expression."""
+    z = np.stack([rng.standard_normal((reads, 2, 4)) for rng in rngs], axis=2)[:, :, None]
+    z = np.clip(z, -4.0, 4.0)
+    return np.maximum(1.0 + np.asarray(sigmas, dtype=float).reshape(-1, 1, 1) * z, 0.01)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigmas=st.lists(st.sampled_from([0.0, 0.02, 0.1, 0.3, 1.0]) | st.floats(0, 2), min_size=1,
+                    max_size=8),
+    reads=st.integers(1, 45),
+    slices=st.integers(1, 33),
+    seed=st.integers(0, 2**32),
+)
+def test_draw_read_factors_matches_stacked_oracle(sigmas, reads, slices, seed):
+    # bit for bit, and every generator is left where the oracle leaves it
+    streams = [np.random.SeedSequence(seed).spawn(slices) for _ in range(2)]
+    got_rngs, want_rngs = ([np.random.default_rng(s) for s in seq] for seq in streams)
+    got = draw_read_factors(sigmas, got_rngs, reads)
+    want = oracle_draw_read_factors(sigmas, want_rngs, reads)
+    assert got.shape == want.shape == (reads, 2, len(sigmas), slices, 4)
+    assert got.tobytes() == want.tobytes()
+    assert [r.standard_normal() for r in got_rngs] == [r.standard_normal() for r in want_rngs]
+
+
+# ---------------------------------------------------------------------------
+# Decision points: the sense of an uncaptured read
+
+
+AMP_CLASSES = (ScoutingXorAmp, ScoutingReadoutAmp, DualXorAmp, DualReadoutAmp)
+REFERENCES = ("vth", "vref", "vref_and", "vref_nor")
+
+
+def float_steps(g, steps):
+    """The floats `steps` (an int array) ulps from the positive float g."""
+    return (np.float64(g).view(np.int64) + np.asarray(steps)).view(np.float64)
+
+
+@st.composite
+def amps_in_domains(draw):
+    """An amp of any class with fields that validate admits, a vdd, and the
+    conductance domain of a device whose cells its branches can sense."""
+    vdd = draw(st.floats(0.05, 20.0))
+    r_lrs = 10 ** draw(st.floats(2.0, 4.0))
+    decades = draw(st.floats(0.5, 6.0))  # from r_lrs to r_hrs
+    params = DeviceParams(
+        r_lrs=r_lrs, r_hrs=r_lrs * 10**decades, vdd=vdd,
+        wire_r_per_cell=draw(st.sampled_from([0.0, 150.0])),
+        sigma_d2d=draw(st.sampled_from([0.0, 0.05])), sigma_c2c=draw(st.floats(0.0, 0.3)),
+    )
+    cls = draw(st.sampled_from(AMP_CLASSES))
+    values = {}
+    for f in fields(cls):
+        if f.name in REFERENCES:
+            # across (0, vdd), and near vdd, where the decision band is widest
+            near_vdd = st.floats(-5.5, -2.0).map(lambda e: 1 - 10**e)
+            values[f.name] = vdd * draw(st.floats(0.01, 0.99) | near_vdd)
+        else:
+            # branch resistances and gain, around the cells' resistances
+            values[f.name] = r_lrs * 10 ** draw(st.floats(-1.0, decades))
+    amp = cls(**values)
+    try:
+        SenseAmpScheme("any", amp, amp).validate(vdd)
+    except CrossbarError:
+        assume(False)
+    return amp, vdd, params.conductance_range()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=amps_in_domains(), data=st.data())
+def test_decision_points_decide_as_resolve(case, data):
+    amp, vdd, (lo, hi) = case
+    points = decision_points(amp, vdd, (lo, hi))
+    finite = points[np.isfinite(points)]
+    assert not points.flags.writeable
+    assert np.all(np.diff(points) > 0) and np.all((finite >= lo) & (finite < hi))
+    assert np.all(points[~np.isfinite(points)] == -np.inf)
+    # at every point and 1..64 ulps either side, the domain's ends, random g
+    g = [float_steps(p, np.arange(-64, 65)) for p in finite]
+    g.append(float_steps(lo, np.arange(65)))
+    g.append(float_steps(hi, -np.arange(65)))
+    g.append(np.exp(data.draw(st.lists(st.floats(np.log(lo), np.log(hi)), min_size=200,
+                                       max_size=200))))
+    g = np.clip(np.concatenate(g), lo, hi)
+    assert np.array_equal(decide(g, points), resolve(amp, 1.0 / g, vdd))
+
+
+# Dual XOR amps whose NOR branch, vdd*r/(m + r), is not monotone at the last
+# ulp: its decision flips back and forth near the switch, so one threshold
+# per comparator misreads there.  (vdd, amp, changes of the bit there and
+# the ulps they span.)
+NON_MONOTONE_NOR = [
+    (0.7818778273645421, DualXorAmp(
+        vref_and=0.17272760496539477, vref_nor=0.5021991393515467,
+        r_and=26011.44622411205, r_nor=778059.1574150177,
+    ), 3, 3),
+    (1.4901185849563507, DualXorAmp(
+        vref_and=1.3078700973092674, vref_nor=1.4874484798753431,
+        r_and=72593.881583947, r_nor=100575.1190271038,
+    ), 239, 480),
+]
+
+
+@pytest.mark.parametrize("vdd, amp, changes, span", NON_MONOTONE_NOR, ids=["3-changes", "239-changes"])
+def test_decision_points_follow_a_non_monotone_comparator(vdd, amp, changes, span):
+    SenseAmpScheme("dxor", amp, DualReadoutAmp()).validate(vdd)
+    # an HRS of 1 GOhm puts the NOR switch inside the domain
+    domain = DeviceParams(vdd=vdd, r_hrs=1e9).conductance_range()
+    points = decision_points(amp, vdd, domain)
+    # the NOR switch is the lower cluster, the AND switch one clean step
+    nor = points[np.isfinite(points)][:-1]
+    assert len(nor) == changes
+    first, last = nor[[0, -1]].view(np.int64)
+    assert last - first == span
+    g = float_steps(nor[0], np.arange(-3000, 3000))
+    want = resolve(amp, 1.0 / g, vdd)
+    assert np.array_equal(decide(g, points), want)
+    # one threshold per comparator, at its first change, misreads
+    one_step = np.concatenate([points[:2], points[-1:]])
+    assert not np.array_equal(decide(g, one_step), want)
+
+
+@pytest.mark.parametrize("scheme", ["sxor", "dxor"])
+def test_default_amps_decide_on_clean_steps(scheme):
+    # the XOR amp's bit rises then falls, the read-out amp's rises once;
+    # derived once per amp, vdd and domain
+    params = DeviceParams(sigma_c2c=0.12)
+    domain = params.conductance_range()
+    xor, readout = SCHEMES[scheme].xor_amp, SCHEMES[scheme].readout_amp
+    assert len(decision_points(xor, params.vdd, domain)) == 2
+    assert len(decision_points(readout, params.vdd, domain)) == 1
+    hits = decision_points.cache_info().hits
+    assert decision_points(xor, params.vdd, domain) is decision_points(xor, params.vdd, domain)
+    assert decision_points.cache_info().hits == hits + 2
+
+
+def test_reference_with_too_wide_a_decision_band_rejected(tmp_path):
+    # within (0, vdd), but so close to vdd that rounding decides over more
+    # than 2^20 floats of g
+    vdd = 0.9
+    for gap, ok in ((1e-4, True), (1e-7, False)):
+        scheme = SenseAmpScheme("dxor", DualXorAmp(vref_nor=vdd * (1 - gap)), DualReadoutAmp())
+        if ok:
+            scheme.validate(vdd)
+        else:
+            with pytest.raises(CrossbarError, match="2\\^20 floats"):
+                scheme.validate(vdd)
+    assert MAX_BAND_FLOATS == 2**20
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"ro_s.vth = {vdd * (1 - 1e-7)}\n")
+    with pytest.raises(ConfigError, match="decision band"):
+        load_device_config(cfg)
 
 
 # ---------------------------------------------------------------------------

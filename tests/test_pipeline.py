@@ -259,8 +259,8 @@ def test_trace_bookkeeping():
 )
 def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     session = EncryptionSession(RNG.getrandbits(128), GIFT128, "dxor", params)
-    kernel_bits, kernel_r_eq, captures = [], [], []
-    sense, resistances, capture = session._sense, pipeline.column_resistances, pipeline.read_round
+    kernel_bits, kernel_g, captures = [], [], []
+    sense, conductances, capture = session._sense, pipeline.column_conductances, pipeline.read_round
 
     def recorded(record, fn):
         def call(*args):
@@ -270,18 +270,19 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
         return call
 
     session._sense = recorded(kernel_bits, sense)
-    monkeypatch.setattr(pipeline, "column_resistances", recorded(kernel_r_eq, resistances))
+    monkeypatch.setattr(pipeline, "column_conductances", recorded(kernel_g, conductances))
     monkeypatch.setattr(pipeline, "read_round", recorded(captures, capture))
     ct, traces = session.encrypt(RNG.getrandbits(128), trace=True)
     # an ideal block walks the read table, a noisy one runs the kernel
     # round by round; then one capture of all 40 rounds
     noisy = params.sigma_c2c > 0
-    assert len(captures) == 1 and len(kernel_bits) == len(kernel_r_eq) == (40 if noisy else 0)
+    assert len(captures) == 1 and len(kernel_bits) == len(kernel_g) == (40 if noisy else 0)
     analog = captures[0]
     assert all(t.analog is analog for t in traces)
     if noisy:
         assert np.array_equal(analog.bits, np.concatenate(kernel_bits))
-        assert np.array_equal(analog.r_eq, np.concatenate(kernel_r_eq))
+        # the kernel decides on conductances, the capture reports their inverse
+        assert np.array_equal(1.0 / np.concatenate(kernel_g), analog.r_eq)
     else:
         # the table's bits, which are the kernel's, of the rows the walk read
         rows = np.array([t.input_nibbles for t in traces])
@@ -946,6 +947,18 @@ def test_sweep_monotone_and_deterministic():
 
 
 SWEEP_GRID = (0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.12)
+
+
+def device_file_sweep(device: str, scheme: str) -> dict:
+    """`memgift sweep --seed 7 --scheme SCHEME --device-params FILE` on the
+    device file tests/data/DEVICE.cfg."""
+    params, schemes = load_device_config(DATA_DIR / f"{device}.cfg")
+    return dict(
+        variant=GIFT128, scheme=schemes[scheme], sigmas=SWEEP_GRID, blocks=20, seed=7,
+        base_params=params,
+    )
+
+
 GOLDEN_SWEEPS = {
     "sweep_dxor_default_seed7": dict(
         variant=GIFT128, scheme="dxor", sigmas=SWEEP_GRID, blocks=20, seed=7
@@ -972,7 +985,18 @@ GOLDEN_SWEEPS = {
         variant=GIFT128, scheme="sxor", sigmas=(0.0, 0.1, 0.2), blocks=3, seed=11,
         base_params=DeviceParams(sigma_d2d=0.03, wire_r_per_cell=150.0),
     ),
+    # non-default amps, pinned before reads decided on decision points:
+    # MISCALIBRATED, and the dual NOR reference at 0.95*vdd
+    "sweep_amps_miscalibrated_dxor": device_file_sweep("sweep_amps_miscalibrated", "dxor"),
+    "sweep_amps_miscalibrated_sxor": device_file_sweep("sweep_amps_miscalibrated", "sxor"),
+    "sweep_amps_vref_nor_dxor": device_file_sweep("sweep_amps_vref_nor", "dxor"),
 }
+
+
+def test_miscalibrated_device_file_holds_the_miscalibrated_amps(tmp_path):
+    path = tmp_path / "amps.cfg"
+    path.write_text(MISCALIBRATED)
+    assert load_device_config(path) == load_device_config(DATA_DIR / "sweep_amps_miscalibrated.cfg")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEPS))
