@@ -118,10 +118,8 @@ def cmd_encrypt(args) -> int:
         print(LOCAL_MODE_BANNER, file=sys.stderr)
 
     session = EncryptionSession(key, variant, schemes[args.scheme], params, args.mode)
-    mask = None
     if args.mask is not None:
-        mask = _parse_hex(args.mask, 1, "mask")
-        apply_mask(session, mask)
+        apply_mask(session, _parse_hex(args.mask, 1, "mask"))
 
     # The mask schedule is drawn before the first block, so that the round
     # trace's header can name the final mask and every block stream after
@@ -145,12 +143,9 @@ def cmd_encrypt(args) -> int:
                 # each block's records before the next block is read
                 trace_fp.flush()
             if i in remasks:
-                mask = remasks[i]
-                apply_mask(session, mask)
-            if mask is not None:
-                ct, traces = encrypt_masked(session, pt, mask, trace=want_trace)
-            else:
-                ct, traces = session.encrypt(pt, trace=want_trace)
+                apply_mask(session, remasks[i])
+            # mask 0 is the plain read: replicate_mask(0, n) == 0
+            ct, traces = encrypt_masked(session, pt, session.mask, trace=want_trace)
             if trace_fp:
                 trace_fp.write(round_trace_records(session, traces))
             if analog_fp:

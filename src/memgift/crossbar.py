@@ -7,10 +7,13 @@ bit line and the resulting equivalent resistance is resolved by a sense
 amplifier into a digital bit.
 
 `program_slice` writes every slice of a layout in one pass, into the
-stacked `ProgrammedState` a session holds once.  One vectorised read serves
-every mode: `column_conductances` gives every column's bit-line
-conductance.  Each amp states its maths once, as `comparators`, and
-`resolve` senses a resistance with them.  An uncaptured read (the noisy
+`ProgrammedState` a session holds once: the S-box cells stacked along the
+slice axis, the partner cells round-major, as a read of some rounds selects
+them.  Every read gets a cell path's conductance from one expression,
+`path_conductance`, 1/(r*f + wire), so reads of the same cells agree bit
+for bit.  One vectorised read serves every mode: `column_conductances`
+gives every column's bit-line conductance.  Each amp states its maths
+once, as `comparators`, and `resolve` senses a resistance with them.  An uncaptured read (the noisy
 kernel, a d2d read table) decides on the conductance directly: the
 conductances at which an amp's bit changes are derived from its
 `comparators` once per amp, vdd and conductance domain
@@ -18,7 +21,7 @@ conductances at which an amp's bit changes are derived from its
 conductance (`decide`), bit for bit what `resolve` gives.  Captured reads
 (`read_round`, over all of a block's rounds in one pass, as columnar
 arrays), `nominal_reads` and the margin audit still evaluate the nodes,
-through `column_resistances` and `resolve`, because they report them.
+from r_eq = 1/g and `resolve`, because they report them.
 
 A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
 of the stacked cells seen as (S*16, 4) (`flat_rows`), so any selection,
@@ -53,7 +56,7 @@ calibration constants, not measured device data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -164,38 +167,31 @@ def variation_factor(sigma, z):
 
 @dataclass(frozen=True, eq=False)
 class ProgrammedState:
-    """Programmed state of every slice, stacked along the slice axis S.
+    """Programmed state of every slice, as `program_slice` writes it: the
+    S-box cells stacked along the slice axis S, the partner cells round
+    major, as a read of some rounds selects them.
 
     Each column has one S-box cell per S-box row and, on key columns, one
     partner (key/constant) cell per round; read-out columns have no
-    partner, which the stack encodes as an infinite resistance.  The
-    branch conductances of ideal reads are computed once, here.  Written
-    by `program_slice`; its arrays are read-only, so a read can never move
-    a cell between resistive states.
+    partner, which the state encodes as an infinite resistance.  Its
+    arrays are read-only, so a read can never move a cell between
+    resistive states.
     """
 
     sb_bits: np.ndarray  # (S, 16, 4) uint8
     sb_res: np.ndarray  # (S, 16, 4) float
-    partner_bits: np.ndarray  # (S, rounds, 4) uint8, 0 on read-out columns
-    partner_res: np.ndarray  # (S, rounds, 4) float, inf on read-out columns
+    partner_bits: np.ndarray  # (rounds, S, 4) uint8, 0 on read-out columns
+    partner_res: np.ndarray  # (rounds, S, 4) float, inf on read-out columns
     xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
     wire_r: float
-    sb_g: np.ndarray = field(init=False, repr=False)
-    partner_g: np.ndarray = field(init=False, repr=False)  # (rounds, S, 4)
-    slice_index: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for a in (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res, self.xor_mask):
             a.setflags(write=False)
-        object.__setattr__(self, "sb_g", 1.0 / (self.sb_res + self.wire_r))
-        # round-major, so that a read of several rounds gathers them at once
-        partner_g = 1.0 / (self.partner_res.transpose(1, 0, 2) + self.wire_r)
-        object.__setattr__(self, "partner_g", np.ascontiguousarray(partner_g))
-        object.__setattr__(self, "slice_index", np.arange(len(self.sb_bits)))
 
     @property
     def rounds(self) -> int:
-        return self.partner_bits.shape[1]
+        return self.partner_bits.shape[0]
 
     @property
     def cell_count(self) -> int:
@@ -246,11 +242,11 @@ def program_slice(
     # every slice's key columns, scattered in one assignment per array
     owner = np.repeat(np.arange(S), widths)
     cols = [c for km in key_matrices for c in km.columns]
-    partner_bits = np.zeros((S, rounds, 4), dtype=np.uint8)
-    partner_res = np.full((S, rounds, 4), np.inf)
+    partner_bits = np.zeros((rounds, S, 4), dtype=np.uint8)
+    partner_res = np.full((rounds, S, 4), np.inf)
     xor_mask = np.zeros((S, 4), dtype=bool)
-    partner_bits[owner, :, cols] = key_bits.T
-    partner_res[owner, :, cols] = key_res.T
+    partner_bits[:, owner, cols] = key_bits
+    partner_res[:, owner, cols] = key_res
     xor_mask[owner, cols] = True
     return ProgrammedState(
         sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell
@@ -559,41 +555,44 @@ def draw_read_factors(
     return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1), z[:, :, None])
 
 
+def path_conductance(r, wire: float, f=None) -> np.ndarray:
+    """Conductance of selected cell paths, 1/(r*f + wire): cells of
+    resistance r scaled by cycle-to-cycle factors f (an ideal read leaves
+    f out), each in series with the wire, in the shape r and f broadcast
+    to.  An infinite r, no partner, conducts 0.0.  Every read computes its
+    conductances here, so reads of the same cells agree bit for bit.  The
+    product, the sum and the inverse are written in place, into one output
+    array."""
+    g = np.array(r, dtype=np.float64) if f is None else np.multiply(r, f)
+    g += wire
+    return np.divide(1.0, g, out=g)
+
+
 def partner_conductances(state: ProgrammedState, rnd, factors=None) -> np.ndarray:
     """Conductance of every column's partner branch in round rnd, an int or
     an int array: shape rnd.shape + (S, 4), zero on read-out columns.
-    factors, broadcast against that shape, scale the partner cells as
-    1/(r*f + wire); without them the ideal conductances are used.  It does
-    not depend on the selected S-box rows, so a noisy block computes it for
-    all of its rounds and lanes at once."""
-    if factors is None:
-        return state.partner_g[rnd]
-    return 1.0 / (state.partner_res.transpose(1, 0, 2)[rnd] * factors + state.wire_r)
+    factors, broadcast against that shape, scale the partner cells (see
+    `path_conductance`).  It does not depend on the selected S-box rows, so
+    a noisy block computes it for all of its rounds and lanes at once."""
+    return path_conductance(state.partner_res[rnd], state.wire_r, factors)
 
 
 def column_conductances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
     """Bit-line conductance of every column that reads the flat S-box rows
-    `at` against partner branches of conductance partner_g: shape at.shape
-    + (4,), broadcast with partner_g.  Flat row 16*j + row is slice j's
-    S-box row `row`, so a read of any selection is one `take` on the
-    (S*16, 4) rows.  factors, shape at.shape + (4,), scale the selected
-    S-box cells as 1/(r*f + wire); without them the ideal conductances are
-    used.  The branches are summed."""
-    if factors is None:
-        return state.sb_g.reshape(-1, 4).take(at, axis=0) + partner_g
-    sb_res = state.sb_res.reshape(-1, 4).take(at, axis=0)
-    return 1.0 / (sb_res * factors + state.wire_r) + partner_g
-
-
-def column_resistances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
-    """Bit-line equivalent resistance of every column: the inverse of its
-    `column_conductances`, which the amps' comparators sense."""
-    return 1.0 / column_conductances(state, at, partner_g, factors)
+    `at` against partner branches of conductance partner_g, which
+    broadcasts to the result's shape, at.shape + (4,).  Flat row 16*j + row
+    is slice j's S-box row `row`, so a read of any selection is one `take`
+    on the (S*16, 4) rows.  factors, shape at.shape + (4,), scale the
+    selected S-box cells (see `path_conductance`).  The branches are
+    summed."""
+    g = path_conductance(state.sb_res.reshape(-1, 4).take(at, axis=0), state.wire_r, factors)
+    g += partner_g
+    return g
 
 
 def flat_rows(state: ProgrammedState, rows) -> np.ndarray:
     """The flat S-box rows 16*j + rows[..., j] of per-slice rows (..., S)."""
-    return np.asarray(rows) + 16 * state.slice_index
+    return np.asarray(rows) + 16 * np.arange(len(state.sb_bits))
 
 
 # Partner codes of the nominal read grid: a partner cell's bit, or no partner.
@@ -605,16 +604,14 @@ def _sense_nominal_grid(scheme: SenseAmpScheme, params: DeviceParams, capture=Fa
     holding bit s (axis 0) against a partner holding bit p, or no partner
     (p = PARTNER_ABSENT), on nominal cells.  Returns the XOR amp's sense of
     the pairings with a partner, indexed [s, p], and the read-out amp's of
-    those without, indexed [s].  The resistances, conductances and r_eq are
-    computed as `program_slice` and `column_resistances` compute them, so on
-    devices without d2d variation each pairing is bit-exact with the
-    kernel's read of any cell pair in that state."""
-    sb_res = np.array([params.r_hrs, params.r_lrs])
-    partner_res = np.array([params.r_hrs, params.r_lrs, np.inf])
-    g = 1.0 / (sb_res[:, None] + params.wire_r_per_cell) + 1.0 / (
-        partner_res + params.wire_r_per_cell
-    )
-    r_eq = 1.0 / g
+    those without, indexed [s].  The resistances are those `program_slice`
+    writes and the conductances those of `path_conductance`, summed and
+    inverted as `read_round` does, so on devices without d2d variation each
+    pairing is bit-exact with the kernel's read of any cell pair in that
+    state."""
+    wire = params.wire_r_per_cell
+    sb_g = path_conductance([[params.r_hrs], [params.r_lrs]], wire)
+    r_eq = 1.0 / (sb_g + path_conductance([params.r_hrs, params.r_lrs, np.inf], wire))
     return (
         resolve(scheme.xor_amp, r_eq[:, :PARTNER_ABSENT], params.vdd, capture),
         resolve(scheme.readout_amp, r_eq[:, PARTNER_ABSENT], params.vdd, capture),
@@ -658,20 +655,20 @@ def read_round(
     if not (integral and ((rnds >= 0) & (rnds < state.rounds)).all()):
         raise CrossbarError(f"need a list of rounds in 0..{state.rounds - 1}")
     in_range = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < 16)).all()
-    if rows.shape != rnds.shape + state.slice_index.shape or not in_range:
+    if rows.shape != rnds.shape + (len(state.sb_bits),) or not in_range:
         raise CrossbarError("need one S-box row in 0..15 per slice and read")
     if factors is not None and np.shape(factors) != rows.shape + (2, 4):
         raise CrossbarError(f"need factors of shape {rows.shape + (2, 4)}")
     at = flat_rows(state, rows)
     sb_f, partner_f = (None, None) if factors is None else np.moveaxis(factors, -2, 0)
-    r_eq = column_resistances(state, at, partner_conductances(state, rnds, partner_f), sb_f)
+    # the bit-line equivalent resistance, which the amps' comparators sense
+    r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds, partner_f), sb_f)
     xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
     readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
     bits = np.where(state.xor_mask, xor.bit, readout.bit)
     nodes = {"xor": xor.nodes, "readout": readout.nodes}
     sb_bits = state.sb_bits.reshape(-1, 4).take(at, axis=0)
-    partner_bits = state.partner_bits[:, rnds].swapaxes(0, 1)
-    return ReadCapture(bits, r_eq, nodes, sb_bits, partner_bits, state.xor_mask)
+    return ReadCapture(bits, r_eq, nodes, sb_bits, state.partner_bits[rnds], state.xor_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ P(4j+b) of the next state (`permuted` mode).  The literal slice-local
 feedback reading is retained as a diagnostic (`local` mode); it severs
 inter-nibble diffusion and intentionally fails the reference oracle.
 
-The session holds its programmed cells once, as the stacked
-`ProgrammedState`, and reads them with one kernel, `_read_rounds`, over
+The session holds its programmed cells once, as the `ProgrammedState`
+(S-box cells slice-major, partner cells round-major, as the reads select
+them), and reads them with one kernel, `_read_rounds`, over
 lanes of blocks: fast, noisy, stepped and traced encryption and the
 sweep's sigma points all run through it.  A traced block then captures
 the nodes of all its rounds' reads in one `crossbar.read_round` pass.
@@ -36,8 +37,9 @@ first ideal read of each programming, and an S-box rewrite drops it.  On
 nominal devices (no d2d variation) every cell is LRS or HRS, so it is
 gathered from `crossbar.nominal_reads`, one sense of each operand
 pairing.  With d2d variation every cell differs, so every entry is sensed
-as the kernel senses it, one column kind at a time: a read-out column,
-which has no partner, reads the same in every round.
+as the kernel senses it, from the same `crossbar.path_conductance`, one
+column kind at a time: a read-out column, which has no partner, reads the
+same in every round.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .crossbar import (
     flat_rows,
     nominal_reads,
     partner_conductances,
+    path_conductance,
     program_slice,
     read_round,
     scheme_for,
@@ -145,6 +148,9 @@ class EncryptionSession:
     ):
         self.variant = variant_for(variant if variant is not None else 128)
         self.scheme = scheme_for(scheme)
+        if self.scheme.name not in SENSE_EVENT:
+            known = ", ".join(SENSE_EVENT)
+            raise PipelineError(f"scheme {self.scheme.name!r} has no sense events (known: {known})")
         self.params = params if params is not None else DeviceParams()
         self.scheme.validate(self.params.vdd)
         if feedback not in ("permuted", "local"):
@@ -250,7 +256,7 @@ class EncryptionSession:
         # by the XOR amp, and PARTNER_ABSENT on read-out columns (whose
         # partner bits are 0), sensed by the read-out amp.
         state = self.state
-        code = state.partner_bits.transpose(1, 0, 2) | PARTNER_ABSENT * ~state.xor_mask
+        code = state.partner_bits | PARTNER_ABSENT * ~state.xor_mask
         # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
         lo, hi = nominal_reads(self.params, self.scheme).take(code, axis=1)
         # A row's 4 cells as one 4-byte word, so that the broadcast over the
@@ -265,21 +271,22 @@ class EncryptionSession:
 
     def _sensed_read_table(self) -> np.ndarray:
         """The read table of cells with d2d variation, every entry sensed
-        as the kernel senses it: sb_g + partner_g decided on the column's
-        amp's decision points, one column kind at a time.  A read-out column
-        has no partner branch (partner_g is 0 in every round), so its 16
-        rows are sensed once and broadcast over the rounds; an XOR column is
-        sensed per round."""
-        state, scheme = self.state, self.scheme
+        as the kernel senses it: its branches' `path_conductance`, summed,
+        decided on the column's amp's decision points, one column kind at a
+        time.  A read-out column has no partner (it conducts 0 in every
+        round), so its 16 rows are sensed once and broadcast over the
+        rounds; an XOR column is sensed per round."""
+        state, wire = self.state, self.state.wire_r
         table = np.empty((state.rounds, self.variant.nibbles, 16, 4), dtype=np.uint8)
         # each column's 16 rows last, so a column kind selects whole columns
-        by_column, sb_g = table.transpose(0, 1, 3, 2), state.sb_g.transpose(0, 2, 1)
+        by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
         xor_points, readout_points = self._amp_points(self.params.sigma_c2c)
         for points, columns, rnds in (
             (readout_points, ~state.xor_mask, slice(0, 1)),
             (xor_points, state.xor_mask, slice(None)),
         ):
-            g = sb_g[columns] + state.partner_g[rnds, columns, None]  # (rounds or 1, n, 16)
+            partner_g = path_conductance(state.partner_res[rnds, columns, None], wire)
+            g = path_conductance(sb_res[columns], wire) + partner_g  # (rounds or 1, n, 16)
             by_column[:, columns] = decide(g, points)
         table.setflags(write=False)
         return table
@@ -358,7 +365,7 @@ class EncryptionSession:
             if count_errors:
                 # each read's digital value, routed as its sensed bits were
                 cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
-                partner = state.partner_bits.transpose(1, 0, 2)[rnds, None]
+                partner = state.partner_bits[rnds, None]
                 expected = cells.reshape(len(read), lanes, nibbles, 4) ^ partner
                 routed = expected.reshape(len(read), lanes * nibbles * 4).take(sources, axis=1)
                 wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ sensed)

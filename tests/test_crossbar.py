@@ -31,6 +31,7 @@ from memgift.crossbar import (
     PARTNER_ABSENT,
     load_device_config,
     nominal_reads,
+    path_conductance,
     program_slice,
     read_round,
     resolve,
@@ -110,7 +111,7 @@ def make_slice(params=None, key_bits=None, columns=(1, 2), index=0, rng=None):
 
 def key_res(state, columns=(1, 2)):
     """Key-region resistances of a one-slice state, (rounds, len(columns))."""
-    return state.partner_res[0][:, list(columns)]
+    return state.partner_res[:, 0, list(columns)]
 
 
 def read_one(state, nib, rnd, scheme, params, factors=None):
@@ -198,8 +199,8 @@ def assert_selects(state, nib, rnd, analog, i=0):
         stored = (state.sb_bits[0, nib, col],)
         captured = (analog.sb_bits[i, 0, col],)
         if analog.xor_mask[0, col]:
-            cells.append(state.partner_res[0, rnd, col])
-            stored += (state.partner_bits[0, rnd, col],)
+            cells.append(state.partner_res[rnd, 0, col])
+            stored += (state.partner_bits[rnd, 0, col],)
             captured += (analog.partner_bits[i, 0, col],)
         else:
             assert analog.partner_bits[i, 0, col] == 0
@@ -242,7 +243,7 @@ def test_select_rows_exhaustive():
     outs = analog.bits[:, 0] @ [1, 2, 4, 8]
     for i, (nib, rnd) in enumerate(zip(nibs, rnds)):
         assert_selects(state, nib, rnd, analog, i)
-        assert outs[i] == GIFT_SBOX[nib] ^ int(state.partner_bits[0, rnd] @ [1, 2, 4, 8])
+        assert outs[i] == GIFT_SBOX[nib] ^ int(state.partner_bits[rnd, 0] @ [1, 2, 4, 8])
     with pytest.raises(CrossbarError):
         read_round(state, [[0]], [40], "dxor", 0.9)
 
@@ -276,6 +277,27 @@ def test_wire_resistance_adds_per_branch():
 def test_empty_column_rejected():
     with pytest.raises(CrossbarError):
         bitline_equivalent_resistance([])
+
+
+@given(
+    cells=st.lists(
+        st.tuples(st.floats(1.0, 1e12) | st.just(math.inf), st.floats(0.01, 5.0)),
+        min_size=1, max_size=8,
+    ),
+    ideal=st.booleans(),
+    wire=st.sampled_from([0.0, 150.0, 20e3]),
+)
+def test_path_conductance_is_the_scalar_expression(cells, ideal, wire):
+    # bit for bit, element by element, also where r and f broadcast
+    r, f = (np.array(c) for c in zip(*cells))
+    want = [1 / (x + wire) if ideal else 1 / (x * y + wire) for x, y in cells]
+    got = path_conductance(r, wire, None if ideal else f)
+    assert got.tobytes() == np.array(want).tobytes()
+    if not ideal:
+        grid = path_conductance(r[:, None], wire, f[None, :])
+        assert grid.tolist() == [[1 / (x * y + wire) for _, y in cells] for x, _ in cells]
+    # an absent partner, of infinite resistance, conducts nothing
+    assert path_conductance(np.array([math.inf]), wire).tolist() == [0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from memgift.crossbar import (
     VARIATION_CLAMP_SIGMA,
     CrossbarError,
     DeviceParams,
+    DualReadoutAmp,
+    DualXorAmp,
     ReadCapture,
-    column_resistances,
+    SenseAmpScheme,
     load_device_config,
     resolve,
     variation_factor,
@@ -96,7 +98,7 @@ def test_d2d_programming_draws_each_slice_in_order(variant):
             0.05, rng.standard_normal((16, 4))
         )
         rng.standard_normal(km.bits.shape)  # discarded with the rewrite
-        assert np.array_equal(session.state.partner_res[j][:, list(km.columns)], key)
+        assert np.array_equal(session.state.partner_res[:, j, list(km.columns)], key)
         assert np.array_equal(session.state.sb_res[j], sb_second)
         assert not np.array_equal(sb_first, sb_second)
         # the read noise continues exactly there
@@ -121,6 +123,15 @@ def test_bad_modes_rejected():
         EncryptionSession(0, GIFT128, "dxor", feedback="ring")
     with pytest.raises(Exception):
         EncryptionSession(0, GIFT128, "qxor")
+
+
+def test_scheme_without_sense_events_rejected_before_programming(monkeypatch):
+    # energy accounting counts each read under its scheme's sense events, so
+    # a scheme they do not name fails before any layout or cell is written
+    monkeypatch.setattr(pipeline, "compile_layout", lambda *args: pytest.fail("layout compiled"))
+    scheme = SenseAmpScheme("dxor2", DualXorAmp(), DualReadoutAmp())
+    with pytest.raises(PipelineError, match="'dxor2'"):
+        EncryptionSession(1, GIFT128, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +297,7 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     else:
         # the table's bits, which are the kernel's, of the rows the walk read
         rows = np.array([t.input_nibbles for t in traces])
-        table = session._read_table[np.arange(40)[:, None], session.state.slice_index, rows]
+        table = session._read_table[np.arange(40)[:, None], np.arange(32), rows]
         assert np.array_equal(analog.bits, table)
     # round r's captured bits, through the wiring, are the rows round r + 1 read
     routed = analog.bits.reshape(40, -1).view(np.uint8)[:, session._sources]
@@ -399,19 +410,20 @@ def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, 
         if table is not None:
             out = table[rnd, idx, rows].astype(bool)
         else:
+            wire = state.wire_r
             if factors is None:
-                g = state.sb_g[idx, rows] + state.partner_g[rnd]
+                g = 1.0 / (state.sb_res[idx, rows] + wire) + 1.0 / (state.partner_res[rnd] + wire)
             else:
-                f, wire = factors[:, :, i], state.wire_r
+                f = factors[:, :, i]
                 g = 1.0 / (state.sb_res[idx, rows] * f[..., 0, :] + wire) + 1.0 / (
-                    state.partner_res[:, rnd] * f[..., 1, :] + wire
+                    state.partner_res[rnd] * f[..., 1, :] + wire
                 )
             r_eq = 1.0 / g
             xor_bits = resolve(session.scheme.xor_amp, r_eq, vdd)
             ro_bits = resolve(session.scheme.readout_amp, r_eq, vdd)
             out = np.where(state.xor_mask, xor_bits, ro_bits)
         if count_errors:
-            expected = state.sb_bits[idx, rows] ^ state.partner_bits[:, rnd]
+            expected = state.sb_bits[idx, rows] ^ state.partner_bits[rnd]
             errors += (out != expected).sum(axis=(1, 2))
         bits = out.reshape(lanes, -1).view(np.uint8).take(session._sources, axis=1)
         if rows_read is not None:
@@ -435,14 +447,14 @@ def oracle_table_build(session):
     """The read table as the kernel's ideal branch built it: the 16 S-box
     rows of a few rounds at a time read as lanes, both amps on every
     column, each column's bit from the amp wired to it."""
-    state, vdd = session.state, session.params.vdd
+    state, vdd, wire = session.state, session.params.vdd, session.state.wire_r
     rounds, nibbles = state.rounds, len(state.sb_bits)
-    at = np.arange(16)[:, None] + 16 * state.slice_index  # (16, S)
+    sb_g = 1.0 / (state.sb_res.transpose(1, 0, 2) + wire)  # (16, S, 4)
     step = max(1, 8192 // (16 * nibbles * 4))
     table = np.empty((rounds, nibbles, 16, 4), dtype=np.uint8)
     for first in range(0, rounds, step):
         rnds = np.arange(first, min(first + step, rounds))[:, None]
-        r_eq = column_resistances(state, at, state.partner_g[rnds])  # (k, 16, S, 4)
+        r_eq = 1.0 / (sb_g + 1.0 / (state.partner_res[rnds] + wire))  # (k, 16, S, 4)
         xor_bits = resolve(session.scheme.xor_amp, r_eq, vdd)
         ro_bits = resolve(session.scheme.readout_amp, r_eq, vdd)
         reads = np.where(state.xor_mask, xor_bits, ro_bits)
