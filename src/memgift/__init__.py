@@ -38,7 +38,6 @@ from .gift import (
 from .layout import (
     LayoutBundle,
     compile_layout,
-    evaluate_digital,
     export_layout,
     import_layout,
     rc_slice_set,
@@ -60,7 +59,6 @@ __all__ = [
     "decrypt_block",
     "LayoutBundle",
     "compile_layout",
-    "evaluate_digital",
     "export_layout",
     "import_layout",
     "rc_slice_set",

@@ -34,6 +34,8 @@ On nominal cells every read is one of six pairings: an S-box cell holding
 partner (sensed by the read-out amp).  That grid is the one statement of
 a nominal read: `nominal_reads` gives its bits, from which a session
 gathers its read table, and `sense_margin_report` its captured nodes.
+`check_margins` holds the grid to both: every node clear of the band,
+every bit the pairing's logic value.
 
 Electrical model
 ----------------
@@ -707,7 +709,9 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
 
 def check_margins(scheme, params: DeviceParams) -> float:
     """Smallest |node - 0.5*vdd band edge| slack; raises if any decision
-    node violates the 0.6/0.4*vdd rule."""
+    node violates the 0.6/0.4*vdd rule, or if any operand pairing reads
+    other than its logic value: s ^ p on the XOR pairings, s on read-out."""
+    scheme = scheme_for(scheme)
     hi, lo = 0.6 * params.vdd, 0.4 * params.vdd
     worst = math.inf
     for rec in sense_margin_report(scheme, params):
@@ -721,6 +725,14 @@ def check_margins(scheme, params: DeviceParams) -> float:
                 f"for operands {rec.operands} (decision {rec.decision})"
             )
         worst = min(worst, slack)
+    # the nominal grid's ideal reads, indexed [s, p] as nominal_reads
+    logic = np.array([[0, 1, 0], [1, 0, 1]], dtype=bool)
+    for s, p in np.argwhere(nominal_reads(params, scheme) != logic).tolist():
+        kind, operands = ("xor", (s, p)) if p != PARTNER_ABSENT else ("readout", (s,))
+        raise CrossbarError(
+            f"logic violation: {scheme.name}.{kind} reads {int(not logic[s, p])} "
+            f"for operands {operands}, not {int(logic[s, p])}"
+        )
     return worst
 
 

@@ -161,30 +161,6 @@ def compile_layout(
     return LayoutBundle(variant=variant, sbox_matrix=sbox_bit_matrix(sbox), slices=slices)
 
 
-# ---------------------------------------------------------------------------
-# Digital evaluator: the crossbar datapath with ideal logic, used as the
-# intermediate oracle between the reference cipher and the analog model.
-
-
-def evaluate_digital(bundle: LayoutBundle, pt: int, feedback: str = "permuted") -> int:
-    """Every round: per slice, out = S(in) XOR key row, then feedback wiring."""
-    if feedback not in ("permuted", "local"):
-        raise LayoutError(f"unknown feedback mode: {feedback!r}")
-    sbox, targets = bundle.sbox, perm_table(bundle.variant)
-    state = pt
-    for rnd in range(bundle.variant.rounds):
-        out = 0
-        for j, km in enumerate(bundle.slices):
-            nib = sbox[(state >> (4 * j)) & 0xF]
-            for k, b in enumerate(km.columns):
-                nib ^= int(km.bits[rnd, k]) << b
-            for b in range(4):
-                target = targets[4 * j + b] if feedback == "permuted" else 4 * j + b
-                out |= ((nib >> b) & 1) << target
-        state = out
-    return state
-
-
 def state_to_bits(value: int, n: int) -> np.ndarray:
     """The low n bits of value as a uint8 array, bit i at index i."""
     raw = (value & ((1 << n) - 1)).to_bytes((n + 7) // 8, "little")

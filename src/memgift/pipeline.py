@@ -10,10 +10,10 @@ inter-nibble diffusion and intentionally fails the reference oracle.
 
 The session holds its programmed cells once, as the `ProgrammedState`
 (S-box cells slice-major, partner cells round-major, as the reads select
-them), and reads them with one kernel, `_read_rounds`, over
-lanes of blocks: fast, noisy, stepped and traced encryption and the
-sweep's sigma points all run through it.  A traced block then captures
-the nodes of all its rounds' reads in one `crossbar.read_round` pass.
+them), and reads a block with one kernel, `_encrypt_lanes`, over lanes of
+the block: fast, noisy and traced encryption and the sweep's sigma points
+all run through it.  A traced block then captures the nodes of all its
+rounds' reads in one `crossbar.read_round` pass.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -22,15 +22,15 @@ from the cells when noisy: each column's conductance,
 `crossbar.column_conductances`, decided on its amp's decision points),
 takes the sensed bits the wiring routes to each next-state bit, packs
 every 4 of them into a nibble and adds 16*j back.  A noisy block computes
-what does not depend on the selected rows once: its factors come in the
-kernel's layout, (rounds, 2, B, S, 4), with the decision points that
-cover the conductances they reach, its partner branches for every round
-and lane in one operation, and its bit errors in one comparison over the
-recorded rows after the last round.  A traced block records `at & 15`.
+what does not depend on the selected rows once: its factors, in one
+`draw_read_factors` call, with the decision points that cover the
+conductances they reach, its partner branches for every round and lane in
+one operation, and its bit errors in one comparison over the recorded
+rows after the last round.  A traced block records `at & 15`.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its input nibble while the cells stay as programmed, so every
-ideal read, traced, stepped or plain, is a walk of a read table of 0/1
+ideal read, traced or plain, is a walk of a read table of 0/1
 bytes, slice-major, shape (rounds, S, 16, 4): round rnd's reads are the
 flat rows of `table[rnd].reshape(S * 16, 4)`.  The table is built at the
 first ideal read of each programming, and an S-box rewrite drops it.  On
@@ -45,6 +45,7 @@ same in every round.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -72,7 +73,6 @@ from .crossbar import (
 from .errors import MemgiftError
 from .gift import (
     GIFT_SBOX,
-    CipherState,
     CipherVariant,
     SBoxTable,
     encrypt_block,
@@ -89,7 +89,7 @@ from .layout import (
 
 
 class PipelineError(MemgiftError, RuntimeError):
-    """Session misuse: stepping past the last round, size mismatch, ..."""
+    """Session misuse: a plaintext that is not an integer of the block's width, ..."""
 
 
 _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
@@ -176,8 +176,6 @@ class EncryptionSession:
         # slice j's first flat S-box row, 16*j
         self._row_base = flat_rows(self.state, 0)
 
-        self.register_bits = np.zeros(self.variant.block_bits, dtype=np.uint8)
-        self.round_counter = 0
         self.reads_executed = 0
         self.blocks_encrypted = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
@@ -236,14 +234,6 @@ class EncryptionSession:
             self._column_points[sigma_c2c] = points
         return points
 
-    def _sense(self, at, partner_g, factors, points) -> np.ndarray:
-        """Bits sensed on every column of the flat S-box rows `at`, shape
-        (..., S), under cycle-to-cycle factors, against partner branches of
-        conductance partner_g (see `column_conductances`), decided on the
-        columns' decision points: shape at.shape + (4,), broadcast with
-        partner_g."""
-        return decide(column_conductances(self.state, at, partner_g, factors), points)
-
     def _build_read_table(self) -> np.ndarray:
         """Every ideal read of the programmed state, slice-major, shape
         (rounds, S, 16, 4): entry [rnd, j, row] is what slice j senses on
@@ -291,69 +281,56 @@ class EncryptionSession:
         table.setflags(write=False)
         return table
 
-    def _log_reads(self, reads: int) -> None:
-        log = self.current_log
-        log.rounds += reads
-        log.add("decoder_cycle", self.variant.nibbles * reads)
-        log.add("selector_cycle", reads)
-        log.add("register_cycle", reads)
-        xor_kind, ro_kind = SENSE_EVENT[self.scheme.name]
-        log.add(xor_kind, self._n_xor * reads)
-        log.add(ro_kind, self._n_readout * reads)
+    def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
+        """The session's one block read: encrypt plaintext pt once per
+        cycle-to-cycle sigma, each sigma a lane, all lanes through every
+        round together; each lane counts as one read per round.  Returns
+        the lanes' ciphertexts and, per lane, the number of sensed bits
+        that disagree with the ideal digital value (zeros unless
+        count_errors).  With a `traces` list (one lane), one RoundTrace per
+        round is appended.
 
-    def _read_factors(self, reads: int, sigmas):
-        """The noise of the next `reads` reads of one lane per sigma: their
-        cycle-to-cycle factors, shape (reads, 2, len(sigmas), S, 4), and the
-        decision points (`_points`) that cover the conductances they reach;
-        None when every sigma is zero.  All lanes scale the same normals
-        (common random numbers)."""
-        if not any(s > 0 for s in sigmas):
-            return None
-        return draw_read_factors(sigmas, self._slice_rngs, reads), self._points(max(sigmas))
-
-    def _read_rounds(
-        self, bits: np.ndarray, rounds: range, noise=None, count_errors=False, rows_read=None
-    ):
-        """The read kernel: run `rounds` on every lane of `bits`, shape (B, n).
-
-        noise, when given, is (factors, points) as `_read_factors` gives
-        it: factors has shape (len(rounds), 2, B, S, 4), entry [i, 0]
-        scaling the S-box cells of round i's reads and [i, 1] their partner
-        cells, and the reads decide on points.  Returns the bits after the
-        last round and, per lane, the number of sensed bits that disagree
-        with the ideal digital value (zeros unless count_errors).  An ideal read (no noise) walks the
-        read table, built here at the first ideal read of each programming;
-        a noisy one senses the cells.  With a `rows_read` list, each round's
-        selected S-box rows, shape (B, S), are appended to it for a trace to
-        capture.
+        When every sigma is zero the reads walk the read table, built here
+        at the first ideal read of each programming.  Otherwise they sense
+        the cells under factors drawn in one `draw_read_factors` call, shape
+        (rounds, 2, B, S, 4): entry [rnd, 0] scales the S-box cells of round
+        rnd's reads and [rnd, 1] their partner cells.  All lanes scale the
+        same normals (common random numbers).
         """
-        lanes, nibbles = bits.shape[0], self.variant.nibbles
-        state, rnds = self.state, np.asarray(rounds, dtype=np.intp)
-        base, sources = self._row_base, self._sources
+        try:
+            pt = operator.index(pt)
+        except TypeError:
+            raise PipelineError(f"plaintext must be an integer, not {type(pt).__name__}") from None
+        n, rounds, lanes = self.variant.block_bits, self.variant.rounds, len(sigmas)
+        if not 0 <= pt < (1 << n):
+            raise PipelineError(f"plaintext does not fit in {n} bits")
+        state, base, sources = self.state, self._row_base, self._sources
+        # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
+        at = np.add(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
         if lanes > 1:
-            base = np.tile(base, lanes)
-            sources = (sources + bits.shape[1] * np.arange(lanes)[:, None]).ravel()
+            at, base = np.tile(at, lanes), np.tile(base, lanes)
+            sources = (sources + n * np.arange(lanes)[:, None]).ravel()
         # the wiring's sources of each next-state nibble's 4 bits
         sources = sources.reshape(-1, 4)
-        # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
-        at = np.add(bits.reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
-        history = [at] if count_errors or rows_read is not None else None
-        if noise is None:
+        noisy = any(s > 0 for s in sigmas)
+        if noisy:
+            factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
+            points = self._points(max(sigmas))
+            # computed once: the partner branch of every round's reads
+            partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
+        else:
             if self._read_table is None:
                 self._read_table = self._build_read_table()
-            table = self._read_table.reshape(state.rounds, -1, 4)
-        else:
-            # computed once: the partner branch of every round's reads
-            factors, points = noise
-            sb_f, partner_f = factors[:, 0], factors[:, 1]
-            partner_g = partner_conductances(state, rnds[:, None], partner_f)
-        for i, rnd in enumerate(rounds):
-            if noise is None:
-                out = table[rnd].take(at, axis=0)
-            else:
-                at_lanes = at.reshape(lanes, nibbles)
+            table = self._read_table.reshape(rounds, -1, 4)
+        history = [at] if count_errors or traces is not None else None
+        for rnd in range(rounds):
+            if noisy:
+                at_lanes = at.reshape(lanes, -1)
+                g = column_conductances(state, at_lanes, partner_g[rnd], factors[rnd, 0])
                 # a bool array is its 0/1 bytes, so the view skips a cast
-                out = self._sense(at_lanes, partner_g[i], sb_f[i], points).view(np.uint8)
+                out = decide(g, points).view(np.uint8)
+            else:
+                out = table[rnd].take(at, axis=0)
             bits = out.take(sources)
             at = np.add(bits @ _NIBBLE_WEIGHTS, base)
             if history is not None:
@@ -362,58 +339,18 @@ class EncryptionSession:
         if history is not None:
             ats = np.stack(history)
             read, sensed = ats[:-1], ats[1:] & 15
-            if count_errors:
-                # each read's digital value, routed as its sensed bits were
-                cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
-                partner = state.partner_bits[rnds, None]
-                expected = cells.reshape(len(read), lanes, nibbles, 4) ^ partner
-                routed = expected.reshape(len(read), lanes * nibbles * 4).take(sources, axis=1)
-                wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ sensed)
-                errors += wrong.reshape(len(read), lanes, nibbles).sum(axis=(0, 2))
-            if rows_read is not None:
-                rows_read.extend((read & 15).reshape(len(read), lanes, nibbles))
-        return bits.reshape(lanes, -1), errors
-
-    def step_round(self, state: int) -> int:
-        """Run one read cycle on the given state and latch the result."""
-        if self.round_counter >= self.variant.rounds:
-            raise PipelineError("stepping past the final round")
-        rnd = self.round_counter
-        bits = self._state_bits(state, "state")[None]
-        noise = self._read_factors(1, (self.params.sigma_c2c,))
-        bits, _ = self._read_rounds(bits, range(rnd, rnd + 1), noise)
-        self._log_reads(1)
-        self.register_bits = bits[0]
-        self.round_counter = rnd + 1
-        self.reads_executed += 1
-        return bits_to_state(bits[0])
-
-    def _state_bits(self, value: int, what: str) -> np.ndarray:
-        if not 0 <= value < (1 << self.variant.block_bits):
-            raise PipelineError(f"{what} does not fit in {self.variant.block_bits} bits")
-        return state_to_bits(value, self.variant.block_bits)
-
-    def _begin_block(self, pt: int) -> np.ndarray:
-        self.register_bits = self._state_bits(pt, "plaintext")
-        self.round_counter = 0
-        self.current_log = EventLog(self.variant.name, self.scheme.name)
-        return self.register_bits
-
-    def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
-        """Encrypt one block once per cycle-to-cycle sigma, all lanes in one
-        pass of the read kernel; every lane counts as one read per round.
-        Returns the lanes' ciphertexts and bit-error counts.  With a
-        `traces` list (one lane), one RoundTrace per round is appended."""
-        bits = np.tile(self._begin_block(pt), (len(sigmas), 1))
-        rounds = self.variant.rounds
-        noise = self._read_factors(rounds, sigmas)
-        rows_read = None if traces is None else []
-        bits, errors = self._read_rounds(bits, range(rounds), noise, count_errors, rows_read)
+        if count_errors:
+            # each read's digital value, routed as its sensed bits were
+            cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
+            expected = cells.reshape(rounds, lanes, -1, 4) ^ state.partner_bits[:, None]
+            routed = expected.reshape(rounds, -1).take(sources, axis=1)
+            wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ sensed)
+            errors += wrong.reshape(rounds, lanes, -1).sum(axis=(0, 2))
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
-            rows, rnds = np.concatenate(rows_read), np.arange(rounds)
-            f = None if noise is None else noise[0][:, :, 0].swapaxes(1, 2)
-            analog = read_round(self.state, rows, rnds, self.scheme, self.params.vdd, f)
+            rows = read & 15
+            f = factors[:, :, 0].swapaxes(1, 2) if noisy else None
+            analog = read_round(state, rows, np.arange(rounds), self.scheme, self.params.vdd, f)
             outputs = (analog.bits @ _NIBBLE_WEIGHTS).tolist()
             posts = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
             for rnd, inputs in enumerate(rows.tolist()):
@@ -421,13 +358,18 @@ class EncryptionSession:
                 traces.append(RoundTrace(
                     rnd, tuple(inputs), tuple(outputs[rnd]), analog, post, block, self.mask
                 ))
-        reads = len(sigmas) * rounds
-        self._log_reads(reads)
-        self.round_counter = rounds
+        reads = lanes * rounds
+        xor_kind, ro_kind = SENSE_EVENT[self.scheme.name]
+        self.current_log = EventLog(self.variant.name, self.scheme.name, reads, {
+            "decoder_cycle": self.variant.nibbles * reads,
+            "selector_cycle": reads,
+            "register_cycle": reads,
+            xor_kind: self._n_xor * reads,
+            ro_kind: self._n_readout * reads,
+        })
         self.reads_executed += reads
-        self.blocks_encrypted += len(sigmas)
-        self.register_bits = bits[-1]
-        return [bits_to_state(b) for b in bits], errors
+        self.blocks_encrypted += lanes
+        return [bits_to_state(b) for b in bits.reshape(lanes, -1)], errors
 
     def encrypt(self, pt: int, trace: bool = False):
         """Run all rounds from the plaintext; returns (ciphertext, traces),
@@ -444,10 +386,6 @@ class EncryptionSession:
         return cts[0], int(errors[0])
 
     # -- observability ------------------------------------------------------
-
-    @property
-    def output_register(self) -> CipherState:
-        return CipherState(bits_to_state(self.register_bits), self.variant.block_bits)
 
     def sensed_bits_per_block(self) -> int:
         return self.variant.rounds * 4 * self.variant.nibbles

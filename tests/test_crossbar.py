@@ -434,10 +434,42 @@ def test_margin_report_equals_scalar_oracle(tmp_path):
         if min(slacks) < 0:
             with pytest.raises(CrossbarError, match="margin violation"):
                 check_margins(scheme, params)
+        elif scalar_misreads(scheme, params):
+            with pytest.raises(CrossbarError, match="logic violation"):
+                check_margins(scheme, params)
         else:
             assert check_margins(scheme, params) == min(slacks)
         cases += 1
     assert cases == 96
+
+
+def scalar_misreads(scheme, params: DeviceParams) -> list:
+    """The operand pairings whose scalar sense is not their logic value,
+    the XOR of their bits."""
+    pairings = [(scheme.xor_amp, bits) for bits in [(1, 1), (1, 0), (0, 1), (0, 0)]]
+    pairings += [(scheme.readout_amp, bits) for bits in [(1,), (0,)]]
+    misreads = []
+    for amp, bits in pairings:
+        cells = [nominal_resistance(b, params) for b in bits]
+        r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
+        if sense(r_eq, amp, params.vdd).bit != sum(bits) % 2:
+            misreads.append(bits)
+    return misreads
+
+
+@pytest.mark.parametrize("scheme", ["sxor", "dxor"])
+def test_margin_audit_rejects_wrong_logic(scheme):
+    # From 1625 Ohm of wire up the nodes clear the band again, but XOR(1, 1)
+    # reads 1: the audit used to pass these devices with a slack of 0.001-0.36 V
+    for wire in (1625.0, 5000.0, 20e3):
+        params = DeviceParams(wire_r_per_cell=wire)
+        assert nominal_reads(params, scheme)[1, 1]
+        with pytest.raises(CrossbarError, match=r"logic violation: \w+\.xor .* \(1, 1\)"):
+            check_margins(scheme, params)
+    # the devices that read the logic keep their slack
+    for wire, slack in ((0.0, 0.20755285500249687), (150.0, 0.18194244604316534),
+                        (800.0, 0.004736842105262928)):
+        assert check_margins(scheme, DeviceParams(wire_r_per_cell=wire)) == pytest.approx(slack)
 
 
 def test_margin_audit_decides_what_the_read_table_gathers(tmp_path):

@@ -25,7 +25,6 @@ from memgift.layout import (
     LayoutVersionError,
     bits_to_state,
     compile_layout,
-    evaluate_digital,
     export_layout,
     import_layout,
     rc_slice_set,
@@ -128,6 +127,27 @@ def test_single_key_bit_flip_rounds(variant):
 
 # ---------------------------------------------------------------------------
 # Digital evaluator (layout master property)
+
+
+def evaluate_digital(bundle, pt: int, feedback: str = "permuted") -> int:
+    """The crossbar datapath with ideal logic, the oracle between the
+    reference cipher and the analog model.  Every round: per slice, out =
+    S(in) XOR key row, then feedback wiring."""
+    if feedback not in ("permuted", "local"):
+        raise LayoutError(f"unknown feedback mode: {feedback!r}")
+    sbox, targets = bundle.sbox, perm_table(bundle.variant)
+    state = pt
+    for rnd in range(bundle.variant.rounds):
+        out = 0
+        for j, km in enumerate(bundle.slices):
+            nib = sbox[(state >> (4 * j)) & 0xF]
+            for k, b in enumerate(km.columns):
+                nib ^= int(km.bits[rnd, k]) << b
+            for b in range(4):
+                target = targets[4 * j + b] if feedback == "permuted" else 4 * j + b
+                out |= ((nib >> b) & 1) << target
+        state = out
+    return state
 
 
 def evaluate_digital_batch(bundle, pts, feedback="permuted"):

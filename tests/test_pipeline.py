@@ -29,7 +29,6 @@ from memgift.crossbar import (
 from memgift.gift import (
     GIFT64,
     GIFT128,
-    CipherState,
     RoundConstantState,
     add_round_key_and_constant,
     encrypt_block,
@@ -142,35 +141,31 @@ def test_round_zero_matches_reference(variant):
     key = RNG.getrandbits(128)
     pt = RNG.getrandbits(variant.block_bits)
     session = EncryptionSession(key, variant, "sxor")
-    got = session.step_round(pt)
+    got = session.encrypt(pt, trace=True)[1][0].post_state
     rk = extract_round_key(key, variant)
     rc = RoundConstantState.initial()
     want = add_round_key_and_constant(
         perm_bits(sub_cells(pt, variant), variant), rk, rc, variant
     )
     assert got == want
-    assert session.round_counter == 1
-    assert session.output_register.bits == got
 
 
-def test_step_past_final_round_rejected():
-    session = EncryptionSession(0, GIFT64, "dxor")
-    state = 0
-    for _ in range(GIFT64.rounds):
-        state = session.step_round(state)
-    with pytest.raises(PipelineError):
-        session.step_round(state)
-
-
-def test_step_round_rejects_state_outside_block():
-    # a wide state used to read its low bits, a negative one all ones
-    session = EncryptionSession(0, GIFT64, "dxor")
-    for state in ((1 << 70) | 5, -1, 1 << 64):
+def test_plaintext_is_an_integer_of_the_block():
+    # a numpy integer is an integer, as encrypt_block takes it; a wide or
+    # negative plaintext, a float or a string is refused before any read
+    key = RNG.getrandbits(128)
+    session = EncryptionSession(key, GIFT64, "dxor")
+    for pt in (np.int64(3), np.uint64((1 << 64) - 1), np.uint8(200)):
+        assert session.encrypt(pt)[0] == encrypt_block(int(pt), key, GIFT64)
+    reads = session.reads_executed
+    # a wide plaintext used to read its low bits, a negative one all ones
+    for pt in ((1 << 70) | 5, -1, 1 << 64, np.int64(-1)):
         with pytest.raises(PipelineError, match="does not fit in 64 bits"):
-            session.step_round(state)
-    assert session.round_counter == 0 and session.reads_executed == 0
-    session.step_round((1 << 64) - 1)
-    assert session.round_counter == 1
+            session.encrypt(pt)
+    for pt in (1.5, 3.0, "5", None):
+        with pytest.raises(PipelineError, match="must be an integer"):
+            session.encrypt(pt)
+    assert session.reads_executed == reads
 
 
 def test_local_mode_is_slice_local():
@@ -179,17 +174,11 @@ def test_local_mode_is_slice_local():
     # nibble j output depends only on nibble j input
     for j in (0, 5, 31):
         base = RNG.getrandbits(128)
-        out_base = session._read_rounds(
-            np.array([[(base >> i) & 1 for i in range(128)]], dtype=np.uint8), range(1)
-        )[0][0]
+        out_base = session.encrypt(base, trace=True)[1][0].output_nibbles
         for nib in range(16):
             tweaked = (base & ~(0xF << (4 * j))) | (nib << (4 * j))
-            out = session._read_rounds(
-                np.array([[(tweaked >> i) & 1 for i in range(128)]], dtype=np.uint8), range(1)
-            )[0][0]
-            changed = {
-                k // 4 for k in range(128) if out[k] != out_base[k]
-            }
+            out = session.encrypt(tweaked, trace=True)[1][0].output_nibbles
+            changed = {k for k, (a, b) in enumerate(zip(out, out_base)) if a != b}
             assert changed <= {j}
 
 
@@ -256,7 +245,6 @@ def test_trace_bookkeeping():
             reconstructed |= nib << (4 * j)
         assert prev.post_state == reconstructed
     assert traces[-1].post_state == ct
-    assert session.output_register.bits == ct
     # one capture serves the block: each round is its row, 4 x 32 columns
     assert all(t.analog is traces[0].analog for t in traces)
     assert all(t.analog.r_eq[t.round_index].size == 4 * 32 for t in traces)
@@ -271,7 +259,7 @@ def test_trace_bookkeeping():
 def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     session = EncryptionSession(RNG.getrandbits(128), GIFT128, "dxor", params)
     kernel_bits, kernel_g, captures = [], [], []
-    sense, conductances, capture = session._sense, pipeline.column_conductances, pipeline.read_round
+    decide, conductances, capture = pipeline.decide, pipeline.column_conductances, pipeline.read_round
 
     def recorded(record, fn):
         def call(*args):
@@ -280,7 +268,7 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
 
         return call
 
-    session._sense = recorded(kernel_bits, sense)
+    monkeypatch.setattr(pipeline, "decide", recorded(kernel_bits, decide))
     monkeypatch.setattr(pipeline, "column_conductances", recorded(kernel_g, conductances))
     monkeypatch.setattr(pipeline, "read_round", recorded(captures, capture))
     ct, traces = session.encrypt(RNG.getrandbits(128), trace=True)
@@ -331,11 +319,6 @@ def test_noise_stream_agrees_across_read_paths(variant, scheme):
     cts = [fast.encrypt(pt)[0] for pt in pts]
     assert cts != [encrypt_block(pt, key, variant) for pt in pts]  # noise flips bits
     assert [traced.encrypt(pt, trace=True)[0] for pt in pts] == cts
-    stepped = EncryptionSession(key, variant, scheme, params)
-    state = pts[0]
-    for _ in range(variant.rounds):
-        state = stepped.step_round(state)
-    assert state == cts[0]
 
 
 def test_hardware_reuse_invariants():
@@ -431,14 +414,13 @@ def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, 
     return bits, errors
 
 
-def oracle_encrypt(session, state, rounds=None, count_errors=False):
-    """`state` read through `rounds` (default: all) by oracle_read_rounds
-    on a session that never reads, so that it senses the cells: the
-    reference of a table walk.  Returns the state after the last round and
-    its bit-error count."""
+def oracle_encrypt(session, state, count_errors=False):
+    """`state` read through every round by oracle_read_rounds on a session
+    that never reads, so that it senses the cells: the reference of a table
+    walk.  Returns the ciphertext and its bit-error count."""
     assert session._read_table is None
     bits = pipeline.state_to_bits(state, session.variant.block_bits)[None]
-    rounds = range(session.variant.rounds) if rounds is None else rounds
+    rounds = range(session.variant.rounds)
     out, errors = oracle_read_rounds(session, bits, rounds, count_errors=count_errors)
     return pipeline.bits_to_state(out[0]), int(errors[0])
 
@@ -518,15 +500,11 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     # so does a one-block sweep trial with every lane ideal
     sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=params)
     assert [p.bit_errors for p in sweep] == [0, 0]
-    # so do a traced block and a stepped read; noisy reads never build one
+    # so does a traced block; noisy reads never build one
     traced = EncryptionSession(key, GIFT64, "dxor", params)
-    stepped = EncryptionSession(key, GIFT64, "dxor", params)
     noisy = EncryptionSession(key, GIFT64, "dxor", replace(params, sigma_c2c=0.05))
     traced.encrypt(0, trace=True)
     assert traced._read_table is not None
-    stepped.step_round(0)
-    assert stepped._read_table is not None
-    noisy.step_round(0)
     for pt in range(5):
         noisy.encrypt(pt)
     assert noisy._read_table is None
@@ -534,19 +512,6 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     assert traced._read_table is None
     encrypt_masked(traced, 5, 5, trace=True)
     assert traced._read_table is not None
-
-
-def test_stepped_rounds_equal_encrypt_on_d2d_cells(variant):
-    # a fresh session's first step builds the read table its steps walk
-    params = DeviceParams(sigma_d2d=0.1, seed=9)
-    key = RNG.getrandbits(128)
-    for pt in (RNG.getrandbits(variant.block_bits) for _ in range(3)):
-        stepped = EncryptionSession(key, variant, "dxor", params)
-        state = pt
-        for _ in range(variant.rounds):
-            state = stepped.step_round(state)
-        assert state == EncryptionSession(key, variant, "dxor", params).encrypt(pt)[0]
-        assert state == oracle_encrypt(EncryptionSession(key, variant, "dxor", params), pt)[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -567,33 +532,32 @@ def test_read_kernel_matches_per_round_oracle(
     variant, scheme, feedback, lanes, sigma_d2d, wire, with_table, record_rows, count_errors,
     key, data,
 ):
-    # every lane's bits, error count and recorded rows, and where each
-    # slice's noise stream is left, as the per-round read gives them
+    # every lane's ciphertext and error count, a one-lane block's traced
+    # rows, and where each slice's noise stream is left, as the per-round
+    # read gives them
     params = DeviceParams(sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=key % 997)
     sigma = st.sampled_from([0.0, 0.05, 0.1, 0.3])
     sigmas = data.draw(st.lists(sigma, min_size=lanes, max_size=lanes))
-    sigmas[data.draw(st.integers(0, lanes - 1))] = 0.0
-    first = data.draw(st.integers(0, variant.rounds - 1))
-    rounds = range(first, data.draw(st.integers(first, variant.rounds)))
-    block = st.integers(0, (1 << variant.block_bits) - 1)
-    pts = data.draw(st.lists(block, min_size=lanes, max_size=lanes))
-    bits = np.array([pipeline.state_to_bits(pt, variant.block_bits) for pt in pts])
+    if lanes > 1:  # a zero lane among noisy ones
+        sigmas[data.draw(st.integers(0, lanes - 1))] = 0.0
+    pt = data.draw(st.integers(0, (1 << variant.block_bits) - 1))
+    bits = np.tile(pipeline.state_to_bits(pt, variant.block_bits), (lanes, 1))
+    rounds = range(variant.rounds)
     kernel, oracle = (EncryptionSession(key, variant, scheme, params, feedback) for _ in range(2))
     if with_table:
         kernel._read_table = kernel._build_read_table()
         oracle._read_table = oracle._build_read_table()
-    got_rows, want_rows = ([] if record_rows else None for _ in range(2))
-    got = kernel._read_rounds(
-        bits, rounds, kernel._read_factors(len(rounds), sigmas), count_errors, got_rows
-    )
+    # a trace records one lane's rows
+    traces, want_rows = ([] if record_rows and lanes == 1 else None for _ in range(2))
+    cts, errors = kernel._encrypt_lanes(pt, sigmas, count_errors, traces)
     want = oracle_read_rounds(
         oracle, bits, rounds, oracle_factors(oracle, len(rounds), sigmas), count_errors, want_rows
     )
-    assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
-    assert got[1].tolist() == want[1].tolist()
-    if record_rows:
-        assert len(got_rows) == len(want_rows) == len(rounds)
-        assert all(np.array_equal(g, w) for g, w in zip(got_rows, want_rows))
+    assert cts == [pipeline.bits_to_state(b) for b in want[0]]
+    assert errors.tolist() == want[1].tolist()
+    if traces is not None:
+        assert [t.input_nibbles for t in traces] == [tuple(rows[0].tolist()) for rows in want_rows]
+        assert traces[-1].post_state == cts[0]
     if any(sigmas) or sigma_d2d:
         for a, b in zip(kernel._slice_rngs, oracle._slice_rngs):
             assert a.standard_normal() == b.standard_normal()
@@ -667,11 +631,6 @@ def test_read_table_keeps_counters_and_logs(scheme):
     assert walk.session_log() == cells.write_log.merged_with(block_log)
     assert walk.reads_executed == 5 * 40
     assert walk.blocks_encrypted == 5
-    assert walk.output_register == CipherState(ct, 128)
-    # a stepped read walks the table too
-    walk.round_counter = 0
-    assert walk.step_round(pts[0]) == oracle_encrypt(cells, pts[0], range(1))[0]
-    assert walk.reads_executed == 5 * 40 + 1
 
 
 # ---------------------------------------------------------------------------
