@@ -60,11 +60,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from numbers import Real
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import MemgiftError, read_text
+from .errors import MemgiftError, check_int, read_text
 from .layout import SliceKeyMatrix
 
 
@@ -103,12 +104,12 @@ class DeviceParams:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", CrossbarError))
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "seed" and not math.isfinite(value):
-                raise CrossbarError(f"{f.name} must be finite, got {value}")
-        if self.seed < 0:
-            raise CrossbarError(f"seed must be non-negative, got {self.seed}")
+            v = getattr(self, f.name)
+            # float, a Real, first: every session checks these, and an ABC check costs ~0.5 us
+            if f.name != "seed" and not (isinstance(v, (float, Real)) and math.isfinite(v)):
+                raise CrossbarError(f"{f.name} must be a finite number, got {v!r}")
         if not self.r_hrs > self.r_lrs > 0:
             raise CrossbarError("need r_hrs > r_lrs > 0")
         if self.sigma_d2d < 0 or self.sigma_c2c < 0:
@@ -504,17 +505,19 @@ class SenseAmpScheme:
             for f in fields(amp):
                 value = getattr(amp, f.name)
                 if f.name in ("vth", "vref", "vref_and", "vref_nor"):
-                    if not 0 < value < vdd:
+                    if not (isinstance(value, (float, Real)) and 0 < value < vdd):
                         raise CrossbarError(
-                            f"{self.name}: reference {f.name}={value} outside (0, {vdd})"
+                            f"{self.name}: reference {f.name}={value!r} outside (0, {vdd})"
                         )
                     if not _band_floats(value, vdd) <= MAX_BAND_FLOATS:
                         raise CrossbarError(
                             f"{self.name}: reference {f.name}={value} is too close to "
                             f"vdd={vdd}: its decision band exceeds 2^20 floats"
                         )
-                elif not (math.isfinite(value) and value > 0):
-                    raise CrossbarError(f"{self.name}: {f.name} must be finite and positive")
+                elif not (isinstance(value, (float, Real)) and math.isfinite(value) and value > 0):
+                    raise CrossbarError(
+                        f"{self.name}: {f.name} must be finite and positive, got {value!r}"
+                    )
 
 
 SXOR_SCHEME = SenseAmpScheme("sxor", ScoutingXorAmp(), ScoutingReadoutAmp())

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from numbers import Real
 
 from .crossbar import ConfigError, read_parameter_file
 from .errors import MemgiftError
@@ -95,8 +96,8 @@ class EnergyParams:
             else:
                 entries = [(f.name, value)]
             for name, v in entries:
-                if not math.isfinite(v):
-                    raise ConfigError(f"{name} must be finite, got {v}")
+                if not (isinstance(v, (float, Real)) and math.isfinite(v)):
+                    raise ConfigError(f"{name} must be a finite number, got {v!r}")
                 if v < 0:
                     raise ConfigError(f"{name} must be non-negative")
         if self.clock_hz <= 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import MemgiftError, read_text
+from .errors import MemgiftError, check_int, read_text
 
 
 class GiftError(MemgiftError, ValueError):
@@ -77,7 +77,7 @@ class SBoxTable:
     __slots__ = ("entries", "_inverse")
 
     def __init__(self, entries: Iterable[int]):
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(check_int(e, "S-box entry", GiftError, 4) for e in entries)
         if sorted(entries) != list(range(16)):
             raise GiftError("S-box must be a permutation of 0..15")
         object.__setattr__(self, "entries", entries)
@@ -121,10 +121,10 @@ class CipherState:
     width: int
 
     def __post_init__(self):
+        object.__setattr__(self, "width", check_int(self.width, "state width", GiftError))
         if self.width not in (64, 128):
             raise GiftError(f"unsupported state width: {self.width}")
-        if not 0 <= self.bits < (1 << self.width):
-            raise GiftError("state value out of range for its width")
+        object.__setattr__(self, "bits", check_int(self.bits, "state", GiftError, self.width))
 
     @classmethod
     def from_hex(cls, text: str, width: int) -> "CipherState":
@@ -148,23 +148,13 @@ class CipherState:
         return tuple(self.nibble(j) for j in range(self.width // 4))
 
 
-def _check_state(state: int, variant: CipherVariant) -> None:
-    if not 0 <= state < (1 << variant.block_bits):
-        raise GiftError(f"state does not fit in {variant.block_bits} bits")
-
-
-def _check_key(key: int) -> None:
-    if not 0 <= key < (1 << 128):
-        raise GiftError("key must be a 128-bit value")
-
-
 # ---------------------------------------------------------------------------
 # Round primitives
 
 
 def sub_cells(state: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX) -> int:
     """Replace every nibble j by sbox[nibble j]."""
-    _check_state(state, variant)
+    state = check_int(state, "state", GiftError, variant.block_bits)
     out = 0
     for j in range(variant.nibbles):
         out |= sbox[(state >> (4 * j)) & 0xF] << (4 * j)
@@ -201,7 +191,7 @@ def inverse_perm_table(variant: CipherVariant) -> tuple[int, ...]:
 
 def perm_bits(state: int, variant: CipherVariant) -> int:
     """Move state bit i to position P(i)."""
-    _check_state(state, variant)
+    state = check_int(state, "state", GiftError, variant.block_bits)
     table = perm_table(variant)
     out = 0
     for i in range(variant.block_bits):
@@ -240,7 +230,7 @@ def extract_round_key(key_state: int, variant: CipherVariant) -> RoundKey:
     GIFT-64 takes U=k1 into nibble bit 1 and V=k0 into bit 0;
     GIFT-128 takes U=k5||k4 into bit 2 and V=k1||k0 into bit 1.
     """
-    _check_key(key_state)
+    key_state = check_int(key_state, "key state", GiftError, 128)
     lo, hi = variant.key_xor_bits
     if variant.block_bits == 64:
         u, v = _word(key_state, 1), _word(key_state, 0)
@@ -262,7 +252,7 @@ def _rotr16(x: int, n: int) -> int:
 def update_key_state(key_state: int) -> int:
     """One key-state update: a 32-bit right rotation of the whole state,
     then 2-bit and 12-bit right rotations of the two new top words."""
-    _check_key(key_state)
+    key_state = check_int(key_state, "key state", GiftError, 128)
     k0 = key_state & 0xFFFF
     k1 = (key_state >> 16) & 0xFFFF
     rest = key_state >> 32
@@ -276,8 +266,7 @@ class RoundConstantState:
     value: int
 
     def __post_init__(self):
-        if not 0 <= self.value < 64:
-            raise GiftError("round constant register is 6 bits wide")
+        object.__setattr__(self, "value", check_int(self.value, "round constant", GiftError, 6))
 
     @classmethod
     def initial(cls) -> "RoundConstantState":
@@ -302,7 +291,7 @@ def add_round_key_and_constant(
     state: int, rk: RoundKey, rc: RoundConstantState, variant: CipherVariant
 ) -> int:
     """XOR the round key and round constant at their target positions only."""
-    _check_state(state, variant)
+    state = check_int(state, "state", GiftError, variant.block_bits)
     return state ^ rk.state_mask() ^ rc.state_mask(variant)
 
 
@@ -328,7 +317,7 @@ def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
     plane through `_SPREAD`, the key state is updated as a word list, and
     the round-constant masks are cached per variant.
     """
-    _check_key(key)
+    key = check_int(key, "key", GiftError, 128)
     lo, hi = variant.key_xor_bits
     # (key word, shift): GIFT-64 puts V=k0 on plane lo and U=k1 on plane hi;
     # GIFT-128 puts V=k1||k0 on lo and U=k5||k4 on hi, high words 16 nibbles up
@@ -376,7 +365,7 @@ def encrypt_block(
 ) -> int:
     """Apply rounds x (SubCells -> PermBits -> AddRoundKey+Constant), each
     round one lookup per nibble in the folded tables."""
-    _check_state(pt, variant)
+    pt = check_int(pt, "plaintext", GiftError, variant.block_bits)
     tables = _round_tables(sbox, variant.block_bits)
     state = pt
     for mask in round_addition_masks(key, variant):
@@ -401,7 +390,7 @@ def decrypt_block(
     """Inverse of encrypt_block (software test oracle): per round, undo the
     key+constant XOR, then PermBits by one lookup per nibble, then SubCells
     nibble by nibble."""
-    _check_state(ct, variant)
+    ct = check_int(ct, "ciphertext", GiftError, variant.block_bits)
     spread, inv = _inverse_round_tables(sbox, variant.block_bits)
     state = ct
     for mask in reversed(round_addition_masks(key, variant)):

@@ -15,6 +15,7 @@ reproduces the unmasked ciphertext exactly.
 
 from __future__ import annotations
 
+from .errors import check_int
 from .gift import GiftError, SBoxTable
 from .pipeline import EncryptionSession, PipelineError
 
@@ -25,12 +26,12 @@ class MaskMismatchError(PipelineError):
 
 def remask_sbox(sbox: SBoxTable, mask: int) -> SBoxTable:
     """Masked table S'(x) = S(x ^ m) ^ m; bijective for every mask."""
-    if not 0 <= mask < 16:
-        raise GiftError(f"mask must be a 4-bit value, got {mask}")
+    mask = check_int(mask, "mask", GiftError, 4)
     return SBoxTable(tuple(sbox[x ^ mask] ^ mask for x in range(16)))
 
 
 def replicate_mask(mask: int, nibbles: int) -> int:
+    mask = check_int(mask, "mask", GiftError, 4)
     word = 0
     for j in range(nibbles):
         word |= mask << (4 * j)
@@ -40,8 +41,9 @@ def replicate_mask(mask: int, nibbles: int) -> int:
 def apply_mask(session: EncryptionSession, mask: int) -> None:
     """Reprogram every slice's S-box region with the session's base S-box
     (the table it was compiled with) masked by `mask` (16x4 cell writes per
-    slice, logged for energy reporting); a mask outside 0..15 raises
-    GiftError before any write."""
+    slice, logged for energy reporting); a mask that is not an integer in
+    0..15 raises GiftError before any write."""
+    mask = check_int(mask, "mask", GiftError, 4)
     session.reprogram_sbox(remask_sbox(session.bundle.sbox, mask))
     session.mask = mask  # reprogram_sbox cleared it
 
@@ -50,8 +52,11 @@ def encrypt_masked(session: EncryptionSession, pt: int, mask: int, trace: bool =
     """Encrypt under the masked S-box; the result equals plain encryption.
 
     Input nibbles are pre-XORed with the mask and output nibbles XORed
-    with it again after the final round.
+    with it again after the final round; the plaintext and the mask are
+    checked first.
     """
+    pt = check_int(pt, "plaintext", PipelineError, session.variant.block_bits)
+    mask = check_int(mask, "mask", GiftError, 4)
     if session.mask != mask:
         raise MaskMismatchError(
             f"session is programmed for mask {session.mask:#x}, got {mask:#x}"

@@ -45,7 +45,6 @@ same in every round.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -70,7 +69,7 @@ from .crossbar import (
     read_round,
     scheme_for,
 )
-from .errors import MemgiftError
+from .errors import MemgiftError, check_int
 from .gift import (
     GIFT_SBOX,
     CipherVariant,
@@ -212,22 +211,17 @@ class EncryptionSession:
 
     # -- reads --------------------------------------------------------------
 
-    def _amp_points(self, sigma_c2c: float) -> list:
-        """The XOR amp's and the read-out amp's `decision_points` over the
-        conductances that reads with cycle-to-cycle sigma up to sigma_c2c
-        can meet."""
-        params = replace(self.params, sigma_c2c=sigma_c2c)
-        domain = params.conductance_range()
-        amps = (self.scheme.xor_amp, self.scheme.readout_amp)
-        return [decision_points(amp, params.vdd, domain) for amp in amps]
-
     def _points(self, sigma_c2c: float) -> np.ndarray:
-        """Every column's decision points, its amp's, padded with +inf:
-        shape (K, S, 4), for reads with cycle-to-cycle sigma up to
-        sigma_c2c.  Built at the first noisy read at each sigma."""
+        """Every column's decision points, its amp's `decision_points` over
+        the conductances that reads with cycle-to-cycle sigma up to
+        sigma_c2c can meet, padded with +inf: shape (K, S, 4).  Built at
+        the first read that decides on them at each sigma."""
         points = self._column_points.get(sigma_c2c)
         if points is None:
-            xor, readout = self._amp_points(sigma_c2c)
+            params = replace(self.params, sigma_c2c=sigma_c2c)
+            domain = params.conductance_range()
+            amps = (self.scheme.xor_amp, self.scheme.readout_amp)
+            xor, readout = (decision_points(amp, params.vdd, domain) for amp in amps)
             k = max(len(xor), len(readout))
             xor, readout = (np.concatenate([p, np.full(k - len(p), np.inf)]) for p in (xor, readout))
             points = np.where(self.state.xor_mask, xor[:, None, None], readout[:, None, None])
@@ -270,14 +264,11 @@ class EncryptionSession:
         table = np.empty((state.rounds, self.variant.nibbles, 16, 4), dtype=np.uint8)
         # each column's 16 rows last, so a column kind selects whole columns
         by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
-        xor_points, readout_points = self._amp_points(self.params.sigma_c2c)
-        for points, columns, rnds in (
-            (readout_points, ~state.xor_mask, slice(0, 1)),
-            (xor_points, state.xor_mask, slice(None)),
-        ):
+        points = self._points(self.params.sigma_c2c)
+        for columns, rnds in ((~state.xor_mask, slice(0, 1)), (state.xor_mask, slice(None))):
             partner_g = path_conductance(state.partner_res[rnds, columns, None], wire)
             g = path_conductance(sb_res[columns], wire) + partner_g  # (rounds or 1, n, 16)
-            by_column[:, columns] = decide(g, points)
+            by_column[:, columns] = decide(g, points[:, columns, None])
         table.setflags(write=False)
         return table
 
@@ -297,13 +288,8 @@ class EncryptionSession:
         rnd's reads and [rnd, 1] their partner cells.  All lanes scale the
         same normals (common random numbers).
         """
-        try:
-            pt = operator.index(pt)
-        except TypeError:
-            raise PipelineError(f"plaintext must be an integer, not {type(pt).__name__}") from None
         n, rounds, lanes = self.variant.block_bits, self.variant.rounds, len(sigmas)
-        if not 0 <= pt < (1 << n):
-            raise PipelineError(f"plaintext does not fit in {n} bits")
+        pt = check_int(pt, "plaintext", PipelineError, n)
         state, base, sources = self.state, self._row_base, self._sources
         # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
         at = np.add(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
@@ -586,15 +572,13 @@ def run_sweep(
     serves every sigma point: the points are the lanes of one batched pass
     over the rounds, and the reference ciphertext is computed once.
     """
-    sigmas = tuple(float(s) for s in sigmas)
-    if blocks < 0:
-        raise PipelineError(f"blocks must be non-negative, got {blocks}")
+    blocks = check_int(blocks, "blocks", PipelineError)
     base = base_params if base_params is not None else DeviceParams()
-    # a lane is the base device at its sigma_c2c: DeviceParams checks each
-    # sigma, with the base's sigma_d2d, and the seed (alone, with no lane)
+    # DeviceParams checks the seed, and each sigma as a lane: the base
+    # device at that sigma_c2c, with the base's sigma_d2d
     try:
-        for sigma in sigmas or (base.sigma_c2c,):
-            replace(base, sigma_c2c=sigma, seed=seed)
+        seed = replace(base, seed=seed).seed
+        sigmas = tuple(float(replace(base, sigma_c2c=s).sigma_c2c) for s in sigmas)
     except CrossbarError as exc:
         raise PipelineError(str(exc)) from None
     if not sigmas:
