@@ -20,8 +20,8 @@ conductances at which an amp's bit changes are derived from its
 (`decision_points`), and a read's bit is the parity of those below its
 conductance (`decide`), bit for bit what `resolve` gives.  Captured reads
 (`read_round`, over all of a block's rounds in one pass, as columnar
-arrays), `nominal_reads` and the margin audit still evaluate the nodes,
-from r_eq = 1/g and `resolve`, because they report them.
+arrays) and the margin audit still evaluate the nodes, from r_eq = 1/g and
+`resolve`, because they report them.
 
 A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
 of the stacked cells seen as (S*16, 4) (`flat_rows`), so any selection,
@@ -32,10 +32,13 @@ rounds, so a caller reading many rounds computes it once.
 On nominal cells every read is one of six pairings: an S-box cell holding
 0 or 1 against a partner holding 0 or 1 (sensed by the XOR amp) or no
 partner (sensed by the read-out amp).  That grid is the one statement of
-a nominal read: `nominal_reads` gives its bits, from which a session
-gathers its read table, and `sense_margin_report` its captured nodes.
-`check_margins` holds the grid to both: every node clear of the band,
-every bit the pairing's logic value.
+a nominal read, captured once per device values and scheme
+(`nominal_grid`, read-only): `nominal_reads` gives its bits, from which a
+session gathers its read table; `sense_margin_report` gives its nodes;
+and `read_round` gathers every ideal capture of nominal cells from it,
+with each column's pairing, so that an export formats each pairing's
+record once.  `check_margins` holds the grid to both: every node clear of
+the band, every bit the pairing's logic value.
 
 Electrical model
 ----------------
@@ -61,6 +64,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from numbers import Real
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
@@ -530,7 +534,7 @@ def scheme_for(spec) -> SenseAmpScheme:
         return spec
     try:
         return SCHEMES[spec]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable spec
         raise CrossbarError(f"unknown sense-amp scheme: {spec!r}") from None
 
 
@@ -604,38 +608,82 @@ def flat_rows(state: ProgrammedState, rows) -> np.ndarray:
 PARTNER_ABSENT = 2
 
 
-def _sense_nominal_grid(scheme: SenseAmpScheme, params: DeviceParams, capture=False):
-    """The nominal read grid, sensed as wired: the bit line of an S-box cell
-    holding bit s (axis 0) against a partner holding bit p, or no partner
-    (p = PARTNER_ABSENT), on nominal cells.  Returns the XOR amp's sense of
-    the pairings with a partner, indexed [s, p], and the read-out amp's of
-    those without, indexed [s].  The resistances are those `program_slice`
-    writes and the conductances those of `path_conductance`, summed and
-    inverted as `read_round` does, so on devices without d2d variation each
-    pairing is bit-exact with the kernel's read of any cell pair in that
-    state."""
-    wire = params.wire_r_per_cell
-    sb_g = path_conductance([[params.r_hrs], [params.r_lrs]], wire)
-    r_eq = 1.0 / (sb_g + path_conductance([params.r_hrs, params.r_lrs, np.inf], wire))
-    return (
-        resolve(scheme.xor_amp, r_eq[:, :PARTNER_ABSENT], params.vdd, capture),
-        resolve(scheme.readout_amp, r_eq[:, PARTNER_ABSENT], params.vdd, capture),
+def grid_entry(s, p):
+    """The nominal grid's entry of S-box bit s against partner code p (a
+    partner's bit or PARTNER_ABSENT), of ints or int arrays alike."""
+    return (PARTNER_ABSENT + 1) * s + p
+
+
+@dataclass(frozen=True, eq=False)
+class NominalGrid:
+    """Every ideal read of nominal cells, captured once.  Entry
+    `grid_entry(s, p)` of each array is the pairing of an S-box cell holding
+    bit s with a partner holding bit p, sensed by the XOR amp, or with no
+    partner (p = PARTNER_ABSENT), read out.  Both amps sense every pairing,
+    as they sense every column of a capture; `bits` holds the bit of the amp
+    wired to the pairing.  Its arrays and mappings are read-only."""
+
+    xor: np.ndarray  # (6,) bool, True on the pairings with a partner
+    bits: np.ndarray  # (6,) bool
+    r_eq: np.ndarray  # (6,) bit-line equivalent resistance
+    nodes: MappingProxyType  # "xor" / "readout" -> node name -> (6,) volts
+    decisions: MappingProxyType  # "xor" / "readout" -> ((node name, (6,) bool), ...)
+    sb_bits: np.ndarray  # (6,) uint8, s
+    partner_bits: np.ndarray  # (6,) uint8, p, or 0 with no partner
+
+    def __post_init__(self):
+        nodes = [v for named in self.nodes.values() for v in named.values()]
+        decided = [d for kind in self.decisions.values() for _, d in kind]
+        arrays = (self.xor, self.bits, self.r_eq, self.sb_bits, self.partner_bits)
+        for a in (*arrays, *nodes, *decided):
+            a.setflags(write=False)
+
+
+@lru_cache(maxsize=64)
+def _captured_grid(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd) -> NominalGrid:
+    # The resistances are those `program_slice` writes and the conductances
+    # those of `path_conductance`, summed and inverted as `read_round` does,
+    # so each pairing is bit-exact with a read of any cell pair in its state.
+    sb_g = path_conductance([[r_hrs], [r_lrs]], wire)
+    r_eq = (1.0 / (sb_g + path_conductance([r_hrs, r_lrs, np.inf], wire))).ravel()
+    xor, readout = (resolve(amp, r_eq, vdd, True) for amp in (scheme.xor_amp, scheme.readout_amp))
+    s, p = np.divmod(np.arange(r_eq.size), PARTNER_ABSENT + 1)
+    has_partner = p != PARTNER_ABSENT
+    return NominalGrid(
+        has_partner, np.where(has_partner, xor.bit, readout.bit), r_eq,
+        MappingProxyType({"xor": MappingProxyType(xor.nodes),
+                          "readout": MappingProxyType(readout.nodes)}),
+        MappingProxyType({"xor": xor.decisions, "readout": readout.decisions}),
+        s.astype(np.uint8), np.where(has_partner, p, 0).astype(np.uint8),
+    )
+
+
+def nominal_grid(params: DeviceParams, scheme) -> NominalGrid:
+    """The nominal read grid of `params`' cells under `scheme`, captured
+    once per (r_lrs, r_hrs, wire, vdd, scheme) and shared, read-only."""
+    return _captured_grid(
+        scheme_for(scheme), params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
     )
 
 
 def nominal_reads(params: DeviceParams, scheme) -> np.ndarray:
-    """Every ideal read of nominal cells, sensed once: bool (2, 3), entry
-    [s, p] being the bit a column senses with an S-box cell holding bit s
-    against a partner holding bit p (XOR-sensed), or no partner (p =
-    PARTNER_ABSENT, read out)."""
-    return np.column_stack(_sense_nominal_grid(scheme_for(scheme), params))
+    """Every ideal read of nominal cells: bool (2, 3), entry [s, p] being
+    the bit a column senses with an S-box cell holding bit s against a
+    partner holding bit p (XOR-sensed), or no partner (p = PARTNER_ABSENT,
+    read out).  A read-only view of the nominal grid's bits."""
+    return nominal_grid(params, scheme).bits.reshape(2, PARTNER_ABSENT + 1)
 
 
 @dataclass(frozen=True, eq=False)
 class ReadCapture:
     """Every node of R reads on every slice, as columns: each array has
     shape (R, S, 4), entry [i, j, col] being column col of slice j in read
-    i.  Both amps sense every column; xor_mask says whose bit counts."""
+    i.  Both amps sense every column; xor_mask says whose bit counts.
+
+    A capture of nominal cells read without noise is gathered from the
+    nominal grid: pairing holds each column's entry, `grid_entry(s, p)`, and
+    grid the grid, whose entries the other arrays repeat.  Other captures
+    are sensed, with pairing and grid None."""
 
     bits: np.ndarray  # bool, the sensed bits
     r_eq: np.ndarray  # bit-line equivalent resistance
@@ -643,16 +691,20 @@ class ReadCapture:
     sb_bits: np.ndarray  # uint8, the selected S-box cell
     partner_bits: np.ndarray  # uint8, the selected partner cell, 0 on read-out columns
     xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
+    pairing: Optional[np.ndarray] = None  # intp, each column's NominalGrid entry
+    grid: Optional[NominalGrid] = None
 
 
 def read_round(
-    state: ProgrammedState, rows, rnds, scheme, vdd: float, factors=None
+    state: ProgrammedState, rows, rnds, scheme, params: DeviceParams, factors=None
 ) -> ReadCapture:
     """Traced reads, captured in one pass: read i selects round rnds[i] and
     S-box row rows[i, j] on slice j.  rows has shape (R, S), rnds (R,) and
     factors, the reads' cycle-to-cycle factors, (R, S, 2, 4).  Key columns
     are XOR-sensed (S-box cell against key/constant cell); the remaining
-    columns are read out alone."""
+    columns are read out alone.  params are those the state was programmed
+    with: on nominal cells (no d2d variation) read without factors, every
+    column is one of the nominal grid's pairings, gathered from it."""
     scheme = scheme_for(scheme)
     rows, rnds = np.asarray(rows), np.asarray(rnds)
     # integers only: a bool or a float would index as something else, or not at all
@@ -664,16 +716,32 @@ def read_round(
         raise CrossbarError("need one S-box row in 0..15 per slice and read")
     if factors is not None and np.shape(factors) != rows.shape + (2, 4):
         raise CrossbarError(f"need factors of shape {rows.shape + (2, 4)}")
+    if params.wire_r_per_cell != state.wire_r:
+        raise CrossbarError("params are not those the state was programmed with")
     at = flat_rows(state, rows)
+    sb_bits = state.sb_bits.reshape(-1, 4).take(at, axis=0)
+    partner_bits = state.partner_bits[rnds]
+    if factors is None and params.sigma_d2d == 0:
+        grid = nominal_grid(params, scheme)
+        # a column's partner code is PARTNER_ABSENT on read-out columns, whose partner bits are 0
+        pairing = grid_entry(sb_bits.astype(np.intp), partner_bits)
+        pairing[:, ~state.xor_mask] += PARTNER_ABSENT
+        nodes = {
+            kind: {name: v.take(pairing) for name, v in named.items()}
+            for kind, named in grid.nodes.items()
+        }
+        return ReadCapture(
+            grid.bits.take(pairing), grid.r_eq.take(pairing), nodes, sb_bits, partner_bits,
+            state.xor_mask, pairing, grid,
+        )
     sb_f, partner_f = (None, None) if factors is None else np.moveaxis(factors, -2, 0)
     # the bit-line equivalent resistance, which the amps' comparators sense
     r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds, partner_f), sb_f)
-    xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
-    readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
+    xor = resolve(scheme.xor_amp, r_eq, params.vdd, capture=True)
+    readout = resolve(scheme.readout_amp, r_eq, params.vdd, capture=True)
     bits = np.where(state.xor_mask, xor.bit, readout.bit)
     nodes = {"xor": xor.nodes, "readout": readout.nodes}
-    sb_bits = state.sb_bits.reshape(-1, 4).take(at, axis=0)
-    return ReadCapture(bits, r_eq, nodes, sb_bits, state.partner_bits[rnds], state.xor_mask)
+    return ReadCapture(bits, r_eq, nodes, sb_bits, partner_bits, state.xor_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -691,21 +759,22 @@ class MarginRecord:
 
 def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     """Exhaustive operand sweep of both amps at nominal resistances,
-    reporting every comparator's decision node: the nominal read grid that
-    `nominal_reads` senses, with its nodes captured."""
+    reporting every comparator's decision node: the nominal read grid's
+    pairings, each sensed by the amp wired to it."""
     scheme = scheme_for(scheme)
     scheme.validate(params.vdd)
-    xor, readout = _sense_nominal_grid(scheme, params, capture=True)
+    grid = nominal_grid(params, scheme)
     records = []
-    for kind, result, pairings in (
-        ("xor", xor, [(1, 1), (1, 0), (0, 1), (0, 0)]),
-        ("readout", readout, [(1,), (0,)]),
+    for kind, pairings in (
+        ("xor", [(1, 1), (1, 0), (0, 1), (0, 0)]),
+        ("readout", [(1,), (0,)]),
     ):
         for bits in pairings:
-            for node, decided in result.decisions:
-                volts = float(result.nodes[node][bits])
+            k = grid_entry(bits[0], bits[1] if kind == "xor" else PARTNER_ABSENT)
+            for node, decided in grid.decisions[kind]:
+                volts = float(grid.nodes[kind][node][k])
                 records.append(
-                    MarginRecord(f"{scheme.name}.{kind}", bits, node, volts, int(decided[bits]))
+                    MarginRecord(f"{scheme.name}.{kind}", bits, node, volts, int(decided[k]))
                 )
     return records
 

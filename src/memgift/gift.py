@@ -67,7 +67,7 @@ def variant_for(spec) -> CipherVariant:
         return spec
     try:
         return VARIANTS[spec]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable spec
         raise GiftError(f"unknown cipher variant: {spec!r}") from None
 
 

@@ -13,7 +13,12 @@ The session holds its programmed cells once, as the `ProgrammedState`
 them), and reads a block with one kernel, `_encrypt_lanes`, over lanes of
 the block: fast, noisy and traced encryption and the sweep's sigma points
 all run through it.  A traced block then captures the nodes of all its
-rounds' reads in one `crossbar.read_round` pass.
+rounds' reads in one `crossbar.read_round` pass: gathered from the nominal
+read grid when the cells are nominal and the reads ideal, sensed
+otherwise.  The analog export writes each record as a prefix (read,
+slice, column), cached per capture shape, and a tail: one per grid pairing
+for a gathered capture, formatted once per grid, and one per distinct
+tail of a block for a sensed one.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Optional
 
@@ -56,6 +61,7 @@ from .crossbar import (
     PARTNER_ABSENT,
     CrossbarError,
     DeviceParams,
+    NominalGrid,
     ReadCapture,
     column_conductances,
     decide,
@@ -336,7 +342,7 @@ class EncryptionSession:
             # one capture repeats the block's reads: the same rows, the same factors
             rows = read & 15
             f = factors[:, :, 0].swapaxes(1, 2) if noisy else None
-            analog = read_round(state, rows, np.arange(rounds), self.scheme, self.params.vdd, f)
+            analog = read_round(state, rows, np.arange(rounds), self.scheme, self.params, f)
             outputs = (analog.bits @ _NIBBLE_WEIGHTS).tolist()
             posts = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
             for rnd, inputs in enumerate(rows.tolist()):
@@ -484,53 +490,94 @@ def _distinct_rows(keys: np.ndarray):
     return order[starts], inverse
 
 
+def _tail_fields(source, kind: str) -> list:
+    """The arrays of a capture or a nominal grid that fill a `kind`
+    record's tail, in record order: stored bits, r_eq, nodes, bit."""
+    stored = (source.sb_bits, source.partner_bits)[: 2 if kind == "xor" else 1]
+    return [*stored, source.r_eq, *source.nodes[kind].values(), source.bits]
+
+
+def _format_tails(source, kind: str, at) -> list:
+    """The tails, everything after the column, of `kind` records of the
+    flat entries `at` of a capture or a nominal grid, one line each, in
+    the order of `at`."""
+    columns = [f.take(at) for f in _tail_fields(source, kind)]
+    stored = 2 if kind == "xor" else 1
+    tail_parts = _record_parts({
+        "slice": _SLOT, "round": _SLOT, "column": _SLOT, "kind": kind,
+        "stored_bits": [_SLOT] * stored, "r_eq": _SLOT,
+        "nodes": dict.fromkeys(source.nodes[kind], _SLOT), "bit": _SLOT,
+    })[3:]
+    cells = _json_texts(np.stack(columns[:stored] + [columns[-1].view(np.uint8)], -1))
+    values = np.concatenate([
+        cells[:, :stored], _json_texts(columns[stored])[:, None],
+        _json_texts(np.stack(columns[stored + 1 : -1], axis=-1), 6), cells[:, stored:],
+    ], axis=-1)
+    texts = np.empty((len(values), 2 * len(tail_parts) - 1), dtype=object)
+    texts[:, ::2] = np.array(tail_parts, dtype=object)
+    texts[:, 1::2] = values
+    # json.dumps escapes every line break, so each tail is one line
+    return "".join(texts.ravel().tolist()).splitlines(keepends=True)
+
+
+@lru_cache(maxsize=64)
+def _grid_tails(grid: NominalGrid) -> np.ndarray:
+    """The record tail of each of the grid's pairings, an object array
+    indexed as the grid: XOR records where there is a partner, read-out
+    records where there is none."""
+    tails = np.empty(len(grid.bits), dtype=object)
+    for kind, sensed in (("xor", grid.xor), ("readout", ~grid.xor)):
+        pairings = np.flatnonzero(sensed)
+        tails[pairings] = _format_tails(grid, kind, pairings)
+    tails.setflags(write=False)
+    return tails
+
+
+@lru_cache(maxsize=8)
+def _prefixes(reads: int, slices: int) -> np.ndarray:
+    """Every record's text up to its tail, for captures of `reads` reads on
+    `slices` slices: entry [i, j, col] is column col of slice j in read i."""
+    head = _record_parts({"slice": _SLOT, "round": _SLOT, "column": _SLOT})
+    prefixes = (
+        (head[0] + _json_texts(np.arange(slices)) + head[1])[None, :, None]
+        + (_json_texts(np.arange(reads)) + head[2])[:, None, None]
+        + _json_texts(np.arange(4))
+    )
+    prefixes.setflags(write=False)
+    return prefixes
+
+
+def _sensed_tails(analog: ReadCapture, reads: np.ndarray) -> np.ndarray:
+    """The record tail of every column of `reads` of a sensed capture;
+    each distinct tail of the block is formatted once."""
+    mask = analog.xor_mask
+    tails = np.empty((len(reads),) + mask.shape, dtype=object)
+    for kind, sensed in (("xor", mask), ("readout", ~mask)):
+        # the flat index of each sensed column of each read, in record order
+        at = (reads[:, None] * mask.size + np.flatnonzero(sensed)).ravel()
+        columns = [f.take(at) for f in _tail_fields(analog, kind)]
+        # keyed on the value bits, so -0.0 and 0.0 stay apart
+        keys = np.stack(columns, axis=-1).astype(np.float64, copy=False).view(np.uint64)
+        first, inverse = _distinct_rows(keys)
+        distinct_tails = _format_tails(analog, kind, at[first])
+        tails[:, sensed] = np.array(distinct_tails, dtype=object)[inverse].reshape(len(reads), -1)
+    return tails
+
+
 def export_analog_trace(traces, fp) -> None:
     """JSON lines: one record per column per read (its amp kind, selected
-    cells' bits, r_eq, node volts and bit), from each block's capture."""
+    cells' bits, r_eq, node volts and bit), from each block's capture.  A
+    line is its read's, slice's and column's prefix and its tail; a
+    capture gathered from the nominal grid gathers its tails too."""
     for block in _blocks(traces):
         analog = block[0].analog
         reads = np.array([t.round_index for t in block])
-        mask = analog.xor_mask
-        # A record's tail, everything after its column, repeats across a
-        # block on nominal devices: each distinct tail is formatted once.
-        tails = np.empty((len(reads),) + mask.shape, dtype=object)
-        for kind, sensed in (("xor", mask), ("readout", ~mask)):
-            names = analog.nodes[kind]
-            stored = 2 if kind == "xor" else 1
-            parts = _record_parts({
-                "slice": _SLOT, "round": _SLOT, "column": _SLOT, "kind": kind,
-                "stored_bits": [_SLOT] * stored, "r_eq": _SLOT,
-                "nodes": dict.fromkeys(names, _SLOT), "bit": _SLOT,
-            })
-            # the text around slice, round and column is the same for both kinds
-            head, tail_parts = parts[:3], parts[3:]
-            # the tail's values in record order: stored bits, r_eq, nodes, bit
-            fields = (analog.sb_bits, analog.partner_bits)[:stored]
-            fields += (analog.r_eq, *names.values(), analog.bits)
-            # the flat index of each sensed column of each read, in record order
-            at = (reads[:, None] * mask.size + np.flatnonzero(sensed)).ravel()
-            columns = [f.take(at) for f in fields]
-            # keyed on the value bits, so -0.0 and 0.0 stay apart
-            keys = np.stack(columns, axis=-1).astype(np.float64, copy=False).view(np.uint64)
-            first, inverse = _distinct_rows(keys)
-            distinct = [c[first] for c in columns]
-            cells = _json_texts(np.stack(distinct[:stored] + [distinct[-1].view(np.uint8)], -1))
-            values = np.concatenate([
-                cells[:, :stored], _json_texts(distinct[stored])[:, None],
-                _json_texts(np.stack(distinct[stored + 1 : -1], axis=-1), 6), cells[:, stored:],
-            ], axis=-1)
-            texts = np.empty((len(first), 2 * len(tail_parts) - 1), dtype=object)
-            texts[:, ::2] = np.array(tail_parts, dtype=object)
-            texts[:, 1::2] = values
-            # json.dumps escapes every line break, so each tail is one line
-            distinct_tails = "".join(texts.ravel().tolist()).splitlines(keepends=True)
-            tails[:, sensed] = np.array(distinct_tails, dtype=object)[inverse].reshape(len(reads), -1)
-        # a line is its slice's prefix, its round, its column and its tail
-        lines = np.empty(tails.shape + (4,), dtype=object)
-        lines[..., 0] = head[0] + _json_texts(np.arange(mask.shape[0]))[:, None] + head[1]
-        lines[..., 1] = (_json_texts(reads) + head[2])[:, None, None]
-        lines[..., 2] = _json_texts(np.arange(mask.shape[1]))
-        lines[..., 3] = tails
+        lines = np.empty((len(reads),) + analog.xor_mask.shape + (2,), dtype=object)
+        lines[..., 0] = _prefixes(*analog.bits.shape[:2])[reads]
+        if analog.pairing is not None:
+            lines[..., 1] = _grid_tails(analog.grid)[analog.pairing[reads]]
+        else:
+            lines[..., 1] = _sensed_tails(analog, reads)
         fp.write("".join(lines.ravel().tolist()))
 
 

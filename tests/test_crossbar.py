@@ -2,13 +2,14 @@ import itertools
 import math
 import random
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from memgift import crossbar
 from memgift.crossbar import (
     MAX_BAND_FLOATS,
     ConfigError,
@@ -30,6 +31,7 @@ from memgift.crossbar import (
     draw_read_factors,
     PARTNER_ABSENT,
     load_device_config,
+    nominal_grid,
     nominal_reads,
     path_conductance,
     program_slice,
@@ -41,6 +43,7 @@ from memgift.crossbar import (
 from memgift.energy import load_energy_config
 from memgift.gift import GIFT64, GIFT128, GIFT_SBOX
 from memgift.layout import SliceKeyMatrix, compile_layout, sbox_bit_matrix
+from memgift.pipeline import EncryptionSession
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +121,7 @@ def read_one(state, nib, rnd, scheme, params, factors=None):
     """One read_round read on a one-slice stacked state, factors shape
     (1, 2, 4): returns the output nibble and the read's capture."""
     factors = None if factors is None else factors[None]
-    analog = read_round(state, [[nib]], [rnd], scheme, params.vdd, factors)
+    analog = read_round(state, [[nib]], [rnd], scheme, params, factors)
     return int(analog.bits[0, 0] @ [1, 2, 4, 8]), analog
 
 
@@ -183,12 +186,16 @@ def test_dimension_mismatch_rejected():
 # word line per slice
 
 
+# the devices of selection_slice
+SELECTION_PARAMS = DeviceParams(sigma_d2d=0.05)
+
+
 def selection_slice():
     """A slice with d2d variation and random key rows, so every cell's
     resistance differs and a column's r_eq names the cells it selected."""
     rng = np.random.default_rng(11)
     key_bits = rng.integers(0, 2, (40, 3))
-    return make_slice(DeviceParams(sigma_d2d=0.05), key_bits, (1, 2, 3), rng=rng)
+    return make_slice(SELECTION_PARAMS, key_bits, (1, 2, 3), rng=rng)
 
 
 def assert_selects(state, nib, rnd, analog, i=0):
@@ -213,39 +220,39 @@ def test_decoder_one_hot_exhaustive():
     state = selection_slice()
     seen = set()
     for nib in range(16):
-        _, analog = read_one(state, nib, 0, "dxor", DeviceParams())
+        _, analog = read_one(state, nib, 0, "dxor", SELECTION_PARAMS)
         assert_selects(state, nib, 0, analog)
         seen.add(tuple(analog.r_eq.ravel().tolist()))
     assert len(seen) == 16
     for nib in (16, -1):
         with pytest.raises(CrossbarError):
-            read_round(state, [[nib]], [0], "dxor", 0.9)
+            read_round(state, [[nib]], [0], "dxor", SELECTION_PARAMS)
 
 
 def test_round_selector_range():
     state = selection_slice()
     seen = set()
     for rnd in range(40):
-        _, analog = read_one(state, 5, rnd, "sxor", DeviceParams())
+        _, analog = read_one(state, 5, rnd, "sxor", SELECTION_PARAMS)
         assert_selects(state, 5, rnd, analog)
         seen.add(tuple(analog.r_eq.ravel().tolist()))
     assert len(seen) == 40
     for rnd in (40, 64, -1):
         with pytest.raises(CrossbarError):
-            read_round(state, [[5]], [rnd], "sxor", 0.9)
+            read_round(state, [[5]], [rnd], "sxor", SELECTION_PARAMS)
 
 
 def test_select_rows_exhaustive():
     # every row x round pair as the reads of one capture
     state = selection_slice()
     nibs, rnds = np.divmod(np.arange(16 * 40), 40)
-    analog = read_round(state, nibs[:, None], rnds, "dxor", 0.9)
+    analog = read_round(state, nibs[:, None], rnds, "dxor", SELECTION_PARAMS)
     outs = analog.bits[:, 0] @ [1, 2, 4, 8]
     for i, (nib, rnd) in enumerate(zip(nibs, rnds)):
         assert_selects(state, nib, rnd, analog, i)
         assert outs[i] == GIFT_SBOX[nib] ^ int(state.partner_bits[rnd, 0] @ [1, 2, 4, 8])
     with pytest.raises(CrossbarError):
-        read_round(state, [[0]], [40], "dxor", 0.9)
+        read_round(state, [[0]], [40], "dxor", SELECTION_PARAMS)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +494,69 @@ def test_margin_audit_decides_what_the_read_table_gathers(tmp_path):
             assert amp.gate(*decided) == grid[s, p], (name, bits, params)
 
 
+def test_nominal_grid_is_captured_once_and_read_only():
+    # one grid per (r_lrs, r_hrs, wire, vdd, scheme): seeds and sigmas,
+    # which a nominal read never meets, share it
+    params = DeviceParams(wire_r_per_cell=150.0)
+    grid = nominal_grid(params, "dxor")
+    assert nominal_grid(replace(params, seed=9, sigma_c2c=0.1), DXOR_SCHEME) is grid
+    assert nominal_grid(replace(params, vdd=1.2), "dxor") is not grid
+    assert nominal_grid(params, "sxor") is not grid
+    arrays = [grid.bits, grid.r_eq, grid.sb_bits, grid.partner_bits, nominal_reads(params, "dxor")]
+    arrays += [v for nodes in grid.nodes.values() for v in nodes.values()]
+    arrays += [d for decisions in grid.decisions.values() for _, d in decisions]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[1]
+    with pytest.raises(TypeError):
+        grid.nodes["xor"]["x1"] = grid.r_eq
+
+
+@pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
+def test_nominal_grid_captures_each_pairing_as_the_scalar_oracle(scheme):
+    # entry 3*s + p: both amps sense the pairing's bit line, the wired one's bit counts
+    params = DeviceParams(wire_r_per_cell=150.0)
+    grid = nominal_grid(params, scheme)
+    for s, p in itertools.product((0, 1), (0, 1, PARTNER_ABSENT)):
+        k = 3 * s + p
+        cells = [nominal_resistance(s, params)]
+        if p != PARTNER_ABSENT:
+            cells.append(nominal_resistance(p, params))
+        r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
+        assert grid.r_eq[k] == r_eq
+        assert (grid.sb_bits[k], grid.partner_bits[k]) == (s, p % PARTNER_ABSENT)
+        for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
+            result = sense(r_eq, amp, params.vdd)
+            assert {n: v[k] for n, v in grid.nodes[kind].items()} == result.nodes
+            assert [(n, d[k]) for n, d in grid.decisions[kind]] == list(result.decisions)
+            if (kind == "xor") == (p != PARTNER_ABSENT):
+                assert grid.bits[k] == result.bit
+
+
+def test_nominal_reads_do_not_sense_again(monkeypatch):
+    # the grid is sensed once; the read table, the capture and the audit
+    # of a fresh session all take it from there
+    params = DeviceParams(wire_r_per_cell=75.0)
+    want = sense_margin_report("sxor", params)
+
+    def sensed_again(*args, **kwargs):
+        raise AssertionError("the nominal grid was sensed again")
+
+    monkeypatch.setattr(crossbar, "resolve", sensed_again)
+    session = EncryptionSession(0x77, GIFT64, "sxor", params)
+    ct, traces = session.encrypt(0x1234, trace=True)
+    assert traces[0].analog.pairing is not None
+    assert sense_margin_report("sxor", params) == want
+    check_margins("sxor", params)
+
+
+def test_read_round_rejects_params_of_other_cells():
+    state = make_slice(DeviceParams(wire_r_per_cell=150.0))
+    with pytest.raises(CrossbarError, match="programmed with"):
+        read_round(state, [[3]], [0], "dxor", DeviceParams())
+
+
 def test_sense_rejects_bad_resistance():
     with pytest.raises(CrossbarError):
         sense(0.0, SXOR_SCHEME.xor_amp)
@@ -705,7 +775,7 @@ def test_reads_do_not_disturb_cells():
     before = (state.sb_bits.copy(), state.partner_bits.copy(), state.sb_res.copy())
     fp = state.fingerprint()
     for nib in range(16):
-        read_round(state, [[nib]], [nib % 40], "sxor", 0.9)
+        read_round(state, [[nib]], [nib % 40], "sxor", DeviceParams())
     assert state.fingerprint() == fp
     assert np.array_equal(state.sb_bits, before[0])
     assert np.array_equal(state.partner_bits, before[1])
@@ -722,9 +792,9 @@ def test_read_round_rejects_bad_selection():
         ([[3.5]], [0]), ([[3]], [0.5]), ([[3]], [True]),
     ):
         with pytest.raises(CrossbarError):
-            read_round(state, rows, rnds, "dxor", 0.9)
+            read_round(state, rows, rnds, "dxor", DeviceParams())
     with pytest.raises(CrossbarError):
-        read_round(state, [[3]], [0], "dxor", 0.9, np.ones((1, 2, 4)))
+        read_round(state, [[3]], [0], "dxor", DeviceParams(), np.ones((1, 2, 4)))
 
 
 def test_noisy_read_requires_rng_and_is_deterministic():
@@ -886,7 +956,7 @@ def test_reads_near_the_resistance_floor_stay_finite(exponent, sigma_d2d, sigma_
         rows = np.broadcast_to(np.arange(16)[:, None], (16, GIFT64.nibbles))
         factors = variation_factor(params.sigma_c2c, np.full((16, GIFT64.nibbles, 2, 4), -9.0))
         for f in (None, factors):
-            capture = read_round(state, rows, np.arange(16), scheme, params.vdd, f)
+            capture = read_round(state, rows, np.arange(16), scheme, params, f)
             assert np.isfinite(capture.r_eq).all() and (capture.r_eq > 0).all()
 
 

@@ -6,7 +6,10 @@ SHA-256 of the analog trace (too large to commit) and `energy-report
 them unnoticed.  Both trace files of one remasked, noisy `memgift
 encrypt` run are pinned the same way, so the CLI's own writing of them
 is covered too, and so are the ciphertexts of `memgift encrypt` on cells
-with device-to-device variation only, at three remask intervals.
+with device-to-device variation only, at three remask intervals.  Traces
+on ideal devices (nominal cells, no read noise) are pinned the same way,
+in process and through the CLI, because every nominal read is one of a
+few cell pairings that a faster path may gather rather than sense.
 Regenerate, only for a deliberate change, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -43,6 +46,16 @@ TRACE_RUNS = {
         pts=(0x00112233445566778899AABBCCDDEEFF, 0xFFEEDDCCBBAA99887766554433221100),
     ),
 }
+# The same runs on ideal devices, with and without wire resistance.
+for _wire in (0.0, 150.0):
+    _suffix = "_wire" if _wire else ""
+    TRACE_RUNS[f"nominal_gift64_sxor{_suffix}"] = dict(
+        TRACE_RUNS["trace_gift64_sxor"], params=DeviceParams(wire_r_per_cell=_wire)
+    )
+    TRACE_RUNS[f"nominal_gift128_dxor{_suffix}"] = dict(
+        TRACE_RUNS["trace_gift128_dxor_wire_local"],
+        feedback="permuted", params=DeviceParams(wire_r_per_cell=_wire),
+    )
 
 
 # `memgift encrypt` over 7 GIFT-128 blocks, remasked every 2 blocks, with
@@ -50,6 +63,9 @@ TRACE_RUNS = {
 CLI_RUN = "cli_gift128_remask"
 CLI_DEVICE = "sigma_c2c = 0.05\nsigma_d2d = 0.02\nwire_r_per_cell = 100\n"
 CLI_PTS = [(0x0123456789ABCDEF0F1E2D3C4B5A6978 * (i + 1)) % (1 << 128) for i in range(7)]
+
+# The same blocks from a committed file, on ideal devices, remasked every 2.
+NOMINAL_CLI_RUN, NOMINAL_BLOCKS = "cli_gift128_nominal", DATA_DIR / "cli_nominal_blocks.txt"
 
 
 # `memgift encrypt` over 64 GIFT-128 blocks on cells with d2d variation
@@ -104,6 +120,18 @@ def cli_traced_run(tmp: Path) -> tuple[str, str]:
     return round_path.read_text(), analog_path.read_text()
 
 
+def cli_nominal_traced_run(tmp: Path) -> tuple[str, str]:
+    """Round trace and analog trace files of the golden nominal CLI run."""
+    round_path, analog_path = tmp / "trace.jsonl", tmp / "analog.jsonl"
+    argv = [
+        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(NOMINAL_BLOCKS),
+        "--remask-every", "2", "--seed", "5", "--trace", str(round_path),
+        "--analog-trace", str(analog_path),
+    ]
+    assert main(argv) == 0
+    return round_path.read_text(), analog_path.read_text()
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest() + "\n"
 
@@ -125,6 +153,14 @@ def test_cli_traces_match_golden(tmp_path, capsys):
     capsys.readouterr()
     assert round_text == (DATA_DIR / f"{CLI_RUN}.jsonl").read_text()
     assert sha256(analog_text) == (DATA_DIR / f"{CLI_RUN}.analog.sha256").read_text()
+
+
+def test_cli_nominal_traces_match_golden(tmp_path, capsys):
+    assert NOMINAL_BLOCKS.read_text() == "".join(f"{pt:032x}\n" for pt in CLI_PTS)
+    round_text, analog_text = cli_nominal_traced_run(tmp_path)
+    capsys.readouterr()
+    assert round_text == (DATA_DIR / f"{NOMINAL_CLI_RUN}.jsonl").read_text()
+    assert sha256(analog_text) == (DATA_DIR / f"{NOMINAL_CLI_RUN}.analog.sha256").read_text()
 
 
 @pytest.mark.parametrize("every", D2D_INTERVALS)
@@ -152,6 +188,10 @@ if __name__ == "__main__":
         round_text, analog_text = cli_traced_run(Path(tmp))
         (DATA_DIR / f"{CLI_RUN}.jsonl").write_text(round_text)
         (DATA_DIR / f"{CLI_RUN}.analog.sha256").write_text(sha256(analog_text))
+        NOMINAL_BLOCKS.write_text("".join(f"{pt:032x}\n" for pt in CLI_PTS))
+        round_text, analog_text = cli_nominal_traced_run(Path(tmp))
+        (DATA_DIR / f"{NOMINAL_CLI_RUN}.jsonl").write_text(round_text)
+        (DATA_DIR / f"{NOMINAL_CLI_RUN}.analog.sha256").write_text(sha256(analog_text))
         for scheme in ("sxor", "dxor"):
             text = energy_json(scheme, Path(tmp) / "energy.json")
             (DATA_DIR / f"energy_{scheme}.json").write_text(text)

@@ -18,6 +18,7 @@ from memgift.crossbar import (
     ScoutingReadoutAmp,
     ScoutingXorAmp,
     SenseAmpScheme,
+    scheme_for,
 )
 from memgift.energy import EnergyParams
 from memgift.gift import (
@@ -36,6 +37,7 @@ from memgift.gift import (
     round_addition_masks,
     sub_cells,
     update_key_state,
+    variant_for,
 )
 from memgift.masking import apply_mask, encrypt_masked, remask_sbox, replicate_mask
 from memgift.pipeline import EncryptionSession, PipelineError, round_trace_header, run_sweep
@@ -252,3 +254,25 @@ def test_numbers_of_any_real_type_are_taken():
     assert run_sweep(GIFT64, "dxor", [np.float64(0.05), 0], 1, seed=2) == run_sweep(
         GIFT64, "dxor", [0.05, 0.0], 1, seed=2
     )
+
+
+# Unhashable specs: looked up in a dict, they must raise the typed error,
+# not the dict's "unhashable type".
+def test_unhashable_variant_raises_gift_error():
+    with pytest.raises(GiftError, match="unknown cipher variant"):
+        variant_for([64])
+
+
+def test_unhashable_scheme_raises_crossbar_error():
+    with pytest.raises(CrossbarError, match="unknown sense-amp scheme"):
+        scheme_for(["dxor"])
+
+
+def test_session_with_unhashable_variant_raises_gift_error():
+    with pytest.raises(GiftError, match="unknown cipher variant"):
+        EncryptionSession(0, [128])
+
+
+def test_session_with_unhashable_scheme_raises_crossbar_error():
+    with pytest.raises(CrossbarError, match="unknown sense-amp scheme"):
+        EncryptionSession(0, 128, {"a": 1})

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from memgift import pipeline
 from memgift.crossbar import (
+    PARTNER_ABSENT,
     SCHEMES,
     VARIATION_CLAMP_SIGMA,
     CrossbarError,
@@ -22,7 +23,10 @@ from memgift.crossbar import (
     DualXorAmp,
     ReadCapture,
     SenseAmpScheme,
+    column_conductances,
+    flat_rows,
     load_device_config,
+    partner_conductances,
     resolve,
     variation_factor,
 )
@@ -282,11 +286,18 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
         assert np.array_equal(analog.bits, np.concatenate(kernel_bits))
         # the kernel decides on conductances, the capture reports their inverse
         assert np.array_equal(1.0 / np.concatenate(kernel_g), analog.r_eq)
+        assert analog.pairing is None and analog.grid is None
     else:
         # the table's bits, which are the kernel's, of the rows the walk read
         rows = np.array([t.input_nibbles for t in traces])
         table = session._read_table[np.arange(40)[:, None], np.arange(32), rows]
         assert np.array_equal(analog.bits, table)
+        # gathered from the nominal grid: each column's pairing names its cells
+        assert analog.pairing.shape == (40, 32, 4)
+        assert np.array_equal(analog.pairing // 3, analog.sb_bits)
+        code = np.where(analog.xor_mask, analog.partner_bits, PARTNER_ABSENT)
+        assert np.array_equal(analog.pairing % 3, code)
+        assert np.array_equal(analog.bits, analog.grid.bits[analog.pairing])
     # round r's captured bits, through the wiring, are the rows round r + 1 read
     routed = analog.bits.reshape(40, -1).view(np.uint8)[:, session._sources]
     nibbles = routed.reshape(40, -1, 4) @ np.array([1, 2, 4, 8])
@@ -566,6 +577,89 @@ def test_read_kernel_matches_per_round_oracle(
 
 
 MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misread
+
+
+def sensed_capture(session, rows) -> ReadCapture:
+    """The capture of a block that read S-box rows `rows`, shape (rounds,
+    S), sensed: every column's r_eq from its cells' conductances, both amps
+    resolving it, as `read_round` senses a noisy or d2d capture."""
+    state, rnds = session.state, np.arange(len(rows))
+    at = flat_rows(state, rows)
+    r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds))
+    scheme, vdd = session.scheme, session.params.vdd
+    xor, readout = (resolve(amp, r_eq, vdd, True) for amp in (scheme.xor_amp, scheme.readout_amp))
+    return ReadCapture(
+        np.where(state.xor_mask, xor.bit, readout.bit), r_eq,
+        {"xor": xor.nodes, "readout": readout.nodes},
+        state.sb_bits.reshape(-1, 4).take(at, axis=0), state.partner_bits[rnds], state.xor_mask,
+    )
+
+
+def bitwise(a: np.ndarray) -> np.ndarray:
+    """a's bytes as unsigned ints of its width, so -0.0 and 0.0 differ."""
+    return a.view(f"u{a.itemsize}")
+
+
+def assert_same_capture(got: ReadCapture, want: ReadCapture) -> None:
+    for name in ("bits", "r_eq", "sb_bits", "partner_bits", "xor_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(bitwise(a), bitwise(b)), name
+    assert list(got.nodes) == list(want.nodes)
+    for kind, nodes in want.nodes.items():
+        assert list(got.nodes[kind]) == list(nodes)
+        for name, v in nodes.items():
+            assert got.nodes[kind][name].dtype == v.dtype
+            assert np.array_equal(bitwise(got.nodes[kind][name]), bitwise(v)), (kind, name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    wire=st.sampled_from([0.0, 150.0, 700.0]),
+    miscalibrated=st.booleans(),
+    masks=st.lists(st.integers(0, 15), min_size=1, max_size=2),
+    key=st.integers(0, (1 << 128) - 1),
+    pt=st.integers(0, (1 << 64) - 1),
+)
+def test_nominal_capture_is_the_sensed_capture_bit_for_bit(
+    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, masks, key, pt
+):
+    params, schemes = DeviceParams(), SCHEMES
+    if miscalibrated:
+        path = tmp_path_factory.mktemp("params") / "amps.cfg"
+        path.write_text(MISCALIBRATED)
+        params, schemes = load_device_config(path)
+    params = replace(params, wire_r_per_cell=wire)
+    session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
+    traces, sensed = [], []
+    for i, mask in enumerate([0, *masks]):  # 2-3 blocks, remasked between them
+        if i:
+            apply_mask(session, mask)
+        block = encrypt_masked(session, pt ^ i, mask, trace=True)[1]
+        analog = block[0].analog
+        # the gathered capture equals the one sensed from the cells read
+        rows = np.array([t.input_nibbles for t in block])
+        assert_same_capture(analog, sensed_capture(session, rows))
+        assert analog.pairing.shape == analog.bits.shape
+        traces += block
+        unpaired = replace(analog, pairing=None)  # one per block, as the block shares it
+        sensed += [replace(t, analog=unpaired) for t in block]
+    # the gathered records are the ones formatted from the captured values
+    assert written(export_analog_trace, traces) == written(export_analog_trace, sensed)
+
+
+@pytest.mark.parametrize(
+    "params", [DeviceParams(sigma_c2c=0.05, seed=4), DeviceParams(sigma_d2d=0.03, seed=4)],
+    ids=["c2c", "d2d"],
+)
+def test_noisy_and_d2d_captures_are_sensed(params):
+    # d2d cells read without noise walk the read table, yet their capture is sensed
+    session = EncryptionSession(RNG.getrandbits(128), GIFT64, "sxor", params)
+    analog = session.encrypt(RNG.getrandbits(64), trace=True)[1][0].analog
+    assert analog.pairing is None and analog.grid is None
 
 
 def assert_table_equals_kernel_build(
