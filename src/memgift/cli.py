@@ -147,7 +147,7 @@ def cmd_encrypt(args) -> int:
             # mask 0 is the plain read: replicate_mask(0, n) == 0
             ct, traces = encrypt_masked(session, pt, session.mask, trace=want_trace)
             if trace_fp:
-                trace_fp.write(round_trace_records(session, traces))
+                trace_fp.write(round_trace_records(traces))
             if analog_fp:
                 export_analog_trace(traces, analog_fp)
             print(f"{ct:0{digits}x}")

@@ -182,7 +182,8 @@ class ProgrammedState:
     partner (key/constant) cell per round; read-out columns have no
     partner, which the state encodes as an infinite resistance.  Its
     arrays are read-only, so a read can never move a cell between
-    resistive states.
+    resistive states.  `nominal` says that every cell holds its state's
+    nominal resistance: `program_slice` wrote them without d2d variation.
     """
 
     sb_bits: np.ndarray  # (S, 16, 4) uint8
@@ -191,6 +192,7 @@ class ProgrammedState:
     partner_res: np.ndarray  # (rounds, S, 4) float, inf on read-out columns
     xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
     wire_r: float
+    nominal: bool
 
     def __post_init__(self):
         for a in (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res, self.xor_mask):
@@ -256,7 +258,8 @@ def program_slice(
     partner_res[:, owner, cols] = key_res
     xor_mask[owner, cols] = True
     return ProgrammedState(
-        sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell
+        sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell,
+        bool(params.sigma_d2d == 0),
     )
 
 
@@ -703,8 +706,9 @@ def read_round(
     factors, the reads' cycle-to-cycle factors, (R, S, 2, 4).  Key columns
     are XOR-sensed (S-box cell against key/constant cell); the remaining
     columns are read out alone.  params are those the state was programmed
-    with: on nominal cells (no d2d variation) read without factors, every
-    column is one of the nominal grid's pairings, gathered from it."""
+    with: their wire, and whether they vary the cells (sigma_d2d > 0), must
+    be the state's.  On a nominal state read without factors every column
+    is one of the nominal grid's pairings, gathered from it."""
     scheme = scheme_for(scheme)
     rows, rnds = np.asarray(rows), np.asarray(rnds)
     # integers only: a bool or a float would index as something else, or not at all
@@ -716,12 +720,12 @@ def read_round(
         raise CrossbarError("need one S-box row in 0..15 per slice and read")
     if factors is not None and np.shape(factors) != rows.shape + (2, 4):
         raise CrossbarError(f"need factors of shape {rows.shape + (2, 4)}")
-    if params.wire_r_per_cell != state.wire_r:
+    if params.wire_r_per_cell != state.wire_r or (params.sigma_d2d == 0) != state.nominal:
         raise CrossbarError("params are not those the state was programmed with")
     at = flat_rows(state, rows)
     sb_bits = state.sb_bits.reshape(-1, 4).take(at, axis=0)
     partner_bits = state.partner_bits[rnds]
-    if factors is None and params.sigma_d2d == 0:
+    if factors is None and state.nominal:
         grid = nominal_grid(params, scheme)
         # a column's partner code is PARTNER_ABSENT on read-out columns, whose partner bits are 0
         pairing = grid_entry(sb_bits.astype(np.intp), partner_bits)

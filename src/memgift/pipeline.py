@@ -15,10 +15,16 @@ the block: fast, noisy and traced encryption and the sweep's sigma points
 all run through it.  A traced block then captures the nodes of all its
 rounds' reads in one `crossbar.read_round` pass: gathered from the nominal
 read grid when the cells are nominal and the reads ideal, sensed
-otherwise.  The analog export writes each record as a prefix (read,
-slice, column), cached per capture shape, and a tail: one per grid pairing
-for a gathered capture, formatted once per grid, and one per distinct
-tail of a block for a sensed one.
+otherwise.  It keeps its rounds once, as one read-only `BlockTrace`: the
+capture, the rows read and the sensed nibbles as (rounds, S) arrays, the
+post states packed 8 bits a byte, the block index and the mask.  Each
+`RoundTrace` is a view of one round of it, which reads its fields as
+Python ints.  The round export formats each run of one record's views at
+once: every hex field in one lookup over the nibble columns, every line
+in one fill of a template.  The analog export writes each record as a
+prefix (read, slice, column), cached per capture shape, and a tail: one
+per grid pairing for a gathered capture, formatted once per grid, and one
+per distinct tail of a block for a sensed one.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -31,7 +37,7 @@ what does not depend on the selected rows once: its factors, in one
 `draw_read_factors` call, with the decision points that cover the
 conductances they reach, its partner branches for every round and lane in
 one operation, and its bit errors in one comparison over the recorded
-rows after the last round.  A traced block records `at & 15`.
+rows after the last round.  A traced block records `at & 15` as its rows.
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its input nibble while the cells stay as programmed, so every
@@ -52,7 +58,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import groupby, repeat
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -128,15 +135,69 @@ class EventLog:
         return out
 
 
-@dataclass
-class RoundTrace:
-    round_index: int
-    input_nibbles: tuple
-    output_nibbles: tuple
-    analog: ReadCapture  # the block's capture, shared by its rounds; this round is row round_index
-    post_state: int
+@dataclass(frozen=True, eq=False)
+class BlockTrace:
+    """The rounds of one traced block, kept once: its capture and, per
+    round, in rows indexed by round, what the round records report.  Its
+    own arrays are read-only; each `RoundTrace` views one of its rounds."""
+
+    analog: ReadCapture  # every round's read, round r in row r
+    rows: np.ndarray  # (rounds, S) uint8, the S-box row each slice read
+    outputs: np.ndarray  # (rounds, S) uint8, the nibble each slice sensed
+    posts: np.ndarray  # (rounds, block_bits // 8) uint8, the post states, little-endian bytes
     block: int  # the session's block index, counted from 0
-    active_mask: int  # S-box mask programmed when the round was read
+    active_mask: int  # S-box mask programmed when the block was read
+
+    def __post_init__(self):
+        for a in (self.rows, self.outputs, self.posts):
+            a.setflags(write=False)
+
+
+class RoundTrace:
+    """Round `round_index` of a traced block: a view of its `BlockTrace`,
+    whose fields it reads as Python ints and tuples of them.  Two views are
+    equal when they view the same round of the same record."""
+
+    __slots__ = ("record", "round_index")
+
+    def __init__(self, record: BlockTrace, round_index: int):
+        self.record, self.round_index = record, round_index
+
+    @property
+    def input_nibbles(self) -> tuple:
+        return tuple(self.record.rows[self.round_index].tolist())
+
+    @property
+    def output_nibbles(self) -> tuple:
+        return tuple(self.record.outputs[self.round_index].tolist())
+
+    @property
+    def analog(self) -> ReadCapture:
+        """The block's capture, shared by its rounds; this round is row round_index."""
+        return self.record.analog
+
+    @property
+    def post_state(self) -> int:
+        return int.from_bytes(self.record.posts[self.round_index].tobytes(), "little")
+
+    @property
+    def block(self) -> int:
+        return self.record.block
+
+    @property
+    def active_mask(self) -> int:
+        return self.record.active_mask
+
+    def __eq__(self, other):
+        if not isinstance(other, RoundTrace):
+            return NotImplemented
+        return self.record is other.record and self.round_index == other.round_index
+
+    def __hash__(self):
+        return hash((id(self.record), self.round_index))
+
+    def __repr__(self):
+        return f"RoundTrace(block={self.block}, round_index={self.round_index})"
 
 
 class EncryptionSession:
@@ -239,7 +300,7 @@ class EncryptionSession:
         (rounds, S, 16, 4): entry [rnd, j, row] is what slice j senses on
         S-box row `row` in round rnd, so round rnd's reads are the flat rows
         of `table[rnd].reshape(S * 16, 4)`."""
-        if self.params.sigma_d2d > 0:
+        if not self.state.nominal:
             return self._sensed_read_table()
         # Nominal cells: every read is one of the grid's cell pairings.  A
         # column's partner code is its partner's bit on XOR columns, sensed
@@ -284,8 +345,9 @@ class EncryptionSession:
         round together; each lane counts as one read per round.  Returns
         the lanes' ciphertexts and, per lane, the number of sensed bits
         that disagree with the ideal digital value (zeros unless
-        count_errors).  With a `traces` list (one lane), one RoundTrace per
-        round is appended.
+        count_errors).  With a `traces` list (one lane), the block's rounds
+        are kept as one BlockTrace and a RoundTrace view of each round is
+        appended.
 
         When every sigma is zero the reads walk the read table, built here
         at the first ideal read of each programming.  Otherwise they sense
@@ -340,16 +402,16 @@ class EncryptionSession:
             errors += wrong.reshape(rounds, lanes, -1).sum(axis=(0, 2))
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
-            rows = read & 15
+            rows = (read & 15).astype(np.uint8)
             f = factors[:, :, 0].swapaxes(1, 2) if noisy else None
             analog = read_round(state, rows, np.arange(rounds), self.scheme, self.params, f)
-            outputs = (analog.bits @ _NIBBLE_WEIGHTS).tolist()
-            posts = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
-            for rnd, inputs in enumerate(rows.tolist()):
-                post, block = bits_to_state(posts[rnd]), self.blocks_encrypted
-                traces.append(RoundTrace(
-                    rnd, tuple(inputs), tuple(outputs[rnd]), analog, post, block, self.mask
-                ))
+            # every round's sensed bits through the wiring, 8 state bits a byte
+            routed = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
+            posts = np.packbits(routed, axis=1, bitorder="little")
+            record = BlockTrace(
+                analog, rows, analog.bits @ _NIBBLE_WEIGHTS, posts, self.blocks_encrypted, self.mask
+            )
+            traces += map(RoundTrace, repeat(record), range(rounds))
         reads = lanes * rounds
         xor_kind, ro_kind = SENSE_EVENT[self.scheme.name]
         self.current_log = EventLog(self.variant.name, self.scheme.name, reads, {
@@ -394,13 +456,15 @@ class EncryptionSession:
 # Trace export
 
 
-# Both exporters write, one block at a time, the bytes one json.dumps per
-# record would write.
+# Both exporters write, one run of a block's traces at a time, the bytes one
+# json.dumps per record would write.
 
 
 def _blocks(traces):
-    """The traces in runs that share one block's capture, in their order."""
-    return (list(run) for _, run in groupby(traces, key=lambda t: t.analog))
+    """The traces in runs that view one block's record, in their order:
+    each run's record and the rounds it views."""
+    for record, run in groupby(traces, key=attrgetter("record")):
+        yield record, np.array([t.round_index for t in run], dtype=np.intp)
 
 
 def _json_texts(values: np.ndarray, ndigits=None) -> np.ndarray:
@@ -437,8 +501,8 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
     The header states the session's mask when the trace is written; each
     round record names its block and the mask it was read under."""
     fp.write(round_trace_header(session, session.mask))
-    for block in _blocks(traces):
-        fp.write(round_trace_records(session, block))
+    for record, rounds in _blocks(traces):
+        fp.write(_round_lines(record, rounds))
 
 
 def round_trace_header(session: EncryptionSession, mask: int) -> str:
@@ -456,21 +520,34 @@ def round_trace_header(session: EncryptionSession, mask: int) -> str:
     return json.dumps(header) + "\n"
 
 
-def round_trace_records(session: EncryptionSession, traces) -> str:
+def round_trace_records(traces) -> str:
     """The round records of `traces`, one line each, in their order."""
-    digits = session.variant.block_bits // 4
+    return "".join(_round_lines(record, rounds) for record, rounds in _blocks(traces))
+
+
+# the code point of each hex digit, so that a row of nibbles is a str
+_HEX_DIGITS = np.array([ord(c) for c in "0123456789abcdef"], dtype=np.uint32)
+
+
+def _round_lines(record: BlockTrace, rounds: np.ndarray) -> str:
+    """The round records of `rounds` of one block's record, in that order:
+    every hex field in one lookup, every line in one fill of a template."""
+    posts = record.posts[rounds, ::-1]  # most significant byte first
+    # each field's nibbles, most significant first: inputs, outputs, post state
+    nibbles = np.concatenate([
+        record.rows[rounds, ::-1], record.outputs[rounds, ::-1],
+        np.stack([posts >> 4, posts & 15], axis=-1).reshape(len(rounds), -1),
+    ], axis=1)
+    digits = 2 * posts.shape[1]
+    values = np.empty((len(rounds), 4), dtype=object)
+    values[:, 0] = rounds
+    values[:, 1:] = _HEX_DIGITS.take(nibbles).view(f"U{digits}")
     template = (
-        f'{{"record": "round", "block": %d, "round": %d, "active_mask": "%x", '
-        f'"inputs": "%0{digits}x", "outputs": "%0{digits}x", "post_state": "%0{digits}x"}}\n'
+        f'{{"record": "round", "block": {record.block:d}, "round": %d, '
+        f'"active_mask": "{record.active_mask:x}", '
+        f'"inputs": "%s", "outputs": "%s", "post_state": "%s"}}\n'
     )
-    # each read's inputs and outputs, two nibbles a byte, least significant first
-    nibbles = np.array([(t.input_nibbles, t.output_nibbles) for t in traces], dtype=np.uint8)
-    packed = (nibbles[..., 0::2] | nibbles[..., 1::2] << 4).tolist()
-    values = []
-    for t, fields in zip(traces, packed):
-        inputs, outputs = (int.from_bytes(bytes(f), "little") for f in fields)
-        values += (t.block, t.round_index, t.active_mask, inputs, outputs, t.post_state)
-    return (template * len(traces)) % tuple(values)
+    return (template * len(rounds)) % tuple(values.ravel().tolist())
 
 
 def _distinct_rows(keys: np.ndarray):
@@ -569,9 +646,8 @@ def export_analog_trace(traces, fp) -> None:
     cells' bits, r_eq, node volts and bit), from each block's capture.  A
     line is its read's, slice's and column's prefix and its tail; a
     capture gathered from the nominal grid gathers its tails too."""
-    for block in _blocks(traces):
-        analog = block[0].analog
-        reads = np.array([t.round_index for t in block])
+    for record, reads in _blocks(traces):
+        analog = record.analog
         lines = np.empty((len(reads),) + analog.xor_mask.shape + (2,), dtype=object)
         lines[..., 0] = _prefixes(*analog.bits.shape[:2])[reads]
         if analog.pairing is not None:

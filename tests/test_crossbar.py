@@ -557,6 +557,31 @@ def test_read_round_rejects_params_of_other_cells():
         read_round(state, [[3]], [0], "dxor", DeviceParams())
 
 
+def test_read_round_senses_varied_cells_whatever_params_say():
+    # d2d cells read with nominal params were gathered from the nominal
+    # grid (r_eq 5e5, 5e5, 2800, 2800 on slice 0), not sensed from the cells
+    params = DeviceParams(sigma_d2d=0.05, seed=2)
+    session = EncryptionSession(0, GIFT64, "dxor", params)
+    rows = np.full((1, GIFT64.nibbles), 3)
+    with pytest.raises(CrossbarError, match="programmed with"):
+        read_round(session.state, rows, [0], "dxor", DeviceParams())
+    capture = read_round(session.state, rows, [0], "dxor", params)
+    assert capture.pairing is None and capture.grid is None
+    cells = 1 / (1 / session.state.sb_res[0, 3] + 1 / session.state.partner_res[0, 0])
+    assert np.array_equal(capture.r_eq[0, 0], cells)
+    assert np.allclose(cells, [514887.4, 469744.3, 2788.054, 2752.503])
+    # a rewrite of the S-box cells varies them as well
+    session.reprogram_sbox(GIFT_SBOX)
+    assert not session.state.nominal
+    with pytest.raises(CrossbarError, match="programmed with"):
+        read_round(session.state, rows, [0], "dxor", DeviceParams())
+    # and nominal cells read with d2d params
+    nominal = EncryptionSession(0, GIFT64, "dxor").state
+    assert nominal.nominal
+    with pytest.raises(CrossbarError, match="programmed with"):
+        read_round(nominal, rows, [0], "dxor", params)
+
+
 def test_sense_rejects_bad_resistance():
     with pytest.raises(CrossbarError):
         sense(0.0, SXOR_SCHEME.xor_amp)

@@ -59,13 +59,16 @@ for _wire in (0.0, 150.0):
 
 
 # `memgift encrypt` over 7 GIFT-128 blocks, remasked every 2 blocks, with
-# c2c and d2d variation and wire resistance, both traces written.
+# c2c and d2d variation and wire resistance, both traces written.  It reads
+# its device file and blocks from tests/data, which hold these bytes, so
+# that CI can run it as a console script.
 CLI_RUN = "cli_gift128_remask"
 CLI_DEVICE = "sigma_c2c = 0.05\nsigma_d2d = 0.02\nwire_r_per_cell = 100\n"
 CLI_PTS = [(0x0123456789ABCDEF0F1E2D3C4B5A6978 * (i + 1)) % (1 << 128) for i in range(7)]
+CLI_DEVICE_FILE, CLI_BLOCKS = DATA_DIR / f"{CLI_RUN}.cfg", DATA_DIR / "cli_gift128_blocks.txt"
 
-# The same blocks from a committed file, on ideal devices, remasked every 2.
-NOMINAL_CLI_RUN, NOMINAL_BLOCKS = "cli_gift128_nominal", DATA_DIR / "cli_nominal_blocks.txt"
+# The same blocks on ideal devices, remasked every 2.
+NOMINAL_CLI_RUN = "cli_gift128_nominal"
 
 
 # `memgift encrypt` over 64 GIFT-128 blocks on cells with d2d variation
@@ -105,15 +108,17 @@ def traced_run(case) -> tuple[str, str]:
     return round_fp.getvalue(), analog_fp.getvalue()
 
 
+def cli_blocks_text() -> str:
+    """The bytes of the golden CLI runs' block file."""
+    return "".join(f"{pt:032x}\n" for pt in CLI_PTS)
+
+
 def cli_traced_run(tmp: Path) -> tuple[str, str]:
     """Round trace and analog trace files of the golden CLI run."""
-    device, pts = tmp / "device.cfg", tmp / "blocks.txt"
-    device.write_text(CLI_DEVICE)
-    pts.write_text("".join(f"{pt:032x}\n" for pt in CLI_PTS))
     round_path, analog_path = tmp / "trace.jsonl", tmp / "analog.jsonl"
     argv = [
-        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(pts), "--remask-every", "2",
-        "--seed", "5", "--device-params", str(device), "--trace", str(round_path),
+        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(CLI_BLOCKS), "--remask-every", "2",
+        "--seed", "5", "--device-params", str(CLI_DEVICE_FILE), "--trace", str(round_path),
         "--analog-trace", str(analog_path),
     ]
     assert main(argv) == 0
@@ -124,7 +129,7 @@ def cli_nominal_traced_run(tmp: Path) -> tuple[str, str]:
     """Round trace and analog trace files of the golden nominal CLI run."""
     round_path, analog_path = tmp / "trace.jsonl", tmp / "analog.jsonl"
     argv = [
-        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(NOMINAL_BLOCKS),
+        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(CLI_BLOCKS),
         "--remask-every", "2", "--seed", "5", "--trace", str(round_path),
         "--analog-trace", str(analog_path),
     ]
@@ -149,6 +154,8 @@ def test_traces_match_golden(name):
 
 
 def test_cli_traces_match_golden(tmp_path, capsys):
+    assert CLI_DEVICE_FILE.read_text() == CLI_DEVICE
+    assert CLI_BLOCKS.read_text() == cli_blocks_text()
     round_text, analog_text = cli_traced_run(tmp_path)
     capsys.readouterr()
     assert round_text == (DATA_DIR / f"{CLI_RUN}.jsonl").read_text()
@@ -156,7 +163,7 @@ def test_cli_traces_match_golden(tmp_path, capsys):
 
 
 def test_cli_nominal_traces_match_golden(tmp_path, capsys):
-    assert NOMINAL_BLOCKS.read_text() == "".join(f"{pt:032x}\n" for pt in CLI_PTS)
+    assert CLI_BLOCKS.read_text() == cli_blocks_text()
     round_text, analog_text = cli_nominal_traced_run(tmp_path)
     capsys.readouterr()
     assert round_text == (DATA_DIR / f"{NOMINAL_CLI_RUN}.jsonl").read_text()
@@ -184,11 +191,12 @@ if __name__ == "__main__":
         (DATA_DIR / f"{name}.analog.sha256").write_text(sha256(analog_text))
     for every in D2D_INTERVALS:
         (DATA_DIR / f"cli_d2d_every{every}.txt").write_text(cli_d2d_run(every))
+    CLI_DEVICE_FILE.write_text(CLI_DEVICE)
+    CLI_BLOCKS.write_text(cli_blocks_text())
     with tempfile.TemporaryDirectory() as tmp:
         round_text, analog_text = cli_traced_run(Path(tmp))
         (DATA_DIR / f"{CLI_RUN}.jsonl").write_text(round_text)
         (DATA_DIR / f"{CLI_RUN}.analog.sha256").write_text(sha256(analog_text))
-        NOMINAL_BLOCKS.write_text("".join(f"{pt:032x}\n" for pt in CLI_PTS))
         round_text, analog_text = cli_nominal_traced_run(Path(tmp))
         (DATA_DIR / f"{NOMINAL_CLI_RUN}.jsonl").write_text(round_text)
         (DATA_DIR / f"{NOMINAL_CLI_RUN}.analog.sha256").write_text(sha256(analog_text))

@@ -42,6 +42,7 @@ from memgift.gift import (
 )
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
+    BlockTrace,
     EncryptionSession,
     EventLog,
     PipelineError,
@@ -645,8 +646,9 @@ def test_nominal_capture_is_the_sensed_capture_bit_for_bit(
         assert_same_capture(analog, sensed_capture(session, rows))
         assert analog.pairing.shape == analog.bits.shape
         traces += block
-        unpaired = replace(analog, pairing=None)  # one per block, as the block shares it
-        sensed += [replace(t, analog=unpaired) for t in block]
+        # one record per block, as the block shares it, with its capture unpaired
+        unpaired = replace(block[0].record, analog=replace(analog, pairing=None))
+        sensed += [RoundTrace(unpaired, t.round_index) for t in block]
     # the gathered records are the ones formatted from the captured values
     assert written(export_analog_trace, traces) == written(export_analog_trace, sensed)
 
@@ -819,11 +821,58 @@ def test_trace_exports_match_per_record_oracle(
     block = traces[-variant.rounds :]
     first = data.draw(st.integers(0, variant.rounds - 1))
     last = data.draw(st.integers(first + 1, variant.rounds))
-    for subset in (traces, block[::-1], block[first:last]):
+    # the first block and one more, interleaved round by round
+    other = session.encrypt(data.draw(pt), trace=True)[1]
+    interleaved = [t for pair in zip(traces[: variant.rounds], other) for t in pair]
+    for subset in (traces, block[::-1], block[first:last], traces[::-1], interleaved, []):
         assert_same_lines(
             written(export_round_trace, session, subset), written(slow_round_trace, session, subset)
         )
         assert_same_lines(written(export_analog_trace, subset), written(slow_analog_trace, subset))
+    # no traces: the header alone, and no analog records
+    assert len(written(export_round_trace, session, []).splitlines()) == 1
+    assert written(export_analog_trace, []) == ""
+
+
+@pytest.mark.parametrize("variant", [GIFT64, GIFT128], ids=["gift64", "gift128"])
+@pytest.mark.parametrize(
+    "params",
+    [DeviceParams(), DeviceParams(sigma_c2c=0.05, seed=6), DeviceParams(sigma_d2d=0.05, seed=6)],
+    ids=["nominal", "c2c", "d2d"],
+)
+def test_round_trace_view_is_plain_data(variant, params):
+    session = EncryptionSession(RNG.getrandbits(128), variant, "dxor", params)
+    apply_mask(session, 3)
+    traces = encrypt_masked(session, RNG.getrandbits(variant.block_bits), 3, trace=True)[1]
+    record = traces[0].record
+    assert all(t.record is record for t in traces)
+    assert [t.round_index for t in traces] == list(range(variant.rounds))
+    for a in (record.rows, record.outputs, record.posts):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+
+    def fields(t):
+        return (t.round_index, t.input_nibbles, t.output_nibbles, t.post_state, t.block,
+                t.active_mask)
+
+    before = [fields(t) for t in traces]
+    for index, inputs, outputs, post, block, mask in before:
+        for nibbles in (inputs, outputs):
+            assert type(nibbles) is tuple and len(nibbles) == variant.nibbles
+            assert all(type(v) is int and 0 <= v < 16 for v in nibbles)
+        assert all(type(v) is int for v in (index, post, block, mask))
+        assert (block, mask) == (0, 3)
+    json.dumps(before)
+    # each round's post state is the next round's inputs
+    for (_, _, _, post, _, _), (_, inputs, _, _, _, _) in zip(before, before[1:]):
+        assert post == sum(v << (4 * j) for j, v in enumerate(inputs))
+    # a view compares and reads the same, export after export
+    exports = [written(export_round_trace, session, traces) for _ in range(2)]
+    assert exports[0] == exports[1]
+    assert [fields(t) for t in traces] == before
+    assert traces[5] == RoundTrace(record, 5) and hash(traces[5]) == hash(RoundTrace(record, 5))
+    assert traces[5] != traces[6] and traces[5] != RoundTrace(replace(record), 5)
 
 
 def test_analog_export_spells_special_floats_as_json_does():
@@ -841,7 +890,9 @@ def test_analog_export_spells_special_floats_as_json_does():
     bits[1] = True
     ones = np.ones(shape, dtype=np.uint8)
     capture = ReadCapture(bits, r_eq, nodes, ones, ones * xor_mask, xor_mask)
-    traces = [RoundTrace(i, (0, 0), (0, 0), capture, 0, 0, 0) for i in (1, 0, 1)]
+    nibbles, posts = np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 1), dtype=np.uint8)
+    record = BlockTrace(capture, nibbles, nibbles.copy(), posts, 0, 0)
+    traces = [RoundTrace(record, i) for i in (1, 0, 1)]
     text = written(export_analog_trace, traces)
     assert text == written(slow_analog_trace, traces)
     for spelling in ("Infinity", "-Infinity", "NaN", '"r_eq": -0.0', "5e-05", "1e+16", "-0.0,"):
