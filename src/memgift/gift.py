@@ -72,19 +72,29 @@ def variant_for(spec) -> CipherVariant:
 
 
 class SBoxTable:
-    """4-bit substitution table; must be a permutation of 0..15."""
+    """4-bit substitution table; must be a permutation of 0..15.  Every
+    function that takes an S-box takes it through this constructor: a
+    table passes as it is, 16 integers are checked into one, and anything
+    else raises GiftError."""
 
     __slots__ = ("entries", "_inverse")
 
-    def __init__(self, entries: Iterable[int]):
-        entries = tuple(check_int(e, "S-box entry", GiftError, 4) for e in entries)
+    def __new__(cls, entries: Iterable[int]):
+        if isinstance(entries, SBoxTable):
+            return entries
+        try:
+            entries = tuple(check_int(e, "S-box entry", GiftError, 4) for e in entries)
+        except TypeError:
+            raise GiftError(f"S-box must be 16 integers, not {type(entries).__name__}") from None
         if sorted(entries) != list(range(16)):
             raise GiftError("S-box must be a permutation of 0..15")
-        object.__setattr__(self, "entries", entries)
+        table = super().__new__(cls)
+        object.__setattr__(table, "entries", entries)
         inv = [0] * 16
         for x, y in enumerate(entries):
             inv[y] = x
-        object.__setattr__(self, "_inverse", tuple(inv))
+        object.__setattr__(table, "_inverse", tuple(inv))
+        return table
 
     def __setattr__(self, name, value):  # immutable by construction
         raise AttributeError("SBoxTable is immutable")
@@ -155,6 +165,7 @@ class CipherState:
 def sub_cells(state: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX) -> int:
     """Replace every nibble j by sbox[nibble j]."""
     state = check_int(state, "state", GiftError, variant.block_bits)
+    sbox = SBoxTable(sbox)
     out = 0
     for j in range(variant.nibbles):
         out |= sbox[(state >> (4 * j)) & 0xF] << (4 * j)
@@ -366,7 +377,7 @@ def encrypt_block(
     """Apply rounds x (SubCells -> PermBits -> AddRoundKey+Constant), each
     round one lookup per nibble in the folded tables."""
     pt = check_int(pt, "plaintext", GiftError, variant.block_bits)
-    tables = _round_tables(sbox, variant.block_bits)
+    tables = _round_tables(SBoxTable(sbox), variant.block_bits)
     state = pt
     for mask in round_addition_masks(key, variant):
         for shift, t in tables:
@@ -391,7 +402,7 @@ def decrypt_block(
     key+constant XOR, then PermBits by one lookup per nibble, then SubCells
     nibble by nibble."""
     ct = check_int(ct, "ciphertext", GiftError, variant.block_bits)
-    spread, inv = _inverse_round_tables(sbox, variant.block_bits)
+    spread, inv = _inverse_round_tables(SBoxTable(sbox), variant.block_bits)
     state = ct
     for mask in reversed(round_addition_masks(key, variant)):
         state ^= mask

@@ -95,10 +95,15 @@ class LayoutBundle:
         return sum(16 * 4 + m.bits.size for m in self.slices)
 
 
-@lru_cache(maxsize=64)
 def sbox_bit_matrix(sbox: SBoxTable) -> np.ndarray:
     """The (16, 4) bits of an S-box, row k = S(k), column b = bit b; cached
-    per S-box, so read-only."""
+    per S-box, so read-only.  The S-box goes through `SBoxTable`, so a bad
+    one raises GiftError."""
+    return _bit_matrix(SBoxTable(sbox))
+
+
+@lru_cache(maxsize=64)
+def _bit_matrix(sbox: SBoxTable) -> np.ndarray:
     rows = [[(sbox[k] >> b) & 1 for b in range(4)] for k in range(16)]
     matrix = np.array(rows, dtype=np.uint8)
     matrix.setflags(write=False)
@@ -294,5 +299,5 @@ def import_layout(path) -> LayoutBundle:
             for k in range(len(cols)):
                 bits[r, k] = (v >> k) & 1
         slices.append(SliceKeyMatrix(j, cols, bits))
-    sbox_matrix = sbox_bit_matrix(SBoxTable(first_sb))
+    sbox_matrix = sbox_bit_matrix(first_sb)
     return LayoutBundle(variant=variant, sbox_matrix=sbox_matrix, slices=slices)

@@ -26,7 +26,7 @@ class MaskMismatchError(PipelineError):
 
 def remask_sbox(sbox: SBoxTable, mask: int) -> SBoxTable:
     """Masked table S'(x) = S(x ^ m) ^ m; bijective for every mask."""
-    mask = check_int(mask, "mask", GiftError, 4)
+    sbox, mask = SBoxTable(sbox), check_int(mask, "mask", GiftError, 4)
     return SBoxTable(tuple(sbox[x ^ mask] ^ mask for x in range(16)))
 
 

@@ -22,9 +22,11 @@ post states packed 8 bits a byte, the block index and the mask.  Each
 Python ints.  The round export formats each run of one record's views at
 once: every hex field in one lookup over the nibble columns, every line
 in one fill of a template.  The analog export writes each record as a
-prefix (read, slice, column), cached per capture shape, and a tail: one
-per grid pairing for a gathered capture, formatted once per grid, and one
-per distinct tail of a block for a sensed one.
+prefix (read, slice, column), cached per capture shape, and a tail.  One
+builder formats tails column by column, for the nominal grid's pairings
+and for a sensed capture's reads alike: a gathered capture gathers its
+grid's tails, formatted once per grid, by pairing; a sensed capture's
+tails are formatted from its own arrays.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -263,7 +265,8 @@ class EncryptionSession:
     def reprogram_sbox(self, sbox: SBoxTable) -> None:
         """Rewrite only the 16x4 S-box region of every slice (run-time
         reconfiguration); key/constant cells are untouched.  The session's
-        mask reads 0 until `masking.apply_mask` names the mask it wrote."""
+        mask reads 0 until `masking.apply_mask` names the mask it wrote.  An
+        S-box that `SBoxTable` rejects raises GiftError before any write."""
         # the key region is written too, only for its d2d normals: they are
         # discarded (no key-cell writes) but keep every slice's noise stream
         # where a whole-slice write would leave it.
@@ -550,45 +553,23 @@ def _round_lines(record: BlockTrace, rounds: np.ndarray) -> str:
     return (template * len(rounds)) % tuple(values.ravel().tolist())
 
 
-def _distinct_rows(keys: np.ndarray):
-    """Group the equal rows of `keys`, shape (n, F) uint64: the index of
-    one row per group, and each row's group.  The rows are sorted by a
-    hash and only neighbours are compared, so unequal rows never share a
-    group; equal rows that a hash collision separates form two groups,
-    which costs one more format and nothing else."""
-    # odd multipliers: a row's hash is the wrapped sum of its weighted words
-    weights = (2 * np.arange(keys.shape[1], dtype=np.uint64) + 1) * np.uint64(0x9E3779B97F4A7C15)
-    order = np.argsort(keys @ weights)
-    ordered = np.take(keys, order, axis=0)
-    starts = np.ones(len(keys), dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(len(keys), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
-def _tail_fields(source, kind: str) -> list:
-    """The arrays of a capture or a nominal grid that fill a `kind`
-    record's tail, in record order: stored bits, r_eq, nodes, bit."""
-    stored = (source.sb_bits, source.partner_bits)[: 2 if kind == "xor" else 1]
-    return [*stored, source.r_eq, *source.nodes[kind].values(), source.bits]
-
-
 def _format_tails(source, kind: str, at) -> list:
     """The tails, everything after the column, of `kind` records of the
     flat entries `at` of a capture or a nominal grid, one line each, in
-    the order of `at`."""
-    columns = [f.take(at) for f in _tail_fields(source, kind)]
-    stored = 2 if kind == "xor" else 1
+    the order of `at`: stored bits, r_eq, nodes, bit."""
+    stored = (source.sb_bits, source.partner_bits)[: 2 if kind == "xor" else 1]
     tail_parts = _record_parts({
         "slice": _SLOT, "round": _SLOT, "column": _SLOT, "kind": kind,
-        "stored_bits": [_SLOT] * stored, "r_eq": _SLOT,
+        "stored_bits": [_SLOT] * len(stored), "r_eq": _SLOT,
         "nodes": dict.fromkeys(source.nodes[kind], _SLOT), "bit": _SLOT,
     })[3:]
-    cells = _json_texts(np.stack(columns[:stored] + [columns[-1].view(np.uint8)], -1))
+    # the stored bits and the sensed bit, as 0/1 bytes, in one conversion
+    cells = [f.take(at) for f in stored] + [source.bits.take(at).view(np.uint8)]
+    cells = _json_texts(np.stack(cells, axis=-1))
+    nodes = np.stack([v.take(at) for v in source.nodes[kind].values()], axis=-1)
     values = np.concatenate([
-        cells[:, :stored], _json_texts(columns[stored])[:, None],
-        _json_texts(np.stack(columns[stored + 1 : -1], axis=-1), 6), cells[:, stored:],
+        cells[:, :-1], _json_texts(source.r_eq.take(at))[:, None],
+        _json_texts(nodes, 6), cells[:, -1:],
     ], axis=-1)
     texts = np.empty((len(values), 2 * len(tail_parts) - 1), dtype=object)
     texts[:, ::2] = np.array(tail_parts, dtype=object)
@@ -597,15 +578,20 @@ def _format_tails(source, kind: str, at) -> list:
     return "".join(texts.ravel().tolist()).splitlines(keepends=True)
 
 
+def _tails(source, xor: np.ndarray) -> np.ndarray:
+    """The record tail of every entry of a capture or a nominal grid, an
+    object array of the shape of `xor`, the entries' XOR flags: XOR records
+    where it is set, read-out records elsewhere."""
+    tails = np.empty(xor.shape, dtype=object)
+    for kind, sensed in (("xor", xor), ("readout", ~xor)):
+        tails[sensed] = np.array(_format_tails(source, kind, np.flatnonzero(sensed)), dtype=object)
+    return tails
+
+
 @lru_cache(maxsize=64)
 def _grid_tails(grid: NominalGrid) -> np.ndarray:
-    """The record tail of each of the grid's pairings, an object array
-    indexed as the grid: XOR records where there is a partner, read-out
-    records where there is none."""
-    tails = np.empty(len(grid.bits), dtype=object)
-    for kind, sensed in (("xor", grid.xor), ("readout", ~grid.xor)):
-        pairings = np.flatnonzero(sensed)
-        tails[pairings] = _format_tails(grid, kind, pairings)
+    """The record tail of each of the grid's pairings, indexed as the grid."""
+    tails = _tails(grid, grid.xor)
     tails.setflags(write=False)
     return tails
 
@@ -624,28 +610,12 @@ def _prefixes(reads: int, slices: int) -> np.ndarray:
     return prefixes
 
 
-def _sensed_tails(analog: ReadCapture, reads: np.ndarray) -> np.ndarray:
-    """The record tail of every column of `reads` of a sensed capture;
-    each distinct tail of the block is formatted once."""
-    mask = analog.xor_mask
-    tails = np.empty((len(reads),) + mask.shape, dtype=object)
-    for kind, sensed in (("xor", mask), ("readout", ~mask)):
-        # the flat index of each sensed column of each read, in record order
-        at = (reads[:, None] * mask.size + np.flatnonzero(sensed)).ravel()
-        columns = [f.take(at) for f in _tail_fields(analog, kind)]
-        # keyed on the value bits, so -0.0 and 0.0 stay apart
-        keys = np.stack(columns, axis=-1).astype(np.float64, copy=False).view(np.uint64)
-        first, inverse = _distinct_rows(keys)
-        distinct_tails = _format_tails(analog, kind, at[first])
-        tails[:, sensed] = np.array(distinct_tails, dtype=object)[inverse].reshape(len(reads), -1)
-    return tails
-
-
 def export_analog_trace(traces, fp) -> None:
     """JSON lines: one record per column per read (its amp kind, selected
     cells' bits, r_eq, node volts and bit), from each block's capture.  A
     line is its read's, slice's and column's prefix and its tail; a
-    capture gathered from the nominal grid gathers its tails too."""
+    capture gathered from the nominal grid gathers its tails too, a sensed
+    one formats the tails of all its reads."""
     for record, reads in _blocks(traces):
         analog = record.analog
         lines = np.empty((len(reads),) + analog.xor_mask.shape + (2,), dtype=object)
@@ -653,7 +623,8 @@ def export_analog_trace(traces, fp) -> None:
         if analog.pairing is not None:
             lines[..., 1] = _grid_tails(analog.grid)[analog.pairing[reads]]
         else:
-            lines[..., 1] = _sensed_tails(analog, reads)
+            xor = np.broadcast_to(analog.xor_mask, analog.bits.shape)
+            lines[..., 1] = _tails(analog, xor)[reads]
         fp.write("".join(lines.ravel().tolist()))
 
 

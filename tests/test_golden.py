@@ -10,6 +10,9 @@ with device-to-device variation only, at three remask intervals.  Traces
 on ideal devices (nominal cells, no read noise) are pinned the same way,
 in process and through the CLI, because every nominal read is one of a
 few cell pairings that a faster path may gather rather than sense.
+Traces on cells with device-to-device variation only are pinned too, in
+process and through the CLI: their reads are sensed, yet a read-out
+column reads the same in every round, so their record tails repeat.
 Regenerate, only for a deliberate change, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -56,6 +59,10 @@ for _wire in (0.0, 150.0):
         TRACE_RUNS["trace_gift128_dxor_wire_local"],
         feedback="permuted", params=DeviceParams(wire_r_per_cell=_wire),
     )
+# The GIFT-64 run on cells with d2d variation only: sensed, without read noise.
+TRACE_RUNS["d2d_gift64_sxor"] = dict(
+    TRACE_RUNS["trace_gift64_sxor"], params=DeviceParams(sigma_d2d=0.05, seed=5)
+)
 
 
 # `memgift encrypt` over 7 GIFT-128 blocks, remasked every 2 blocks, with
@@ -69,6 +76,9 @@ CLI_DEVICE_FILE, CLI_BLOCKS = DATA_DIR / f"{CLI_RUN}.cfg", DATA_DIR / "cli_gift1
 
 # The same blocks on ideal devices, remasked every 2.
 NOMINAL_CLI_RUN = "cli_gift128_nominal"
+
+# The same blocks on the d2d golden run's devices (sigma_d2d 0.1 only).
+D2D_CLI_RUN = "cli_gift128_d2d"
 
 
 # `memgift encrypt` over 64 GIFT-128 blocks on cells with d2d variation
@@ -113,25 +123,14 @@ def cli_blocks_text() -> str:
     return "".join(f"{pt:032x}\n" for pt in CLI_PTS)
 
 
-def cli_traced_run(tmp: Path) -> tuple[str, str]:
-    """Round trace and analog trace files of the golden CLI run."""
+def cli_traced_run(tmp: Path, device_file=CLI_DEVICE_FILE) -> tuple[str, str]:
+    """Round trace and analog trace files of a golden CLI run over the CLI
+    blocks, on the devices of `device_file` (ideal ones when None)."""
     round_path, analog_path = tmp / "trace.jsonl", tmp / "analog.jsonl"
+    device = [] if device_file is None else ["--device-params", str(device_file)]
     argv = [
         "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(CLI_BLOCKS), "--remask-every", "2",
-        "--seed", "5", "--device-params", str(CLI_DEVICE_FILE), "--trace", str(round_path),
-        "--analog-trace", str(analog_path),
-    ]
-    assert main(argv) == 0
-    return round_path.read_text(), analog_path.read_text()
-
-
-def cli_nominal_traced_run(tmp: Path) -> tuple[str, str]:
-    """Round trace and analog trace files of the golden nominal CLI run."""
-    round_path, analog_path = tmp / "trace.jsonl", tmp / "analog.jsonl"
-    argv = [
-        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(CLI_BLOCKS),
-        "--remask-every", "2", "--seed", "5", "--trace", str(round_path),
-        "--analog-trace", str(analog_path),
+        "--seed", "5", *device, "--trace", str(round_path), "--analog-trace", str(analog_path),
     ]
     assert main(argv) == 0
     return round_path.read_text(), analog_path.read_text()
@@ -164,10 +163,18 @@ def test_cli_traces_match_golden(tmp_path, capsys):
 
 def test_cli_nominal_traces_match_golden(tmp_path, capsys):
     assert CLI_BLOCKS.read_text() == cli_blocks_text()
-    round_text, analog_text = cli_nominal_traced_run(tmp_path)
+    round_text, analog_text = cli_traced_run(tmp_path, None)
     capsys.readouterr()
     assert round_text == (DATA_DIR / f"{NOMINAL_CLI_RUN}.jsonl").read_text()
     assert sha256(analog_text) == (DATA_DIR / f"{NOMINAL_CLI_RUN}.analog.sha256").read_text()
+
+
+def test_cli_d2d_traces_match_golden(tmp_path, capsys):
+    assert CLI_BLOCKS.read_text() == cli_blocks_text()
+    round_text, analog_text = cli_traced_run(tmp_path, D2D_DEVICE)
+    capsys.readouterr()
+    assert round_text == (DATA_DIR / f"{D2D_CLI_RUN}.jsonl").read_text()
+    assert sha256(analog_text) == (DATA_DIR / f"{D2D_CLI_RUN}.analog.sha256").read_text()
 
 
 @pytest.mark.parametrize("every", D2D_INTERVALS)
@@ -194,12 +201,11 @@ if __name__ == "__main__":
     CLI_DEVICE_FILE.write_text(CLI_DEVICE)
     CLI_BLOCKS.write_text(cli_blocks_text())
     with tempfile.TemporaryDirectory() as tmp:
-        round_text, analog_text = cli_traced_run(Path(tmp))
-        (DATA_DIR / f"{CLI_RUN}.jsonl").write_text(round_text)
-        (DATA_DIR / f"{CLI_RUN}.analog.sha256").write_text(sha256(analog_text))
-        round_text, analog_text = cli_nominal_traced_run(Path(tmp))
-        (DATA_DIR / f"{NOMINAL_CLI_RUN}.jsonl").write_text(round_text)
-        (DATA_DIR / f"{NOMINAL_CLI_RUN}.analog.sha256").write_text(sha256(analog_text))
+        for run, device in ((CLI_RUN, CLI_DEVICE_FILE), (NOMINAL_CLI_RUN, None),
+                            (D2D_CLI_RUN, D2D_DEVICE)):
+            round_text, analog_text = cli_traced_run(Path(tmp), device)
+            (DATA_DIR / f"{run}.jsonl").write_text(round_text)
+            (DATA_DIR / f"{run}.analog.sha256").write_text(sha256(analog_text))
         for scheme in ("sxor", "dxor"):
             text = energy_json(scheme, Path(tmp) / "energy.json")
             (DATA_DIR / f"energy_{scheme}.json").write_text(text)

@@ -1,7 +1,10 @@
 """One integer rule at every public site that takes a block, key, mask,
 S-box entry, seed or count: a Python int, a numpy integer or a bool is
 taken as its int value; anything else, a negative value or one too wide
-raises the site's typed error before any cell write or noise draw."""
+raises the site's typed error before any cell write or noise draw.  Every
+site that takes a whole S-box takes it through `SBoxTable`, so one rule
+holds there too: 16 integers that permute 0..15, in any sequence, act as
+the table; anything else raises GiftError before any cell write."""
 
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,6 +24,7 @@ from memgift.crossbar import (
     scheme_for,
 )
 from memgift.energy import EnergyParams
+from memgift.layout import compile_layout, sbox_bit_matrix
 from memgift.gift import (
     GIFT64,
     GIFT128,
@@ -276,3 +280,62 @@ def test_session_with_unhashable_variant_raises_gift_error():
 def test_session_with_unhashable_scheme_raises_crossbar_error():
     with pytest.raises(CrossbarError, match="unknown sense-amp scheme"):
         EncryptionSession(0, 128, {"a": 1})
+
+
+# ---------------------------------------------------------------------------
+# S-box arguments
+
+
+def ideal_session():
+    return EncryptionSession(KEY, GIFT64, "dxor")
+
+
+# Each takes an S-box and returns a comparable result; the session sites
+# act on a fresh ideal_session.
+SBOX_SITES = {
+    "encrypt_block": (lambda sbox, _: encrypt_block(5, KEY, GIFT64, sbox), None),
+    "decrypt_block": (lambda sbox, _: decrypt_block(5, KEY, GIFT64, sbox), None),
+    "sub_cells": (lambda sbox, _: sub_cells(0x0123456789ABCDEF, GIFT64, sbox), None),
+    "compile_layout": (lambda sbox, _: compile_layout(KEY, GIFT64, sbox), None),
+    "sbox_bit_matrix": (lambda sbox, _: sbox_bit_matrix(sbox).tolist(), None),
+    "EncryptionSession": (
+        lambda sbox, _: EncryptionSession(KEY, GIFT64, "dxor", sbox=sbox).encrypt(5)[0], None,
+    ),
+    "reprogram_sbox": (
+        lambda sbox, s: (s.reprogram_sbox(sbox), s.cell_fingerprint(), s.encrypt(5)[0]),
+        ideal_session,
+    ),
+    "remask_sbox": (lambda sbox, _: remask_sbox(sbox, MASK), None),
+}
+OTHER_SBOX = SBoxTable([(5 * x + 3) % 16 for x in range(16)])
+
+
+@pytest.mark.parametrize("site", sorted(SBOX_SITES))
+@pytest.mark.parametrize(
+    "sbox",
+    [(0,) * 16, [1] * 16, (99,) * 16, tuple(GIFT_SBOX) + (3,), tuple(GIFT_SBOX)[:15], 5, None,
+     "0123456789abcdef", [GIFT_SBOX[0] + 0.5, *GIFT_SBOX.entries[1:]]],
+    ids=["constant", "constant-list", "wide", "17-entries", "15-entries", "int", "None", "str",
+         "float-entry"],
+)
+def test_bad_sboxes_raise_gift_error_before_any_write(site, sbox):
+    call, build = SBOX_SITES[site]
+    session = build() if build else None
+    before = snapshot(session), session and session.cell_fingerprint()
+    with pytest.raises(GiftError, match="S-box"):
+        call(sbox, session)
+    assert (snapshot(session), session and session.cell_fingerprint()) == before
+
+
+@pytest.mark.parametrize("site", sorted(SBOX_SITES))
+@pytest.mark.parametrize("as_sequence", [list, tuple, np.array], ids=["list", "tuple", "array"])
+def test_a_sequence_sbox_acts_as_its_table(site, as_sequence):
+    call, build = SBOX_SITES[site]
+    for table in (GIFT_SBOX, OTHER_SBOX):
+        got = call(as_sequence(table.entries), build() if build else None)
+        assert got == call(table, build() if build else None)
+
+
+def test_a_table_passes_through_sbox_table_as_it_is():
+    assert SBoxTable(GIFT_SBOX) is GIFT_SBOX
+    assert SBoxTable(list(GIFT_SBOX)) == GIFT_SBOX
