@@ -70,7 +70,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import MemgiftError, check_int, read_text
-from .layout import SliceKeyMatrix
 
 
 class CrossbarError(MemgiftError, ValueError):
@@ -212,14 +211,25 @@ class ProgrammedState:
         return hash(tuple(a.tobytes() for a in arrays))
 
 
+@lru_cache(maxsize=16)
+def _key_cells(columns: tuple) -> np.ndarray:
+    """The flat cell 4*j + b of each key column b of slice j, read-only."""
+    cells = np.array([4 * j + b for j, cols in enumerate(columns) for b in cols], dtype=np.intp)
+    cells.setflags(write=False)
+    return cells
+
+
 def program_slice(
-    key_matrices: Sequence[SliceKeyMatrix],
+    key_bits: np.ndarray,
+    columns: Sequence[tuple[int, ...]],
     sbox_matrix: np.ndarray,
     params: DeviceParams,
     rngs: Optional[Sequence[np.random.Generator]] = None,
 ) -> ProgrammedState:
-    """Write every slice in one pass: slice j gets the S-box region and
-    the key region of key_matrices[j].
+    """Write every slice in one pass: slice j gets the S-box region and a
+    key region on its in-nibble columns columns[j], holding the next
+    len(columns[j]) columns of key_bits, shape (rounds, key columns), as a
+    `LayoutBundle` holds them.
 
     Every cell's state matches its layout bit and its resistance is drawn
     once (device-to-device variation): slice j draws its S-box normals,
@@ -228,35 +238,31 @@ def program_slice(
     sb_bits = np.asarray(sbox_matrix, dtype=np.uint8)
     if sb_bits.shape != (16, 4):
         raise CrossbarError(f"S-box region must be 16x4, got {sb_bits.shape}")
-    widths = [len(km.columns) for km in key_matrices]
-    key_bits = [np.asarray(km.bits, dtype=np.uint8) for km in key_matrices]
-    rounds = key_bits[0].shape[0]
-    if any(b.shape != (rounds, w) for b, w in zip(key_bits, widths)):
+    key_bits = np.asarray(key_bits, dtype=np.uint8)
+    cells, S = _key_cells(tuple(map(tuple, columns))), len(columns)
+    if key_bits.ndim != 2 or key_bits.shape[1] != len(cells):
         raise CrossbarError("key region shape does not match its column list")
-    S = len(key_bits)
+    rounds = key_bits.shape[0]
     sb_bits = np.repeat(sb_bits[None], S, axis=0)
-    key_bits = np.concatenate(key_bits, axis=1)  # (rounds, key columns)
     sb_res = np.where(sb_bits != 0, params.r_lrs, params.r_hrs)
     key_res = np.where(key_bits != 0, params.r_lrs, params.r_hrs)
     if params.sigma_d2d > 0:
         if rngs is None:
             raise CrossbarError("sigma_d2d > 0 requires an RNG per slice")
         z_sb, z_key = [], []
-        for rng, width in zip(rngs, widths, strict=True):
+        for rng, cols in zip(rngs, columns, strict=True):
             z_sb.append(rng.standard_normal((16, 4)))
-            z_key.append(rng.standard_normal((rounds, width)))
+            z_key.append(rng.standard_normal((rounds, len(cols))))
         sb_res = sb_res * variation_factor(params.sigma_d2d, np.stack(z_sb))
         key_res = key_res * variation_factor(params.sigma_d2d, np.concatenate(z_key, axis=1))
 
     # every slice's key columns, scattered in one assignment per array
-    owner = np.repeat(np.arange(S), widths)
-    cols = [c for km in key_matrices for c in km.columns]
     partner_bits = np.zeros((rounds, S, 4), dtype=np.uint8)
     partner_res = np.full((rounds, S, 4), np.inf)
     xor_mask = np.zeros((S, 4), dtype=bool)
-    partner_bits[:, owner, cols] = key_bits
-    partner_res[:, owner, cols] = key_res
-    xor_mask[owner, cols] = True
+    partner_bits.reshape(rounds, -1)[:, cells] = key_bits
+    partner_res.reshape(rounds, -1)[:, cells] = key_res
+    xor_mask.reshape(-1)[cells] = True
     return ProgrammedState(
         sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell,
         bool(params.sigma_d2d == 0),

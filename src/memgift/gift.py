@@ -7,6 +7,9 @@ Conventions used throughout the package:
 * Hex strings are written most-significant digit first.
 * Keys are always 128 bits, viewed as eight 16-bit words k7..k0 with k0
   in the least significant position.
+
+The block functions take a round one state byte at a time, in 256-entry
+tables built on first use; the per-bit round primitives are their oracle.
 """
 
 from __future__ import annotations
@@ -113,6 +116,9 @@ class SBoxTable:
 
     def __repr__(self) -> str:
         return "SBoxTable(({}))".format(", ".join(f"0x{e:x}" for e in self.entries))
+
+    def __reduce__(self):  # copy and pickle through the constructor
+        return SBoxTable, (self.entries,)
 
     def inverse(self) -> "SBoxTable":
         return SBoxTable(self._inverse)
@@ -324,64 +330,61 @@ def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
     """Per-round key+constant XOR vectors for a whole encryption: round r
     is extract_round_key(ks_r).state_mask() | rc_r.state_mask(variant).
 
-    Table form: each 16-bit word of U and V is spread onto its nibble
-    plane through `_SPREAD`, the key state is updated as a word list, and
-    the round-constant masks are cached per variant.
+    Table form: the key state of every round is one list of 16-bit words,
+    round r's state words k0..k7 being seq[2r:2r+8], each update appending
+    the two rotated words.  Each word is spread onto a nibble plane once,
+    through `_SPREAD`, and the round-constant masks are cached per variant.
     """
     key = check_int(key, "key", GiftError, 128)
     lo, hi = variant.key_xor_bits
-    # (key word, shift): GIFT-64 puts V=k0 on plane lo and U=k1 on plane hi;
-    # GIFT-128 puts V=k1||k0 on lo and U=k5||k4 on hi, high words 16 nibbles up
-    if variant.block_bits == 64:
-        placement = ((0, lo), (1, hi))
-    else:
-        placement = ((0, lo), (1, 64 + lo), (4, hi), (5, 64 + hi))
-    words = [(key >> (16 * i)) & 0xFFFF for i in range(8)]
-    masks = []
-    for mask in _round_constant_masks(variant.block_bits):
-        for w, shift in placement:
-            word = words[w]
-            mask |= (_SPREAD[word & 0xFF] | _SPREAD[word >> 8] << 32) << shift
-        masks.append(mask)
-        # update_key_state on the word list
-        words = words[2:] + [_rotr16(words[0], 12), _rotr16(words[1], 2)]
-    return masks
+    seq = [(key >> (16 * i)) & 0xFFFF for i in range(8)]
+    for r in range(0, 2 * variant.rounds - 4, 2):  # update_key_state on the words
+        k0, k1 = seq[r], seq[r + 1]
+        seq += (((k0 >> 12) | (k0 << 4)) & 0xFFFF, ((k1 >> 2) | (k1 << 14)) & 0xFFFF)
+    spread = [_SPREAD[w & 0xFF] | _SPREAD[w >> 8] << 32 for w in seq]
+    rcs = _round_constant_masks(variant.block_bits)
+    if variant.block_bits == 64:  # V=k0 on plane lo, U=k1 on plane hi
+        return [rc | v << lo | u << hi for rc, v, u in zip(rcs, spread[0::2], spread[1::2])]
+    # V=k1||k0 on plane lo, U=k5||k4 on plane hi, high words 16 nibbles up
+    words = zip(rcs, spread[0::2], spread[1::2], spread[4::2], spread[5::2])
+    return [rc | (v0 | v1 << 64) << lo | (u0 | u1 << 64) << hi for rc, v0, v1, u0, u1 in words]
 
 
 # ---------------------------------------------------------------------------
 # Block encryption
 
 
-def _nibble_spreads(table: Sequence[int], values: Iterable[int]) -> tuple:
-    """A bit permutation folded per nibble: (4j, W_j) pairs with W_j[x] the
-    bits of values[x] moved to positions table[4j .. 4j+3]."""
+def _byte_spreads(table: Sequence[int], values: Iterable[int]) -> tuple:
+    """A bit permutation folded per byte: W_i[x] is the bits of values[x & 15]
+    moved to positions table[8i .. 8i+3], OR those of values[x >> 4] moved
+    to table[8i+4 .. 8i+7]."""
     values = tuple(values)
-    out = []
-    for j in range(len(table) // 4):
-        targets = table[4 * j : 4 * j + 4]
-        w = tuple(sum(((y >> b) & 1) << targets[b] for b in range(4)) for y in values)
-        out.append((4 * j, w))
-    return tuple(out)
+    nibbles = [
+        [sum(((y >> b) & 1) << table[4 * j + b] for b in range(4)) for y in values]
+        for j in range(len(table) // 4)
+    ]
+    pairs = zip(nibbles[0::2], nibbles[1::2])
+    return tuple(tuple(high | low for high in hi for low in lo) for lo, hi in pairs)
 
 
 @lru_cache(maxsize=16)
-def _round_tables(sbox: SBoxTable, block_bits: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """SubCells and PermBits folded per nibble: (4j, T_j) pairs with
-    T_j[x] = P(S(x) << 4j), so a round is XOR_j T_j[nibble j]."""
-    return _nibble_spreads(_perm_tables(block_bits)[0], sbox)
+def _round_tables(sbox: SBoxTable, block_bits: int) -> tuple[tuple[int, ...], ...]:
+    """SubCells and PermBits folded per byte: T_i[x] = P(S(x) << 8i), with S
+    applied to each nibble of the byte x, so a round is XOR_i T_i[byte i]."""
+    return _byte_spreads(_perm_tables(block_bits)[0], sbox)
 
 
 def encrypt_block(
     pt: int, key: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX
 ) -> int:
     """Apply rounds x (SubCells -> PermBits -> AddRoundKey+Constant), each
-    round one lookup per nibble in the folded tables."""
+    round one lookup per byte of the state in the folded tables."""
     pt = check_int(pt, "plaintext", GiftError, variant.block_bits)
     tables = _round_tables(SBoxTable(sbox), variant.block_bits)
-    state = pt
+    nbytes, state = variant.block_bits // 8, pt
     for mask in round_addition_masks(key, variant):
-        for shift, t in tables:
-            mask ^= t[(state >> shift) & 0xF]
+        for t, byte in zip(tables, state.to_bytes(nbytes, "little")):
+            mask ^= t[byte]
         state = mask
     return state
 
@@ -389,29 +392,31 @@ def encrypt_block(
 @lru_cache(maxsize=16)
 def _inverse_round_tables(
     sbox: SBoxTable, block_bits: int
-) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
-    """PermBits inverted per nibble, (4j, U_j) pairs with U_j[x] =
-    P^-1(x << 4j), and the inverse S-box entries."""
-    return _nibble_spreads(_perm_tables(block_bits)[1], range(16)), sbox.inverse().entries
+) -> tuple[tuple[tuple[int, ...], ...], bytes]:
+    """PermBits inverted per byte, U_i[x] = P^-1(x << 8i), and the inverse
+    S-box applied to both nibbles of every byte, as a `bytes.translate`
+    table."""
+    inv = sbox.inverse()
+    return (
+        _byte_spreads(_perm_tables(block_bits)[1], range(16)),
+        bytes(inv[x & 15] | inv[x >> 4] << 4 for x in range(256)),
+    )
 
 
 def decrypt_block(
     ct: int, key: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX
 ) -> int:
     """Inverse of encrypt_block (software test oracle): per round, undo the
-    key+constant XOR, then PermBits by one lookup per nibble, then SubCells
-    nibble by nibble."""
+    key+constant XOR, then PermBits by one lookup per byte, then SubCells
+    by one translate of the state's bytes."""
     ct = check_int(ct, "ciphertext", GiftError, variant.block_bits)
     spread, inv = _inverse_round_tables(SBoxTable(sbox), variant.block_bits)
-    state = ct
+    nbytes, state = variant.block_bits // 8, ct
     for mask in reversed(round_addition_masks(key, variant)):
-        state ^= mask
         permuted = 0
-        for shift, u in spread:
-            permuted ^= u[(state >> shift) & 0xF]
-        state = 0
-        for shift, _ in spread:
-            state |= inv[(permuted >> shift) & 0xF] << shift
+        for u, byte in zip(spread, (state ^ mask).to_bytes(nbytes, "little")):
+            permuted ^= u[byte]
+        state = int.from_bytes(permuted.to_bytes(nbytes, "little").translate(inv), "little")
     return state
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -72,19 +73,36 @@ class SliceKeyMatrix:
 @dataclass
 class LayoutBundle:
     """Everything needed to program the slices for one key; the feedback
-    wiring is the variant's `perm_table`."""
+    wiring is the variant's `perm_table`.
+
+    The key bits are held once, as `program_slice` writes them: key_bits[r]
+    is round r's word line across every slice's key columns, slice by slice,
+    and columns[j] names slice j's in-nibble columns (`slice_columns`), so
+    slice j owns the next len(columns[j]) columns of key_bits.
+    """
 
     variant: CipherVariant
     sbox_matrix: np.ndarray  # (16, 4) uint8; row k = S(k), column b = bit b
-    slices: list[SliceKeyMatrix]
+    key_bits: np.ndarray  # (rounds, key columns) uint8
+    columns: tuple[tuple[int, ...], ...]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LayoutBundle)
             and self.variant == other.variant
+            and self.columns == other.columns
             and np.array_equal(self.sbox_matrix, other.sbox_matrix)
-            and self.slices == other.slices
+            and np.array_equal(self.key_bits, other.key_bits)
         )
+
+    @property
+    def slices(self) -> list[SliceKeyMatrix]:
+        """Each slice's key region, its bits a view of key_bits."""
+        ends = accumulate(map(len, self.columns))
+        return [
+            SliceKeyMatrix(j, cols, self.key_bits[:, end - len(cols) : end])
+            for j, (cols, end) in enumerate(zip(self.columns, ends))
+        ]
 
     @property
     def sbox(self) -> SBoxTable:
@@ -92,7 +110,7 @@ class LayoutBundle:
         return SBoxTable((self.sbox_matrix * weights).sum(axis=1).tolist())
 
     def cell_count(self) -> int:
-        return sum(16 * 4 + m.bits.size for m in self.slices)
+        return 16 * 4 * len(self.columns) + self.key_bits.size
 
 
 def sbox_bit_matrix(sbox: SBoxTable) -> np.ndarray:
@@ -134,14 +152,13 @@ def slice_columns(variant: CipherVariant, slice_index: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _key_geometry(block_bits: int):
-    """Every slice's key columns, the mask bit that each key column of each
-    slice holds (slices in order), and each slice's span of those columns."""
+    """Every slice's key columns, and the mask bit that each key column of
+    each slice holds (slices in order)."""
     variant = variant_for(block_bits)
     table = perm_table(variant)
-    columns = [slice_columns(variant, j) for j in range(variant.nibbles)]
+    columns = tuple(slice_columns(variant, j) for j in range(variant.nibbles))
     targets = np.array([table[4 * j + b] for j, cols in enumerate(columns) for b in cols])
-    ends = np.cumsum([len(cols) for cols in columns]).tolist()
-    return columns, targets, list(zip([0] + ends[:-1], ends))
+    return columns, targets
 
 
 def compile_layout(
@@ -156,14 +173,9 @@ def compile_layout(
     plane = np.unpackbits(
         np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little"
     )
-    columns, targets, spans = _key_geometry(variant.block_bits)
-    # every slice's key columns in one gather; each slice's bits are a view
-    bits = plane[:, targets]
-    slices = [
-        SliceKeyMatrix(j, cols, bits[:, start:end])
-        for j, (cols, (start, end)) in enumerate(zip(columns, spans))
-    ]
-    return LayoutBundle(variant=variant, sbox_matrix=sbox_bit_matrix(sbox), slices=slices)
+    columns, targets = _key_geometry(variant.block_bits)
+    # every slice's key columns in one gather
+    return LayoutBundle(variant, sbox_bit_matrix(sbox), plane[:, targets], columns)
 
 
 def state_to_bits(value: int, n: int) -> np.ndarray:
@@ -190,27 +202,17 @@ def bits_to_state(bits: np.ndarray) -> int:
 # region's column 0 is the least significant bit.
 
 
-def _sb_line(matrix: np.ndarray) -> str:
-    weights = np.array([1, 2, 4, 8], dtype=np.uint8)
-    return "".join(f"{int(v):x}" for v in (matrix * weights).sum(axis=1))
-
-
-def _rk_line(km: SliceKeyMatrix) -> str:
-    digits = []
-    for r in range(km.bits.shape[0]):
-        v = 0
-        for k in range(km.bits.shape[1]):
-            v |= int(km.bits[r, k]) << k
-        digits.append(f"{v:x}")
-    return "".join(digits)
+def _digit_line(bits: np.ndarray) -> str:
+    """One hex digit per row of a (rows, columns) 0/1 array, column 0 the LSB."""
+    return "".join(f"{v:x}" for v in (bits @ (1 << np.arange(bits.shape[1]))).tolist())
 
 
 def export_layout(bundle: LayoutBundle, path) -> None:
     lines = [f"{LAYOUT_MAGIC} {LAYOUT_VERSION} {bundle.variant.name}"]
-    sb = _sb_line(bundle.sbox_matrix)
+    sb = _digit_line(bundle.sbox_matrix)
     for km in bundle.slices:
         lines.append(f"slice {km.slice_index} sb {sb}")
-        lines.append(f"slice {km.slice_index} rk {_rk_line(km)}")
+        lines.append(f"slice {km.slice_index} rk {_digit_line(km.bits)}")
     body = "\n".join(lines) + "\n"
     crc = zlib.crc32(body.encode("ascii")) & 0xFFFFFFFF
     Path(path).write_text(body + f"crc32 {crc:08x}\n")
@@ -287,17 +289,12 @@ def import_layout(path) -> LayoutBundle:
     if sorted(first_sb) != list(range(16)):
         raise LayoutError("S-box rows are not a permutation of 0..15")
 
-    slices = []
-    for j in range(variant.nibbles):
-        cols = slice_columns(variant, j)
-        bits = np.zeros((variant.rounds, len(cols)), dtype=np.uint8)
+    columns = _key_geometry(variant.block_bits)[0]
+    for j, cols in enumerate(columns):
         for r, v in enumerate(rk_rows[j]):
             if v >> len(cols):
-                raise LayoutError(
-                    f"slice {j} round {r}: digit {v:x} exceeds {len(cols)} columns"
-                )
-            for k in range(len(cols)):
-                bits[r, k] = (v >> k) & 1
-        slices.append(SliceKeyMatrix(j, cols, bits))
-    sbox_matrix = sbox_bit_matrix(first_sb)
-    return LayoutBundle(variant=variant, sbox_matrix=sbox_matrix, slices=slices)
+                raise LayoutError(f"slice {j} round {r}: digit {v:x} exceeds {len(cols)} columns")
+    # slice j's digits, bit k of each in its column k, slices in order
+    bits = [np.array(rk_rows[j])[:, None] >> np.arange(len(c)) & 1 for j, c in enumerate(columns)]
+    key_bits = np.concatenate(bits, axis=1).astype(np.uint8)
+    return LayoutBundle(variant, sbox_bit_matrix(first_sb), key_bits, columns)

@@ -76,7 +76,6 @@ from .crossbar import (
     decide,
     decision_points,
     draw_read_factors,
-    flat_rows,
     nominal_reads,
     partner_conductances,
     path_conductance,
@@ -94,7 +93,6 @@ from .gift import (
     variant_for,
 )
 from .layout import (
-    LayoutBundle,
     bits_to_state,
     compile_layout,
     sbox_bit_matrix,
@@ -202,6 +200,19 @@ class RoundTrace:
         return f"RoundTrace(block={self.block}, round_index={self.round_index})"
 
 
+_DEFAULT_PARAMS = DeviceParams()
+
+
+@lru_cache(maxsize=None)
+def _wiring(variant: CipherVariant, feedback: str) -> tuple[np.ndarray, np.ndarray]:
+    """A session's wiring, which each session copies: next-state bit i is
+    sensed bit sources[i] (the feedback targets inverted), and slice j's
+    first flat S-box row is row_base[j] = 16*j."""
+    n = variant.block_bits
+    targets = np.array(perm_table(variant)) if feedback == "permuted" else np.arange(n)
+    return np.argsort(targets), 16 * np.arange(variant.nibbles)
+
+
 class EncryptionSession:
     """One programmed crossbar instance; reusable for many blocks."""
 
@@ -219,30 +230,24 @@ class EncryptionSession:
         if self.scheme.name not in SENSE_EVENT:
             known = ", ".join(SENSE_EVENT)
             raise PipelineError(f"scheme {self.scheme.name!r} has no sense events (known: {known})")
-        self.params = params if params is not None else DeviceParams()
+        self.params = params if params is not None else _DEFAULT_PARAMS
         self.scheme.validate(self.params.vdd)
         if feedback not in ("permuted", "local"):
             raise PipelineError(f"unknown feedback mode: {feedback!r}")
         self.feedback = feedback
-        self.bundle: LayoutBundle = compile_layout(key, self.variant, sbox)
+        self.bundle = bundle = compile_layout(key, self.variant, sbox)
         self.mask = 0
 
         self.write_log = EventLog(self.variant.name, self.scheme.name)
         self.state = program_slice(
-            self.bundle.slices, self.bundle.sbox_matrix, self.params, self._d2d_rngs()
+            bundle.key_bits, bundle.columns, bundle.sbox_matrix, self.params, self._d2d_rngs()
         )
         self.write_log.add("cell_write", self.state.cell_count)
         self._n_xor = int(self.state.xor_mask.sum())
         self._n_readout = 4 * self.variant.nibbles - self._n_xor
 
-        if self.feedback == "permuted":
-            targets = np.array(perm_table(self.variant))
-        else:
-            targets = np.arange(self.variant.block_bits)
-        # the wiring inverted: next-state bit i is sensed bit _sources[i]
-        self._sources = np.argsort(targets)
-        # slice j's first flat S-box row, 16*j
-        self._row_base = flat_rows(self.state, 0)
+        # copies, so no session can write the cached wiring
+        self._sources, self._row_base = (a.copy() for a in _wiring(self.variant, feedback))
 
         self.reads_executed = 0
         self.blocks_encrypted = 0
@@ -270,8 +275,9 @@ class EncryptionSession:
         # the key region is written too, only for its d2d normals: they are
         # discarded (no key-cell writes) but keep every slice's noise stream
         # where a whole-slice write would leave it.
+        bundle = self.bundle
         written = program_slice(
-            self.bundle.slices, sbox_bit_matrix(sbox), self.params, self._d2d_rngs()
+            bundle.key_bits, bundle.columns, sbox_bit_matrix(sbox), self.params, self._d2d_rngs()
         )
         self.write_log.add("cell_write", written.sb_bits.size)
         self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)

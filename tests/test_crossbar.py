@@ -41,8 +41,8 @@ from memgift.crossbar import (
     variation_factor,
 )
 from memgift.energy import load_energy_config
-from memgift.gift import GIFT64, GIFT128, GIFT_SBOX
-from memgift.layout import SliceKeyMatrix, compile_layout, sbox_bit_matrix
+from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable
+from memgift.layout import compile_layout, sbox_bit_matrix
 from memgift.pipeline import EncryptionSession
 
 
@@ -107,9 +107,8 @@ def make_slice(params=None, key_bits=None, columns=(1, 2), index=0, rng=None):
     params = params or DeviceParams()
     if key_bits is None:
         key_bits = np.zeros((40, len(columns)), dtype=np.uint8)
-    km = SliceKeyMatrix(index, columns, np.asarray(key_bits, dtype=np.uint8))
     rngs = None if rng is None else [rng]
-    return program_slice([km], sbox_bit_matrix(GIFT_SBOX), params, rngs)
+    return program_slice(key_bits, [columns], sbox_bit_matrix(GIFT_SBOX), params, rngs)
 
 
 def key_res(state, columns=(1, 2)):
@@ -130,8 +129,10 @@ def read_one(state, nib, rnd, scheme, params, factors=None):
 
 
 def test_all_zero_layout_programs_hrs():
-    km = SliceKeyMatrix(0, (1, 2), np.zeros((40, 2), dtype=np.uint8))
-    arr = program_slice([km], np.zeros((16, 4), dtype=np.uint8), DeviceParams())
+    arr = program_slice(
+        np.zeros((40, 2), dtype=np.uint8), [(1, 2)], np.zeros((16, 4), dtype=np.uint8),
+        DeviceParams(),
+    )
     assert (arr.sb_res == DeviceParams().r_hrs).all()
     assert (key_res(arr) == DeviceParams().r_hrs).all()
     assert arr.cell_count == 16 * 4 + 40 * 2
@@ -173,12 +174,90 @@ def test_programmed_arrays_are_read_only():
 
 
 def test_dimension_mismatch_rejected():
-    km = SliceKeyMatrix(0, (1, 2), np.zeros((40, 3), dtype=np.uint8))
     with pytest.raises(CrossbarError):
-        program_slice([km], sbox_bit_matrix(GIFT_SBOX), DeviceParams())
-    km = SliceKeyMatrix(0, (1, 2), np.zeros((40, 2), dtype=np.uint8))
+        program_slice(
+            np.zeros((40, 3), dtype=np.uint8), [(1, 2)], sbox_bit_matrix(GIFT_SBOX), DeviceParams()
+        )
     with pytest.raises(CrossbarError):
-        program_slice([km], np.zeros((8, 4), dtype=np.uint8), DeviceParams())
+        program_slice(
+            np.zeros((40, 2), dtype=np.uint8), [(1, 2)], np.zeros((8, 4), dtype=np.uint8),
+            DeviceParams(),
+        )
+
+
+def program_slices_oracle(key_matrices, sbox_matrix, params, rngs=None):
+    """Every slice programmed from its own SliceKeyMatrix, as program_slice
+    took them before a layout held its key bits as one array: the regions
+    concatenated slice by slice, each slice's normals drawn from its own
+    stream, S-box region first."""
+    sb_bits = np.asarray(sbox_matrix, dtype=np.uint8)
+    widths = [len(km.columns) for km in key_matrices]
+    key_bits = [np.asarray(km.bits, dtype=np.uint8) for km in key_matrices]
+    rounds, S = key_bits[0].shape[0], len(key_bits)
+    sb_bits = np.repeat(sb_bits[None], S, axis=0)
+    key_bits = np.concatenate(key_bits, axis=1)
+    sb_res = np.where(sb_bits != 0, params.r_lrs, params.r_hrs)
+    key_res = np.where(key_bits != 0, params.r_lrs, params.r_hrs)
+    if params.sigma_d2d > 0:
+        z_sb, z_key = [], []
+        for rng, width in zip(rngs, widths, strict=True):
+            z_sb.append(rng.standard_normal((16, 4)))
+            z_key.append(rng.standard_normal((rounds, width)))
+        sb_res = sb_res * variation_factor(params.sigma_d2d, np.stack(z_sb))
+        key_res = key_res * variation_factor(params.sigma_d2d, np.concatenate(z_key, axis=1))
+    owner = np.repeat(np.arange(S), widths)
+    cols = [c for km in key_matrices for c in km.columns]
+    partner_bits = np.zeros((rounds, S, 4), dtype=np.uint8)
+    partner_res = np.full((rounds, S, 4), np.inf)
+    xor_mask = np.zeros((S, 4), dtype=bool)
+    partner_bits[:, owner, cols] = key_bits
+    partner_res[:, owner, cols] = key_res
+    xor_mask[owner, cols] = True
+    return crossbar.ProgrammedState(
+        sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell,
+        bool(params.sigma_d2d == 0),
+    )
+
+
+def as_raw(a):
+    """An array's exact contents: floats as their uint64 bit patterns."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.uint64) if a.dtype == np.float64 else a
+
+
+def assert_same_cells(state, expected):
+    for name in ("sb_bits", "sb_res", "partner_bits", "partner_res", "xor_mask"):
+        got, want = getattr(state, name), getattr(expected, name)
+        assert got.dtype == want.dtype and np.array_equal(as_raw(got), as_raw(want)), name
+    assert (state.wire_r, state.nominal) == (expected.wire_r, expected.nominal)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    key=st.integers(0, (1 << 128) - 1),
+    sigma_d2d=st.sampled_from([0.0, 0.05]),
+    wire=st.sampled_from([0.0, 150.0]),
+    seed=st.integers(0, 2**32 - 1),
+    sbox=st.permutations(range(16)).map(SBoxTable),
+)
+def test_programming_matches_per_slice_oracle(variant, scheme, key, sigma_d2d, wire, seed, sbox):
+    params = DeviceParams(sigma_d2d=sigma_d2d, wire_r_per_cell=wire, seed=seed)
+    session = EncryptionSession(key, variant, scheme, params)
+    bundle = session.bundle
+    seeds = np.random.SeedSequence(seed).spawn(variant.nibbles)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    d2d = rngs if sigma_d2d > 0 else None
+    expected = program_slices_oracle(bundle.slices, bundle.sbox_matrix, params, d2d)
+    assert_same_cells(session.state, expected)
+    # an S-box rewrite draws a whole slice's normals and keeps the S-box ones
+    session.reprogram_sbox(sbox)
+    written = program_slices_oracle(bundle.slices, sbox_bit_matrix(sbox), params, d2d)
+    assert_same_cells(session.state, replace(expected, sb_bits=written.sb_bits, sb_res=written.sb_res))
+    # every slice's stream is left where the per-slice writes leave it
+    for mine, oracle in zip(session._slice_rngs, rngs, strict=True):
+        assert as_raw(mine.standard_normal(1)) == as_raw(oracle.standard_normal(1))
 
 
 # ---------------------------------------------------------------------------
@@ -785,7 +864,7 @@ def test_full_sweep_matches_digital_oracle(scheme):
     params = DeviceParams()
     for j in (0, 3, 28):  # plain slice and both RC slice kinds
         km = bundle.slices[j]
-        arr = program_slice([km], bundle.sbox_matrix, params)
+        arr = program_slice(km.bits, [km.columns], bundle.sbox_matrix, params)
         for nib in range(16):
             for rnd in range(40):
                 out, _ = read_one(arr, nib, rnd, scheme, params)
@@ -974,8 +1053,9 @@ def test_reads_near_the_resistance_floor_stay_finite(exponent, sigma_d2d, sigma_
         return
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        bundle = compile_layout(0x5A, GIFT64)
         state = program_slice(
-            compile_layout(0x5A, GIFT64).slices, sbox_bit_matrix(GIFT_SBOX), params,
+            bundle.key_bits, bundle.columns, sbox_bit_matrix(GIFT_SBOX), params,
             [np.random.default_rng(j) for j in range(GIFT64.nibbles)],
         )
         rows = np.broadcast_to(np.arange(16)[:, None], (16, GIFT64.nibbles))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -95,6 +97,17 @@ def test_sbox_is_bijective():
 def test_sbox_rejects_non_permutation():
     with pytest.raises(GiftError):
         SBoxTable([0] * 16)
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda table: pickle.loads(pickle.dumps(table))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_sbox_table_copies_and_pickles(clone):
+    table = clone(GIFT_SBOX)
+    assert isinstance(table, SBoxTable) and table == GIFT_SBOX
+    assert table.inverse() == GIFT_SBOX.inverse()
 
 
 def test_sub_cells_round_trip(variant):

@@ -13,6 +13,8 @@ few cell pairings that a faster path may gather rather than sense.
 Traces on cells with device-to-device variation only are pinned too, in
 process and through the CLI: their reads are sensed, yet a read-out
 column reads the same in every round, so their record tails repeat.
+`memgift compile-layout` files of KEY for both variants are pinned too, so
+a change to how a layout bundle holds its bits cannot move the file.
 Regenerate, only for a deliberate change, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -28,6 +30,7 @@ import pytest
 from memgift.cli import main
 from memgift.crossbar import DeviceParams
 from memgift.gift import GIFT64, GIFT128
+from memgift.layout import compile_layout, export_layout, import_layout
 from memgift.masking import apply_mask, encrypt_masked
 from memgift.pipeline import EncryptionSession, export_analog_trace, export_round_trace
 
@@ -189,6 +192,15 @@ def test_energy_report_matches_golden(tmp_path, scheme, capsys):
     assert got == (DATA_DIR / f"energy_{scheme}.json").read_text()
 
 
+@pytest.mark.parametrize("variant", [GIFT64, GIFT128], ids=lambda v: v.name)
+def test_layout_file_matches_golden(tmp_path, variant):
+    golden = DATA_DIR / f"layout_gift{variant.block_bits}.txt"
+    bundle = compile_layout(KEY, variant)
+    export_layout(bundle, tmp_path / "layout.txt")
+    assert (tmp_path / "layout.txt").read_bytes() == golden.read_bytes()
+    assert import_layout(golden) == bundle
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -209,3 +221,5 @@ if __name__ == "__main__":
         for scheme in ("sxor", "dxor"):
             text = energy_json(scheme, Path(tmp) / "energy.json")
             (DATA_DIR / f"energy_{scheme}.json").write_text(text)
+    for variant in (GIFT64, GIFT128):
+        export_layout(compile_layout(KEY, variant), DATA_DIR / f"layout_gift{variant.block_bits}.txt")
