@@ -29,7 +29,6 @@ from .gift import (
     GIFT64,
     GIFT128,
     GIFT_SBOX,
-    CipherState,
     CipherVariant,
     SBoxTable,
     decrypt_block,
@@ -52,7 +51,6 @@ __all__ = [
     "GIFT64",
     "GIFT128",
     "GIFT_SBOX",
-    "CipherState",
     "CipherVariant",
     "SBoxTable",
     "encrypt_block",

@@ -9,7 +9,9 @@ Conventions used throughout the package:
   in the least significant position.
 
 The block functions take a round one state byte at a time, in 256-entry
-tables built on first use; the per-bit round primitives are their oracle.
+tables built on first use.  Their oracle is a per-bit statement of every
+round step, kept with the tests (`tests/gift_spec.py`) so that the package
+holds only the cipher that runs.
 """
 
 from __future__ import annotations
@@ -129,69 +131,19 @@ GIFT_SBOX = SBoxTable(
 )
 
 
-@dataclass(frozen=True)
-class CipherState:
-    """An n-bit block as an indexed bit vector (bit 0 = LSB)."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "width", check_int(self.width, "state width", GiftError))
-        if self.width not in (64, 128):
-            raise GiftError(f"unsupported state width: {self.width}")
-        object.__setattr__(self, "bits", check_int(self.bits, "state", GiftError, self.width))
-
-    @classmethod
-    def from_hex(cls, text: str, width: int) -> "CipherState":
-        text = text.strip()
-        if len(text) != width // 4:
-            raise GiftError(
-                f"expected {width // 4} hex digits for a {width}-bit state, got {len(text)}"
-            )
-        return cls(parse_hex(text, f"{width}-bit state"), width)
-
-    def to_hex(self) -> str:
-        return f"{self.bits:0{self.width // 4}x}"
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def nibble(self, j: int) -> int:
-        return (self.bits >> (4 * j)) & 0xF
-
-    def nibbles(self) -> tuple[int, ...]:
-        return tuple(self.nibble(j) for j in range(self.width // 4))
-
-
 # ---------------------------------------------------------------------------
-# Round primitives
-
-
-def sub_cells(state: int, variant: CipherVariant, sbox: SBoxTable = GIFT_SBOX) -> int:
-    """Replace every nibble j by sbox[nibble j]."""
-    state = check_int(state, "state", GiftError, variant.block_bits)
-    sbox = SBoxTable(sbox)
-    out = 0
-    for j in range(variant.nibbles):
-        out |= sbox[(state >> (4 * j)) & 0xF] << (4 * j)
-    return out
-
-
-def perm_position(i: int, variant: CipherVariant) -> int:
-    """Target position P(i) of state bit i under the GIFT bit permutation.
-
-    P preserves the bit plane: P(i) == i (mod 4) for all i.
-    """
-    stride = variant.block_bits // 4
-    group = (3 * ((i % 16) // 4) + (i % 4)) % 4
-    return 4 * (i // 16) + stride * group + (i % 4)
+# Bit permutation, key schedule and round constants
 
 
 @lru_cache(maxsize=None)
 def _perm_tables(block_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    variant = VARIANTS[block_bits]
-    fwd = tuple(perm_position(i, variant) for i in range(block_bits))
+    """The GIFT bit permutation as a table, bit i moving to P(i), and its
+    inverse.  P preserves the bit plane: P(i) == i (mod 4) for all i."""
+    stride = block_bits // 4
+    fwd = tuple(
+        4 * (i // 16) + stride * ((3 * ((i % 16) // 4) + (i % 4)) % 4) + (i % 4)
+        for i in range(block_bits)
+    )
     inv = [0] * block_bits
     for i, p in enumerate(fwd):
         inv[p] = i
@@ -199,117 +151,7 @@ def _perm_tables(block_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def perm_table(variant: CipherVariant) -> tuple[int, ...]:
-    return _perm_tables(variant.block_bits)[0]
-
-
-def inverse_perm_table(variant: CipherVariant) -> tuple[int, ...]:
-    return _perm_tables(variant.block_bits)[1]
-
-
-def perm_bits(state: int, variant: CipherVariant) -> int:
-    """Move state bit i to position P(i)."""
-    state = check_int(state, "state", GiftError, variant.block_bits)
-    table = perm_table(variant)
-    out = 0
-    for i in range(variant.block_bits):
-        out |= ((state >> i) & 1) << table[i]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Key schedule and round constants
-
-
-@dataclass(frozen=True)
-class RoundKey:
-    """Extracted round-key bits and their target state-bit positions.
-
-    Bit k of ``bits`` is XORed into state position ``positions[k]``.
-    """
-
-    bits: int
-    positions: tuple[int, ...]
-
-    def state_mask(self) -> int:
-        mask = 0
-        for k, pos in enumerate(self.positions):
-            mask |= ((self.bits >> k) & 1) << pos
-        return mask
-
-
-def _word(key_state: int, i: int) -> int:
-    return (key_state >> (16 * i)) & 0xFFFF
-
-
-def extract_round_key(key_state: int, variant: CipherVariant) -> RoundKey:
-    """Select the U/V key words for one round.
-
-    GIFT-64 takes U=k1 into nibble bit 1 and V=k0 into bit 0;
-    GIFT-128 takes U=k5||k4 into bit 2 and V=k1||k0 into bit 1.
-    """
-    key_state = check_int(key_state, "key state", GiftError, 128)
-    lo, hi = variant.key_xor_bits
-    if variant.block_bits == 64:
-        u, v = _word(key_state, 1), _word(key_state, 0)
-        half = 16
-    else:
-        u = (_word(key_state, 5) << 16) | _word(key_state, 4)
-        v = (_word(key_state, 1) << 16) | _word(key_state, 0)
-        half = 32
-    positions = tuple(4 * i + lo for i in range(half)) + tuple(
-        4 * i + hi for i in range(half)
-    )
-    return RoundKey((u << half) | v, positions)
-
-
-def _rotr16(x: int, n: int) -> int:
-    return ((x >> n) | (x << (16 - n))) & 0xFFFF
-
-
-def update_key_state(key_state: int) -> int:
-    """One key-state update: a 32-bit right rotation of the whole state,
-    then 2-bit and 12-bit right rotations of the two new top words."""
-    key_state = check_int(key_state, "key state", GiftError, 128)
-    k0 = key_state & 0xFFFF
-    k1 = (key_state >> 16) & 0xFFFF
-    rest = key_state >> 32
-    return (_rotr16(k1, 2) << 112) | (_rotr16(k0, 12) << 96) | rest
-
-
-@dataclass(frozen=True)
-class RoundConstantState:
-    """6-bit round-constant register c5..c0."""
-
-    value: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", check_int(self.value, "round constant", GiftError, 6))
-
-    @classmethod
-    def initial(cls) -> "RoundConstantState":
-        # Register starts at zero and is clocked once before the first
-        # round, so round 0 sees 0x01.
-        return cls(0x01)
-
-    def state_mask(self, variant: CipherVariant) -> int:
-        mask = 1 << (variant.block_bits - 1)
-        for b in range(6):
-            mask |= ((self.value >> b) & 1) << (3 + 4 * b)
-        return mask
-
-
-def update_round_constant(rc: RoundConstantState) -> RoundConstantState:
-    """Clock the register: left shift, new LSB = c5 XOR c4 XOR 1."""
-    c = rc.value
-    return RoundConstantState(((c << 1) & 0x3E) | ((((c >> 5) ^ (c >> 4)) & 1) ^ 1))
-
-
-def add_round_key_and_constant(
-    state: int, rk: RoundKey, rc: RoundConstantState, variant: CipherVariant
-) -> int:
-    """XOR the round key and round constant at their target positions only."""
-    state = check_int(state, "state", GiftError, variant.block_bits)
-    return state ^ rk.state_mask() ^ rc.state_mask(variant)
+    return _perm_tables(variant_for(variant).block_bits)[0]
 
 
 # Bit i of a byte lands at bit 4i: one nibble plane of eight nibbles.
@@ -318,17 +160,23 @@ _SPREAD = tuple(sum(((b >> i) & 1) << (4 * i) for i in range(8)) for b in range(
 
 @lru_cache(maxsize=None)
 def _round_constant_masks(block_bits: int) -> tuple[int, ...]:
+    """Every round's round-constant XOR vector.  The 6-bit register c5..c0
+    starts at 0x01 (zero, clocked once before round 0); a clock shifts it
+    left with new LSB c5 XOR c4 XOR 1.  Bits c0..c5, then the fixed 1 as a
+    seventh bit, land at `rc_positions`."""
     variant = VARIANTS[block_bits]
-    masks, rc = [], RoundConstantState.initial()
+    masks, c = [], 0x01
     for _ in range(variant.rounds):
-        masks.append(rc.state_mask(variant))
-        rc = update_round_constant(rc)
+        bits = c | 1 << 6
+        masks.append(sum(((bits >> b) & 1) << p for b, p in enumerate(variant.rc_positions)))
+        c = ((c << 1) & 0x3E) | ((((c >> 5) ^ (c >> 4)) & 1) ^ 1)
     return tuple(masks)
 
 
 def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
     """Per-round key+constant XOR vectors for a whole encryption: round r
-    is extract_round_key(ks_r).state_mask() | rc_r.state_mask(variant).
+    is its round key, the U and V words of key state r on nibble planes hi
+    and lo (`variant.key_xor_bits`), OR its round-constant mask.
 
     Table form: the key state of every round is one list of 16-bit words,
     round r's state words k0..k7 being seq[2r:2r+8], each update appending
@@ -336,9 +184,10 @@ def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
     through `_SPREAD`, and the round-constant masks are cached per variant.
     """
     key = check_int(key, "key", GiftError, 128)
+    variant = variant_for(variant)
     lo, hi = variant.key_xor_bits
     seq = [(key >> (16 * i)) & 0xFFFF for i in range(8)]
-    for r in range(0, 2 * variant.rounds - 4, 2):  # update_key_state on the words
+    for r in range(0, 2 * variant.rounds - 4, 2):  # one key-state update a round
         k0, k1 = seq[r], seq[r + 1]
         seq += (((k0 >> 12) | (k0 << 4)) & 0xFFFF, ((k1 >> 2) | (k1 << 14)) & 0xFFFF)
     spread = [_SPREAD[w & 0xFF] | _SPREAD[w >> 8] << 32 for w in seq]
@@ -379,6 +228,7 @@ def encrypt_block(
 ) -> int:
     """Apply rounds x (SubCells -> PermBits -> AddRoundKey+Constant), each
     round one lookup per byte of the state in the folded tables."""
+    variant = variant_for(variant)
     pt = check_int(pt, "plaintext", GiftError, variant.block_bits)
     tables = _round_tables(SBoxTable(sbox), variant.block_bits)
     nbytes, state = variant.block_bits // 8, pt
@@ -409,6 +259,7 @@ def decrypt_block(
     """Inverse of encrypt_block (software test oracle): per round, undo the
     key+constant XOR, then PermBits by one lookup per byte, then SubCells
     by one translate of the state's bytes."""
+    variant = variant_for(variant)
     ct = check_int(ct, "ciphertext", GiftError, variant.block_bits)
     spread, inv = _inverse_round_tables(SBoxTable(sbox), variant.block_bits)
     nbytes, state = variant.block_bits // 8, ct

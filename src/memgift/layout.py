@@ -140,10 +140,11 @@ def _rc_slice_set(block_bits: int) -> frozenset[int]:
 
 def rc_slice_set(variant: CipherVariant) -> frozenset[int]:
     """Slices whose bit-3 output feeds a round-constant position."""
-    return _rc_slice_set(variant.block_bits)
+    return _rc_slice_set(variant_for(variant).block_bits)
 
 
 def slice_columns(variant: CipherVariant, slice_index: int) -> tuple[int, ...]:
+    variant = variant_for(variant)
     cols = variant.key_xor_bits
     if slice_index in rc_slice_set(variant):
         cols = cols + (3,)

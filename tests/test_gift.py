@@ -10,19 +10,24 @@ from memgift.gift import (
     GIFT64,
     GIFT128,
     GIFT_SBOX,
-    CipherState,
     GiftError,
-    RoundConstantState,
     SBoxTable,
-    add_round_key_and_constant,
     decrypt_block,
     encrypt_block,
-    extract_round_key,
-    inverse_perm_table,
     parse_kat_lines,
-    perm_bits,
     perm_table,
     round_addition_masks,
+)
+
+from gift_spec import (
+    RoundConstantState,
+    add_round_key_and_constant,
+    extract_round_key,
+    key_state_sequence,
+    perm_bits,
+    slow_decrypt,
+    slow_encrypt,
+    slow_round_masks,
     sub_cells,
     update_key_state,
     update_round_constant,
@@ -197,15 +202,6 @@ def test_single_key_bit_flip_changes_one_rk_bit(variant):
         assert sum(diffs) >= 1  # every key bit is selected at least once
 
 
-def key_state_sequence(key, variant):
-    ks = key
-    states = []
-    for _ in range(variant.rounds):
-        states.append(ks)
-        ks = update_key_state(ks)
-    return states
-
-
 # ---------------------------------------------------------------------------
 # Round constants
 
@@ -226,6 +222,16 @@ def test_round_constants_no_immediate_repeat():
         assert rc.value != prev
         prev = rc.value
         rc = update_round_constant(rc)
+
+
+def test_round_addition_masks_carry_the_published_constants(variant):
+    # a zero key leaves only the round constants, c0..c5 and the fixed 1
+    # at rc_positions
+    want = [
+        sum((((c | 1 << 6) >> b) & 1) << p for b, p in enumerate(variant.rc_positions))
+        for c in RC_REF[: variant.rounds]
+    ]
+    assert round_addition_masks(0, variant) == want
 
 
 # ---------------------------------------------------------------------------
@@ -326,34 +332,7 @@ def test_round_addition_masks_line_up(kat64, kat128):
 
 # ---------------------------------------------------------------------------
 # Slow oracle: the table-driven schedule and cipher against the per-bit
-# round primitives
-
-
-def slow_round_masks(key, variant):
-    masks = []
-    ks, rc = key, RoundConstantState.initial()
-    for _ in range(variant.rounds):
-        masks.append(extract_round_key(ks, variant).state_mask() | rc.state_mask(variant))
-        ks, rc = update_key_state(ks), update_round_constant(rc)
-    return masks
-
-
-def slow_encrypt(pt, key, variant, sbox):
-    state = pt
-    for mask in slow_round_masks(key, variant):
-        state = perm_bits(sub_cells(state, variant, sbox), variant) ^ mask
-    return state
-
-
-def slow_decrypt(ct, key, variant, sbox):
-    """The per-bit inverse: undo the mask, move bit i to P^-1(i), then S^-1."""
-    table = inverse_perm_table(variant)
-    state = ct
-    for mask in reversed(slow_round_masks(key, variant)):
-        state ^= mask
-        state = sum(((state >> i) & 1) << table[i] for i in range(variant.block_bits))
-        state = sub_cells(state, variant, sbox.inverse())
-    return state
+# spec in gift_spec.py
 
 
 variants = st.sampled_from([GIFT64, GIFT128])
@@ -389,28 +368,10 @@ def test_decrypt_block_matches_per_bit_inverse(variant, key, data, sbox):
 
 
 # ---------------------------------------------------------------------------
-# State / hex plumbing
-
-
-def test_cipher_state_hex_round_trip():
-    s = CipherState.from_hex("e39c141fa57dba43f08a85b6a91f86c1", 128)
-    assert s.to_hex() == "e39c141fa57dba43f08a85b6a91f86c1"
-    assert s.nibble(0) == 0x1  # least significant hex digit
-    assert s.bit(127) == 1
-
-
-def test_cipher_state_validation():
-    with pytest.raises(GiftError):
-        CipherState.from_hex("00", 64)
-    with pytest.raises(GiftError):
-        CipherState.from_hex("zz" * 8, 64)
-    with pytest.raises(GiftError):
-        CipherState(1 << 64, 64)
+# Hex plumbing
 
 
 def test_hex_parsers_take_ascii_hex_digits_only(bad_hex):
-    with pytest.raises(GiftError, match="invalid hex"):
-        CipherState.from_hex(bad_hex(16), 64)
     fields = {"key": "0" * 32, "pt": "0" * 16, "ct": "0" * 16}
     for name in fields:
         line = " ".join(f"{f}={bad_hex(len(v)) if f == name else v}" for f, v in fields.items())

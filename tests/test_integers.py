@@ -24,24 +24,26 @@ from memgift.crossbar import (
     scheme_for,
 )
 from memgift.energy import EnergyParams
-from memgift.layout import compile_layout, sbox_bit_matrix
+from memgift.layout import compile_layout, rc_slice_set, sbox_bit_matrix, slice_columns
 from memgift.gift import (
     GIFT64,
     GIFT128,
     GIFT_SBOX,
-    CipherState,
     GiftError,
-    RoundConstantState,
     SBoxTable,
-    add_round_key_and_constant,
     decrypt_block,
     encrypt_block,
+    perm_table,
+    round_addition_masks,
+    variant_for,
+)
+from gift_spec import (
+    RoundConstantState,
+    add_round_key_and_constant,
     extract_round_key,
     perm_bits,
-    round_addition_masks,
     sub_cells,
     update_key_state,
-    variant_for,
 )
 from memgift.masking import apply_mask, encrypt_masked, remask_sbox, replicate_mask
 from memgift.pipeline import EncryptionSession, PipelineError, round_trace_header, run_sweep
@@ -90,6 +92,7 @@ SITES = [
     Site("encrypt_block.key", lambda v, _: encrypt_block(5, v, GIFT64), GiftError, 128, fits(128)),
     Site("decrypt_block.ct", lambda v, _: decrypt_block(v, KEY, GIFT64), GiftError, 64, fits(64)),
     Site("decrypt_block.key", lambda v, _: decrypt_block(5, v, GIFT64), GiftError, 128, fits(128)),
+    # The per-bit oracle in gift_spec.py holds the same rule as the package.
     Site("sub_cells", lambda v, _: sub_cells(v, GIFT64), GiftError, 64, fits(64)),
     Site("perm_bits", lambda v, _: perm_bits(v, GIFT64), GiftError, 64, fits(64)),
     Site(
@@ -112,13 +115,6 @@ SITES = [
         "SBoxTable.entry",
         lambda v, _: SBoxTable([v, *GIFT_SBOX.entries[1:]]).entries, GiftError, 4,
         st.just(GIFT_SBOX[0]),
-    ),
-    Site(
-        "CipherState.bits", lambda v, _: CipherState(v, 64).to_hex(), GiftError, 64, fits(64)
-    ),
-    Site(
-        "CipherState.width",
-        lambda v, _: CipherState(5, v).to_hex(), GiftError, None, st.sampled_from([64, 128]),
     ),
     Site(
         "RoundConstantState",
@@ -258,6 +254,35 @@ def test_numbers_of_any_real_type_are_taken():
     assert run_sweep(GIFT64, "dxor", [np.float64(0.05), 0], 1, seed=2) == run_sweep(
         GIFT64, "dxor", [0.05, 0.0], 1, seed=2
     )
+
+
+# Every site that takes a cipher variant takes it through `variant_for`: a
+# CipherVariant passes as it is, 64, 128, "GIFT-64" and "GIFT-128" act as
+# theirs, and anything else raises GiftError.
+VARIANT_SITES = {
+    "encrypt_block": lambda v: encrypt_block(5, KEY, v),
+    "decrypt_block": lambda v: decrypt_block(5, KEY, v),
+    "round_addition_masks": lambda v: round_addition_masks(KEY, v),
+    "perm_table": perm_table,
+    "rc_slice_set": rc_slice_set,
+    "slice_columns": lambda v: [slice_columns(v, j) for j in range(16)],
+    "compile_layout": lambda v: compile_layout(KEY, v),
+    "run_sweep": lambda v: run_sweep(v, "dxor", [0.05], blocks=1, seed=2),
+}
+
+
+@pytest.mark.parametrize("site", sorted(VARIANT_SITES))
+@pytest.mark.parametrize("spec", [64, 128, "GIFT-64", "GIFT-128"])
+def test_a_variant_spec_acts_as_its_variant(site, spec):
+    call = VARIANT_SITES[site]
+    assert call(spec) == call(variant_for(spec))
+
+
+@pytest.mark.parametrize("site", sorted(VARIANT_SITES))
+@pytest.mark.parametrize("spec", [None, [64], 256], ids=["None", "list", "256"])
+def test_bad_variant_specs_raise_gift_error(site, spec):
+    with pytest.raises(GiftError, match="unknown cipher variant"):
+        VARIANT_SITES[site](spec)
 
 
 # Unhashable specs: looked up in a dict, they must raise the typed error,

@@ -6,18 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memgift.gift import (
-    GIFT64,
-    GIFT128,
-    RoundConstantState,
-    SBoxTable,
-    encrypt_block,
-    extract_round_key,
-    perm_position,
-    perm_table,
-    update_key_state,
-    update_round_constant,
-)
+from memgift.gift import GIFT64, GIFT128, SBoxTable, encrypt_block, perm_table
 from memgift.layout import (
     LayoutChecksumError,
     LayoutError,
@@ -32,25 +21,22 @@ from memgift.layout import (
     state_to_bits,
 )
 
+from gift_spec import extract_round_key, slow_round_masks, update_key_state
+
 # Expected RC slice sets, derived by brute force over j (see test below).
 RC_SLICES_64 = frozenset({2, 3, 6, 7, 11, 12, 15})
 RC_SLICES_128 = frozenset({3, 7, 11, 15, 19, 23, 28})
 
 
 def brute_force_layout(key, variant):
-    """Naive construction: walk the reference schedule round by round and
-    index the full XOR vector at P(4j+b) for every (j, b, r)."""
+    """Naive construction: walk the per-bit spec's schedule round by round
+    and index the full XOR vector at P(4j+b) for every (j, b, r)."""
     table = perm_table(variant)
-    ks = key
-    rc = RoundConstantState.initial()
     rows = {j: [] for j in range(variant.nibbles)}
-    for _ in range(variant.rounds):
-        mask = extract_round_key(ks, variant).state_mask() | rc.state_mask(variant)
+    for mask in slow_round_masks(key, variant):
         for j in range(variant.nibbles):
             cols = slice_columns(variant, j)
             rows[j].append([(mask >> table[4 * j + b]) & 1 for b in cols])
-        ks = update_key_state(ks)
-        rc = update_round_constant(rc)
     return {j: np.array(rows[j], dtype=np.uint8) for j in rows}
 
 
@@ -67,7 +53,7 @@ def test_rc_slice_set_by_brute_force(variant):
     expected = {
         j
         for j in range(variant.nibbles)
-        if perm_position(4 * j + 3, variant) in targets
+        if perm_table(variant)[4 * j + 3] in targets
     }
     assert rc_slice_set(variant) == expected
     frozen = RC_SLICES_64 if variant is GIFT64 else RC_SLICES_128
@@ -76,7 +62,7 @@ def test_rc_slice_set_by_brute_force(variant):
 
 def test_rc_slice_plane(variant):
     for j in rc_slice_set(variant):
-        assert perm_position(4 * j + 3, variant) % 4 == 3
+        assert perm_table(variant)[4 * j + 3] % 4 == 3
 
 
 # ---------------------------------------------------------------------------

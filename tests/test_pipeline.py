@@ -30,16 +30,7 @@ from memgift.crossbar import (
     resolve,
     variation_factor,
 )
-from memgift.gift import (
-    GIFT64,
-    GIFT128,
-    RoundConstantState,
-    add_round_key_and_constant,
-    encrypt_block,
-    extract_round_key,
-    perm_bits,
-    sub_cells,
-)
+from memgift.gift import GIFT64, GIFT128, encrypt_block
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
     BlockTrace,
@@ -51,6 +42,14 @@ from memgift.pipeline import (
     export_round_trace,
     format_sweep_table,
     run_sweep,
+)
+
+from gift_spec import (
+    RoundConstantState,
+    add_round_key_and_constant,
+    extract_round_key,
+    perm_bits,
+    sub_cells,
 )
 
 RNG = random.Random(30)
