@@ -239,12 +239,7 @@ def cmd_sweep(args) -> int:
     if not sigmas:
         raise GiftError("empty sigma list")
     points = run_sweep(
-        variant,
-        schemes[args.scheme],
-        sigmas,
-        blocks=args.blocks,
-        seed=params.seed,
-        base_params=params,
+        variant, schemes[args.scheme], sigmas, blocks=args.blocks, base_params=params
     )
     table = format_sweep_table(points)
     if args.out:

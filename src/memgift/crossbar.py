@@ -24,10 +24,11 @@ arrays) and the margin audit still evaluate the nodes, from r_eq = 1/g and
 `resolve`, because they report them.
 
 A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
-of the stacked cells seen as (S*16, 4) (`flat_rows`), so any selection,
-of one lane or many, is one `take`.  The partner branch does not depend
-on the selected rows: `partner_conductances` gives it for any set of
-rounds, so a caller reading many rounds computes it once.
+of the stacked cells seen as (S*16, 4), so any selection, of one lane or
+many, is one `take`.  The partner branch does not depend on the selected
+rows: `partner_conductances` gives it for any set of rounds, so a caller
+reading many rounds computes it once.  Every read takes its devices from
+the state, which holds the `DeviceParams` its cells were written with.
 
 On nominal cells every read is one of six pairings: an S-box cell holding
 0 or 1 against a partner holding 0 or 1 (sensed by the XOR amp) or no
@@ -181,8 +182,7 @@ class ProgrammedState:
     partner (key/constant) cell per round; read-out columns have no
     partner, which the state encodes as an infinite resistance.  Its
     arrays are read-only, so a read can never move a cell between
-    resistive states.  `nominal` says that every cell holds its state's
-    nominal resistance: `program_slice` wrote them without d2d variation.
+    resistive states.  params are the devices the cells were written with.
     """
 
     sb_bits: np.ndarray  # (S, 16, 4) uint8
@@ -190,12 +190,17 @@ class ProgrammedState:
     partner_bits: np.ndarray  # (rounds, S, 4) uint8, 0 on read-out columns
     partner_res: np.ndarray  # (rounds, S, 4) float, inf on read-out columns
     xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
-    wire_r: float
-    nominal: bool
+    params: DeviceParams
 
     def __post_init__(self):
         for a in (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res, self.xor_mask):
             a.setflags(write=False)
+
+    @property
+    def nominal(self) -> bool:
+        """Every cell holds its state's nominal resistance: the cells were
+        written without d2d variation."""
+        return self.params.sigma_d2d == 0
 
     @property
     def rounds(self) -> int:
@@ -263,10 +268,7 @@ def program_slice(
     partner_bits.reshape(rounds, -1)[:, cells] = key_bits
     partner_res.reshape(rounds, -1)[:, cells] = key_res
     xor_mask.reshape(-1)[cells] = True
-    return ProgrammedState(
-        sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell,
-        bool(params.sigma_d2d == 0),
-    )
+    return ProgrammedState(sb_bits, sb_res, partner_bits, partner_res, xor_mask, params)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +594,7 @@ def partner_conductances(state: ProgrammedState, rnd, factors=None) -> np.ndarra
     factors, broadcast against that shape, scale the partner cells (see
     `path_conductance`).  It does not depend on the selected S-box rows, so
     a noisy block computes it for all of its rounds and lanes at once."""
-    return path_conductance(state.partner_res[rnd], state.wire_r, factors)
+    return path_conductance(state.partner_res[rnd], state.params.wire_r_per_cell, factors)
 
 
 def column_conductances(state: ProgrammedState, at, partner_g, factors=None) -> np.ndarray:
@@ -603,14 +605,10 @@ def column_conductances(state: ProgrammedState, at, partner_g, factors=None) -> 
     on the (S*16, 4) rows.  factors, shape at.shape + (4,), scale the
     selected S-box cells (see `path_conductance`).  The branches are
     summed."""
-    g = path_conductance(state.sb_res.reshape(-1, 4).take(at, axis=0), state.wire_r, factors)
+    sb_res = state.sb_res.reshape(-1, 4).take(at, axis=0)
+    g = path_conductance(sb_res, state.params.wire_r_per_cell, factors)
     g += partner_g
     return g
-
-
-def flat_rows(state: ProgrammedState, rows) -> np.ndarray:
-    """The flat S-box rows 16*j + rows[..., j] of per-slice rows (..., S)."""
-    return np.asarray(rows) + 16 * np.arange(len(state.sb_bits))
 
 
 # Partner codes of the nominal read grid: a partner cell's bit, or no partner.
@@ -704,35 +702,32 @@ class ReadCapture:
     grid: Optional[NominalGrid] = None
 
 
-def read_round(
-    state: ProgrammedState, rows, rnds, scheme, params: DeviceParams, factors=None
-) -> ReadCapture:
-    """Traced reads, captured in one pass: read i selects round rnds[i] and
-    S-box row rows[i, j] on slice j.  rows has shape (R, S), rnds (R,) and
-    factors, the reads' cycle-to-cycle factors, (R, S, 2, 4).  Key columns
-    are XOR-sensed (S-box cell against key/constant cell); the remaining
-    columns are read out alone.  params are those the state was programmed
-    with: their wire, and whether they vary the cells (sigma_d2d > 0), must
-    be the state's.  On a nominal state read without factors every column
-    is one of the nominal grid's pairings, gathered from it."""
+def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCapture:
+    """Traced reads, captured in one pass: read i selects round rnds[i] and,
+    on slice j, the flat S-box row at[i, j] = 16*j + x of its row x, as
+    `column_conductances` selects rows.  at has shape (R, S), rnds (R,) and
+    factors, the reads' cycle-to-cycle factors in `draw_read_factors`'
+    layout, (R, 2, S, 4).  Key columns are XOR-sensed (S-box cell against
+    key/constant cell); the remaining columns are read out alone.  The
+    devices are the state's own.  On a nominal state read without factors
+    every column is one of the nominal grid's pairings, gathered from it."""
     scheme = scheme_for(scheme)
-    rows, rnds = np.asarray(rows), np.asarray(rnds)
+    at, rnds = np.asarray(at), np.asarray(rnds)
     # integers only: a bool or a float would index as something else, or not at all
     integral = rnds.dtype.kind in "iu" and rnds.ndim == 1
     if not (integral and ((rnds >= 0) & (rnds < state.rounds)).all()):
         raise CrossbarError(f"need a list of rounds in 0..{state.rounds - 1}")
-    in_range = rows.dtype.kind in "iu" and ((rows >= 0) & (rows < 16)).all()
-    if rows.shape != rnds.shape + (len(state.sb_bits),) or not in_range:
-        raise CrossbarError("need one S-box row in 0..15 per slice and read")
-    if factors is not None and np.shape(factors) != rows.shape + (2, 4):
-        raise CrossbarError(f"need factors of shape {rows.shape + (2, 4)}")
-    if params.wire_r_per_cell != state.wire_r or (params.sigma_d2d == 0) != state.nominal:
-        raise CrossbarError("params are not those the state was programmed with")
-    at = flat_rows(state, rows)
+    slices = len(state.sb_bits)
+    if at.shape != rnds.shape + (slices,) or not (
+        at.dtype.kind in "iu" and (at // 16 == np.arange(slices)).all()
+    ):
+        raise CrossbarError("need one flat S-box row 16*j + x, x in 0..15, per slice j and read")
+    if factors is not None and np.shape(factors) != (len(rnds), 2, slices, 4):
+        raise CrossbarError(f"need factors of shape {(len(rnds), 2, slices, 4)}")
     sb_bits = state.sb_bits.reshape(-1, 4).take(at, axis=0)
     partner_bits = state.partner_bits[rnds]
     if factors is None and state.nominal:
-        grid = nominal_grid(params, scheme)
+        grid = nominal_grid(state.params, scheme)
         # a column's partner code is PARTNER_ABSENT on read-out columns, whose partner bits are 0
         pairing = grid_entry(sb_bits.astype(np.intp), partner_bits)
         pairing[:, ~state.xor_mask] += PARTNER_ABSENT
@@ -744,11 +739,12 @@ def read_round(
             grid.bits.take(pairing), grid.r_eq.take(pairing), nodes, sb_bits, partner_bits,
             state.xor_mask, pairing, grid,
         )
-    sb_f, partner_f = (None, None) if factors is None else np.moveaxis(factors, -2, 0)
+    sb_f, partner_f = (None, None) if factors is None else (factors[:, 0], factors[:, 1])
     # the bit-line equivalent resistance, which the amps' comparators sense
     r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds, partner_f), sb_f)
-    xor = resolve(scheme.xor_amp, r_eq, params.vdd, capture=True)
-    readout = resolve(scheme.readout_amp, r_eq, params.vdd, capture=True)
+    vdd = state.params.vdd
+    xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
+    readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
     bits = np.where(state.xor_mask, xor.bit, readout.bit)
     nodes = {"xor": xor.nodes, "readout": readout.nodes}
     return ReadCapture(bits, r_eq, nodes, sb_bits, partner_bits, state.xor_mask)

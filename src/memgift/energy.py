@@ -19,6 +19,7 @@ from numbers import Real
 
 from .crossbar import ConfigError, read_parameter_file
 from .errors import MemgiftError
+from .gift import variant_for
 from .pipeline import SENSE_EVENT, EventLog
 
 
@@ -216,7 +217,11 @@ class AreaReport:
 
 def area_report(variant=None, params: EnergyParams = None) -> AreaReport:
     """Sum the per-component areas.  The defaults are calibrated to the
-    full GIFT-128 design and identical for both sensing schemes."""
+    full GIFT-128 design and identical for both sensing schemes.  variant
+    (GIFT-128 when None, as for `EncryptionSession`) must name a variant,
+    else GiftError; the area is the published GIFT-128 design's whichever
+    variant it names."""
+    variant_for(variant if variant is not None else 128)
     params = params if params is not None else EnergyParams()
     return AreaReport(
         total_mm2=sum(params.area_mm2.values()),

@@ -76,13 +76,14 @@ def variant_for(spec) -> CipherVariant:
         raise GiftError(f"unknown cipher variant: {spec!r}") from None
 
 
-class SBoxTable:
+class SBoxTable(tuple):
     """4-bit substitution table; must be a permutation of 0..15.  Every
     function that takes an S-box takes it through this constructor: a
     table passes as it is, 16 integers are checked into one, and anything
-    else raises GiftError."""
+    else raises GiftError.  It is the tuple of its 16 entries, so copies
+    and pickles are rebuilt through this constructor."""
 
-    __slots__ = ("entries", "_inverse")
+    __slots__ = ()
 
     def __new__(cls, entries: Iterable[int]):
         if isinstance(entries, SBoxTable):
@@ -93,37 +94,16 @@ class SBoxTable:
             raise GiftError(f"S-box must be 16 integers, not {type(entries).__name__}") from None
         if sorted(entries) != list(range(16)):
             raise GiftError("S-box must be a permutation of 0..15")
-        table = super().__new__(cls)
-        object.__setattr__(table, "entries", entries)
-        inv = [0] * 16
-        for x, y in enumerate(entries):
-            inv[y] = x
-        object.__setattr__(table, "_inverse", tuple(inv))
-        return table
-
-    def __setattr__(self, name, value):  # immutable by construction
-        raise AttributeError("SBoxTable is immutable")
-
-    def __getitem__(self, value: int) -> int:
-        return self.entries[value]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SBoxTable) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
+        return super().__new__(cls, entries)
 
     def __repr__(self) -> str:
-        return "SBoxTable(({}))".format(", ".join(f"0x{e:x}" for e in self.entries))
-
-    def __reduce__(self):  # copy and pickle through the constructor
-        return SBoxTable, (self.entries,)
+        return "SBoxTable(({}))".format(", ".join(f"0x{e:x}" for e in self))
 
     def inverse(self) -> "SBoxTable":
-        return SBoxTable(self._inverse)
+        inv = [0] * 16
+        for x, y in enumerate(self):
+            inv[y] = x
+        return SBoxTable(inv)
 
 
 GIFT_SBOX = SBoxTable(

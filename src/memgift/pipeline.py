@@ -13,20 +13,21 @@ The session holds its programmed cells once, as the `ProgrammedState`
 them), and reads a block with one kernel, `_encrypt_lanes`, over lanes of
 the block: fast, noisy and traced encryption and the sweep's sigma points
 all run through it.  A traced block then captures the nodes of all its
-rounds' reads in one `crossbar.read_round` pass: gathered from the nominal
-read grid when the cells are nominal and the reads ideal, sensed
-otherwise.  It keeps its rounds once, as one read-only `BlockTrace`: the
-capture, the rows read and the sensed nibbles as (rounds, S) arrays, the
-post states packed 8 bits a byte, the block index and the mask.  Each
-`RoundTrace` is a view of one round of it, which reads its fields as
-Python ints.  The round export formats each run of one record's views at
-once: every hex field in one lookup over the nibble columns, every line
-in one fill of a template.  The analog export writes each record as a
-prefix (read, slice, column), cached per capture shape, and a tail.  One
-builder formats tails column by column, for the nominal grid's pairings
-and for a sensed capture's reads alike: a gathered capture gathers its
-grid's tails, formatted once per grid, by pairing; a sensed capture's
-tails are formatted from its own arrays.
+rounds' reads in one `crossbar.read_round` pass over the flat rows and
+factors the kernel read: gathered from the nominal read grid when the
+cells are nominal and the reads ideal, sensed otherwise.  It keeps its
+rounds once, as one read-only `BlockTrace`: the capture, the rows read
+and the sensed nibbles as (rounds, S) arrays, the post states packed 8
+bits a byte, the block index and the mask.  Each `RoundTrace` is a
+view of one round of it, which reads its fields as Python ints.  The
+round export formats each run of one record's views at once: every hex
+field in one lookup over the nibble columns, every line in one fill of a
+template.  The analog export writes each record as a prefix (read,
+slice, column), cached per capture shape, and a tail.  One builder
+formats tails column by column, for the nominal grid's pairings and for
+a sensed capture's reads alike: a gathered capture gathers its grid's
+tails, formatted once per grid, by pairing; a sensed capture's tails are
+formatted from its own arrays.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -62,7 +63,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import groupby, repeat
 from operator import attrgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -153,15 +154,13 @@ class BlockTrace:
             a.setflags(write=False)
 
 
-class RoundTrace:
+class RoundTrace(NamedTuple):
     """Round `round_index` of a traced block: a view of its `BlockTrace`,
     whose fields it reads as Python ints and tuples of them.  Two views are
     equal when they view the same round of the same record."""
 
-    __slots__ = ("record", "round_index")
-
-    def __init__(self, record: BlockTrace, round_index: int):
-        self.record, self.round_index = record, round_index
+    record: BlockTrace
+    round_index: int
 
     @property
     def input_nibbles(self) -> tuple:
@@ -187,14 +186,6 @@ class RoundTrace:
     @property
     def active_mask(self) -> int:
         return self.record.active_mask
-
-    def __eq__(self, other):
-        if not isinstance(other, RoundTrace):
-            return NotImplemented
-        return self.record is other.record and self.round_index == other.round_index
-
-    def __hash__(self):
-        return hash((id(self.record), self.round_index))
 
     def __repr__(self):
         return f"RoundTrace(block={self.block}, round_index={self.round_index})"
@@ -318,7 +309,7 @@ class EncryptionSession:
         state = self.state
         code = state.partner_bits | PARTNER_ABSENT * ~state.xor_mask
         # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
-        lo, hi = nominal_reads(self.params, self.scheme).take(code, axis=1)
+        lo, hi = nominal_reads(state.params, self.scheme).take(code, axis=1)
         # A row's 4 cells as one 4-byte word, so that the broadcast over the
         # 16 rows runs on words; the bitwise ops act on each byte alike.
         lo, flip, cells = (
@@ -336,7 +327,7 @@ class EncryptionSession:
         time.  A read-out column has no partner (it conducts 0 in every
         round), so its 16 rows are sensed once and broadcast over the
         rounds; an XOR column is sensed per round."""
-        state, wire = self.state, self.state.wire_r
+        state, wire = self.state, self.state.params.wire_r_per_cell
         table = np.empty((state.rounds, self.variant.nibbles, 16, 4), dtype=np.uint8)
         # each column's 16 rows last, so a column kind selects whole columns
         by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
@@ -412,8 +403,8 @@ class EncryptionSession:
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
             rows = (read & 15).astype(np.uint8)
-            f = factors[:, :, 0].swapaxes(1, 2) if noisy else None
-            analog = read_round(state, rows, np.arange(rounds), self.scheme, self.params, f)
+            f = factors[:, :, 0] if noisy else None
+            analog = read_round(state, read, np.arange(rounds), self.scheme, f)
             # every round's sensed bits through the wiring, 8 state bits a byte
             routed = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
             posts = np.packbits(routed, axis=1, bitorder="little")
@@ -660,7 +651,7 @@ def run_sweep(
     scheme,
     sigmas,
     blocks: int,
-    seed: int = 0,
+    seed: Optional[int] = None,
     base_params: Optional[DeviceParams] = None,
     feedback: str = "permuted",
 ) -> list[SweepPoint]:
@@ -670,14 +661,15 @@ def run_sweep(
     draws (scaled by sigma), so the empirical error counts are directly
     comparable across the grid.  Each trial programs one session, which
     serves every sigma point: the points are the lanes of one batched pass
-    over the rounds, and the reference ciphertext is computed once.
+    over the rounds, and the reference ciphertext is computed once.  The
+    sweep's seed is `seed`, or the base device's seed when it is None.
     """
     blocks = check_int(blocks, "blocks", PipelineError)
     base = base_params if base_params is not None else DeviceParams()
     # DeviceParams checks the seed, and each sigma as a lane: the base
     # device at that sigma_c2c, with the base's sigma_d2d
     try:
-        seed = replace(base, seed=seed).seed
+        seed = replace(base, seed=base.seed if seed is None else seed).seed
         sigmas = tuple(float(replace(base, sigma_c2c=s).sigma_c2c) for s in sigmas)
     except CrossbarError as exc:
         raise PipelineError(str(exc)) from None

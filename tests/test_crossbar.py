@@ -116,11 +116,11 @@ def key_res(state, columns=(1, 2)):
     return state.partner_res[:, 0, list(columns)]
 
 
-def read_one(state, nib, rnd, scheme, params, factors=None):
-    """One read_round read on a one-slice stacked state, factors shape
-    (1, 2, 4): returns the output nibble and the read's capture."""
-    factors = None if factors is None else factors[None]
-    analog = read_round(state, [[nib]], [rnd], scheme, params, factors)
+def read_one(state, nib, rnd, scheme, factors=None):
+    """One read_round read on a one-slice stacked state, whose flat row nib
+    is its S-box row nib, factors shape (1, 2, 1, 4): returns the output
+    nibble and the read's capture."""
+    analog = read_round(state, [[nib]], [rnd], scheme, factors)
     return int(analog.bits[0, 0] @ [1, 2, 4, 8]), analog
 
 
@@ -213,10 +213,7 @@ def program_slices_oracle(key_matrices, sbox_matrix, params, rngs=None):
     partner_bits[:, owner, cols] = key_bits
     partner_res[:, owner, cols] = key_res
     xor_mask[owner, cols] = True
-    return crossbar.ProgrammedState(
-        sb_bits, sb_res, partner_bits, partner_res, xor_mask, params.wire_r_per_cell,
-        bool(params.sigma_d2d == 0),
-    )
+    return crossbar.ProgrammedState(sb_bits, sb_res, partner_bits, partner_res, xor_mask, params)
 
 
 def as_raw(a):
@@ -229,7 +226,7 @@ def assert_same_cells(state, expected):
     for name in ("sb_bits", "sb_res", "partner_bits", "partner_res", "xor_mask"):
         got, want = getattr(state, name), getattr(expected, name)
         assert got.dtype == want.dtype and np.array_equal(as_raw(got), as_raw(want)), name
-    assert (state.wire_r, state.nominal) == (expected.wire_r, expected.nominal)
+    assert state.params == expected.params
 
 
 @settings(max_examples=40, deadline=None)
@@ -299,39 +296,39 @@ def test_decoder_one_hot_exhaustive():
     state = selection_slice()
     seen = set()
     for nib in range(16):
-        _, analog = read_one(state, nib, 0, "dxor", SELECTION_PARAMS)
+        _, analog = read_one(state, nib, 0, "dxor")
         assert_selects(state, nib, 0, analog)
         seen.add(tuple(analog.r_eq.ravel().tolist()))
     assert len(seen) == 16
     for nib in (16, -1):
         with pytest.raises(CrossbarError):
-            read_round(state, [[nib]], [0], "dxor", SELECTION_PARAMS)
+            read_round(state, [[nib]], [0], "dxor")
 
 
 def test_round_selector_range():
     state = selection_slice()
     seen = set()
     for rnd in range(40):
-        _, analog = read_one(state, 5, rnd, "sxor", SELECTION_PARAMS)
+        _, analog = read_one(state, 5, rnd, "sxor")
         assert_selects(state, 5, rnd, analog)
         seen.add(tuple(analog.r_eq.ravel().tolist()))
     assert len(seen) == 40
     for rnd in (40, 64, -1):
         with pytest.raises(CrossbarError):
-            read_round(state, [[5]], [rnd], "sxor", SELECTION_PARAMS)
+            read_round(state, [[5]], [rnd], "sxor")
 
 
 def test_select_rows_exhaustive():
     # every row x round pair as the reads of one capture
     state = selection_slice()
     nibs, rnds = np.divmod(np.arange(16 * 40), 40)
-    analog = read_round(state, nibs[:, None], rnds, "dxor", SELECTION_PARAMS)
+    analog = read_round(state, nibs[:, None], rnds, "dxor")
     outs = analog.bits[:, 0] @ [1, 2, 4, 8]
     for i, (nib, rnd) in enumerate(zip(nibs, rnds)):
         assert_selects(state, nib, rnd, analog, i)
         assert outs[i] == GIFT_SBOX[nib] ^ int(state.partner_bits[rnd, 0] @ [1, 2, 4, 8])
     with pytest.raises(CrossbarError):
-        read_round(state, [[0]], [40], "dxor", SELECTION_PARAMS)
+        read_round(state, [[0]], [40], "dxor")
 
 
 # ---------------------------------------------------------------------------
@@ -630,35 +627,72 @@ def test_nominal_reads_do_not_sense_again(monkeypatch):
     check_margins("sxor", params)
 
 
-def test_read_round_rejects_params_of_other_cells():
-    state = make_slice(DeviceParams(wire_r_per_cell=150.0))
-    with pytest.raises(CrossbarError, match="programmed with"):
-        read_round(state, [[3]], [0], "dxor", DeviceParams())
-
-
-def test_read_round_senses_varied_cells_whatever_params_say():
-    # d2d cells read with nominal params were gathered from the nominal
-    # grid (r_eq 5e5, 5e5, 2800, 2800 on slice 0), not sensed from the cells
+def test_read_round_senses_varied_cells():
+    # d2d cells are sensed from the cells, whose devices the state holds;
+    # as nominal cells they would read r_eq 5e5, 5e5, 2800, 2800 on slice 0
     params = DeviceParams(sigma_d2d=0.05, seed=2)
     session = EncryptionSession(0, GIFT64, "dxor", params)
-    rows = np.full((1, GIFT64.nibbles), 3)
-    with pytest.raises(CrossbarError, match="programmed with"):
-        read_round(session.state, rows, [0], "dxor", DeviceParams())
-    capture = read_round(session.state, rows, [0], "dxor", params)
+    at = np.arange(GIFT64.nibbles)[None] * 16 + 3
+    capture = read_round(session.state, at, [0], "dxor")
     assert capture.pairing is None and capture.grid is None
     cells = 1 / (1 / session.state.sb_res[0, 3] + 1 / session.state.partner_res[0, 0])
     assert np.array_equal(capture.r_eq[0, 0], cells)
     assert np.allclose(cells, [514887.4, 469744.3, 2788.054, 2752.503])
-    # a rewrite of the S-box cells varies them as well
+    # a rewrite of the S-box cells varies them as well, and keeps the devices
     session.reprogram_sbox(GIFT_SBOX)
-    assert not session.state.nominal
-    with pytest.raises(CrossbarError, match="programmed with"):
-        read_round(session.state, rows, [0], "dxor", DeviceParams())
-    # and nominal cells read with d2d params
-    nominal = EncryptionSession(0, GIFT64, "dxor").state
-    assert nominal.nominal
-    with pytest.raises(CrossbarError, match="programmed with"):
-        read_round(nominal, rows, [0], "dxor", params)
+    assert session.state.params is params and not session.state.nominal
+    capture = read_round(session.state, at, [0], "dxor")
+    assert capture.pairing is None
+    cells = 1 / (1 / session.state.sb_res[0, 3] + 1 / session.state.partner_res[0, 0])
+    assert np.array_equal(capture.r_eq[0, 0], cells)
+
+
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(f"u{got.itemsize}"), want.view(f"u{want.itemsize}"))
+
+
+# device values over many decades; DeviceParams rejects those no read can take
+decades = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    r_lrs=st.one_of(st.just(2.8e3), decades),
+    hrs_ratio=st.one_of(st.just(1e6 / 2.8e3), st.floats(0.0, 12.0).map(lambda e: 10.0**e)),
+    wire=st.one_of(st.sampled_from([0.0, 150.0]), decades),
+    vdd=st.one_of(st.just(0.9), st.floats(-6.0, 6.0).map(lambda e: 10.0**e)),
+    key=st.integers(0, (1 << 128) - 1),
+    data=st.data(),
+)
+def test_gathered_capture_is_the_capture_sensed_at_unit_factors(
+    variant, scheme, r_lrs, hrs_ratio, wire, vdd, key, data
+):
+    # A nominal state's ideal capture, gathered from the grid of its own
+    # devices, is the capture sensed from its cells with unit factors.
+    try:
+        params = DeviceParams(r_lrs=r_lrs, r_hrs=r_lrs * hrs_ratio, wire_r_per_cell=wire, vdd=vdd)
+    except CrossbarError:
+        assume(False)
+    bundle = compile_layout(key, variant)
+    state = program_slice(bundle.key_bits, bundle.columns, bundle.sbox_matrix, params)
+    reads, slices = 8, variant.nibbles
+    rows = data.draw(st.lists(st.integers(0, 15), min_size=reads * slices, max_size=reads * slices))
+    at = np.reshape(rows, (reads, slices)) + 16 * np.arange(slices)
+    rnds = np.array(data.draw(st.lists(st.integers(0, variant.rounds - 1), min_size=reads,
+                                       max_size=reads)))
+    gathered = read_round(state, at, rnds, scheme)
+    sensed = read_round(state, at, rnds, scheme, np.ones((reads, 2, slices, 4)))
+    assert gathered.grid is nominal_grid(params, scheme) and sensed.grid is None
+    for name in ("bits", "r_eq", "sb_bits", "partner_bits"):
+        assert_same_arrays(getattr(gathered, name), getattr(sensed, name))
+    assert list(gathered.nodes) == list(sensed.nodes)
+    for kind, nodes in sensed.nodes.items():
+        assert list(gathered.nodes[kind]) == list(nodes)
+        for name, v in nodes.items():
+            assert_same_arrays(gathered.nodes[kind][name], v)
 
 
 def test_sense_rejects_bad_resistance():
@@ -841,7 +875,7 @@ def test_reference_with_too_wide_a_decision_band_rejected(tmp_path):
 def test_zero_key_rows_read_back_sbox(scheme):
     arr = make_slice()
     for nib in range(16):
-        out, analog = read_one(arr, nib, 0, scheme, DeviceParams())
+        out, analog = read_one(arr, nib, 0, scheme)
         assert out == GIFT_SBOX[nib]
         assert analog.r_eq.shape == analog.bits.shape == (1, 1, 4)
         assert set(analog.xor_mask[0].tolist()) == {True, False}
@@ -852,7 +886,7 @@ def test_all_ones_key_row_flips_rc_slice_columns(scheme):
     key_bits = np.ones((40, 3), dtype=np.uint8)
     arr = make_slice(key_bits=key_bits, columns=(1, 2, 3))
     for nib in range(16):
-        out, _ = read_one(arr, nib, 5, scheme, DeviceParams())
+        out, _ = read_one(arr, nib, 5, scheme)
         assert out == GIFT_SBOX[nib] ^ 0b1110  # bits 1, 2 and 3 flipped
 
 
@@ -867,7 +901,7 @@ def test_full_sweep_matches_digital_oracle(scheme):
         arr = program_slice(km.bits, [km.columns], bundle.sbox_matrix, params)
         for nib in range(16):
             for rnd in range(40):
-                out, _ = read_one(arr, nib, rnd, scheme, params)
+                out, _ = read_one(arr, nib, rnd, scheme)
                 expected = GIFT_SBOX[nib]
                 for k, b in enumerate(km.columns):
                     expected ^= int(km.bits[rnd, k]) << b
@@ -879,7 +913,7 @@ def test_reads_do_not_disturb_cells():
     before = (state.sb_bits.copy(), state.partner_bits.copy(), state.sb_res.copy())
     fp = state.fingerprint()
     for nib in range(16):
-        read_round(state, [[nib]], [nib % 40], "sxor", DeviceParams())
+        read_round(state, [[nib]], [nib % 40], "sxor")
     assert state.fingerprint() == fp
     assert np.array_equal(state.sb_bits, before[0])
     assert np.array_equal(state.partner_bits, before[1])
@@ -896,9 +930,20 @@ def test_read_round_rejects_bad_selection():
         ([[3.5]], [0]), ([[3]], [0.5]), ([[3]], [True]),
     ):
         with pytest.raises(CrossbarError):
-            read_round(state, rows, rnds, "dxor", DeviceParams())
-    with pytest.raises(CrossbarError):
-        read_round(state, [[3]], [0], "dxor", DeviceParams(), np.ones((1, 2, 4)))
+            read_round(state, rows, rnds, "dxor")
+    # (R, S, 2, 4), the layout before factors took draw_read_factors' (R, 2, S, 4)
+    for shape in ((1, 2, 4), (1, 1, 2, 4), (2, 2, 1, 4)):
+        with pytest.raises(CrossbarError):
+            read_round(state, [[3]], [0], "dxor", np.ones(shape))
+    # flat rows: slice j reads rows 16*j .. 16*j + 15, and only those
+    session = EncryptionSession(0, GIFT64, "dxor")
+    at = np.arange(GIFT64.nibbles)[None] * 16 + 5
+    read_round(session.state, at, [0], "dxor")
+    for j, row in ((0, 16), (1, 5), (1, 32), (15, 239)):
+        bad = at.copy()
+        bad[0, j] = row
+        with pytest.raises(CrossbarError, match="flat S-box row"):
+            read_round(session.state, bad, [0], "dxor")
 
 
 def test_noisy_read_requires_rng_and_is_deterministic():
@@ -908,12 +953,12 @@ def test_noisy_read_requires_rng_and_is_deterministic():
         draw_read_factors((params.sigma_c2c,), None)
 
     def noisy_read(seed):
-        factors = draw_read_factors((params.sigma_c2c,), [np.random.default_rng(seed)])[:, :, 0, 0]
-        return read_one(arr, 3, 0, "sxor", params, factors)
+        factors = draw_read_factors((params.sigma_c2c,), [np.random.default_rng(seed)])[:, :, 0]
+        return read_one(arr, 3, 0, "sxor", factors)
 
     a, b = noisy_read(5), noisy_read(5)
     assert a[1].r_eq.tolist() == b[1].r_eq.tolist()
-    assert a[1].r_eq.tolist() != read_one(arr, 3, 0, "sxor", params)[1].r_eq.tolist()
+    assert a[1].r_eq.tolist() != read_one(arr, 3, 0, "sxor")[1].r_eq.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1058,10 +1103,10 @@ def test_reads_near_the_resistance_floor_stay_finite(exponent, sigma_d2d, sigma_
             bundle.key_bits, bundle.columns, sbox_bit_matrix(GIFT_SBOX), params,
             [np.random.default_rng(j) for j in range(GIFT64.nibbles)],
         )
-        rows = np.broadcast_to(np.arange(16)[:, None], (16, GIFT64.nibbles))
-        factors = variation_factor(params.sigma_c2c, np.full((16, GIFT64.nibbles, 2, 4), -9.0))
+        at = np.arange(16)[:, None] + 16 * np.arange(GIFT64.nibbles)
+        factors = variation_factor(params.sigma_c2c, np.full((16, 2, GIFT64.nibbles, 4), -9.0))
         for f in (None, factors):
-            capture = read_round(state, rows, np.arange(16), scheme, params, f)
+            capture = read_round(state, at, np.arange(16), scheme, f)
             assert np.isfinite(capture.r_eq).all() and (capture.r_eq > 0).all()
 
 

@@ -93,7 +93,7 @@ def test_kat_decrypt(kat64, kat128):
 
 
 def test_sbox_is_bijective():
-    assert sorted(GIFT_SBOX.entries) == list(range(16))
+    assert sorted(GIFT_SBOX) == list(range(16))
     inv = GIFT_SBOX.inverse()
     for x in range(16):
         assert inv[GIFT_SBOX[x]] == x
@@ -113,6 +113,20 @@ def test_sbox_table_copies_and_pickles(clone):
     table = clone(GIFT_SBOX)
     assert isinstance(table, SBoxTable) and table == GIFT_SBOX
     assert table.inverse() == GIFT_SBOX.inverse()
+    assert hash(table) == hash(GIFT_SBOX) and repr(table) == repr(GIFT_SBOX)
+    # immutable: no entry or attribute can be set
+    with pytest.raises(TypeError):
+        table[0] = 5
+    with pytest.raises(AttributeError):
+        table.entries = (0,) * 16
+
+
+def test_a_rebuilt_table_is_checked_again():
+    # copies and pickles go through the constructor, so a tampered pickle of
+    # a non-permutation raises as SBoxTable([0] * 16) does
+    data = pickle.dumps(GIFT_SBOX).replace(b"K\x01K\n", b"K\x00K\n")
+    with pytest.raises(GiftError, match="permutation"):
+        pickle.loads(data)
 
 
 def test_sub_cells_round_trip(variant):

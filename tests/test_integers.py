@@ -23,7 +23,7 @@ from memgift.crossbar import (
     SenseAmpScheme,
     scheme_for,
 )
-from memgift.energy import EnergyParams
+from memgift.energy import EnergyParams, area_report
 from memgift.layout import compile_layout, rc_slice_set, sbox_bit_matrix, slice_columns
 from memgift.gift import (
     GIFT64,
@@ -113,7 +113,7 @@ SITES = [
     ),
     Site(
         "SBoxTable.entry",
-        lambda v, _: SBoxTable([v, *GIFT_SBOX.entries[1:]]).entries, GiftError, 4,
+        lambda v, _: tuple(SBoxTable([v, *GIFT_SBOX[1:]])), GiftError, 4,
         st.just(GIFT_SBOX[0]),
     ),
     Site(
@@ -197,8 +197,24 @@ def test_numpy_integers_and_bools_give_the_python_int_result(site, data):
     assert site.call(same, fresh(site)) == site.call(value, fresh(site))
 
 
-@pytest.mark.parametrize("site", SITES, ids=lambda s: s.name)
-@pytest.mark.parametrize("value", [1.5, 3.0, np.float64(2.0), np.float32(1.0), "5", None, 1j])
+# each value under the id pytest gave it, so every case keeps its name
+NON_INTEGERS = {
+    "1.5": 1.5, "3.0": 3.0, "2.0": np.float64(2.0), "value3": np.float32(1.0), "5": "5",
+    "None": None, "1j": 1j,
+}
+# run_sweep's seed=None names the base device's seed (test_pipeline.py)
+NONE_IS_A_SEED = {"run_sweep.seed"}
+
+
+@pytest.mark.parametrize(
+    "site, value",
+    [
+        pytest.param(site, value, id=f"{name}-{site.name}")
+        for site in SITES
+        for name, value in NON_INTEGERS.items()
+        if not (value is None and site.name in NONE_IS_A_SEED)
+    ],
+)
 def test_non_integers_raise_the_site_error(site, value):
     assert_rejected(site, value, "must be an integer")
 
@@ -268,7 +284,10 @@ VARIANT_SITES = {
     "slice_columns": lambda v: [slice_columns(v, j) for j in range(16)],
     "compile_layout": lambda v: compile_layout(KEY, v),
     "run_sweep": lambda v: run_sweep(v, "dxor", [0.05], blocks=1, seed=2),
+    "area_report": area_report,
 }
+# sites where None names the default variant, GIFT-128, as for EncryptionSession
+NONE_IS_GIFT128 = {"area_report"}
 
 
 @pytest.mark.parametrize("site", sorted(VARIANT_SITES))
@@ -279,8 +298,14 @@ def test_a_variant_spec_acts_as_its_variant(site, spec):
 
 
 @pytest.mark.parametrize("site", sorted(VARIANT_SITES))
-@pytest.mark.parametrize("spec", [None, [64], 256], ids=["None", "list", "256"])
+@pytest.mark.parametrize(
+    "spec", [None, [64], 256, "GIFT-256", object()],
+    ids=["None", "list", "256", "GIFT-256", "object"],
+)
 def test_bad_variant_specs_raise_gift_error(site, spec):
+    if spec is None and site in NONE_IS_GIFT128:
+        assert VARIANT_SITES[site](None) == VARIANT_SITES[site](GIFT128)
+        return
     with pytest.raises(GiftError, match="unknown cipher variant"):
         VARIANT_SITES[site](spec)
 
@@ -339,7 +364,7 @@ OTHER_SBOX = SBoxTable([(5 * x + 3) % 16 for x in range(16)])
 @pytest.mark.parametrize(
     "sbox",
     [(0,) * 16, [1] * 16, (99,) * 16, tuple(GIFT_SBOX) + (3,), tuple(GIFT_SBOX)[:15], 5, None,
-     "0123456789abcdef", [GIFT_SBOX[0] + 0.5, *GIFT_SBOX.entries[1:]]],
+     "0123456789abcdef", [GIFT_SBOX[0] + 0.5, *GIFT_SBOX[1:]]],
     ids=["constant", "constant-list", "wide", "17-entries", "15-entries", "int", "None", "str",
          "float-entry"],
 )
@@ -357,7 +382,7 @@ def test_bad_sboxes_raise_gift_error_before_any_write(site, sbox):
 def test_a_sequence_sbox_acts_as_its_table(site, as_sequence):
     call, build = SBOX_SITES[site]
     for table in (GIFT_SBOX, OTHER_SBOX):
-        got = call(as_sequence(table.entries), build() if build else None)
+        got = call(as_sequence(table), build() if build else None)
         assert got == call(table, build() if build else None)
 
 

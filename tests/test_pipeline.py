@@ -24,7 +24,6 @@ from memgift.crossbar import (
     ReadCapture,
     SenseAmpScheme,
     column_conductances,
-    flat_rows,
     load_device_config,
     partner_conductances,
     resolve,
@@ -404,7 +403,7 @@ def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, 
         if table is not None:
             out = table[rnd, idx, rows].astype(bool)
         else:
-            wire = state.wire_r
+            wire = state.params.wire_r_per_cell
             if factors is None:
                 g = 1.0 / (state.sb_res[idx, rows] + wire) + 1.0 / (state.partner_res[rnd] + wire)
             else:
@@ -440,7 +439,7 @@ def oracle_table_build(session):
     """The read table as the kernel's ideal branch built it: the 16 S-box
     rows of a few rounds at a time read as lanes, both amps on every
     column, each column's bit from the amp wired to it."""
-    state, vdd, wire = session.state, session.params.vdd, session.state.wire_r
+    state, vdd, wire = session.state, session.params.vdd, session.params.wire_r_per_cell
     rounds, nibbles = state.rounds, len(state.sb_bits)
     sb_g = 1.0 / (state.sb_res.transpose(1, 0, 2) + wire)  # (16, S, 4)
     step = max(1, 8192 // (16 * nibbles * 4))
@@ -584,7 +583,7 @@ def sensed_capture(session, rows) -> ReadCapture:
     S), sensed: every column's r_eq from its cells' conductances, both amps
     resolving it, as `read_round` senses a noisy or d2d capture."""
     state, rnds = session.state, np.arange(len(rows))
-    at = flat_rows(state, rows)
+    at = rows + 16 * np.arange(len(state.sb_bits))
     r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds))
     scheme, vdd = session.scheme, session.params.vdd
     xor, readout = (resolve(amp, r_eq, vdd, True) for amp in (scheme.xor_amp, scheme.readout_amp))
@@ -973,6 +972,18 @@ def test_sweep_rejects_negative_seed():
     # numpy's seeding raised its own ValueError for it
     with pytest.raises(PipelineError, match="seed must be non-negative"):
         run_sweep(GIFT64, "dxor", [0.05], blocks=1, seed=-1)
+
+
+def test_sweep_seed_defaults_to_the_base_device_seed():
+    # the seed is stated once: on the base device, or as seed=, alike
+    sigmas, base = [0.0, 0.1], DeviceParams(sigma_d2d=0.02, seed=9)
+    points = run_sweep(GIFT64, "dxor", sigmas, blocks=2, base_params=base)
+    assert points == run_sweep(GIFT64, "dxor", sigmas, blocks=2, seed=9, base_params=base)
+    assert points == run_sweep(GIFT64, "dxor", sigmas, blocks=2, seed=9,
+                               base_params=replace(base, seed=0))
+    assert points != run_sweep(GIFT64, "dxor", sigmas, blocks=2, seed=0, base_params=base)
+    # without a base device, the default device's seed, 0
+    assert run_sweep(GIFT64, "dxor", sigmas, 1) == run_sweep(GIFT64, "dxor", sigmas, 1, seed=0)
 
 
 def test_sweep_zero_sigma_is_error_free():
