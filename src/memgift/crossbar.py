@@ -18,10 +18,11 @@ kernel, a d2d read table) decides on the conductance directly: the
 conductances at which an amp's bit changes are derived from its
 `comparators` once per amp, vdd and conductance domain
 (`decision_points`), and a read's bit is the parity of those below its
-conductance (`decide`), bit for bit what `resolve` gives.  Captured reads
-(`read_round`, over all of a block's rounds in one pass, as columnar
-arrays) and the margin audit still evaluate the nodes, from r_eq = 1/g and
-`resolve`, because they report them.
+conductance (`decide`), bit for bit what `resolve` gives.  A captured
+read reports its nodes, so it evaluates them from r_eq = 1/g: one
+function, `sense_capture`, senses every captured column with both amps
+into a `ReadCapture`, of `read_round`'s reads (all of a block's rounds in
+one pass, as columnar arrays) and of the nominal grid's pairings alike.
 
 A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
 of the stacked cells seen as (S*16, 4), so any selection, of one lane or
@@ -33,13 +34,15 @@ the state, which holds the `DeviceParams` its cells were written with.
 On nominal cells every read is one of six pairings: an S-box cell holding
 0 or 1 against a partner holding 0 or 1 (sensed by the XOR amp) or no
 partner (sensed by the read-out amp).  That grid is the one statement of
-a nominal read, captured once per device values and scheme
-(`nominal_grid`, read-only): `nominal_reads` gives its bits, from which a
-session gathers its read table; `sense_margin_report` gives its nodes;
-and `read_round` gathers every ideal capture of nominal cells from it,
-with each column's pairing, so that an export formats each pairing's
-record once.  `check_margins` holds the grid to both: every node clear of
-the band, every bit the pairing's logic value.
+a nominal read: the `ReadCapture` of the six pairings, captured once per
+device values and scheme (`nominal_grid`, read-only).  A session gathers
+its read table from its bits, indexing them by each column's partner code
+(`ProgrammedState.partner_codes`); `sense_margin_report` gives its nodes
+and decides each comparator on its divider tap; and `read_round` gathers
+every ideal capture of nominal cells from it, with each column's pairing,
+so that an export formats each pairing's record once.  `check_margins`
+holds the grid to both: every node clear of the band, every bit the
+pairing's logic value.
 
 Electrical model
 ----------------
@@ -62,7 +65,7 @@ calibration constants, not measured device data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from numbers import Real
 from types import MappingProxyType
@@ -172,6 +175,10 @@ def variation_factor(sigma, z):
     return np.maximum(f, MIN_RESISTANCE_FACTOR, out=f)[()]
 
 
+# Partner codes of the nominal read grid: a partner cell's bit, or no partner.
+PARTNER_ABSENT = 2
+
+
 @dataclass(frozen=True, eq=False)
 class ProgrammedState:
     """Programmed state of every slice, as `program_slice` writes it: the
@@ -205,6 +212,13 @@ class ProgrammedState:
     @property
     def rounds(self) -> int:
         return self.partner_bits.shape[0]
+
+    @property
+    def partner_codes(self) -> np.ndarray:
+        """Every column's partner code per round, (rounds, S, 4) ints, as
+        the nominal grid pairs cells: its partner's bit on a key column,
+        PARTNER_ABSENT on a read-out column, whose partner bits are 0."""
+        return self.partner_bits | PARTNER_ABSENT * ~self.xor_mask
 
     @property
     def cell_count(self) -> int:
@@ -283,17 +297,6 @@ def _divider_low(r_eq, m: float, vdd: float):
 def _divider_high(r_eq, m: float, vdd: float):
     # node rises toward vdd as r_eq grows
     return vdd * r_eq / (m + r_eq)
-
-
-def _regenerate(v, vref: float, gain: float, vdd: float):
-    return np.clip(vref + gain * (v - vref), 0.0, vdd)
-
-
-@dataclass(frozen=True)
-class SenseResult:
-    bit: object  # bool array, as resolve() returns the bits
-    nodes: dict  # node name -> volts (divider taps and decision nodes)
-    decisions: tuple  # (node name, decided bit) per comparator
 
 
 # Each amp states its maths once: `comparators` gives every branch's
@@ -385,22 +388,11 @@ class DualReadoutAmp:
         return c1
 
 
-def resolve(amp, r_eq, vdd: float, capture: bool = False):
-    """Sense bit-line resistances r_eq (an array of any shape) with `amp`.
-
-    Every comparator decides on its raw divider voltage.  Returns the bits
-    as a bool array; with capture, a SenseResult whose nodes hold the
-    divider taps and the regenerated decision nodes.
-    """
-    comparators = amp.comparators(r_eq, vdd)
-    decisions = [v > ref for _, v, ref in comparators]
-    bit = amp.gate(*decisions)
-    if not capture:
-        return bit
-    nodes = {f"{name}_divider": v for name, v, _ in comparators}
-    for name, v, ref in comparators:
-        nodes[name] = _regenerate(v, ref, amp.gain, vdd)
-    return SenseResult(bit, nodes, tuple((c[0], d) for c, d in zip(comparators, decisions)))
+def resolve(amp, r_eq, vdd: float):
+    """Sense bit-line resistances r_eq (an array of any shape) with `amp`:
+    every comparator decides on its raw divider voltage.  Returns the bits
+    as a bool array."""
+    return amp.gate(*(v > ref for _, v, ref in amp.comparators(r_eq, vdd)))
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +603,6 @@ def column_conductances(state: ProgrammedState, at, partner_g, factors=None) -> 
     return g
 
 
-# Partner codes of the nominal read grid: a partner cell's bit, or no partner.
-PARTNER_ABSENT = 2
-
-
 def grid_entry(s, p):
     """The nominal grid's entry of S-box bit s against partner code p (a
     partner's bit or PARTNER_ABSENT), of ints or int arrays alike."""
@@ -622,84 +610,68 @@ def grid_entry(s, p):
 
 
 @dataclass(frozen=True, eq=False)
-class NominalGrid:
-    """Every ideal read of nominal cells, captured once.  Entry
-    `grid_entry(s, p)` of each array is the pairing of an S-box cell holding
-    bit s with a partner holding bit p, sensed by the XOR amp, or with no
-    partner (p = PARTNER_ABSENT), read out.  Both amps sense every pairing,
-    as they sense every column of a capture; `bits` holds the bit of the amp
-    wired to the pairing.  Its arrays and mappings are read-only."""
-
-    xor: np.ndarray  # (6,) bool, True on the pairings with a partner
-    bits: np.ndarray  # (6,) bool
-    r_eq: np.ndarray  # (6,) bit-line equivalent resistance
-    nodes: MappingProxyType  # "xor" / "readout" -> node name -> (6,) volts
-    decisions: MappingProxyType  # "xor" / "readout" -> ((node name, (6,) bool), ...)
-    sb_bits: np.ndarray  # (6,) uint8, s
-    partner_bits: np.ndarray  # (6,) uint8, p, or 0 with no partner
-
-    def __post_init__(self):
-        nodes = [v for named in self.nodes.values() for v in named.values()]
-        decided = [d for kind in self.decisions.values() for _, d in kind]
-        arrays = (self.xor, self.bits, self.r_eq, self.sb_bits, self.partner_bits)
-        for a in (*arrays, *nodes, *decided):
-            a.setflags(write=False)
-
-
-@lru_cache(maxsize=64)
-def _captured_grid(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd) -> NominalGrid:
-    # The resistances are those `program_slice` writes and the conductances
-    # those of `path_conductance`, summed and inverted as `read_round` does,
-    # so each pairing is bit-exact with a read of any cell pair in its state.
-    sb_g = path_conductance([[r_hrs], [r_lrs]], wire)
-    r_eq = (1.0 / (sb_g + path_conductance([r_hrs, r_lrs, np.inf], wire))).ravel()
-    xor, readout = (resolve(amp, r_eq, vdd, True) for amp in (scheme.xor_amp, scheme.readout_amp))
-    s, p = np.divmod(np.arange(r_eq.size), PARTNER_ABSENT + 1)
-    has_partner = p != PARTNER_ABSENT
-    return NominalGrid(
-        has_partner, np.where(has_partner, xor.bit, readout.bit), r_eq,
-        MappingProxyType({"xor": MappingProxyType(xor.nodes),
-                          "readout": MappingProxyType(readout.nodes)}),
-        MappingProxyType({"xor": xor.decisions, "readout": readout.decisions}),
-        s.astype(np.uint8), np.where(has_partner, p, 0).astype(np.uint8),
-    )
-
-
-def nominal_grid(params: DeviceParams, scheme) -> NominalGrid:
-    """The nominal read grid of `params`' cells under `scheme`, captured
-    once per (r_lrs, r_hrs, wire, vdd, scheme) and shared, read-only."""
-    return _captured_grid(
-        scheme_for(scheme), params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
-    )
-
-
-def nominal_reads(params: DeviceParams, scheme) -> np.ndarray:
-    """Every ideal read of nominal cells: bool (2, 3), entry [s, p] being
-    the bit a column senses with an S-box cell holding bit s against a
-    partner holding bit p (XOR-sensed), or no partner (p = PARTNER_ABSENT,
-    read out).  A read-only view of the nominal grid's bits."""
-    return nominal_grid(params, scheme).bits.reshape(2, PARTNER_ABSENT + 1)
-
-
-@dataclass(frozen=True, eq=False)
 class ReadCapture:
-    """Every node of R reads on every slice, as columns: each array has
-    shape (R, S, 4), entry [i, j, col] being column col of slice j in read
-    i.  Both amps sense every column; xor_mask says whose bit counts.
-
-    A capture of nominal cells read without noise is gathered from the
-    nominal grid: pairing holds each column's entry, `grid_entry(s, p)`, and
-    grid the grid, whose entries the other arrays repeat.  Other captures
-    are sensed, with pairing and grid None."""
+    """Every node of a set of reads, as columns: of R reads of every slice,
+    entry [i, j, col] of each (R, S, 4) array is column col of slice j in
+    read i; of the nominal grid, one entry per pairing.  Both amps sense
+    every column; xor_mask, broadcast against the arrays, says whose bit
+    counts.  A capture of nominal cells read without noise is gathered from
+    the grid: pairing holds each column's entry, `grid_entry(s, p)`, and
+    grid the grid.  Other captures are sensed, with pairing and grid None."""
 
     bits: np.ndarray  # bool, the sensed bits
     r_eq: np.ndarray  # bit-line equivalent resistance
     nodes: dict  # "xor" / "readout" -> node name -> volts
     sb_bits: np.ndarray  # uint8, the selected S-box cell
     partner_bits: np.ndarray  # uint8, the selected partner cell, 0 on read-out columns
-    xor_mask: np.ndarray  # (S, 4) bool, True on XOR-sensed columns
-    pairing: Optional[np.ndarray] = None  # intp, each column's NominalGrid entry
-    grid: Optional[NominalGrid] = None
+    xor_mask: np.ndarray  # bool, True on XOR-sensed columns; (S, 4) for reads of every slice
+    pairing: Optional[np.ndarray] = None  # intp, each column's entry of grid
+    grid: Optional[ReadCapture] = None
+
+
+def sense_capture(scheme, vdd: float, r_eq, sb_bits, partner_bits, xor_mask) -> ReadCapture:
+    """The capture of bit lines of resistance r_eq that select the cells
+    sb_bits and partner_bits: both amps sense every column, each
+    comparator deciding on its raw divider tap, and the nodes hold every
+    tap and regenerated decision node.  A column's bit is its XOR amp's
+    where xor_mask is set, its read-out amp's elsewhere."""
+    nodes, bits = {}, []
+    for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
+        comparators = amp.comparators(r_eq, vdd)
+        bits.append(amp.gate(*(v > ref for _, v, ref in comparators)))
+        named = nodes[kind] = {f"{name}_divider": v for name, v, _ in comparators}
+        for name, v, ref in comparators:  # the regenerated output
+            named[name] = np.clip(ref + amp.gain * (v - ref), 0.0, vdd)
+    return ReadCapture(np.where(xor_mask, *bits), r_eq, nodes, sb_bits, partner_bits, xor_mask)
+
+
+@lru_cache(maxsize=64)
+def _captured_grid(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd) -> ReadCapture:
+    # The resistances are those `program_slice` writes and the conductances
+    # those of `path_conductance`, summed and inverted as `read_round` does,
+    # so each pairing is bit-exact with a read of any cell pair in its state.
+    sb_g = path_conductance([[r_hrs], [r_lrs]], wire)
+    r_eq = (1.0 / (sb_g + path_conductance([r_hrs, r_lrs, np.inf], wire))).ravel()
+    s, p = np.divmod(np.arange(r_eq.size), PARTNER_ABSENT + 1)
+    has_partner = p != PARTNER_ABSENT
+    partner_bits = np.where(has_partner, p, 0).astype(np.uint8)
+    grid = sense_capture(scheme, vdd, r_eq, s.astype(np.uint8), partner_bits, has_partner)
+    nodes = [v for named in grid.nodes.values() for v in named.values()]
+    for a in (grid.bits, r_eq, grid.sb_bits, partner_bits, has_partner, *nodes):
+        a.setflags(write=False)
+    frozen = {kind: MappingProxyType(named) for kind, named in grid.nodes.items()}
+    return replace(grid, nodes=MappingProxyType(frozen))
+
+
+def nominal_grid(params: DeviceParams, scheme) -> ReadCapture:
+    """The capture of every nominal read of `params`' cells under `scheme`:
+    entry `grid_entry(s, p)`, or [s, p] of `bits.reshape(2, 3)`, pairs an
+    S-box cell holding bit s with a partner holding bit p (XOR-sensed) or
+    none (p = PARTNER_ABSENT, read out).  Captured once per (r_lrs, r_hrs,
+    wire, vdd, scheme) and shared, read-only."""
+    return _captured_grid(
+        scheme_for(scheme), params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
+    )
 
 
 def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCapture:
@@ -728,9 +700,7 @@ def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCa
     partner_bits = state.partner_bits[rnds]
     if factors is None and state.nominal:
         grid = nominal_grid(state.params, scheme)
-        # a column's partner code is PARTNER_ABSENT on read-out columns, whose partner bits are 0
-        pairing = grid_entry(sb_bits.astype(np.intp), partner_bits)
-        pairing[:, ~state.xor_mask] += PARTNER_ABSENT
+        pairing = grid_entry(sb_bits.astype(np.intp), state.partner_codes[rnds])
         nodes = {
             kind: {name: v.take(pairing) for name, v in named.items()}
             for kind, named in grid.nodes.items()
@@ -742,12 +712,7 @@ def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCa
     sb_f, partner_f = (None, None) if factors is None else (factors[:, 0], factors[:, 1])
     # the bit-line equivalent resistance, which the amps' comparators sense
     r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds, partner_f), sb_f)
-    vdd = state.params.vdd
-    xor = resolve(scheme.xor_amp, r_eq, vdd, capture=True)
-    readout = resolve(scheme.readout_amp, r_eq, vdd, capture=True)
-    bits = np.where(state.xor_mask, xor.bit, readout.bit)
-    nodes = {"xor": xor.nodes, "readout": readout.nodes}
-    return ReadCapture(bits, r_eq, nodes, sb_bits, partner_bits, state.xor_mask)
+    return sense_capture(scheme, state.params.vdd, r_eq, sb_bits, partner_bits, state.xor_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -766,22 +731,25 @@ class MarginRecord:
 def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     """Exhaustive operand sweep of both amps at nominal resistances,
     reporting every comparator's decision node: the nominal read grid's
-    pairings, each sensed by the amp wired to it."""
+    pairings, each sensed by the amp wired to it.  A comparator's decision
+    is its divider tap in the grid against its reference, as the grid's
+    sense decided it."""
     scheme = scheme_for(scheme)
     scheme.validate(params.vdd)
     grid = nominal_grid(params, scheme)
     records = []
-    for kind, pairings in (
-        ("xor", [(1, 1), (1, 0), (0, 1), (0, 0)]),
-        ("readout", [(1,), (0,)]),
+    for kind, amp, pairings in (
+        ("xor", scheme.xor_amp, [(1, 1), (1, 0), (0, 1), (0, 0)]),
+        ("readout", scheme.readout_amp, [(1,), (0,)]),
     ):
+        nodes = grid.nodes[kind]
+        references = [(node, ref) for node, _, ref in amp.comparators(grid.r_eq, params.vdd)]
         for bits in pairings:
             k = grid_entry(bits[0], bits[1] if kind == "xor" else PARTNER_ABSENT)
-            for node, decided in grid.decisions[kind]:
-                volts = float(grid.nodes[kind][node][k])
-                records.append(
-                    MarginRecord(f"{scheme.name}.{kind}", bits, node, volts, int(decided[k]))
-                )
+            for node, ref in references:
+                decision = int(nodes[f"{node}_divider"][k] > ref)
+                volts = float(nodes[node][k])
+                records.append(MarginRecord(f"{scheme.name}.{kind}", bits, node, volts, decision))
     return records
 
 
@@ -803,9 +771,9 @@ def check_margins(scheme, params: DeviceParams) -> float:
                 f"for operands {rec.operands} (decision {rec.decision})"
             )
         worst = min(worst, slack)
-    # the nominal grid's ideal reads, indexed [s, p] as nominal_reads
+    # the nominal grid's ideal reads, indexed [s, p]
     logic = np.array([[0, 1, 0], [1, 0, 1]], dtype=bool)
-    for s, p in np.argwhere(nominal_reads(params, scheme) != logic).tolist():
+    for s, p in np.argwhere(nominal_grid(params, scheme).bits.reshape(2, 3) != logic).tolist():
         kind, operands = ("xor", (s, p)) if p != PARTNER_ABSENT else ("readout", (s,))
         raise CrossbarError(
             f"logic violation: {scheme.name}.{kind} reads {int(not logic[s, p])} "

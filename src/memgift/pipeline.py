@@ -24,10 +24,9 @@ round export formats each run of one record's views at once: every hex
 field in one lookup over the nibble columns, every line in one fill of a
 template.  The analog export writes each record as a prefix (read,
 slice, column), cached per capture shape, and a tail.  One builder
-formats tails column by column, for the nominal grid's pairings and for
-a sensed capture's reads alike: a gathered capture gathers its grid's
-tails, formatted once per grid, by pairing; a sensed capture's tails are
-formatted from its own arrays.
+formats every capture's tails column by column: a gathered capture
+gathers by pairing the tails of its grid, itself a capture, formatted
+once per grid.  The session's `params` views the devices its state holds.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -49,11 +48,11 @@ bytes, slice-major, shape (rounds, S, 16, 4): round rnd's reads are the
 flat rows of `table[rnd].reshape(S * 16, 4)`.  The table is built at the
 first ideal read of each programming, and an S-box rewrite drops it.  On
 nominal devices (no d2d variation) every cell is LRS or HRS, so it is
-gathered from `crossbar.nominal_reads`, one sense of each operand
-pairing.  With d2d variation every cell differs, so every entry is sensed
-as the kernel senses it, from the same `crossbar.path_conductance`, one
-column kind at a time: a read-out column, which has no partner, reads the
-same in every round.
+gathered from the bits of `crossbar.nominal_grid`, one sense of each
+operand pairing, by each column's partner code.  With d2d variation
+every cell differs, so every entry is sensed as the kernel senses it,
+from the same `crossbar.path_conductance`, one column kind at a time: a
+read-out column, which has no partner, reads the same in every round.
 """
 
 from __future__ import annotations
@@ -68,16 +67,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .crossbar import (
-    PARTNER_ABSENT,
     CrossbarError,
     DeviceParams,
-    NominalGrid,
     ReadCapture,
     column_conductances,
     decide,
     decision_points,
     draw_read_factors,
-    nominal_reads,
+    nominal_grid,
     partner_conductances,
     path_conductance,
     program_slice,
@@ -204,6 +201,11 @@ def _wiring(variant: CipherVariant, feedback: str) -> tuple[np.ndarray, np.ndarr
     return np.argsort(targets), 16 * np.arange(variant.nibbles)
 
 
+def _slice_streams(seed: int, slices: int) -> list:
+    """One noise stream per slice, spawned from seed."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(slices)]
+
+
 class EncryptionSession:
     """One programmed crossbar instance; reusable for many blocks."""
 
@@ -221,8 +223,8 @@ class EncryptionSession:
         if self.scheme.name not in SENSE_EVENT:
             known = ", ".join(SENSE_EVENT)
             raise PipelineError(f"scheme {self.scheme.name!r} has no sense events (known: {known})")
-        self.params = params if params is not None else _DEFAULT_PARAMS
-        self.scheme.validate(self.params.vdd)
+        params = params if params is not None else _DEFAULT_PARAMS
+        self.scheme.validate(params.vdd)
         if feedback not in ("permuted", "local"):
             raise PipelineError(f"unknown feedback mode: {feedback!r}")
         self.feedback = feedback
@@ -230,9 +232,11 @@ class EncryptionSession:
         self.mask = 0
 
         self.write_log = EventLog(self.variant.name, self.scheme.name)
-        self.state = program_slice(
-            bundle.key_bits, bundle.columns, bundle.sbox_matrix, self.params, self._d2d_rngs()
-        )
+        rngs = None
+        if params.sigma_d2d > 0:
+            # d2d cells draw their normals from the streams later reads draw from
+            rngs = self._slice_rngs = _slice_streams(params.seed, self.variant.nibbles)
+        self.state = program_slice(bundle.key_bits, bundle.columns, bundle.sbox_matrix, params, rngs)
         self.write_log.add("cell_write", self.state.cell_count)
         self._n_xor = int(self.state.xor_mask.sum())
         self._n_readout = 4 * self.variant.nibbles - self._n_xor
@@ -246,17 +250,19 @@ class EncryptionSession:
         self._read_table = None
         self._column_points = {}
 
+    @property
+    def params(self) -> DeviceParams:
+        """The devices the cells were written with, `state.params`:
+        read-only, so that other devices take a new session."""
+        return self.state.params
+
     # -- programming ------------------------------------------------------
 
     @cached_property
     def _slice_rngs(self) -> list:
         """One noise stream per slice, created on first use: an ideal
         session never draws from them."""
-        seeds = np.random.SeedSequence(self.params.seed).spawn(self.variant.nibbles)
-        return [np.random.default_rng(s) for s in seeds]
-
-    def _d2d_rngs(self):
-        return self._slice_rngs if self.params.sigma_d2d > 0 else None
+        return _slice_streams(self.params.seed, self.variant.nibbles)
 
     def reprogram_sbox(self, sbox: SBoxTable) -> None:
         """Rewrite only the 16x4 S-box region of every slice (run-time
@@ -266,9 +272,9 @@ class EncryptionSession:
         # the key region is written too, only for its d2d normals: they are
         # discarded (no key-cell writes) but keep every slice's noise stream
         # where a whole-slice write would leave it.
-        bundle = self.bundle
+        bundle, rngs = self.bundle, None if self.state.nominal else self._slice_rngs
         written = program_slice(
-            bundle.key_bits, bundle.columns, sbox_bit_matrix(sbox), self.params, self._d2d_rngs()
+            bundle.key_bits, bundle.columns, sbox_bit_matrix(sbox), self.params, rngs
         )
         self.write_log.add("cell_write", written.sb_bits.size)
         self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)
@@ -302,14 +308,12 @@ class EncryptionSession:
         of `table[rnd].reshape(S * 16, 4)`."""
         if not self.state.nominal:
             return self._sensed_read_table()
-        # Nominal cells: every read is one of the grid's cell pairings.  A
-        # column's partner code is its partner's bit on XOR columns, sensed
-        # by the XOR amp, and PARTNER_ABSENT on read-out columns (whose
-        # partner bits are 0), sensed by the read-out amp.
+        # Nominal cells: every read is one of the grid's cell pairings,
+        # indexed [s, p] by S-box bit and partner code.
         state = self.state
-        code = state.partner_bits | PARTNER_ABSENT * ~state.xor_mask
+        reads = nominal_grid(state.params, self.scheme).bits.reshape(2, -1)
         # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
-        lo, hi = nominal_reads(state.params, self.scheme).take(code, axis=1)
+        lo, hi = reads.take(state.partner_codes, axis=1)
         # A row's 4 cells as one 4-byte word, so that the broadcast over the
         # 16 rows runs on words; the bitwise ops act on each byte alike.
         lo, flip, cells = (
@@ -550,22 +554,22 @@ def _round_lines(record: BlockTrace, rounds: np.ndarray) -> str:
     return (template * len(rounds)) % tuple(values.ravel().tolist())
 
 
-def _format_tails(source, kind: str, at) -> list:
+def _format_tails(capture: ReadCapture, kind: str, at) -> list:
     """The tails, everything after the column, of `kind` records of the
-    flat entries `at` of a capture or a nominal grid, one line each, in
-    the order of `at`: stored bits, r_eq, nodes, bit."""
-    stored = (source.sb_bits, source.partner_bits)[: 2 if kind == "xor" else 1]
+    flat entries `at` of a capture, one line each, in the order of `at`:
+    stored bits, r_eq, nodes, bit."""
+    stored = (capture.sb_bits, capture.partner_bits)[: 2 if kind == "xor" else 1]
     tail_parts = _record_parts({
         "slice": _SLOT, "round": _SLOT, "column": _SLOT, "kind": kind,
         "stored_bits": [_SLOT] * len(stored), "r_eq": _SLOT,
-        "nodes": dict.fromkeys(source.nodes[kind], _SLOT), "bit": _SLOT,
+        "nodes": dict.fromkeys(capture.nodes[kind], _SLOT), "bit": _SLOT,
     })[3:]
     # the stored bits and the sensed bit, as 0/1 bytes, in one conversion
-    cells = [f.take(at) for f in stored] + [source.bits.take(at).view(np.uint8)]
+    cells = [f.take(at) for f in stored] + [capture.bits.take(at).view(np.uint8)]
     cells = _json_texts(np.stack(cells, axis=-1))
-    nodes = np.stack([v.take(at) for v in source.nodes[kind].values()], axis=-1)
+    nodes = np.stack([v.take(at) for v in capture.nodes[kind].values()], axis=-1)
     values = np.concatenate([
-        cells[:, :-1], _json_texts(source.r_eq.take(at))[:, None],
+        cells[:, :-1], _json_texts(capture.r_eq.take(at))[:, None],
         _json_texts(nodes, 6), cells[:, -1:],
     ], axis=-1)
     texts = np.empty((len(values), 2 * len(tail_parts) - 1), dtype=object)
@@ -575,22 +579,20 @@ def _format_tails(source, kind: str, at) -> list:
     return "".join(texts.ravel().tolist()).splitlines(keepends=True)
 
 
-def _tails(source, xor: np.ndarray) -> np.ndarray:
-    """The record tail of every entry of a capture or a nominal grid, an
-    object array of the shape of `xor`, the entries' XOR flags: XOR records
-    where it is set, read-out records elsewhere."""
+def _tails(capture: ReadCapture) -> np.ndarray:
+    """The record tail of every entry of a capture, a read-only object
+    array of its shape: XOR records on its XOR-sensed columns, read-out
+    records elsewhere."""
+    xor = np.broadcast_to(capture.xor_mask, capture.bits.shape)
     tails = np.empty(xor.shape, dtype=object)
     for kind, sensed in (("xor", xor), ("readout", ~xor)):
-        tails[sensed] = np.array(_format_tails(source, kind, np.flatnonzero(sensed)), dtype=object)
-    return tails
-
-
-@lru_cache(maxsize=64)
-def _grid_tails(grid: NominalGrid) -> np.ndarray:
-    """The record tail of each of the grid's pairings, indexed as the grid."""
-    tails = _tails(grid, grid.xor)
+        tails[sensed] = np.array(_format_tails(capture, kind, np.flatnonzero(sensed)), dtype=object)
     tails.setflags(write=False)
     return tails
+
+
+# the tails of a nominal grid's pairings, formatted once per grid
+_grid_tails = lru_cache(maxsize=64)(_tails)
 
 
 @lru_cache(maxsize=8)
@@ -620,8 +622,7 @@ def export_analog_trace(traces, fp) -> None:
         if analog.pairing is not None:
             lines[..., 1] = _grid_tails(analog.grid)[analog.pairing[reads]]
         else:
-            xor = np.broadcast_to(analog.xor_mask, analog.bits.shape)
-            lines[..., 1] = _tails(analog, xor)[reads]
+            lines[..., 1] = _tails(analog)[reads]
         fp.write("".join(lines.ravel().tolist()))
 
 

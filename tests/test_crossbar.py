@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from memgift.crossbar import (
     ScoutingReadoutAmp,
     ScoutingXorAmp,
     SenseAmpScheme,
-    SenseResult,
     check_margins,
     decide,
     decision_points,
@@ -32,11 +32,11 @@ from memgift.crossbar import (
     PARTNER_ABSENT,
     load_device_config,
     nominal_grid,
-    nominal_reads,
     path_conductance,
     program_slice,
     read_round,
     resolve,
+    sense_capture,
     sense_margin_report,
     variation_factor,
 )
@@ -72,17 +72,26 @@ def bitline_equivalent_resistance(cell_resistances, wire_r: float = 0.0) -> floa
     return 1.0 / conductance
 
 
-def sense(r_eq: float, sa, vdd: float = 0.9) -> SenseResult:
-    """Resolve one bit-line resistance with the given amp model: the scalar
-    case of `resolve`, with plain int bits and float volts."""
+class Sensed(NamedTuple):
+    bit: int
+    nodes: dict  # node name -> volts: divider taps and regenerated decision nodes
+    decisions: tuple  # (node name, decided bit) per comparator
+
+
+def sense(r_eq: float, sa, vdd: float = 0.9) -> Sensed:
+    """Resolve one bit-line resistance with the given amp model, one
+    comparator at a time, with plain int bits and float volts: each
+    comparator decides on its raw divider voltage, and its decision node is
+    the regenerated output clamp(vref + gain*(v - vref), 0, vdd)."""
     if r_eq <= 0:
         raise CrossbarError("non-positive equivalent resistance")
-    res = resolve(sa, np.float64(r_eq), vdd, capture=True)
-    return SenseResult(
-        int(res.bit),
-        {name: float(v) for name, v in res.nodes.items()},
-        tuple((name, int(d)) for name, d in res.decisions),
-    )
+    comparators = sa.comparators(np.float64(r_eq), vdd)
+    decided = [v > ref for _, v, ref in comparators]
+    nodes = {f"{name}_divider": float(v) for name, v, _ in comparators}
+    for name, v, ref in comparators:
+        nodes[name] = float(np.clip(ref + sa.gain * (v - ref), 0.0, vdd))
+    decisions = tuple((name, int(d)) for (name, _, _), d in zip(comparators, decided))
+    return Sensed(int(sa.gate(*decided)), nodes, decisions)
 
 
 def scalar_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
@@ -455,17 +464,20 @@ def test_sensed_voltage_monotone_single_crossing(scheme):
 
 @pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
 def test_resolve_matches_scalar_sense(scheme):
-    # one statement of each amp's maths serves arrays and scalars alike
+    # one statement of each amp's maths serves arrays and scalars alike: the
+    # bits, and a capture's nodes, with its bit from the amp its mask names
     params = DeviceParams()
     sweep = np.geomspace(100.0, 5e6, 64)
-    for amp in (scheme.xor_amp, scheme.readout_amp):
+    cells, xor_mask = np.zeros(sweep.shape, dtype=np.uint8), np.arange(sweep.size) % 2 == 0
+    captured = sense_capture(scheme, params.vdd, sweep, cells, cells, xor_mask)
+    amps = (("xor", scheme.xor_amp, xor_mask), ("readout", scheme.readout_amp, ~xor_mask))
+    for kind, amp, wired in amps:
         bits = resolve(amp, sweep, params.vdd)
-        captured = resolve(amp, sweep, params.vdd, capture=True)
-        assert np.array_equal(captured.bit, bits)
+        assert np.array_equal(captured.bits[wired], bits[wired])
         for i, r in enumerate(sweep):
             res = sense(float(r), amp, params.vdd)
             assert res.bit == bits[i]
-            assert res.nodes == {name: v[i] for name, v in captured.nodes.items()}
+            assert res.nodes == {name: v[i] for name, v in captured.nodes[kind].items()}
 
 
 @pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
@@ -474,8 +486,8 @@ def test_nominal_reads_sense_every_cell_pairing(scheme, wire):
     # one sense per (S-box cell, partner or none), by the amp wired to it,
     # as the scalar oracle senses it
     params = DeviceParams(wire_r_per_cell=wire)
-    grid = nominal_reads(params, scheme)
-    assert grid.shape == (2, 3) and grid.dtype == bool
+    grid = nominal_grid(params, scheme).bits.reshape(2, 3)
+    assert grid.dtype == bool
     for s in (0, 1):
         for p in (0, 1, PARTNER_ABSENT):
             cells = [nominal_resistance(s, params)]
@@ -546,7 +558,7 @@ def test_margin_audit_rejects_wrong_logic(scheme):
     # reads 1: the audit used to pass these devices with a slack of 0.001-0.36 V
     for wire in (1625.0, 5000.0, 20e3):
         params = DeviceParams(wire_r_per_cell=wire)
-        assert nominal_reads(params, scheme)[1, 1]
+        assert nominal_grid(params, scheme).bits.reshape(2, 3)[1, 1]
         with pytest.raises(CrossbarError, match=r"logic violation: \w+\.xor .* \(1, 1\)"):
             check_margins(scheme, params)
     # the devices that read the logic keep their slack
@@ -557,9 +569,9 @@ def test_margin_audit_rejects_wrong_logic(scheme):
 
 def test_margin_audit_decides_what_the_read_table_gathers(tmp_path):
     # the amp's gate over the audit's recorded decisions of a pairing is the
-    # nominal_reads entry a session's read table gathers for it
+    # nominal grid's bit a session's read table gathers for it
     for scheme, params in margin_cases(tmp_path):
-        grid = nominal_reads(params, scheme)
+        grid = nominal_grid(params, scheme).bits.reshape(2, 3)
         decisions = {}
         for rec in sense_margin_report(scheme, params):
             decisions.setdefault((rec.amp, rec.operands), []).append(np.bool_(rec.decision))
@@ -578,9 +590,10 @@ def test_nominal_grid_is_captured_once_and_read_only():
     assert nominal_grid(replace(params, seed=9, sigma_c2c=0.1), DXOR_SCHEME) is grid
     assert nominal_grid(replace(params, vdd=1.2), "dxor") is not grid
     assert nominal_grid(params, "sxor") is not grid
-    arrays = [grid.bits, grid.r_eq, grid.sb_bits, grid.partner_bits, nominal_reads(params, "dxor")]
+    assert grid.pairing is None and grid.grid is None
+    arrays = [grid.bits, grid.r_eq, grid.sb_bits, grid.partner_bits, grid.xor_mask]
+    arrays += [grid.bits.reshape(2, 3)[0]]
     arrays += [v for nodes in grid.nodes.values() for v in nodes.values()]
-    arrays += [d for decisions in grid.decisions.values() for _, d in decisions]
     for a in arrays:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -591,9 +604,13 @@ def test_nominal_grid_is_captured_once_and_read_only():
 
 @pytest.mark.parametrize("scheme", [SXOR_SCHEME, DXOR_SCHEME], ids=["sxor", "dxor"])
 def test_nominal_grid_captures_each_pairing_as_the_scalar_oracle(scheme):
-    # entry 3*s + p: both amps sense the pairing's bit line, the wired one's bit counts
+    # entry 3*s + p: both amps sense the pairing's bit line, the wired one's
+    # bit counts, and the margin report decides it as the scalar oracle does
     params = DeviceParams(wire_r_per_cell=150.0)
     grid = nominal_grid(params, scheme)
+    decisions = {}
+    for rec in sense_margin_report(scheme, params):
+        decisions.setdefault((rec.amp, rec.operands), []).append((rec.node, rec.decision))
     for s, p in itertools.product((0, 1), (0, 1, PARTNER_ABSENT)):
         k = 3 * s + p
         cells = [nominal_resistance(s, params)]
@@ -602,12 +619,15 @@ def test_nominal_grid_captures_each_pairing_as_the_scalar_oracle(scheme):
         r_eq = bitline_equivalent_resistance(cells, params.wire_r_per_cell)
         assert grid.r_eq[k] == r_eq
         assert (grid.sb_bits[k], grid.partner_bits[k]) == (s, p % PARTNER_ABSENT)
+        assert grid.xor_mask[k] == (p != PARTNER_ABSENT)
         for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
             result = sense(r_eq, amp, params.vdd)
             assert {n: v[k] for n, v in grid.nodes[kind].items()} == result.nodes
-            assert [(n, d[k]) for n, d in grid.decisions[kind]] == list(result.decisions)
             if (kind == "xor") == (p != PARTNER_ABSENT):
                 assert grid.bits[k] == result.bit
+                operands = (s, p) if kind == "xor" else (s,)
+                assert decisions.pop((f"{scheme.name}.{kind}", operands)) == list(result.decisions)
+    assert decisions == {}
 
 
 def test_nominal_reads_do_not_sense_again(monkeypatch):
@@ -620,6 +640,7 @@ def test_nominal_reads_do_not_sense_again(monkeypatch):
         raise AssertionError("the nominal grid was sensed again")
 
     monkeypatch.setattr(crossbar, "resolve", sensed_again)
+    monkeypatch.setattr(crossbar, "sense_capture", sensed_again)
     session = EncryptionSession(0x77, GIFT64, "sxor", params)
     ct, traces = session.encrypt(0x1234, trace=True)
     assert traces[0].analog.pairing is not None

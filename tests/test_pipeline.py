@@ -27,6 +27,7 @@ from memgift.crossbar import (
     load_device_config,
     partner_conductances,
     resolve,
+    sense_capture,
     variation_factor,
 )
 from memgift.gift import GIFT64, GIFT128, encrypt_block
@@ -491,7 +492,7 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
         raise AssertionError("the read table was built the other way")
 
     if sigma_d2d:
-        monkeypatch.setattr(pipeline, "nominal_reads", other_build)
+        monkeypatch.setattr(pipeline, "nominal_grid", other_build)
     else:
         monkeypatch.setattr(EncryptionSession, "_sensed_read_table", other_build)
     params = DeviceParams(sigma_d2d=sigma_d2d, seed=12)
@@ -575,6 +576,25 @@ def test_read_kernel_matches_per_round_oracle(
         assert "_slice_rngs" not in vars(kernel)
 
 
+
+def test_session_devices_are_the_devices_its_cells_were_written_with():
+    # A session kept a writable copy of its devices beside its state's: once
+    # it was assigned, an S-box rewrite wrote 1024 distinct d2d resistances
+    # into a state still called nominal, and a traced block gathered its
+    # capture from the nominal grid instead of sensing those cells.
+    session = EncryptionSession(0, GIFT64, "dxor")
+    with pytest.raises(AttributeError):
+        session.params = DeviceParams(sigma_d2d=0.05, seed=1)
+    apply_mask(session, 3)
+    assert session.params is session.state.params and session.state.nominal
+    assert np.unique(session.state.sb_res).tolist() == [2.8e3, 1e6]
+    traces = encrypt_masked(session, 5, 3, trace=True)[1]
+    # gathered from the nominal grid, and the capture sensed from the cells
+    rows = np.array([t.input_nibbles for t in traces])
+    assert traces[0].analog.pairing is not None
+    assert_same_capture(traces[0].analog, sensed_capture(session, rows))
+
+
 MISCALIBRATED = "dxor.vref_and = 0.3\nsxor.vth = 0.25\n"  # XOR amps that misread
 
 
@@ -585,11 +605,8 @@ def sensed_capture(session, rows) -> ReadCapture:
     state, rnds = session.state, np.arange(len(rows))
     at = rows + 16 * np.arange(len(state.sb_bits))
     r_eq = 1.0 / column_conductances(state, at, partner_conductances(state, rnds))
-    scheme, vdd = session.scheme, session.params.vdd
-    xor, readout = (resolve(amp, r_eq, vdd, True) for amp in (scheme.xor_amp, scheme.readout_amp))
-    return ReadCapture(
-        np.where(state.xor_mask, xor.bit, readout.bit), r_eq,
-        {"xor": xor.nodes, "readout": readout.nodes},
+    return sense_capture(
+        session.scheme, session.params.vdd, r_eq,
         state.sb_bits.reshape(-1, 4).take(at, axis=0), state.partner_bits[rnds], state.xor_mask,
     )
 
