@@ -2,7 +2,8 @@
 
 Subcommands: encrypt, decrypt (reference software only), compile-layout,
 kat, energy-report, sweep.  Exit codes: 0 success, 1 verification failure,
-2 input error, 3 configuration error.
+2 input error, 3 configuration error (also devices whose amps misread an
+operand pairing's logic, refused before encrypt or kat --pipeline reads).
 
 Hex I/O is most-significant digit first; bit 0 of a state is the least
 significant bit of its hex value and nibble j covers bits 4j..4j+3.
@@ -21,7 +22,14 @@ from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
-from .crossbar import SCHEMES, ConfigError, DeviceParams, load_device_config
+from .crossbar import (
+    SCHEMES,
+    ConfigError,
+    CrossbarError,
+    DeviceParams,
+    check_logic,
+    load_device_config,
+)
 from .energy import EnergyParams, account, area_report, load_energy_config
 from .errors import MemgiftError, read_text
 from .gift import (
@@ -75,6 +83,15 @@ def _load_setup(args):
     return params, schemes
 
 
+def _check_logic(scheme, params) -> None:
+    """Before the first block: refuse devices whose nominal read of some
+    operand pairing is not its logic value (`crossbar.check_logic`)."""
+    try:
+        check_logic(scheme, params)
+    except CrossbarError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 # The file options of every command, by their argparse dest.
 INPUT_FILES = ("pt_file", "device_params", "params")
 OUTPUT_FILES = ("trace", "analog_trace", "out", "json")
@@ -113,6 +130,7 @@ def cmd_encrypt(args) -> int:
     variant = variant_for(args.variant)
     key = _parse_hex(args.key, 32, "key")
     params, schemes = _load_setup(args)
+    _check_logic(schemes[args.scheme], params)
     blocks = _read_blocks(args, variant)
     if args.mode == "local":
         print(LOCAL_MODE_BANNER, file=sys.stderr)
@@ -194,6 +212,8 @@ def cmd_compile_layout(args) -> int:
 def cmd_kat(args) -> int:
     vectors = load_kat_file(args.file)
     params, schemes = _load_setup(args)
+    if args.pipeline:
+        _check_logic(schemes[args.scheme], params)
     passed = failed = 0
     for i, vec in enumerate(vectors):
         ok = encrypt_block(vec.pt, vec.key, vec.variant) == vec.ct
@@ -263,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scheme=True, device=True):
         p.add_argument("--variant", type=int, choices=(64, 128), default=128)
         if scheme:
-            p.add_argument("--scheme", choices=("sxor", "dxor"), default="dxor")
+            p.add_argument("--scheme", choices=tuple(SCHEMES), default="dxor")
         if device:
             p.add_argument("--device-params", metavar="FILE")
             p.add_argument("--seed", type=int, default=None)

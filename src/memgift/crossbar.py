@@ -35,14 +35,24 @@ On nominal cells every read is one of six pairings: an S-box cell holding
 0 or 1 against a partner holding 0 or 1 (sensed by the XOR amp) or no
 partner (sensed by the read-out amp).  That grid is the one statement of
 a nominal read: the `ReadCapture` of the six pairings, captured once per
-device values and scheme (`nominal_grid`, read-only).  A session gathers
-its read table from its bits, indexing them by each column's partner code
-(`ProgrammedState.partner_codes`); `sense_margin_report` gives its nodes
-and decides each comparator on its divider tap; and `read_round` gathers
-every ideal capture of nominal cells from it, with each column's pairing,
-so that an export formats each pairing's record once.  `check_margins`
-holds the grid to both: every node clear of the band, every bit the
-pairing's logic value.
+device values and scheme (`nominal_grid`, read-only).  `sense_margin_report`
+gives its nodes and decides each comparator on its divider tap, and
+`read_round` gathers every ideal capture of nominal cells from it, with
+each column's pairing, so that an export formats each pairing's record
+once.  `check_margins` holds the grid to both: every node clear of the
+band (the margins) and every bit its pairing's logic value, s ^ p
+(`check_logic`).
+
+An ideal read (no cycle-to-cycle noise) depends only on the round, the
+slice and its S-box row while the cells stay as programmed, so
+`read_table` gives every ideal read of a state as one table.  On nominal
+cells it is gathered from the grid's bits by each column's partner code
+(`ProgrammedState.partner_codes`), four cells of a row as one word.  With
+d2d variation every cell differs, so every entry is decided as the noisy
+read decides, its branches' `path_conductance` summed and compared against
+its column's decision points (`column_points`), one column kind at a
+time: a read-out column, which has no partner, reads the same in every
+round.
 
 Electrical model
 ----------------
@@ -226,8 +236,14 @@ class ProgrammedState:
         return self.sb_bits.size + self.rounds * int(self.xor_mask.sum())
 
     def fingerprint(self) -> int:
-        arrays = (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res)
-        return hash(tuple(a.tobytes() for a in arrays))
+        """A digest of the cells' bits and resistances, the same in every
+        process (`hash` of bytes is salted per process)."""
+        import hashlib  # here: `import memgift` would load it for this alone
+
+        digest = hashlib.blake2b(digest_size=8)
+        for a in (self.sb_bits, self.sb_res, self.partner_bits, self.partner_res):
+            digest.update(a.tobytes())
+        return int.from_bytes(digest.digest(), "little")
 
 
 @lru_cache(maxsize=16)
@@ -527,9 +543,21 @@ class SenseAmpScheme:
                     )
 
 
-SXOR_SCHEME = SenseAmpScheme("sxor", ScoutingXorAmp(), ScoutingReadoutAmp())
-DXOR_SCHEME = SenseAmpScheme("dxor", DualXorAmp(), DualReadoutAmp())
-SCHEMES = {"sxor": SXOR_SCHEME, "dxor": DXOR_SCHEME}
+# Every scheme's amps, the one statement of them: the parameter-file section
+# and amp class of its XOR amp, then of its read-out amp.  A section's sense
+# events are `<section>_sense`.
+SCHEME_AMPS = {
+    "sxor": (("sxor", ScoutingXorAmp), ("ro_s", ScoutingReadoutAmp)),
+    "dxor": (("dxor", DualXorAmp), ("ro_d", DualReadoutAmp)),
+}
+SCHEMES = {
+    name: SenseAmpScheme(name, *(amp() for _, amp in amps)) for name, amps in SCHEME_AMPS.items()
+}
+SXOR_SCHEME, DXOR_SCHEME = SCHEMES["sxor"], SCHEMES["dxor"]
+# Event kinds of a scheme's (XOR amp, read-out amp) senses.
+SENSE_EVENT = {
+    name: tuple(f"{section}_sense" for section, _ in amps) for name, amps in SCHEME_AMPS.items()
+}
 
 
 def scheme_for(spec) -> SenseAmpScheme:
@@ -715,6 +743,52 @@ def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCa
     return sense_capture(scheme, state.params.vdd, r_eq, sb_bits, partner_bits, state.xor_mask)
 
 
+def column_points(state: ProgrammedState, scheme, sigma_c2c: float) -> np.ndarray:
+    """Every column's decision points, its amp's `decision_points` over the
+    conductances that reads of `state` with cycle-to-cycle sigma up to
+    sigma_c2c can meet, padded with +inf: shape (K, S, 4)."""
+    scheme = scheme_for(scheme)
+    params = replace(state.params, sigma_c2c=sigma_c2c)
+    domain = params.conductance_range()
+    amps = (scheme.xor_amp, scheme.readout_amp)
+    xor, readout = (decision_points(amp, params.vdd, domain) for amp in amps)
+    k = max(len(xor), len(readout))
+    xor, readout = (np.concatenate([p, np.full(k - len(p), np.inf)]) for p in (xor, readout))
+    return np.where(state.xor_mask, xor[:, None, None], readout[:, None, None])
+
+
+def read_table(state: ProgrammedState, scheme) -> np.ndarray:
+    """Every ideal read of `state` under `scheme` (built as the module
+    docstring says), read-only 0/1 bytes, slice-major, shape (rounds, S, 16,
+    4): entry [rnd, j, row] is what slice j senses on S-box row `row` in
+    round rnd, so round rnd's reads are the flat rows of
+    `table[rnd].reshape(S * 16, 4)`."""
+    scheme = scheme_for(scheme)
+    if state.nominal:
+        reads = nominal_grid(state.params, scheme).bits.reshape(2, -1)
+        # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
+        lo, hi = reads.take(state.partner_codes, axis=1)
+        # A row's 4 cells as one 4-byte word, so that the broadcast over the
+        # 16 rows runs on words; the bitwise ops act on each byte alike.
+        lo, flip, cells = (
+            np.ascontiguousarray(a).view(np.uint32)[..., 0] for a in (lo, lo ^ hi, state.sb_bits)
+        )
+        table = lo[..., None] ^ (cells & flip[..., None])  # (rounds, S, 16)
+        table = table.view(np.uint8).reshape(state.rounds, -1, 16, 4)
+    else:
+        wire = state.params.wire_r_per_cell
+        table = np.empty((state.rounds, len(state.sb_bits), 16, 4), dtype=np.uint8)
+        # each column's 16 rows last, so a column kind selects whole columns
+        by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
+        points = column_points(state, scheme, state.params.sigma_c2c)
+        for columns, rnds in ((~state.xor_mask, slice(0, 1)), (state.xor_mask, slice(None))):
+            partner_g = path_conductance(state.partner_res[rnds, columns, None], wire)
+            g = path_conductance(sb_res[columns], wire) + partner_g  # (rounds or 1, n, 16)
+            by_column[:, columns] = decide(g, points[:, columns, None])
+    table.setflags(write=False)
+    return table
+
+
 # ---------------------------------------------------------------------------
 # Margin audit
 
@@ -728,24 +802,26 @@ class MarginRecord:
     decision: int
 
 
+def _operands(grid: ReadCapture, k: int) -> tuple[int, ...]:
+    """The stored bits grid entry k pairs: (s, p) when XOR-sensed, (s,) read out."""
+    return (int(grid.sb_bits[k]), int(grid.partner_bits[k]))[: 1 + int(grid.xor_mask[k])]
+
+
 def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     """Exhaustive operand sweep of both amps at nominal resistances,
     reporting every comparator's decision node: the nominal read grid's
-    pairings, each sensed by the amp wired to it.  A comparator's decision
-    is its divider tap in the grid against its reference, as the grid's
-    sense decided it."""
+    pairings, each sensed by the amp wired to it, operands 1 before 0.  A
+    comparator's decision is its divider tap in the grid against its
+    reference, as the grid's sense decided it."""
     scheme = scheme_for(scheme)
     scheme.validate(params.vdd)
     grid = nominal_grid(params, scheme)
     records = []
-    for kind, amp, pairings in (
-        ("xor", scheme.xor_amp, [(1, 1), (1, 0), (0, 1), (0, 0)]),
-        ("readout", scheme.readout_amp, [(1,), (0,)]),
-    ):
+    for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
         nodes = grid.nodes[kind]
         references = [(node, ref) for node, _, ref in amp.comparators(grid.r_eq, params.vdd)]
-        for bits in pairings:
-            k = grid_entry(bits[0], bits[1] if kind == "xor" else PARTNER_ABSENT)
+        for k in np.flatnonzero(grid.xor_mask == (kind == "xor"))[::-1].tolist():
+            bits = _operands(grid, k)
             for node, ref in references:
                 decision = int(nodes[f"{node}_divider"][k] > ref)
                 volts = float(nodes[node][k])
@@ -753,10 +829,25 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     return records
 
 
+def check_logic(scheme, params: DeviceParams) -> None:
+    """Raise if any nominal operand pairing of `params`' cells reads other
+    than its logic value under `scheme`, the digital value of its stored
+    bits: s ^ p on the XOR pairings, s on read-out (partner bit 0)."""
+    scheme = scheme_for(scheme)
+    grid = nominal_grid(params, scheme)
+    logic = (grid.sb_bits ^ grid.partner_bits).astype(bool)
+    for k in np.flatnonzero(grid.bits != logic)[:1].tolist():
+        kind = "xor" if grid.xor_mask[k] else "readout"
+        raise CrossbarError(
+            f"logic violation: {scheme.name}.{kind} reads {int(grid.bits[k])} "
+            f"for operands {_operands(grid, k)}, not {int(logic[k])}"
+        )
+
+
 def check_margins(scheme, params: DeviceParams) -> float:
     """Smallest |node - 0.5*vdd band edge| slack; raises if any decision
     node violates the 0.6/0.4*vdd rule, or if any operand pairing reads
-    other than its logic value: s ^ p on the XOR pairings, s on read-out."""
+    other than its logic value (`check_logic`)."""
     scheme = scheme_for(scheme)
     hi, lo = 0.6 * params.vdd, 0.4 * params.vdd
     worst = math.inf
@@ -771,14 +862,7 @@ def check_margins(scheme, params: DeviceParams) -> float:
                 f"for operands {rec.operands} (decision {rec.decision})"
             )
         worst = min(worst, slack)
-    # the nominal grid's ideal reads, indexed [s, p]
-    logic = np.array([[0, 1, 0], [1, 0, 1]], dtype=bool)
-    for s, p in np.argwhere(nominal_grid(params, scheme).bits.reshape(2, 3) != logic).tolist():
-        kind, operands = ("xor", (s, p)) if p != PARTNER_ABSENT else ("readout", (s,))
-        raise CrossbarError(
-            f"logic violation: {scheme.name}.{kind} reads {int(not logic[s, p])} "
-            f"for operands {operands}, not {int(logic[s, p])}"
-        )
+    check_logic(scheme, params)
     return worst
 
 
@@ -787,14 +871,6 @@ def check_margins(scheme, params: DeviceParams) -> float:
 # each name once.  A plain name is one of the file's fields, a dotted
 # `section.key` a key of one of its sections.  A device file's fields are the
 # DeviceParams fields and its sections the amps, e.g. `sxor.m1 = 2000`.
-
-_AMP_SECTIONS = {
-    "sxor": ScoutingXorAmp,
-    "ro_s": ScoutingReadoutAmp,
-    "dxor": DualXorAmp,
-    "ro_d": DualReadoutAmp,
-}
-
 
 def parse_number(name: str, value: str, caster=float):
     """One parameter-file value; a malformed one is a ConfigError."""
@@ -839,19 +915,16 @@ def load_device_config(path) -> tuple[DeviceParams, dict[str, SenseAmpScheme]]:
     """Build DeviceParams and both sense-amp schemes from a config file."""
     casters = {f.name: int if f.name == "seed" else float for f in fields(DeviceParams)}
     sections = {
-        name: ({f.name for f in fields(amp)}, f"{name} parameter")
-        for name, amp in _AMP_SECTIONS.items()
+        section: ({f.name for f in fields(amp)}, f"{section} parameter")
+        for amps in SCHEME_AMPS.values()
+        for section, amp in amps
     }
-    values, amps = read_parameter_file(path, "device", casters, sections)
+    values, keys = read_parameter_file(path, "device", casters, sections)
     try:
         params = DeviceParams(**values)
         schemes = {
-            "sxor": SenseAmpScheme(
-                "sxor", ScoutingXorAmp(**amps["sxor"]), ScoutingReadoutAmp(**amps["ro_s"])
-            ),
-            "dxor": SenseAmpScheme(
-                "dxor", DualXorAmp(**amps["dxor"]), DualReadoutAmp(**amps["ro_d"])
-            ),
+            name: SenseAmpScheme(name, *(amp(**keys[section]) for section, amp in amps))
+            for name, amps in SCHEME_AMPS.items()
         }
         for scheme in schemes.values():
             scheme.validate(params.vdd)

@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field, fields
 from numbers import Real
 
-from .crossbar import ConfigError, read_parameter_file
+from .crossbar import SENSE_EVENT, ConfigError, read_parameter_file
 from .errors import MemgiftError
 from .gift import variant_for
-from .pipeline import SENSE_EVENT, EventLog
+from .pipeline import EventLog
 
 
 class MissingEventsError(MemgiftError, ValueError):
@@ -30,10 +30,7 @@ class MissingEventsError(MemgiftError, ValueError):
 COMPONENTS = ("decoders", "sense_amps", "crossbar", "register", "selector")
 
 EVENT_COMPONENT = {
-    "sxor_sense": "sense_amps",
-    "ro_s_sense": "sense_amps",
-    "dxor_sense": "sense_amps",
-    "ro_d_sense": "sense_amps",
+    **{kind: "sense_amps" for kinds in SENSE_EVENT.values() for kind in kinds},
     "decoder_cycle": "decoders",
     "selector_cycle": "selector",
     "register_cycle": "register",

@@ -12,47 +12,39 @@ The session holds its programmed cells once, as the `ProgrammedState`
 (S-box cells slice-major, partner cells round-major, as the reads select
 them), and reads a block with one kernel, `_encrypt_lanes`, over lanes of
 the block: fast, noisy and traced encryption and the sweep's sigma points
-all run through it.  A traced block then captures the nodes of all its
-rounds' reads in one `crossbar.read_round` pass over the flat rows and
-factors the kernel read: gathered from the nominal read grid when the
-cells are nominal and the reads ideal, sensed otherwise.  It keeps its
-rounds once, as one read-only `BlockTrace`: the capture, the rows read
-and the sensed nibbles as (rounds, S) arrays, the post states packed 8
-bits a byte, the block index and the mask.  Each `RoundTrace` is a
-view of one round of it, which reads its fields as Python ints.  The
-round export formats each run of one record's views at once: every hex
-field in one lookup over the nibble columns, every line in one fill of a
-template.  The analog export writes each record as a prefix (read,
-slice, column), cached per capture shape, and a tail.  One builder
-formats every capture's tails column by column: a gathered capture
-gathers by pairing the tails of its grid, itself a capture, formatted
-once per grid.  The session's `params` views the devices its state holds.
+all run through it.  Every analog decision is `crossbar`'s: the session
+walks rows, caches what crossbar computes and counts events.  A traced
+block then captures the nodes of all its rounds' reads in one
+`crossbar.read_round` pass over the flat rows and factors the kernel
+read.  It keeps its rounds once, as one read-only `BlockTrace`: the
+capture, the nibbles its walk held, (rounds + 1, S), of which round r
+reads row r and leaves row r + 1, the sensed nibbles, the block index and
+the mask.  Each `RoundTrace` is a view of one round of it, which reads its
+fields as Python ints.  The round export formats each run of one record's
+views at once: every hex field in one lookup over the nibble columns,
+every line in one fill of a template.  The analog export writes each
+record as a prefix (read, slice, column), cached per capture shape, and a
+tail.  One function, `_tails`, formats every capture's tails column by
+column: a capture gathered from the nominal grid gathers by pairing the
+tails of its grid, itself a capture, formatted once per grid.  The
+session's `params` views the devices its state holds.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
 slices (B*S).  A round takes those rows (from the read table when ideal,
 from the cells when noisy: each column's conductance,
-`crossbar.column_conductances`, decided on its amp's decision points),
+`crossbar.column_conductances`, decided on its `crossbar.column_points`),
 takes the sensed bits the wiring routes to each next-state bit, packs
 every 4 of them into a nibble and adds 16*j back.  A noisy block computes
 what does not depend on the selected rows once: its factors, in one
 `draw_read_factors` call, with the decision points that cover the
-conductances they reach, its partner branches for every round and lane in
-one operation, and its bit errors in one comparison over the recorded
-rows after the last round.  A traced block records `at & 15` as its rows.
+conductances they reach (cached per sigma), its partner branches for
+every round and lane in one operation, and its bit errors in one
+comparison over the walk after the last round.
 
-An ideal read (no cycle-to-cycle noise) depends only on the round, the
-slice and its input nibble while the cells stay as programmed, so every
-ideal read, traced or plain, is a walk of a read table of 0/1
-bytes, slice-major, shape (rounds, S, 16, 4): round rnd's reads are the
-flat rows of `table[rnd].reshape(S * 16, 4)`.  The table is built at the
-first ideal read of each programming, and an S-box rewrite drops it.  On
-nominal devices (no d2d variation) every cell is LRS or HRS, so it is
-gathered from the bits of `crossbar.nominal_grid`, one sense of each
-operand pairing, by each column's partner code.  With d2d variation
-every cell differs, so every entry is sensed as the kernel senses it,
-from the same `crossbar.path_conductance`, one column kind at a time: a
-read-out column, which has no partner, reads the same in every round.
+Every ideal read, traced or plain, walks `crossbar.read_table`, every
+ideal read of the state.  The session caches that table: it is built at
+the first ideal read of each programming, and an S-box rewrite drops it.
 """
 
 from __future__ import annotations
@@ -67,18 +59,18 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .crossbar import (
+    SENSE_EVENT,
     CrossbarError,
     DeviceParams,
     ReadCapture,
     column_conductances,
+    column_points,
     decide,
-    decision_points,
     draw_read_factors,
-    nominal_grid,
     partner_conductances,
-    path_conductance,
     program_slice,
     read_round,
+    read_table,
     scheme_for,
 )
 from .errors import MemgiftError, check_int
@@ -106,9 +98,6 @@ _NIBBLE_WEIGHTS = np.array([1, 2, 4, 8], dtype=np.uint8)
 # set bits of every nibble value
 _POPCOUNT = np.array([bin(v).count("1") for v in range(16)], dtype=np.int64)
 
-# Event kinds of a scheme's (XOR amp, read-out amp) senses.
-SENSE_EVENT = {"sxor": ("sxor_sense", "ro_s_sense"), "dxor": ("dxor_sense", "ro_d_sense")}
-
 
 @dataclass
 class EventLog:
@@ -135,19 +124,18 @@ class EventLog:
 
 @dataclass(frozen=True, eq=False)
 class BlockTrace:
-    """The rounds of one traced block, kept once: its capture and, per
-    round, in rows indexed by round, what the round records report.  Its
-    own arrays are read-only; each `RoundTrace` views one of its rounds."""
+    """The rounds of one traced block, kept once: its capture, the walk its
+    reads made and, per round, what the round records report.  Its own
+    arrays are read-only; each `RoundTrace` views one of its rounds."""
 
     analog: ReadCapture  # every round's read, round r in row r
-    rows: np.ndarray  # (rounds, S) uint8, the S-box row each slice read
+    states: np.ndarray  # (rounds + 1, S) uint8, the nibbles walked: round r reads row r
     outputs: np.ndarray  # (rounds, S) uint8, the nibble each slice sensed
-    posts: np.ndarray  # (rounds, block_bits // 8) uint8, the post states, little-endian bytes
     block: int  # the session's block index, counted from 0
     active_mask: int  # S-box mask programmed when the block was read
 
     def __post_init__(self):
-        for a in (self.rows, self.outputs, self.posts):
+        for a in (self.states, self.outputs):
             a.setflags(write=False)
 
 
@@ -161,7 +149,7 @@ class RoundTrace(NamedTuple):
 
     @property
     def input_nibbles(self) -> tuple:
-        return tuple(self.record.rows[self.round_index].tolist())
+        return tuple(self.record.states[self.round_index].tolist())
 
     @property
     def output_nibbles(self) -> tuple:
@@ -174,7 +162,8 @@ class RoundTrace(NamedTuple):
 
     @property
     def post_state(self) -> int:
-        return int.from_bytes(self.record.posts[self.round_index].tobytes(), "little")
+        nibbles = self.record.states[self.round_index + 1]
+        return int.from_bytes((nibbles[::2] | nibbles[1::2] << 4).tobytes(), "little")
 
     @property
     def block(self) -> int:
@@ -189,6 +178,16 @@ class RoundTrace(NamedTuple):
 
 
 _DEFAULT_PARAMS = DeviceParams()
+
+
+def _devices(params, name: str) -> DeviceParams:
+    """params, the default devices when None; anything else that is not a
+    DeviceParams is a PipelineError naming the argument."""
+    if params is None:
+        return _DEFAULT_PARAMS
+    if not isinstance(params, DeviceParams):
+        raise PipelineError(f"{name} must be a DeviceParams, got {params!r}")
+    return params
 
 
 @lru_cache(maxsize=None)
@@ -223,7 +222,7 @@ class EncryptionSession:
         if self.scheme.name not in SENSE_EVENT:
             known = ", ".join(SENSE_EVENT)
             raise PipelineError(f"scheme {self.scheme.name!r} has no sense events (known: {known})")
-        params = params if params is not None else _DEFAULT_PARAMS
+        params = _devices(params, "params")
         self.scheme.validate(params.vdd)
         if feedback not in ("permuted", "local"):
             raise PipelineError(f"unknown feedback mode: {feedback!r}")
@@ -284,65 +283,6 @@ class EncryptionSession:
 
     # -- reads --------------------------------------------------------------
 
-    def _points(self, sigma_c2c: float) -> np.ndarray:
-        """Every column's decision points, its amp's `decision_points` over
-        the conductances that reads with cycle-to-cycle sigma up to
-        sigma_c2c can meet, padded with +inf: shape (K, S, 4).  Built at
-        the first read that decides on them at each sigma."""
-        points = self._column_points.get(sigma_c2c)
-        if points is None:
-            params = replace(self.params, sigma_c2c=sigma_c2c)
-            domain = params.conductance_range()
-            amps = (self.scheme.xor_amp, self.scheme.readout_amp)
-            xor, readout = (decision_points(amp, params.vdd, domain) for amp in amps)
-            k = max(len(xor), len(readout))
-            xor, readout = (np.concatenate([p, np.full(k - len(p), np.inf)]) for p in (xor, readout))
-            points = np.where(self.state.xor_mask, xor[:, None, None], readout[:, None, None])
-            self._column_points[sigma_c2c] = points
-        return points
-
-    def _build_read_table(self) -> np.ndarray:
-        """Every ideal read of the programmed state, slice-major, shape
-        (rounds, S, 16, 4): entry [rnd, j, row] is what slice j senses on
-        S-box row `row` in round rnd, so round rnd's reads are the flat rows
-        of `table[rnd].reshape(S * 16, 4)`."""
-        if not self.state.nominal:
-            return self._sensed_read_table()
-        # Nominal cells: every read is one of the grid's cell pairings,
-        # indexed [s, p] by S-box bit and partner code.
-        state = self.state
-        reads = nominal_grid(state.params, self.scheme).bits.reshape(2, -1)
-        # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
-        lo, hi = reads.take(state.partner_codes, axis=1)
-        # A row's 4 cells as one 4-byte word, so that the broadcast over the
-        # 16 rows runs on words; the bitwise ops act on each byte alike.
-        lo, flip, cells = (
-            np.ascontiguousarray(a).view(np.uint32)[..., 0] for a in (lo, lo ^ hi, state.sb_bits)
-        )
-        table = lo[..., None] ^ (cells & flip[..., None])  # (rounds, S, 16)
-        table = table.view(np.uint8).reshape(state.rounds, -1, 16, 4)
-        table.setflags(write=False)
-        return table
-
-    def _sensed_read_table(self) -> np.ndarray:
-        """The read table of cells with d2d variation, every entry sensed
-        as the kernel senses it: its branches' `path_conductance`, summed,
-        decided on the column's amp's decision points, one column kind at a
-        time.  A read-out column has no partner (it conducts 0 in every
-        round), so its 16 rows are sensed once and broadcast over the
-        rounds; an XOR column is sensed per round."""
-        state, wire = self.state, self.state.params.wire_r_per_cell
-        table = np.empty((state.rounds, self.variant.nibbles, 16, 4), dtype=np.uint8)
-        # each column's 16 rows last, so a column kind selects whole columns
-        by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
-        points = self._points(self.params.sigma_c2c)
-        for columns, rnds in ((~state.xor_mask, slice(0, 1)), (state.xor_mask, slice(None))):
-            partner_g = path_conductance(state.partner_res[rnds, columns, None], wire)
-            g = path_conductance(sb_res[columns], wire) + partner_g  # (rounds or 1, n, 16)
-            by_column[:, columns] = decide(g, points[:, columns, None])
-        table.setflags(write=False)
-        return table
-
     def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
         """The session's one block read: encrypt plaintext pt once per
         cycle-to-cycle sigma, each sigma a lane, all lanes through every
@@ -373,12 +313,14 @@ class EncryptionSession:
         noisy = any(s > 0 for s in sigmas)
         if noisy:
             factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
-            points = self._points(max(sigmas))
+            points = self._column_points.get(sigma := max(sigmas))
+            if points is None:
+                points = self._column_points[sigma] = column_points(state, self.scheme, sigma)
             # computed once: the partner branch of every round's reads
             partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
         else:
             if self._read_table is None:
-                self._read_table = self._build_read_table()
+                self._read_table = read_table(state, self.scheme)
             table = self._read_table.reshape(rounds, -1, 4)
         history = [at] if count_errors or traces is not None else None
         for rnd in range(rounds):
@@ -396,25 +338,20 @@ class EncryptionSession:
         errors = np.zeros(lanes, dtype=np.int64)
         if history is not None:
             ats = np.stack(history)
-            read, sensed = ats[:-1], ats[1:] & 15
+            read, walked = ats[:-1], (ats & 15).astype(np.uint8)
         if count_errors:
             # each read's digital value, routed as its sensed bits were
             cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
             expected = cells.reshape(rounds, lanes, -1, 4) ^ state.partner_bits[:, None]
             routed = expected.reshape(rounds, -1).take(sources, axis=1)
-            wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ sensed)
+            wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ walked[1:])
             errors += wrong.reshape(rounds, lanes, -1).sum(axis=(0, 2))
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
-            rows = (read & 15).astype(np.uint8)
             f = factors[:, :, 0] if noisy else None
             analog = read_round(state, read, np.arange(rounds), self.scheme, f)
-            # every round's sensed bits through the wiring, 8 state bits a byte
-            routed = analog.bits.reshape(rounds, -1).view(np.uint8).take(self._sources, axis=1)
-            posts = np.packbits(routed, axis=1, bitorder="little")
-            record = BlockTrace(
-                analog, rows, analog.bits @ _NIBBLE_WEIGHTS, posts, self.blocks_encrypted, self.mask
-            )
+            outputs = analog.bits @ _NIBBLE_WEIGHTS
+            record = BlockTrace(analog, walked, outputs, self.blocks_encrypted, self.mask)
             traces += map(RoundTrace, repeat(record), range(rounds))
         reads = lanes * rounds
         xor_kind, ro_kind = SENSE_EVENT[self.scheme.name]
@@ -536,13 +473,11 @@ _HEX_DIGITS = np.array([ord(c) for c in "0123456789abcdef"], dtype=np.uint32)
 def _round_lines(record: BlockTrace, rounds: np.ndarray) -> str:
     """The round records of `rounds` of one block's record, in that order:
     every hex field in one lookup, every line in one fill of a template."""
-    posts = record.posts[rounds, ::-1]  # most significant byte first
     # each field's nibbles, most significant first: inputs, outputs, post state
-    nibbles = np.concatenate([
-        record.rows[rounds, ::-1], record.outputs[rounds, ::-1],
-        np.stack([posts >> 4, posts & 15], axis=-1).reshape(len(rounds), -1),
-    ], axis=1)
-    digits = 2 * posts.shape[1]
+    states, digits = record.states, record.states.shape[1]
+    nibbles = np.concatenate(
+        [states[rounds, ::-1], record.outputs[rounds, ::-1], states[rounds + 1, ::-1]], axis=1
+    )
     values = np.empty((len(rounds), 4), dtype=object)
     values[:, 0] = rounds
     values[:, 1:] = _HEX_DIGITS.take(nibbles).view(f"U{digits}")
@@ -666,7 +601,7 @@ def run_sweep(
     sweep's seed is `seed`, or the base device's seed when it is None.
     """
     blocks = check_int(blocks, "blocks", PipelineError)
-    base = base_params if base_params is not None else DeviceParams()
+    base = _devices(base_params, "base_params")
     # DeviceParams checks the seed, and each sigma as a lane: the base
     # device at that sigma_c2c, with the base's sigma_d2d
     try:

@@ -11,7 +11,7 @@ import pytest
 
 from memgift import pipeline
 from memgift.cli import main
-from memgift.crossbar import DeviceParams
+from memgift.crossbar import CrossbarError, DeviceParams, check_margins
 from memgift.gift import GIFT64, GIFT128, encrypt_block
 from memgift.layout import compile_layout, import_layout
 from memgift.masking import apply_mask, encrypt_masked
@@ -104,6 +104,39 @@ def test_encrypt_bad_device_config_exits_3(capsys, tmp_path):
         "--device-params", str(tmp_path / "missing.cfg"),
     )
     assert code == 3
+
+
+def test_devices_whose_amps_misread_their_logic_are_refused(capsys, tmp_path):
+    # From 1200 Ohm of wire up the (1, 1) XOR pairing reads 1: encrypt
+    # printed a wrong ciphertext and exited 0, kat --pipeline failed every
+    # vector.  Both are refused before any block, naming amp and operands.
+    data = Path(__file__).parent / "data"
+    device = str(data / "cli_misreading_device.cfg")
+    kat = ["kat", "--file", str(data / "gift128.kat")]
+    for scheme in ("dxor", "sxor"):
+        for argv in (["encrypt", "--key", KAT_KEY, "--pt", KAT_PT], [*kat, "--pipeline"]):
+            code, out, err = run(capsys, *argv, "--scheme", scheme, "--device-params", device)
+            assert (code, out) == (3, ""), argv
+            assert err == (
+                f"configuration error: logic violation: {scheme}.xor reads 1 for operands (1, 1), "
+                "not 0\n"
+            )
+    # commands that encrypt no block through the crossbar stay unguarded
+    code, out, _ = run(capsys, *kat, "--device-params", device)
+    assert code == 0 and "3/3 passed" in out
+    assert run(capsys, "energy-report", "--device-params", device)[0] == 0
+    # the guard checks the logic, not the margins: at 1000 Ohm the margins
+    # fail, yet every pairing reads its logic and the ciphertext is GIFT's
+    cfg = tmp_path / "wire.cfg"
+    cfg.write_text("wire_r_per_cell = 1000\n")
+    with pytest.raises(CrossbarError, match="margin violation"):
+        check_margins("dxor", DeviceParams(wire_r_per_cell=1000))
+    key = 0x000102030405060708090A0B0C0D0E0F
+    code, out, _ = run(
+        capsys, "encrypt", "--key", f"{key:032x}", "--pt", "0" * 32, "--device-params", str(cfg)
+    )
+    assert code == 0 and out == f"{encrypt_block(0, key, GIFT128):032x}\n"
+    assert out == "bdaffff4a3e7ae64bbb309e2c6edffd3\n"
 
 
 def test_encrypt_pt_file_and_remask(capsys, tmp_path):

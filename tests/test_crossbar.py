@@ -25,6 +25,7 @@ from memgift.crossbar import (
     ScoutingReadoutAmp,
     ScoutingXorAmp,
     SenseAmpScheme,
+    check_logic,
     check_margins,
     decide,
     decision_points,
@@ -534,6 +535,12 @@ def test_margin_report_equals_scalar_oracle(tmp_path):
                 check_margins(scheme, params)
         else:
             assert check_margins(scheme, params) == min(slacks)
+        # the logic half alone, which the CLI checks before encrypting
+        if scalar_misreads(scheme, params):
+            with pytest.raises(CrossbarError, match="logic violation"):
+                check_logic(scheme, params)
+        else:
+            check_logic(scheme, params)
         cases += 1
     assert cases == 96
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import fields
 
 import pytest
 
-from memgift.crossbar import ConfigError
+from memgift.crossbar import SCHEME_AMPS, SCHEMES, SENSE_EVENT, ConfigError, load_device_config
 from memgift.energy import (
     CMOS_GIFT_REFERENCE,
+    EVENT_COMPONENT,
     AreaReport,
     EnergyParams,
     MissingEventsError,
@@ -184,3 +186,29 @@ def test_energy_params_validation(tmp_path):
             cfg.write_text(line + "\n")
             with pytest.raises(ConfigError, match="finite"):
                 load_energy_config(cfg)
+
+
+def test_the_scheme_table_is_the_one_statement_of_the_schemes(tmp_path):
+    # every scheme's amp sections, in table order, and their sense events
+    sections = [section for amps in SCHEME_AMPS.values() for section, _ in amps]
+    events = [f"{section}_sense" for section in sections]
+    assert list(SCHEMES) == list(SENSE_EVENT) == list(SCHEME_AMPS)
+    assert [kind for kinds in SENSE_EVENT.values() for kind in kinds] == events
+    # account sums the sense amps in this order, which the energy goldens fix
+    assert [kind for kind, comp in EVENT_COMPONENT.items() if comp == "sense_amps"] == events
+    assert [f.name for f in fields(EnergyParams) if f.name.endswith("_sense")] == events
+    cfg = tmp_path / "amps.cfg"
+    for name, amps in SCHEME_AMPS.items():
+        scheme = SCHEMES[name]
+        assert (type(scheme.xor_amp), type(scheme.readout_amp)) == tuple(amp for _, amp in amps)
+        for (section, _), attr in zip(amps, ("xor_amp", "readout_amp")):
+            # a device file's section sets its own scheme's amp and no other
+            cfg.write_text(f"{section}.gain = 5\n")
+            _, schemes = load_device_config(cfg)
+            assert list(schemes) == list(SCHEMES)
+            gains = {(s.name, a): getattr(s, a).gain for s in schemes.values()
+                     for a in ("xor_amp", "readout_amp")}
+            assert gains == {key: 5 if key == (name, attr) else 4 for key in gains}
+    cfg.write_text("ro_x.gain = 5\n")
+    with pytest.raises(ConfigError, match="unknown parameter section 'ro_x'"):
+        load_device_config(cfg)

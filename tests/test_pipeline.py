@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from memgift import pipeline
+from memgift import crossbar, pipeline
 from memgift.crossbar import (
     PARTNER_ABSENT,
     SCHEMES,
@@ -26,6 +28,7 @@ from memgift.crossbar import (
     column_conductances,
     load_device_config,
     partner_conductances,
+    read_table,
     resolve,
     sense_capture,
     variation_factor,
@@ -69,6 +72,23 @@ def test_write_event_count(variant):
     session = EncryptionSession(0, variant, "dxor")
     assert session.write_log.get("cell_write") == expected_write_count(variant)
     assert expected_write_count(GIFT128) == (16 * 4 + 40 * 2) * 32 + 40 * 7
+
+
+def test_cell_fingerprint_is_the_same_in_every_process():
+    # it was Python's hash of the cells' bytes, which each process salts
+    src = str(Path(pipeline.__file__).parent.parent)
+    code = (
+        "from memgift.pipeline import EncryptionSession\n"
+        "print(EncryptionSession(5).cell_fingerprint())"
+    )
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert printed == {"4694539586869018870\n"}
 
 
 def test_reinit_same_seed_same_resistances():
@@ -126,6 +146,19 @@ def test_bad_modes_rejected():
         EncryptionSession(0, GIFT128, "dxor", feedback="ring")
     with pytest.raises(Exception):
         EncryptionSession(0, GIFT128, "qxor")
+
+
+@pytest.mark.parametrize("params", ["x", {"vdd": 0.9}], ids=["str", "dict"])
+def test_device_parameters_must_be_device_params(params):
+    # each raised a bare AttributeError from inside the session or the sweep
+    with pytest.raises(PipelineError, match=r"^params must be a DeviceParams, got "):
+        EncryptionSession(0, params=params)
+    with pytest.raises(PipelineError, match=r"^base_params must be a DeviceParams, got "):
+        run_sweep(GIFT64, "dxor", [0.0], 1, base_params=params)
+    # None still means the default devices
+    assert EncryptionSession(0, params=None).params == DeviceParams()
+    sweep = run_sweep(GIFT64, "dxor", [0.0], 1, base_params=None)
+    assert sweep == run_sweep(GIFT64, "dxor", [0.0], 1)
 
 
 def test_scheme_without_sense_events_rejected_before_programming(monkeypatch):
@@ -487,14 +520,18 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
 def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
     # nominal cells gather the table from the grid; cells with d2d
-    # variation, which all differ, sense it
+    # variation, which all differ, decide it
     def other_build(*args):
         raise AssertionError("the read table was built the other way")
 
-    if sigma_d2d:
-        monkeypatch.setattr(pipeline, "nominal_grid", other_build)
-    else:
-        monkeypatch.setattr(EncryptionSession, "_sensed_read_table", other_build)
+    builds = []
+
+    def counted(*args):
+        builds.append(read_table(*args))
+        return builds[-1]
+
+    monkeypatch.setattr(crossbar, "nominal_grid" if sigma_d2d else "decide", other_build)
+    monkeypatch.setattr(pipeline, "read_table", counted)
     params = DeviceParams(sigma_d2d=sigma_d2d, seed=12)
     key = RNG.getrandbits(128)
     session = EncryptionSession(key, GIFT64, "dxor", params)
@@ -502,12 +539,14 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     session.encrypt(0)
     assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
     table = session._read_table
+    assert len(builds) == 1 and builds[0] is table
     session.encrypt(1)
-    assert session._read_table is table
+    assert session._read_table is table and len(builds) == 1
     apply_mask(session, 3)
     assert session._read_table is None
     encrypt_masked(session, 4, 3)
     assert session._read_table is not None and session._read_table is not table
+    assert len(builds) == 2 and builds[1] is session._read_table
     # so does a one-block sweep trial with every lane ideal
     sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=params)
     assert [p.bit_errors for p in sweep] == [0, 0]
@@ -556,8 +595,8 @@ def test_read_kernel_matches_per_round_oracle(
     rounds = range(variant.rounds)
     kernel, oracle = (EncryptionSession(key, variant, scheme, params, feedback) for _ in range(2))
     if with_table:
-        kernel._read_table = kernel._build_read_table()
-        oracle._read_table = oracle._build_read_table()
+        kernel._read_table = read_table(kernel.state, kernel.scheme)
+        oracle._read_table = read_table(oracle.state, oracle.scheme)
     # a trace records one lane's rows
     traces, want_rows = ([] if record_rows and lanes == 1 else None for _ in range(2))
     cts, errors = kernel._encrypt_lanes(pt, sigmas, count_errors, traces)
@@ -690,7 +729,7 @@ def assert_table_equals_kernel_build(
     params = replace(params, wire_r_per_cell=wire, sigma_d2d=sigma_d2d, seed=key % 1000)
     session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
     apply_mask(session, mask)
-    table = session._build_read_table()
+    table = read_table(session.state, session.scheme)
     assert table.dtype == np.uint8 and not table.flags.writeable
     assert np.array_equal(table, oracle_table_build(session))
 
@@ -862,7 +901,8 @@ def test_round_trace_view_is_plain_data(variant, params):
     record = traces[0].record
     assert all(t.record is record for t in traces)
     assert [t.round_index for t in traces] == list(range(variant.rounds))
-    for a in (record.rows, record.outputs, record.posts):
+    assert record.states.shape == (variant.rounds + 1, variant.nibbles)
+    for a in (record.states, record.outputs):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0, 0] = 1
@@ -905,8 +945,8 @@ def test_analog_export_spells_special_floats_as_json_does():
     bits[1] = True
     ones = np.ones(shape, dtype=np.uint8)
     capture = ReadCapture(bits, r_eq, nodes, ones, ones * xor_mask, xor_mask)
-    nibbles, posts = np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 1), dtype=np.uint8)
-    record = BlockTrace(capture, nibbles, nibbles.copy(), posts, 0, 0)
+    states, outputs = np.zeros((3, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)
+    record = BlockTrace(capture, states, outputs, 0, 0)
     traces = [RoundTrace(record, i) for i in (1, 0, 1)]
     text = written(export_analog_trace, traces)
     assert text == written(slow_analog_trace, traces)
