@@ -12,17 +12,20 @@ slice axis, the partner cells round-major, as a read of some rounds selects
 them.  Every read gets a cell path's conductance from one expression,
 `path_conductance`, 1/(r*f + wire), so reads of the same cells agree bit
 for bit.  One vectorised read serves every mode: `column_conductances`
-gives every column's bit-line conductance.  Each amp states its maths
-once, as `comparators`, and `resolve` senses a resistance with them.  An uncaptured read (the noisy
-kernel, a d2d read table) decides on the conductance directly: the
-conductances at which an amp's bit changes are derived from its
-`comparators` once per amp, vdd and conductance domain
-(`decision_points`), and a read's bit is the parity of those below its
-conductance (`decide`), bit for bit what `resolve` gives.  A captured
-read reports its nodes, so it evaluates them from r_eq = 1/g: one
-function, `sense_capture`, senses every captured column with both amps
-into a `ReadCapture`, of `read_round`'s reads (all of a block's rounds in
-one pass, as columnar arrays) and of the nominal grid's pairings alike.
+gives every column's bit-line conductance.  Each amp states its
+comparators as data, its `branches`, and each divider orientation's tap
+and closed-form threshold conductance are written once, side by side
+(`divider_tap`, `divider_threshold`); `resolve` senses a resistance with
+the taps.  An uncaptured read (the noisy kernel, a d2d read table) decides
+on the conductance directly: the conductances at which an amp's bit
+changes are found once per amp, vdd and conductance domain, in a window of
+floats around each branch's threshold (`decision_points`), and a read's
+bit is the parity of those below its conductance (`decide`), bit for bit
+what `resolve` gives.  A captured read reports its nodes, so it evaluates
+them from r_eq = 1/g: one function, `sense_capture`, senses every captured
+column with both amps into a `ReadCapture`, of `read_round`'s reads (all
+of a block's rounds in one pass, as columnar arrays) and of the nominal
+grid's pairings alike.
 
 A read selects S-box rows as flat rows: slice j's row x is row 16*j + x
 of the stacked cells seen as (S*16, 4), so any selection, of one lane or
@@ -79,7 +82,7 @@ from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from numbers import Real
 from types import MappingProxyType
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -305,19 +308,43 @@ def program_slice(
 # Sense amplifiers
 
 
-def _divider_low(r_eq, m: float, vdd: float):
-    # node rises toward vdd as r_eq shrinks (more LRS in parallel)
-    return vdd * m / (m + r_eq)
+# Every comparator is a resistive divider: a branch of resistance m against
+# the bit line, r_eq = 1/g, whose tap decides against a fixed reference ref.
+# An amp states its comparators as data, `branches`: each one's node name,
+# divider orientation, and the fields holding m and ref.  Each orientation's
+# tap and the conductance where the exact tap crosses ref, side by side:
+#
+#     low:  vdd*m/(m + r_eq), above ref where g > ref/(m*(vdd - ref))
+#     high: vdd*r_eq/(m + r_eq), above ref where g < (vdd - ref)/(m*ref)
+#
+# A low tap rises toward vdd as r_eq shrinks (more LRS in parallel), a high
+# one as r_eq grows.  `gate` combines the comparator outputs into the bit.
 
 
-def _divider_high(r_eq, m: float, vdd: float):
-    # node rises toward vdd as r_eq grows
-    return vdd * r_eq / (m + r_eq)
+def divider_tap(orientation: str, r_eq, m: float, vdd: float):
+    """The tap of a divider of that orientation at bit-line resistances
+    r_eq (a float or an array), as the table above states it."""
+    return vdd * (m if orientation == "low" else r_eq) / (m + r_eq)
 
 
-# Each amp states its maths once: `comparators` gives every branch's
-# (decision node, raw divider voltage, reference) and `gate` combines the
-# comparator outputs into the sensed bit.  Both work on arrays of r_eq.
+def divider_threshold(orientation: str, m: float, ref: float, vdd: float) -> float:
+    """The conductance at which the exact tap crosses ref, as the table
+    above states it, in three roundings.  A denominator that underflows to
+    0 puts the threshold at inf, beyond every conductance a read meets."""
+    num, den = (ref, vdd - ref) if orientation == "low" else (vdd - ref, ref)
+    den = m * den
+    return num / den if den else math.inf
+
+
+def _branches(amp) -> list:
+    """amp's comparators with their values: (node name, orientation, branch
+    resistance, reference) each."""
+    return [(node, side, getattr(amp, m), getattr(amp, ref)) for node, side, m, ref in amp.branches]
+
+
+def _taps(amp, r_eq, vdd: float) -> list:
+    """Every comparator's (node name, divider tap, reference) at r_eq."""
+    return [(node, divider_tap(side, r_eq, m, vdd), ref) for node, side, m, ref in _branches(amp)]
 
 
 @dataclass(frozen=True)
@@ -329,16 +356,11 @@ class ScoutingXorAmp:
     comparators, one-LRS only the slack one, both-HRS neither.
     """
 
+    branches: ClassVar = (("v1", "low", "m1", "vth"), ("v2", "low", "m2", "vth"))
     m1: float = 2.0e3
     m2: float = 250.0e3
     vth: float = 0.45
     gain: float = 4.0
-
-    def comparators(self, r_eq, vdd: float):
-        return (
-            ("v1", _divider_low(r_eq, self.m1, vdd), self.vth),
-            ("v2", _divider_low(r_eq, self.m2, vdd), self.vth),
-        )
 
     @staticmethod
     def gate(c1, c2):
@@ -350,12 +372,10 @@ class ScoutingReadoutAmp:
     """Plain read-out: the scouting VSA shrunk to the single branch m1,
     with the XOR gate replaced by an OR gate (so one comparator decides)."""
 
+    branches: ClassVar = (("v1", "low", "m1", "vth"),)
     m1: float = 550.0e3
     vth: float = 0.45
     gain: float = 4.0
-
-    def comparators(self, r_eq, vdd: float):
-        return (("v1", _divider_low(r_eq, self.m1, vdd), self.vth),)
 
     @staticmethod
     def gate(c1):
@@ -371,17 +391,12 @@ class DualXorAmp:
     reference voltages are the published operating values.
     """
 
+    branches: ClassVar = (("x1", "low", "r_and", "vref_and"), ("x2", "high", "r_nor", "vref_nor"))
     vref_and: float = 0.45
     vref_nor: float = 0.43
     r_and: float = 2.0e3
     r_nor: float = 40.0e3
     gain: float = 4.0
-
-    def comparators(self, r_eq, vdd: float):
-        return (
-            ("x1", _divider_low(r_eq, self.r_and, vdd), self.vref_and),
-            ("x2", _divider_high(r_eq, self.r_nor, vdd), self.vref_nor),
-        )
 
     @staticmethod
     def gate(x1, x2):
@@ -392,12 +407,10 @@ class DualXorAmp:
 class DualReadoutAmp:
     """Single read-out amp of the dual-SA scheme."""
 
+    branches: ClassVar = (("v1", "low", "r_ro", "vref"),)
     vref: float = 0.43
     r_ro: float = 48.0e3
     gain: float = 4.0
-
-    def comparators(self, r_eq, vdd: float):
-        return (("v1", _divider_low(r_eq, self.r_ro, vdd), self.vref),)
 
     @staticmethod
     def gate(c1):
@@ -408,7 +421,7 @@ def resolve(amp, r_eq, vdd: float):
     """Sense bit-line resistances r_eq (an array of any shape) with `amp`:
     every comparator decides on its raw divider voltage.  Returns the bits
     as a bool array."""
-    return amp.gate(*(v > ref for _, v, ref in amp.comparators(r_eq, vdd)))
+    return amp.gate(*(v > ref for _, v, ref in _taps(amp, r_eq, vdd)))
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +430,15 @@ def resolve(amp, r_eq, vdd: float):
 # As a function of a column's conductance g, the bit resolve(amp, 1/g, vdd)
 # is a step function: each comparator's exact divider voltage is monotone in
 # g, and rounding can move its computed decision only within a few floats of
-# the exact step.  So the conductances where the bit changes are found once
-# per amp, from its own comparators, and a read compares g against them.
+# its closed-form threshold.  So the conductances where the bit changes are
+# found once per amp, around its branches' thresholds, and a read compares g
+# against them.
 
 _U = 2.0**-53  # unit roundoff of float64
 # bound on the relative error of a computed divider voltage (see _band_floats)
 _DIVIDER_ERROR = 5 * _U
 # a reference whose band holds more floats than this is rejected by validate
 MAX_BAND_FLOATS = 2**20
-# the float order (bit pattern) of the smallest normal and the largest float
-_ORDER_TINY, _ORDER_MAX = np.array([np.finfo(float).tiny, np.finfo(float).max]).view(np.int64).tolist()
 
 
 def _band_floats(ref: float, vdd: float) -> float:
@@ -434,9 +446,9 @@ def _band_floats(ref: float, vdd: float) -> float:
     that differs from the exact one; inf when ref is too close to vdd.
 
     v takes four roundings from g: 1/g, then one product, one sum and one
-    quotient (`_divider_low`, `_divider_high`).  While the values are normal
-    floats each rounding is a factor within 1 +- u (u = 2^-53), and the error
-    of 1/g reaches v at most once, so |computed v - exact v| <=
+    quotient (`divider_tap`).  While the values are normal floats each
+    rounding is a factor within 1 +- u (u = 2^-53), and the error of 1/g
+    reaches v at most once, so |computed v - exact v| <=
     4u/(1 - u)^2 * v < eps * v with eps = 5u.  The decision can thus differ
     only where the exact v lies in [ref/(1 + eps), ref/(1 - eps)].  With
     x = m*g, v/vdd is x/(1 + x) or 1/(1 + x), both monotone in g, and that
@@ -458,42 +470,24 @@ def decision_points(amp, vdd: float, domain: tuple[float, float]) -> np.ndarray:
     says that the bit at the float after p differs from the bit at p, and a
     leading -inf that the bit at lo is set.  So the bit at any g of the
     domain is the parity of the points below g (`decide`).  Derived once
-    per amp, vdd and domain, from the amp's own comparators; read-only.
+    per amp, vdd and domain, from the amp's own branches; read-only.
 
-    Outside a band of floats around its exact step, each comparator
-    decides as exact arithmetic does: |computed v - exact v| < 5u*v
-    (u = 2^-53), so the band holds about 10*vdd/(vdd - ref) floats
-    (`_band_floats` derives it).  So the float order of g,
-    over the domain widened by the band, is bisected for a change of the
-    computed decision: there is one whenever the step can reach into the
-    domain, and it lies in the band.  Every float of a window around it that
-    holds the whole band is evaluated; between the windows no comparator
-    changes, so the bit changes exactly where it changes between neighbours
-    of the evaluated floats."""
+    Outside a band of floats around the exact step g*, each comparator
+    decides as exact arithmetic does (`_band_floats` bounds the band's
+    floats).  The computed threshold t (`divider_threshold`) takes three
+    roundings, so while the values are normal floats |t/g* - 1| <
+    3u/(1 - 2u) < 4u, and at most 4 floats lie from t to g*.  So a window of
+    ceil(band) + 4 floats either side of t, clipped to the domain, holds
+    every float of the band that lies in the domain, and every float of each
+    window is evaluated.  Between the windows no comparator changes, so the
+    bit changes exactly where it changes between neighbours of the
+    evaluated floats."""
     lo, hi = np.array(domain, dtype=np.float64).view(np.int64).tolist()
     evaluated = [np.array([lo, hi])]
-    for k, (_, _, ref) in enumerate(amp.comparators(np.ones(1), vdd)):
-
-        def decided(order, k=k):
-            _, v, ref = amp.comparators(1.0 / order.view(np.float64), vdd)[k]
-            return v > ref
-
-        reach = math.ceil(_band_floats(ref, vdd)) + 2
-        a, b = max(lo - reach, _ORDER_TINY), min(hi + reach, _ORDER_MAX)
-        start, end = decided(np.array([a, b]))
-        if start == end:
-            continue
-        # keep decided(a) == start != decided(b) while b - a shrinks 1024-fold
-        while b - a > 1:
-            probes = min(b - a - 1, 1023)
-            order = a + (b - a) // (probes + 1) * np.arange(1, probes + 1)
-            changed = np.flatnonzero(decided(order) != start)
-            if changed.size == 0:
-                a = int(order[-1])
-            else:
-                i = changed[0]
-                a, b = (int(order[i - 1]) if i else a), int(order[i])
-        evaluated.append(np.arange(max(a - reach, lo), min(b + reach, hi) + 1))
+    for _, side, m, ref in _branches(amp):
+        t = np.float64(divider_threshold(side, m, ref, vdd)).view(np.int64).item()
+        reach = math.ceil(_band_floats(ref, vdd)) + 4
+        evaluated.append(np.arange(max(t - reach, lo), min(t + reach, hi) + 1))
     # sorted, each float once: a first np.unique(order) would import numpy.ma (~18 ms)
     order = np.sort(np.concatenate(evaluated))
     g = order[np.append(True, order[1:] != order[:-1])].view(np.float64)
@@ -525,9 +519,10 @@ class SenseAmpScheme:
 
     def validate(self, vdd: float) -> None:
         for amp in (self.xor_amp, self.readout_amp):
+            references = {ref for *_, ref in amp.branches}
             for f in fields(amp):
                 value = getattr(amp, f.name)
-                if f.name in ("vth", "vref", "vref_and", "vref_nor"):
+                if f.name in references:
                     if not (isinstance(value, (float, Real)) and 0 < value < vdd):
                         raise CrossbarError(
                             f"{self.name}: reference {f.name}={value!r} outside (0, {vdd})"
@@ -665,10 +660,10 @@ def sense_capture(scheme, vdd: float, r_eq, sb_bits, partner_bits, xor_mask) -> 
     where xor_mask is set, its read-out amp's elsewhere."""
     nodes, bits = {}, []
     for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
-        comparators = amp.comparators(r_eq, vdd)
-        bits.append(amp.gate(*(v > ref for _, v, ref in comparators)))
-        named = nodes[kind] = {f"{name}_divider": v for name, v, _ in comparators}
-        for name, v, ref in comparators:  # the regenerated output
+        taps = _taps(amp, r_eq, vdd)
+        bits.append(amp.gate(*(v > ref for _, v, ref in taps)))
+        named = nodes[kind] = {f"{name}_divider": v for name, v, _ in taps}
+        for name, v, ref in taps:  # the regenerated output
             named[name] = np.clip(ref + amp.gain * (v - ref), 0.0, vdd)
     return ReadCapture(np.where(xor_mask, *bits), r_eq, nodes, sb_bits, partner_bits, xor_mask)
 
@@ -819,7 +814,7 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     records = []
     for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
         nodes = grid.nodes[kind]
-        references = [(node, ref) for node, _, ref in amp.comparators(grid.r_eq, params.vdd)]
+        references = [(node, ref) for node, *_, ref in _branches(amp)]
         for k in np.flatnonzero(grid.xor_mask == (kind == "xor"))[::-1].tolist():
             bits = _operands(grid, k)
             for node, ref in references:

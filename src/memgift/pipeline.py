@@ -24,10 +24,11 @@ fields as Python ints.  The round export formats each run of one record's
 views at once: every hex field in one lookup over the nibble columns,
 every line in one fill of a template.  The analog export writes each
 record as a prefix (read, slice, column), cached per capture shape, and a
-tail.  One function, `_tails`, formats every capture's tails column by
-column: a capture gathered from the nominal grid gathers by pairing the
-tails of its grid, itself a capture, formatted once per grid.  The
-session's `params` views the devices its state holds.
+tail.  One function, `_tails`, formats a capture's tails column by
+column, of the reads an export views: a capture gathered from the nominal
+grid gathers by pairing the tails of its grid, itself a capture, formatted
+once per grid.  The session's `params` views the devices its state
+holds.
 
 The kernel's state is, per lane, the flat S-box row each slice reads:
 `at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
@@ -514,14 +515,16 @@ def _format_tails(capture: ReadCapture, kind: str, at) -> list:
     return "".join(texts.ravel().tolist()).splitlines(keepends=True)
 
 
-def _tails(capture: ReadCapture) -> np.ndarray:
-    """The record tail of every entry of a capture, a read-only object
-    array of its shape: XOR records on its XOR-sensed columns, read-out
-    records elsewhere."""
-    xor = np.broadcast_to(capture.xor_mask, capture.bits.shape)
-    tails = np.empty(xor.shape, dtype=object)
+def _tails(capture: ReadCapture, reads=slice(None)) -> np.ndarray:
+    """The record tail of every entry of a capture's reads `reads`, all of
+    its entries by default, a read-only object array of their shape: XOR
+    records on XOR-sensed columns, read-out records elsewhere.  Only the
+    selected entries are formatted."""
+    at = np.arange(capture.bits.size).reshape(capture.bits.shape)[reads]
+    xor = np.broadcast_to(capture.xor_mask, capture.bits.shape)[reads]
+    tails = np.empty(at.shape, dtype=object)
     for kind, sensed in (("xor", xor), ("readout", ~xor)):
-        tails[sensed] = np.array(_format_tails(capture, kind, np.flatnonzero(sensed)), dtype=object)
+        tails[sensed] = np.array(_format_tails(capture, kind, at[sensed]), dtype=object)
     tails.setflags(write=False)
     return tails
 
@@ -549,7 +552,7 @@ def export_analog_trace(traces, fp) -> None:
     cells' bits, r_eq, node volts and bit), from each block's capture.  A
     line is its read's, slice's and column's prefix and its tail; a
     capture gathered from the nominal grid gathers its tails too, a sensed
-    one formats the tails of all its reads."""
+    one formats the tails of the reads the run views."""
     for record, reads in _blocks(traces):
         analog = record.analog
         lines = np.empty((len(reads),) + analog.xor_mask.shape + (2,), dtype=object)
@@ -557,7 +560,7 @@ def export_analog_trace(traces, fp) -> None:
         if analog.pairing is not None:
             lines[..., 1] = _grid_tails(analog.grid)[analog.pairing[reads]]
         else:
-            lines[..., 1] = _tails(analog)[reads]
+            lines[..., 1] = _tails(analog, reads)
         fp.write("".join(lines.ravel().tolist()))
 
 

@@ -79,6 +79,23 @@ class Sensed(NamedTuple):
     decisions: tuple  # (node name, decided bit) per comparator
 
 
+def oracle_comparators(sa, r_eq: float, vdd: float) -> list:
+    """Each comparator of amp sa at bit-line resistance r_eq, its divider
+    stated here per amp class, in the amp's operation order: (node name,
+    raw divider voltage, reference)."""
+    if isinstance(sa, ScoutingXorAmp):
+        return [("v1", vdd * sa.m1 / (sa.m1 + r_eq), sa.vth),
+                ("v2", vdd * sa.m2 / (sa.m2 + r_eq), sa.vth)]
+    if isinstance(sa, ScoutingReadoutAmp):
+        return [("v1", vdd * sa.m1 / (sa.m1 + r_eq), sa.vth)]
+    if isinstance(sa, DualXorAmp):
+        # the AND branch rises as r_eq falls, the NOR branch as it grows
+        return [("x1", vdd * sa.r_and / (sa.r_and + r_eq), sa.vref_and),
+                ("x2", vdd * r_eq / (sa.r_nor + r_eq), sa.vref_nor)]
+    assert isinstance(sa, DualReadoutAmp)
+    return [("v1", vdd * sa.r_ro / (sa.r_ro + r_eq), sa.vref)]
+
+
 def sense(r_eq: float, sa, vdd: float = 0.9) -> Sensed:
     """Resolve one bit-line resistance with the given amp model, one
     comparator at a time, with plain int bits and float volts: each
@@ -86,7 +103,7 @@ def sense(r_eq: float, sa, vdd: float = 0.9) -> Sensed:
     the regenerated output clamp(vref + gain*(v - vref), 0, vdd)."""
     if r_eq <= 0:
         raise CrossbarError("non-positive equivalent resistance")
-    comparators = sa.comparators(np.float64(r_eq), vdd)
+    comparators = oracle_comparators(sa, np.float64(r_eq), vdd)
     decided = [v > ref for _, v, ref in comparators]
     nodes = {f"{name}_divider": float(v) for name, v, _ in comparators}
     for name, v, ref in comparators:
@@ -893,6 +910,51 @@ def test_reference_with_too_wide_a_decision_band_rejected(tmp_path):
     cfg.write_text(f"ro_s.vth = {vdd * (1 - 1e-7)}\n")
     with pytest.raises(ConfigError, match="decision band"):
         load_device_config(cfg)
+
+
+def branch_thresholds(amp, vdd):
+    """Each branch's reference and closed-form threshold conductance."""
+    return [
+        (getattr(amp, ref), crossbar.divider_threshold(side, getattr(amp, m), getattr(amp, ref), vdd))
+        for _, side, m, ref in amp.branches
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=amps_in_domains())
+def test_decision_points_lie_in_a_band_around_a_closed_form_threshold(case):
+    amp, vdd, domain = case
+    points = decision_points(amp, vdd, domain)
+    thresholds = branch_thresholds(amp, vdd)
+    for p in points[np.isfinite(points)].view(np.int64).tolist():
+        assert any(
+            abs(p - np.float64(t).view(np.int64)) <= crossbar._band_floats(ref, vdd)
+            for ref, t in thresholds
+        ), (p, thresholds)
+
+
+@pytest.mark.parametrize("amp", [
+    ScoutingXorAmp(m1=5e-324, m2=1e308),
+    ScoutingReadoutAmp(m1=5e-324),
+    DualXorAmp(r_and=5e-324, r_nor=1e308),
+    DualXorAmp(r_and=1e308, r_nor=5e-324),
+    DualReadoutAmp(r_ro=1e308),
+], ids=["sxor", "ro_s", "dxor", "dxor-swapped", "ro_d"])
+def test_extreme_branch_resistances_derive_their_points(amp):
+    # thresholds that underflow to 0 or overflow past the largest float lie
+    # outside every domain: no error, no warning, and the bit is resolve's
+    vdd, domain = 0.9, DeviceParams(sigma_c2c=0.12).conductance_range()
+    SenseAmpScheme("any", amp, amp).validate(vdd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        thresholds = branch_thresholds(amp, vdd)
+        points = decision_points(amp, vdd, domain)
+        lo, hi = domain
+        g = np.concatenate([float_steps(lo, np.arange(65)), float_steps(hi, -np.arange(65)),
+                            np.geomspace(lo, hi, 1000)])
+        assert np.array_equal(decide(g, points), resolve(amp, 1.0 / g, vdd))
+    assert all(not lo <= t <= hi for _, t in thresholds)
+    assert len(points) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from itertools import groupby
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -818,13 +818,22 @@ def slow_round_trace(session, traces, fp):
         )
 
 
-def slow_analog_trace(traces, fp):
-    """The oracle of export_analog_trace: one json.dumps per record."""
-    for analog, block in groupby(traces, key=lambda t: t.analog):
-        r_eq, sb, partner = (a.tolist() for a in (analog.r_eq, analog.sb_bits, analog.partner_bits))
-        bits, xor_mask = analog.bits.view(np.uint8).tolist(), analog.xor_mask.tolist()
-        volts = {k: {n: v.tolist() for n, v in nodes.items()} for k, nodes in analog.nodes.items()}
-        for i in (t.round_index for t in block):
+def slow_analog_trace(traces, fp, cache=None):
+    """The oracle of export_analog_trace: one json.dumps per record.  cache
+    holds each capture's arrays, listed once, and each of its rounds'
+    records, formatted once.  It is keyed by the capture itself, which it
+    keeps alive, so share one dict only among the exports of one example."""
+    cache = {} if cache is None else cache
+    for t in traces:
+        analog, i = t.analog, t.round_index
+        if analog not in cache:
+            arrays = (analog.r_eq, analog.sb_bits, analog.partner_bits, analog.bits.view(np.uint8),
+                      analog.xor_mask)
+            volts = {k: {n: v.tolist() for n, v in nodes.items()} for k, nodes in analog.nodes.items()}
+            cache[analog] = [a.tolist() for a in arrays] + [volts], {}
+        (r_eq, sb, partner, bits, xor_mask, volts), rounds = cache[analog]
+        if i not in rounds:
+            records = []
             for j, col in np.ndindex(analog.xor_mask.shape):
                 kind = "xor" if xor_mask[j][col] else "readout"
                 stored = [sb[i][j][col]] + ([partner[i][j][col]] if kind == "xor" else [])
@@ -832,7 +841,9 @@ def slow_analog_trace(traces, fp):
                 record = {"slice": j, "round": i, "column": col, "kind": kind,
                           "stored_bits": stored, "r_eq": r_eq[i][j][col], "nodes": nodes,
                           "bit": bits[i][j][col]}
-                fp.write(json.dumps(record) + "\n")
+                records.append(json.dumps(record) + "\n")
+            rounds[i] = "".join(records)
+        fp.write(rounds[i])
 
 
 def written(export, *args) -> str:
@@ -878,11 +889,12 @@ def test_trace_exports_match_per_record_oracle(
     # the first block and one more, interleaved round by round
     other = session.encrypt(data.draw(pt), trace=True)[1]
     interleaved = [t for pair in zip(traces[: variant.rounds], other) for t in pair]
+    slow_analog = partial(slow_analog_trace, cache={})  # this example's captures
     for subset in (traces, block[::-1], block[first:last], traces[::-1], interleaved, []):
         assert_same_lines(
             written(export_round_trace, session, subset), written(slow_round_trace, session, subset)
         )
-        assert_same_lines(written(export_analog_trace, subset), written(slow_analog_trace, subset))
+        assert_same_lines(written(export_analog_trace, subset), written(slow_analog, subset))
     # no traces: the header alone, and no analog records
     assert len(written(export_round_trace, session, []).splitlines()) == 1
     assert written(export_analog_trace, []) == ""
@@ -953,6 +965,26 @@ def test_analog_export_spells_special_floats_as_json_does():
     for spelling in ("Infinity", "-Infinity", "NaN", '"r_eq": -0.0', "5e-05", "1e+16", "-0.0,"):
         assert spelling in text
     assert '"odd \\"%s\\" name": ' in text
+
+
+def test_analog_export_formats_only_the_rounds_it_writes(monkeypatch):
+    # a capture sensed under c2c noise, exported one round at a time: each
+    # export formats that round's S*4 record tails, not the capture's
+    session = EncryptionSession(0x2468ACE, GIFT128, "dxor", DeviceParams(sigma_c2c=0.05, seed=4))
+    traces = session.encrypt(0x13579BDF, trace=True)[1]
+    assert traces[0].analog.pairing is None
+    formatted, format_tails = [], pipeline._format_tails
+
+    def counted(capture, kind, at):
+        formatted.append(len(at))
+        return format_tails(capture, kind, at)
+
+    monkeypatch.setattr(pipeline, "_format_tails", counted)
+    for one_round in (traces[7:8], traces[39:]):
+        formatted.clear()
+        text = written(export_analog_trace, one_round)
+        assert sum(formatted) == 32 * 4 == len(text.splitlines())
+        assert text == written(slow_analog_trace, one_round)
 
 
 def test_analog_export_keeps_records_apart_that_share_a_tail():
