@@ -49,13 +49,13 @@ band (the margins) and every bit its pairing's logic value, s ^ p
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its S-box row while the cells stay as programmed, so
 `read_table` gives every ideal read of a state as one table.  On nominal
-cells it is gathered from the grid's bits by each column's partner code
-(`ProgrammedState.partner_codes`), four cells of a row as one word.  With
-d2d variation every cell differs, so every entry is decided as the noisy
-read decides, its branches' `path_conductance` summed and compared against
-its column's decision points (`column_points`), one column kind at a
-time: a read-out column, which has no partner, reads the same in every
-round.
+cells it is built from two bit planes per round and column, gathered from
+the grid's bits by each column's partner code (`nominal_planes`), four
+cells of a row as one word.  With d2d variation every cell differs, so
+every entry is decided as the noisy read decides, its branches'
+`path_conductance` summed and compared against its column's decision
+points (`column_points`), one column kind at a time: a read-out column,
+which has no partner, reads the same in every round.
 
 Electrical model
 ----------------
@@ -752,6 +752,17 @@ def column_points(state: ProgrammedState, scheme, sigma_c2c: float) -> np.ndarra
     return np.where(state.xor_mask, xor[:, None, None], readout[:, None, None])
 
 
+def nominal_planes(state: ProgrammedState, scheme) -> np.ndarray:
+    """Every ideal read of nominal `state` under `scheme` as two bit planes
+    of (rounds, S, 4) bools, stacked: lo, what each column reads in each
+    round on an S-box cell holding 0, and flip, whether a cell holding 1
+    reads otherwise.  A column whose S-box cell holds s reads lo ^ (s & flip)."""
+    reads = nominal_grid(state.params, scheme_for(scheme)).bits.reshape(2, -1)
+    planes = reads.take(state.partner_codes, axis=1)
+    planes[1] ^= planes[0]
+    return planes
+
+
 def read_table(state: ProgrammedState, scheme) -> np.ndarray:
     """Every ideal read of `state` under `scheme` (built as the module
     docstring says), read-only 0/1 bytes, slice-major, shape (rounds, S, 16,
@@ -760,13 +771,11 @@ def read_table(state: ProgrammedState, scheme) -> np.ndarray:
     `table[rnd].reshape(S * 16, 4)`."""
     scheme = scheme_for(scheme)
     if state.nominal:
-        reads = nominal_grid(state.params, scheme).bits.reshape(2, -1)
-        # each column's read per round for S-box bit 0 and for bit 1, (rounds, S, 4)
-        lo, hi = reads.take(state.partner_codes, axis=1)
         # A row's 4 cells as one 4-byte word, so that the broadcast over the
         # 16 rows runs on words; the bitwise ops act on each byte alike.
         lo, flip, cells = (
-            np.ascontiguousarray(a).view(np.uint32)[..., 0] for a in (lo, lo ^ hi, state.sb_bits)
+            np.ascontiguousarray(a).view(np.uint32)[..., 0]
+            for a in (*nominal_planes(state, scheme), state.sb_bits)
         )
         table = lo[..., None] ^ (cells & flip[..., None])  # (rounds, S, 16)
         table = table.view(np.uint8).reshape(state.rounds, -1, 16, 4)

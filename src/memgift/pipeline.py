@@ -30,22 +30,23 @@ grid gathers by pairing the tails of its grid, itself a capture, formatted
 once per grid.  The session's `params` views the devices its state
 holds.
 
-The kernel's state is, per lane, the flat S-box row each slice reads:
-`at = 16*j + x` for slice j holding nibble x, one int vector over lanes x
-slices (B*S).  A round takes those rows (from the read table when ideal,
-from the cells when noisy: each column's conductance,
+A noisy or d2d block walks rows: per lane, the flat S-box row each slice
+reads, `at = 16*j + x` for slice j holding nibble x, over lanes x slices
+(B*S).  A round takes those rows (from the read table on d2d cells read
+ideally, else from the cells: each column's conductance,
 `crossbar.column_conductances`, decided on its `crossbar.column_points`),
 takes the sensed bits the wiring routes to each next-state bit, packs
-every 4 of them into a nibble and adds 16*j back.  A noisy block computes
-what does not depend on the selected rows once: its factors, in one
-`draw_read_factors` call, with the decision points that cover the
-conductances they reach (cached per sigma), its partner branches for
-every round and lane in one operation, and its bit errors in one
-comparison over the walk after the last round.
+every 4 into a nibble and adds 16*j back.  A noisy block draws its factors
+in one `draw_read_factors` call and computes its partner branches for
+every round and lane at once, its decision points cached per sigma.
 
-Every ideal read, traced or plain, walks `crossbar.read_table`, every
-ideal read of the state.  The session caches that table: it is built at
-the first ideal read of each programming, and an S-box rewrite drops it.
+A nominal ideal block walks words: a column reads lo ^ (s & flip) for its
+S-box bit s (`crossbar.nominal_planes`), and the wiring P permutes bits,
+so a round takes the state x to P(S(x)) & P(flip) ^ P(lo): one
+`bytes.translate` through the cells' S-box, a sum of P's byte-table
+entries.  A traced or error-counting block unpacks its words into the rows
+they select, and every walk then ends alike: its bit errors in one
+comparison over its rows, its capture in one `read_round`.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,6 +69,7 @@ from .crossbar import (
     column_points,
     decide,
     draw_read_factors,
+    nominal_planes,
     partner_conductances,
     program_slice,
     read_round,
@@ -201,6 +203,21 @@ def _wiring(variant: CipherVariant, feedback: str) -> tuple[np.ndarray, np.ndarr
     return np.argsort(targets), 16 * np.arange(variant.nibbles)
 
 
+@lru_cache(maxsize=None)
+def _byte_routes(variant: CipherVariant, feedback: str) -> tuple:
+    """The wiring as byte tables: entry [i][v] is the word that byte i of a
+    sensed word holding v routes to, so a word routes to the sum of its
+    bytes' entries.  Each bit of the byte, low first, doubles its table."""
+    targets = np.argsort(_wiring(variant, feedback)[0]).tolist()
+    routes = []
+    for i in range(0, variant.block_bits, 8):
+        table = [0]
+        for target in targets[i : i + 8]:
+            table += [t | 1 << target for t in table]
+        routes.append(tuple(table))
+    return tuple(routes)
+
+
 def _slice_streams(seed: int, slices: int) -> list:
     """One noise stream per slice, spawned from seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(slices)]
@@ -279,80 +296,114 @@ class EncryptionSession:
         self.write_log.add("cell_write", written.sb_bits.size)
         self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)
         self.mask = 0
-        # the table describes the cells it was read from
+        # what ideal reads walk describes the cells it was built from
         self._read_table = None
 
     # -- reads --------------------------------------------------------------
 
+    def _ideal_reads(self):
+        """What ideal reads of this programming walk, built at the first: the
+        read table with d2d variation; on nominal cells, the S-box translate
+        table, the `_byte_routes` and each round's routed `nominal_planes`."""
+        state = self.state
+        if self._read_table is None and not state.nominal:
+            self._read_table = read_table(state, self.scheme)
+        elif self._read_table is None:
+            if (state.sb_bits != state.sb_bits[:1]).any():
+                raise PipelineError("a nominal ideal read needs the same S-box in every slice")
+            s, rounds = state.sb_bits[0] @ _NIBBLE_WEIGHTS, state.rounds
+            # every round's lo, then every round's flip, routed as one word each
+            planes = nominal_planes(state, self.scheme).reshape(2 * rounds, -1)
+            raw = np.packbits(planes.take(self._sources, axis=1), bitorder="little").tobytes()
+            k = self.variant.block_bits // 8
+            words = [int.from_bytes(raw[i : i + k], "little") for i in range(0, len(raw), k)]
+            self._read_table = (
+                (s | s[:, None] << 4).tobytes(),  # entry 16*hi + lo is S(lo) | S(hi) << 4
+                _byte_routes(self.variant, self.feedback),
+                tuple(zip(words[rounds:], words[:rounds])),
+            )
+        return self._read_table
+
     def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
         """The session's one block read: encrypt plaintext pt once per
-        cycle-to-cycle sigma, each sigma a lane, all lanes through every
-        round together; each lane counts as one read per round.  Returns
-        the lanes' ciphertexts and, per lane, the number of sensed bits
-        that disagree with the ideal digital value (zeros unless
+        cycle-to-cycle sigma, each sigma a lane that counts as one read per
+        round.  Returns the lanes' ciphertexts and, per lane, the number of
+        sensed bits that disagree with the ideal digital value (zeros unless
         count_errors).  With a `traces` list (one lane), the block's rounds
         are kept as one BlockTrace and a RoundTrace view of each round is
         appended.
 
-        When every sigma is zero the reads walk the read table, built here
-        at the first ideal read of each programming.  Otherwise they sense
-        the cells under factors drawn in one `draw_read_factors` call, shape
-        (rounds, 2, B, S, 4): entry [rnd, 0] scales the S-box cells of round
-        rnd's reads and [rnd, 1] their partner cells.  All lanes scale the
-        same normals (common random numbers).
+        When every sigma is zero the lanes read alike and one is walked,
+        as the module docstring says.  Otherwise all lanes sense the cells
+        under factors drawn in one `draw_read_factors` call, shape (rounds,
+        2, B, S, 4): [rnd, 0] scales round rnd's S-box cells and [rnd, 1]
+        its partner cells, in every lane alike (common random numbers).
         """
         n, rounds, lanes = self.variant.block_bits, self.variant.rounds, len(sigmas)
         pt = check_int(pt, "plaintext", PipelineError, n)
         state, base, sources = self.state, self._row_base, self._sources
-        # every lane's slices' flat S-box rows, 16*j + nibble, over B*S
-        at = np.add(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, base)
-        if lanes > 1:
-            at, base = np.tile(at, lanes), np.tile(base, lanes)
-            sources = (sources + n * np.arange(lanes)[:, None]).ravel()
+        noisy = any(s > 0 for s in sigmas)
+        walked = lanes if noisy else 1
+        if walked > 1:
+            base = np.tile(base, walked)
+            sources = (sources + n * np.arange(walked)[:, None]).ravel()
         # the wiring's sources of each next-state nibble's 4 bits
         sources = sources.reshape(-1, 4)
-        noisy = any(s > 0 for s in sigmas)
-        if noisy:
-            factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
-            points = self._column_points.get(sigma := max(sigmas))
-            if points is None:
-                points = self._column_points[sigma] = column_points(state, self.scheme, sigma)
-            # computed once: the partner branch of every round's reads
-            partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
-        else:
-            if self._read_table is None:
-                self._read_table = read_table(state, self.scheme)
-            table = self._read_table.reshape(rounds, -1, 4)
-        history = [at] if count_errors or traces is not None else None
-        for rnd in range(rounds):
+        keep = count_errors or traces is not None
+        if noisy or not state.nominal:
+            # every walked lane's slices' flat S-box rows, 16*j + nibble, over B*S
+            at = np.tile(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, walked) + base
             if noisy:
-                at_lanes = at.reshape(lanes, -1)
-                g = column_conductances(state, at_lanes, partner_g[rnd], factors[rnd, 0])
-                # a bool array is its 0/1 bytes, so the view skips a cast
-                out = decide(g, points).view(np.uint8)
+                factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
+                points = self._column_points.get(sigma := max(sigmas))
+                if points is None:
+                    points = self._column_points[sigma] = column_points(state, self.scheme, sigma)
+                # computed once: the partner branch of every round's reads
+                partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
             else:
-                out = table[rnd].take(at, axis=0)
-            bits = out.take(sources)
-            at = np.add(bits @ _NIBBLE_WEIGHTS, base)
-            if history is not None:
-                history.append(at)
-        errors = np.zeros(lanes, dtype=np.int64)
-        if history is not None:
-            ats = np.stack(history)
-            read, walked = ats[:-1], (ats & 15).astype(np.uint8)
+                table = self._ideal_reads().reshape(rounds, -1, 4)
+            history = [at]
+            for rnd in range(rounds):
+                if noisy:
+                    at_lanes = at.reshape(walked, -1)
+                    g = column_conductances(state, at_lanes, partner_g[rnd], factors[rnd, 0])
+                    # a bool array is its 0/1 bytes, so the view skips a cast
+                    out = decide(g, points).view(np.uint8)
+                else:
+                    out = table[rnd].take(at, axis=0)
+                bits = out.take(sources)
+                at = np.add(bits @ _NIBBLE_WEIGHTS, base)
+                if keep:
+                    history.append(at)
+            cts = [bits_to_state(b) for b in bits.reshape(walked, -1)]
+            ats = np.stack(history) if keep else None
+        else:
+            sbox, routes, planes = self._ideal_reads()
+            words, width = [pt], n // 8
+            for flip, lo in planes:  # the wiring commutes with the planes' & and ^
+                out = words[-1].to_bytes(width, "little").translate(sbox)  # S(x), bytewise
+                words.append(sum(map(getitem, routes, out)) & flip ^ lo)
+            cts, ats = words[-1:], None
+            if keep:
+                # the words' nibbles, low first, as the rows they select
+                raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), np.uint8)
+                ats = np.stack([raw & 15, raw >> 4], axis=-1).reshape(rounds + 1, -1) + base
+        errors = np.zeros(walked, dtype=np.int64)
+        if keep:
+            read, nibbles = ats[:-1], (ats & 15).astype(np.uint8)
         if count_errors:
             # each read's digital value, routed as its sensed bits were
             cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
-            expected = cells.reshape(rounds, lanes, -1, 4) ^ state.partner_bits[:, None]
+            expected = cells.reshape(rounds, walked, -1, 4) ^ state.partner_bits[:, None]
             routed = expected.reshape(rounds, -1).take(sources, axis=1)
-            wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ walked[1:])
-            errors += wrong.reshape(rounds, lanes, -1).sum(axis=(0, 2))
+            wrong = _POPCOUNT.take((routed @ _NIBBLE_WEIGHTS) ^ nibbles[1:])
+            errors += wrong.reshape(rounds, walked, -1).sum(axis=(0, 2))
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
             f = factors[:, :, 0] if noisy else None
             analog = read_round(state, read, np.arange(rounds), self.scheme, f)
             outputs = analog.bits @ _NIBBLE_WEIGHTS
-            record = BlockTrace(analog, walked, outputs, self.blocks_encrypted, self.mask)
+            record = BlockTrace(analog, nibbles, outputs, self.blocks_encrypted, self.mask)
             traces += map(RoundTrace, repeat(record), range(rounds))
         reads = lanes * rounds
         xor_kind, ro_kind = SENSE_EVENT[self.scheme.name]
@@ -365,7 +416,7 @@ class EncryptionSession:
         })
         self.reads_executed += reads
         self.blocks_encrypted += lanes
-        return [bits_to_state(b) for b in bits.reshape(lanes, -1)], errors
+        return cts * (lanes // walked), errors.repeat(lanes // walked)
 
     def encrypt(self, pt: int, trace: bool = False):
         """Run all rounds from the plaintext; returns (ciphertext, traces),

@@ -33,7 +33,8 @@ from memgift.crossbar import (
     sense_capture,
     variation_factor,
 )
-from memgift.gift import GIFT64, GIFT128, encrypt_block
+from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block
+from memgift.layout import sbox_bit_matrix
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
     BlockTrace,
@@ -309,8 +310,8 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     monkeypatch.setattr(pipeline, "column_conductances", recorded(kernel_g, conductances))
     monkeypatch.setattr(pipeline, "read_round", recorded(captures, capture))
     ct, traces = session.encrypt(RNG.getrandbits(128), trace=True)
-    # an ideal block walks the read table, a noisy one runs the kernel
-    # round by round; then one capture of all 40 rounds
+    # an ideal block walks words, a noisy one runs the kernel round by
+    # round; then one capture of all 40 rounds
     noisy = params.sigma_c2c > 0
     assert len(captures) == 1 and len(kernel_bits) == len(kernel_g) == (40 if noisy else 0)
     analog = captures[0]
@@ -321,9 +322,10 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
         assert np.array_equal(1.0 / np.concatenate(kernel_g), analog.r_eq)
         assert analog.pairing is None and analog.grid is None
     else:
-        # the table's bits, which are the kernel's, of the rows the walk read
+        # the read table's bits, which the word walk reads as planes, of the rows it read
         rows = np.array([t.input_nibbles for t in traces])
-        table = session._read_table[np.arange(40)[:, None], np.arange(32), rows]
+        table = read_table(session.state, session.scheme)
+        table = table[np.arange(40)[:, None], np.arange(32), rows]
         assert np.array_equal(analog.bits, table)
         # gathered from the nominal grid: each column's pairing names its cells
         assert analog.pairing.shape == (40, 32, 4)
@@ -406,8 +408,9 @@ def test_gift64_event_counts():
 
 
 # ---------------------------------------------------------------------------
-# Read table: every ideal read walks it, from the first ideal read of each
-# programming, on nominal devices and with d2d variation alike
+# Ideal reads: a nominal block walks words through the grid's planes, a d2d
+# one walks the read table, each built at the first ideal read of each
+# programming; the read table is the oracle of both
 
 
 def oracle_factors(session, reads, sigmas):
@@ -421,16 +424,18 @@ def oracle_factors(session, reads, sigmas):
     return np.stack([variation_factor(sigma, z) for z in normals], axis=1)
 
 
-def oracle_read_rounds(session, bits, rounds, factors=None, count_errors=False, rows_read=None):
+def oracle_read_rounds(
+    session, bits, rounds, factors=None, count_errors=False, rows_read=None, table=None
+):
     """The per-round read the flat-row kernel replaced: rows fancy-indexed
     by (slice, row) every round, column resistances summed per round, and
     the bit errors counted inside the loop.  factors as oracle_factors.
-    Without factors it walks the session's read table if it holds one, and
-    else senses the cells' ideal conductances, as the kernel's ideal
-    branch did."""
+    Without factors it walks `table`, a `read_table` of the session's
+    state, if given, and else senses the cells' ideal conductances, as the
+    kernel's ideal branch did."""
     state, vdd = session.state, session.params.vdd
     lanes, idx = bits.shape[0], np.arange(len(state.sb_bits))
-    table = session._read_table if factors is None else None
+    table = table if factors is None else None
     errors = np.zeros(lanes, dtype=np.int64)
     for i, rnd in enumerate(rounds):
         rows = bits.reshape(lanes, len(idx), 4) @ np.array([1, 2, 4, 8])
@@ -519,34 +524,45 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
 def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
-    # nominal cells gather the table from the grid; cells with d2d
-    # variation, which all differ, decide it
+    # nominal cells gather the word walk's planes from the grid and build no
+    # read table; cells with d2d variation, which all differ, decide the table
     def other_build(*args):
-        raise AssertionError("the read table was built the other way")
+        raise AssertionError("the ideal reads were built the other way")
 
-    builds = []
+    builder, other = "nominal_planes", "read_table"
+    if sigma_d2d:
+        builder, other = other, builder
+    build, builds = getattr(pipeline, builder), []
 
     def counted(*args):
-        builds.append(read_table(*args))
+        builds.append(build(*args))
         return builds[-1]
 
     monkeypatch.setattr(crossbar, "nominal_grid" if sigma_d2d else "decide", other_build)
-    monkeypatch.setattr(pipeline, "read_table", counted)
+    monkeypatch.setattr(pipeline, other, other_build)
+    monkeypatch.setattr(pipeline, builder, counted)
     params = DeviceParams(sigma_d2d=sigma_d2d, seed=12)
     key = RNG.getrandbits(128)
     session = EncryptionSession(key, GIFT64, "dxor", params)
     assert session._read_table is None
     session.encrypt(0)
-    assert session._read_table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4)
     table = session._read_table
-    assert len(builds) == 1 and builds[0] is table
+    if sigma_d2d:
+        assert table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4) and builds[0] is table
+    else:
+        # the cells' S-box, the wiring's byte routes, a routed (flip, lo) per round
+        sbox, routes, planes = table
+        assert len(sbox) == 256 and len(routes) == 8 and len(planes) == GIFT64.rounds
+    assert len(builds) == 1
     session.encrypt(1)
     assert session._read_table is table and len(builds) == 1
     apply_mask(session, 3)
     assert session._read_table is None
     encrypt_masked(session, 4, 3)
     assert session._read_table is not None and session._read_table is not table
-    assert len(builds) == 2 and builds[1] is session._read_table
+    assert len(builds) == 2
+    if sigma_d2d:
+        assert builds[1] is session._read_table
     # so does a one-block sweep trial with every lane ideal
     sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=params)
     assert [p.bit_errors for p in sweep] == [0, 0]
@@ -555,9 +571,10 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     noisy = EncryptionSession(key, GIFT64, "dxor", replace(params, sigma_c2c=0.05))
     traced.encrypt(0, trace=True)
     assert traced._read_table is not None
+    built = len(builds)
     for pt in range(5):
         noisy.encrypt(pt)
-    assert noisy._read_table is None
+    assert noisy._read_table is None and len(builds) == built
     apply_mask(traced, 5)
     assert traced._read_table is None
     encrypt_masked(traced, 5, 5, trace=True)
@@ -594,14 +611,17 @@ def test_read_kernel_matches_per_round_oracle(
     bits = np.tile(pipeline.state_to_bits(pt, variant.block_bits), (lanes, 1))
     rounds = range(variant.rounds)
     kernel, oracle = (EncryptionSession(key, variant, scheme, params, feedback) for _ in range(2))
+    # the cache the kernel reads (the word walk on nominal cells, the read
+    # table with d2d variation) preset, or built at its first ideal read
     if with_table:
-        kernel._read_table = read_table(kernel.state, kernel.scheme)
-        oracle._read_table = read_table(oracle.state, oracle.scheme)
+        kernel._ideal_reads()
+    table = read_table(oracle.state, oracle.scheme) if with_table else None
     # a trace records one lane's rows
     traces, want_rows = ([] if record_rows and lanes == 1 else None for _ in range(2))
     cts, errors = kernel._encrypt_lanes(pt, sigmas, count_errors, traces)
     want = oracle_read_rounds(
-        oracle, bits, rounds, oracle_factors(oracle, len(rounds), sigmas), count_errors, want_rows
+        oracle, bits, rounds, oracle_factors(oracle, len(rounds), sigmas), count_errors, want_rows,
+        table,
     )
     assert cts == [pipeline.bits_to_state(b) for b in want[0]]
     assert errors.tolist() == want[1].tolist()
@@ -781,6 +801,88 @@ def test_read_table_keeps_counters_and_logs(scheme):
     assert walk.session_log() == cells.write_log.merged_with(block_log)
     assert walk.reads_executed == 5 * 40
     assert walk.blocks_encrypted == 5
+
+
+def table_walk(session, pt):
+    """A block read from pt through `read_table` of the session's cells,
+    round by round: its ciphertext, its bit errors, the nibbles it walked,
+    (rounds + 1, S), and the bits each round read, (rounds, S, 4)."""
+    variant, table = session.variant, read_table(session.state, session.scheme)
+    bits, rows = pipeline.state_to_bits(pt, variant.block_bits)[None], []
+    out, errors = oracle_read_rounds(
+        session, bits, range(variant.rounds), count_errors=True, rows_read=rows, table=table
+    )
+    ct = pipeline.bits_to_state(out[0])
+    last = pipeline.state_to_bits(ct, variant.block_bits).reshape(-1, 4) @ np.array([1, 2, 4, 8])
+    states = np.array([r[0] for r in rows] + [last])
+    read = table[np.arange(variant.rounds)[:, None], np.arange(variant.nibbles), states[:-1]]
+    return ct, int(errors[0]), states, read
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    wire=st.sampled_from([0.0, 150.0, 1200.0, 5000.0, 20e3]),
+    miscalibrated=st.booleans(),
+    sbox=st.permutations(range(16)).map(SBoxTable),
+    key=st.integers(0, (1 << 128) - 1),
+    pt=st.integers(0, (1 << 128) - 1),
+)
+def test_word_walk_equals_a_read_table_walk(
+    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, sbox, key, pt
+):
+    # from 1200 Ohm of wire, and with miscalibrated amps, some nominal reads
+    # are not the logic value: the walk must misread them as the table does
+    params, schemes = DeviceParams(), SCHEMES
+    if miscalibrated:
+        path = tmp_path_factory.mktemp("params") / "amps.cfg"
+        path.write_text(MISCALIBRATED)
+        params, schemes = load_device_config(path)
+    params = replace(params, wire_r_per_cell=wire)
+    session = EncryptionSession(key, variant, schemes[scheme], params, feedback, sbox)
+    pt &= (1 << variant.block_bits) - 1
+    for mask in (None, *range(16)):  # as programmed, then remasked with every mask
+        if mask is not None:
+            apply_mask(session, mask)
+        ct, errors, states, read = table_walk(session, pt)
+        event(f"bit errors: {'some' if errors else 'none'}")
+        assert session.encrypt(pt)[0] == ct
+        assert session.encrypt_with_error_count(pt) == (ct, errors)
+        traced, traces = session.encrypt(pt, trace=True)
+        assert traced == ct
+        assert np.array_equal(traces[0].record.states, states)
+        assert np.array_equal(traces[0].analog.bits, read.astype(bool))
+
+
+@pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
+def test_ideal_lanes_read_alike_and_count_every_lane(variant, sigma_d2d):
+    params = DeviceParams(sigma_d2d=sigma_d2d, seed=9)
+    points = run_sweep(variant, "dxor", [0.0, 0.0, 0.0], blocks=3, base_params=params)
+    assert points[0] == points[1] == points[2]
+    assert (points[0].bit_errors, points[0].block_errors) == (0, 0)
+    assert points[0].sensed_bits == 3 * variant.rounds * 4 * variant.nibbles
+    key, pt = RNG.getrandbits(128), RNG.getrandbits(variant.block_bits)
+    session = EncryptionSession(key, variant, "dxor", params)
+    cts, errors = session._encrypt_lanes(pt, [0.0, 0.0, 0.0], count_errors=True)
+    assert cts == [encrypt_block(pt, key, variant)] * 3 and errors.tolist() == [0, 0, 0]
+    reads = 3 * variant.rounds
+    assert session.reads_executed == reads and session.blocks_encrypted == 3
+    assert session.current_log.rounds == reads
+    assert session.current_log.get("decoder_cycle") == variant.nibbles * reads
+
+
+def test_word_walk_refuses_slices_holding_different_sboxes():
+    # the walk reads one S-box for every slice, as every programming writes
+    # it; a state whose slices differ must not be read as slice 0's S-box
+    session = EncryptionSession(RNG.getrandbits(128), GIFT64, "dxor")
+    sb_bits = session.state.sb_bits.copy()
+    sb_bits[3] = sbox_bit_matrix(GIFT_SBOX.inverse())
+    session.state = replace(session.state, sb_bits=sb_bits)
+    with pytest.raises(PipelineError, match="same S-box in every slice"):
+        session.encrypt(0)
+    assert session._read_table is None
 
 
 # ---------------------------------------------------------------------------
