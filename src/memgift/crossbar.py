@@ -8,8 +8,8 @@ amplifier into a digital bit.
 
 `program_slice` writes every slice of a layout in one pass, into the
 `ProgrammedState` a session holds once: the S-box cells stacked along the
-slice axis, the partner cells round-major, as a read of some rounds selects
-them.  Every read gets a cell path's conductance from one expression,
+slice axis (a nominal region shared by every state), the partner cells
+round-major, as a read of some rounds selects them.  Every read gets a cell path's conductance from one expression,
 `path_conductance`, 1/(r*f + wire), so reads of the same cells agree bit
 for bit.  One vectorised read serves every mode: `column_conductances`
 gives every column's bit-line conductance.  Each amp states its
@@ -49,9 +49,9 @@ band (the margins) and every bit its pairing's logic value, s ^ p
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its S-box row while the cells stay as programmed, so
 `read_table` gives every ideal read of a state as one table.  On nominal
-cells it is built from two bit planes per round and column, gathered from
-the grid's bits by each column's partner code (`nominal_planes`), four
-cells of a row as one word.  With d2d variation every cell differs, so
+cells it is built from two bit planes per round and column, four terms of
+each column's partner bit (`plane_terms`, `nominal_planes`), four cells
+of a row as one word.  With d2d variation every cell differs, so
 every entry is decided as the noisy read decides, its branches'
 `path_conductance` summed and compared against its column's decision
 points (`column_points`), one column kind at a time: a read-out column,
@@ -79,7 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Real
 from types import MappingProxyType
 from typing import ClassVar, Optional, Sequence
@@ -226,12 +226,14 @@ class ProgrammedState:
     def rounds(self) -> int:
         return self.partner_bits.shape[0]
 
-    @property
+    @cached_property
     def partner_codes(self) -> np.ndarray:
-        """Every column's partner code per round, (rounds, S, 4) ints, as
-        the nominal grid pairs cells: its partner's bit on a key column,
-        PARTNER_ABSENT on a read-out column, whose partner bits are 0."""
-        return self.partner_bits | PARTNER_ABSENT * ~self.xor_mask
+        """Every column's partner code per round, read-only (rounds, S, 4)
+        ints, as the nominal grid pairs cells: its partner's bit on a key
+        column, PARTNER_ABSENT on a read-out column (partner bits 0)."""
+        codes = self.partner_bits | PARTNER_ABSENT * ~self.xor_mask
+        codes.setflags(write=False)
+        return codes
 
     @property
     def cell_count(self) -> int:
@@ -255,6 +257,17 @@ def _key_cells(columns: tuple) -> np.ndarray:
     cells = np.array([4 * j + b for j, cols in enumerate(columns) for b in cols], dtype=np.intp)
     cells.setflags(write=False)
     return cells
+
+
+@lru_cache(maxsize=64)
+def _sbox_region(cells: bytes, slices: int, r_lrs: float, r_hrs: float) -> tuple:
+    """The nominal S-box region of `slices` slices holding the (16, 4) bits
+    `cells`, its bits and resistances, read-only: shared by every state."""
+    sb_bits = np.repeat(np.frombuffer(cells, dtype=np.uint8).reshape(1, 16, 4), slices, axis=0)
+    sb_res = np.where(sb_bits != 0, r_lrs, r_hrs)
+    for a in (sb_bits, sb_res):
+        a.setflags(write=False)
+    return sb_bits, sb_res
 
 
 def program_slice(
@@ -281,8 +294,7 @@ def program_slice(
     if key_bits.ndim != 2 or key_bits.shape[1] != len(cells):
         raise CrossbarError("key region shape does not match its column list")
     rounds = key_bits.shape[0]
-    sb_bits = np.repeat(sb_bits[None], S, axis=0)
-    sb_res = np.where(sb_bits != 0, params.r_lrs, params.r_hrs)
+    sb_bits, sb_res = _sbox_region(sb_bits.tobytes(), S, params.r_lrs, params.r_hrs)
     key_res = np.where(key_bits != 0, params.r_lrs, params.r_hrs)
     if params.sigma_d2d > 0:
         if rngs is None:
@@ -752,15 +764,26 @@ def column_points(state: ProgrammedState, scheme, sigma_c2c: float) -> np.ndarra
     return np.where(state.xor_mask, xor[:, None, None], readout[:, None, None])
 
 
+def plane_terms(params: DeviceParams, scheme) -> tuple:
+    """The `nominal_grid`'s reads as terms (a, b, c, d) of a partner bit p,
+    a key column's, then a read-out column's (b = d = 0: its partner bit is
+    0): an S-box cell holding 0 reads lo = a ^ (p & b), and flip =
+    c ^ (p & d) says whether a cell holding 1 reads otherwise."""
+    bits = nominal_grid(params, scheme).bits  # s = 0, then s = 1, by partner code
+    lo, flip = bits[:3].tolist(), (bits[:3] ^ bits[3:]).tolist()
+    key = (lo[0], lo[0] ^ lo[1], flip[0], flip[0] ^ flip[1])
+    return key, (lo[PARTNER_ABSENT], False, flip[PARTNER_ABSENT], False)
+
+
 def nominal_planes(state: ProgrammedState, scheme) -> np.ndarray:
-    """Every ideal read of nominal `state` under `scheme` as two bit planes
-    of (rounds, S, 4) bools, stacked: lo, what each column reads in each
-    round on an S-box cell holding 0, and flip, whether a cell holding 1
-    reads otherwise.  A column whose S-box cell holds s reads lo ^ (s & flip)."""
-    reads = nominal_grid(state.params, scheme_for(scheme)).bits.reshape(2, -1)
-    planes = reads.take(state.partner_codes, axis=1)
-    planes[1] ^= planes[0]
-    return planes
+    """Every ideal read of nominal `state` under `scheme` as the planes lo
+    and flip of each round's partner bits by the columns' `plane_terms`,
+    stacked, (2, rounds, S, 4) bools: a column whose S-box cell holds s
+    reads lo ^ (s & flip)."""
+    terms = np.array(plane_terms(state.params, scheme))
+    a, b, c, d = np.where(state.xor_mask, *terms[:, :, None, None])
+    p = state.partner_bits.astype(bool)
+    return np.stack([a ^ (p & b), c ^ (p & d)])
 
 
 def read_table(state: ProgrammedState, scheme) -> np.ndarray:

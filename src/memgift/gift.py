@@ -19,7 +19,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import MemgiftError, check_int, read_text
 
@@ -134,49 +137,57 @@ def perm_table(variant: CipherVariant) -> tuple[int, ...]:
     return _perm_tables(variant_for(variant).block_bits)[0]
 
 
-# Bit i of a byte lands at bit 4i: one nibble plane of eight nibbles.
-_SPREAD = tuple(sum(((b >> i) & 1) << (4 * i) for i in range(8)) for b in range(256))
-
-
 @lru_cache(maxsize=None)
-def _round_constant_masks(block_bits: int) -> tuple[int, ...]:
-    """Every round's round-constant XOR vector.  The 6-bit register c5..c0
-    starts at 0x01 (zero, clocked once before round 0); a clock shifts it
-    left with new LSB c5 XOR c4 XOR 1.  Bits c0..c5, then the fixed 1 as a
-    seventh bit, land at `rc_positions`."""
+def _key_tables(block_bits: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The key schedule as tables: entry [i][v] holds every round's mask
+    bits that key nibble 31 - i sets when it holds v, round r at bits r*n
+    and up; and every round's constants as one such int.  Word m of the
+    key-state sequence (round r's k0..k7 are words 2r..2r+7) is key word
+    m % 8 rotated right t = m // 8 times, by 12 bits for even m, by 2 for
+    odd m: bit i of the key word lands at bit (i + 4t) % 16 or (i - 2t) % 16."""
     variant = VARIANTS[block_bits]
-    masks, c = [], 0x01
-    for _ in range(variant.rounds):
-        bits = c | 1 << 6
-        masks.append(sum(((bits >> b) & 1) << p for b, p in enumerate(variant.rc_positions)))
+    n, rounds, (lo, hi) = block_bits, variant.rounds, variant.key_xor_bits
+    # the words round r XORs, (m - 2r, plane, first nibble): V = k0, U = k1
+    words = [(0, lo, 0), (1, hi, 0)]
+    if n == 128:  # V = k1||k0, U = k5||k4
+        words = [(0, lo, 0), (1, lo, 16), (4, hi, 0), (5, hi, 16)]
+    d, plane, first = np.array(words).T[:, :, None, None]
+    r, i = np.arange(rounds)[:, None], np.arange(16)
+    m = 2 * r + d  # bit i of word m is key bit 16*(m % 8) + i, at most once a round
+    at = r * n + 4 * (first + np.where(m % 2, i - 2 * (m // 8), i + 4 * (m // 8)) % 16) + plane
+    lands = np.zeros((128, rounds * n // 8), dtype=np.uint8)
+    lands[16 * (m % 8) + i, at >> 3] = 1 << (at & 7)
+    basis = [int.from_bytes(row.tobytes(), "little") for row in lands]
+    tables = [[0] for _ in range(32)]
+    for table, nibble in zip(tables, range(31, -1, -1)):
+        for bit in basis[4 * nibble : 4 * nibble + 4]:  # each bit doubles the table
+            table += [t | bit for t in table]
+    constants, c, positions = 0, 0x01, variant.rc_positions
+    for rnd in range(rounds):  # c5..c0 from 0x01, clocked: shifted left, new LSB c5 ^ c4 ^ 1
+        held = c | 1 << 6  # c0..c5, then a fixed 1, at `rc_positions`
+        constants |= sum((held >> b & 1) << p for b, p in enumerate(positions)) << rnd * n
         c = ((c << 1) & 0x3E) | ((((c >> 5) ^ (c >> 4)) & 1) ^ 1)
-    return tuple(masks)
+    return tuple(map(tuple, tables)), constants
+
+
+_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))  # a hex digit's value
 
 
 def round_addition_masks(key: int, variant: CipherVariant) -> list[int]:
     """Per-round key+constant XOR vectors for a whole encryption: round r
     is its round key, the U and V words of key state r on nibble planes hi
-    and lo (`variant.key_xor_bits`), OR its round-constant mask.
-
-    Table form: the key state of every round is one list of 16-bit words,
-    round r's state words k0..k7 being seq[2r:2r+8], each update appending
-    the two rotated words.  Each word is spread onto a nibble plane once,
-    through `_SPREAD`, and the round-constant masks are cached per variant.
-    """
+    and lo (`variant.key_xor_bits`), OR its round-constant mask: one sum
+    of the key nibbles' `_key_tables` entries and the constants, split."""
     key = check_int(key, "key", GiftError, 128)
     variant = variant_for(variant)
-    lo, hi = variant.key_xor_bits
-    seq = [(key >> (16 * i)) & 0xFFFF for i in range(8)]
-    for r in range(0, 2 * variant.rounds - 4, 2):  # one key-state update a round
-        k0, k1 = seq[r], seq[r + 1]
-        seq += (((k0 >> 12) | (k0 << 4)) & 0xFFFF, ((k1 >> 2) | (k1 << 14)) & 0xFFFF)
-    spread = [_SPREAD[w & 0xFF] | _SPREAD[w >> 8] << 32 for w in seq]
-    rcs = _round_constant_masks(variant.block_bits)
-    if variant.block_bits == 64:  # V=k0 on plane lo, U=k1 on plane hi
-        return [rc | v << lo | u << hi for rc, v, u in zip(rcs, spread[0::2], spread[1::2])]
-    # V=k1||k0 on plane lo, U=k5||k4 on plane hi, high words 16 nibbles up
-    words = zip(rcs, spread[0::2], spread[1::2], spread[4::2], spread[5::2])
-    return [rc | (v0 | v1 << 64) << lo | (u0 | u1 << 64) << hi for rc, v0, v1, u0, u1 in words]
+    tables, constants = _key_tables(variant.block_bits)
+    # a key's hex digits are its nibbles; no two entries set one bit, so their sum is their OR
+    masks = sum(map(getitem, tables, f"{key:032x}".encode().translate(_DIGITS)), constants)
+    size = variant.rounds * variant.block_bits // 8
+    words = np.frombuffer(masks.to_bytes(size, "little"), dtype="<u8").tolist()
+    if variant.block_bits == 64:
+        return words
+    return [low | high << 64 for low, high in zip(words[0::2], words[1::2])]
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ from .crossbar import (
     column_points,
     decide,
     draw_read_factors,
-    nominal_planes,
     partner_conductances,
+    plane_terms,
     program_slice,
     read_round,
     read_table,
@@ -218,6 +218,19 @@ def _byte_routes(variant: CipherVariant, feedback: str) -> tuple:
     return tuple(routes)
 
 
+def _walk_planes(state, scheme, variant: CipherVariant, feedback: str) -> tuple:
+    """Each round's routed (flip, lo) words on nominal `state`: C ^ (p & D)
+    and A ^ (p & B) of its routed partner word p, A..D the
+    `crossbar.plane_terms` of the routed key columns and of the others."""
+    rows = np.concatenate([state.partner_bits, state.xor_mask[None]]).reshape(state.rounds + 1, -1)
+    raw = np.packbits(rows.take(_wiring(variant, feedback)[0], axis=1), bitorder="little").tobytes()
+    w = variant.block_bits // 8
+    *partners, keyed = (int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
+    others = keyed ^ (1 << variant.block_bits) - 1
+    a, b, c, d = (keyed * k | others * r for k, r in zip(*plane_terms(state.params, scheme)))
+    return tuple((c ^ (p & d), a ^ (p & b)) for p in partners)
+
+
 def _slice_streams(seed: int, slices: int) -> list:
     """One noise stream per slice, spawned from seed."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(slices)]
@@ -304,23 +317,18 @@ class EncryptionSession:
     def _ideal_reads(self):
         """What ideal reads of this programming walk, built at the first: the
         read table with d2d variation; on nominal cells, the S-box translate
-        table, the `_byte_routes` and each round's routed `nominal_planes`."""
+        table, the `_byte_routes` and each round's `_walk_planes`."""
         state = self.state
         if self._read_table is None and not state.nominal:
             self._read_table = read_table(state, self.scheme)
         elif self._read_table is None:
             if (state.sb_bits != state.sb_bits[:1]).any():
                 raise PipelineError("a nominal ideal read needs the same S-box in every slice")
-            s, rounds = state.sb_bits[0] @ _NIBBLE_WEIGHTS, state.rounds
-            # every round's lo, then every round's flip, routed as one word each
-            planes = nominal_planes(state, self.scheme).reshape(2 * rounds, -1)
-            raw = np.packbits(planes.take(self._sources, axis=1), bitorder="little").tobytes()
-            k = self.variant.block_bits // 8
-            words = [int.from_bytes(raw[i : i + k], "little") for i in range(0, len(raw), k)]
+            s = state.sb_bits[0] @ _NIBBLE_WEIGHTS
             self._read_table = (
                 (s | s[:, None] << 4).tobytes(),  # entry 16*hi + lo is S(lo) | S(hi) << 4
                 _byte_routes(self.variant, self.feedback),
-                tuple(zip(words[rounds:], words[:rounds])),
+                _walk_planes(state, self.scheme, self.variant, self.feedback),
             )
         return self._read_table
 

@@ -200,6 +200,37 @@ def test_programmed_arrays_are_read_only():
         arr.partner_bits[0, 0, 1] = 1
 
 
+def test_partner_codes_are_computed_once_per_state_and_read_only():
+    session = EncryptionSession(random.Random(31).getrandbits(128), GIFT128, "dxor")
+    state = session.state
+    codes = state.partner_codes
+    assert state.partner_codes is codes and not codes.flags.writeable
+    with pytest.raises(ValueError):
+        codes[0, 0, 0] = 0
+    want = state.partner_bits | PARTNER_ABSENT * ~state.xor_mask
+    assert np.array_equal(codes, want) and codes.shape == (GIFT128.rounds, GIFT128.nibbles, 4)
+    # a state with new S-box cells, as a reprogramming writes it, has its own codes, alike
+    session.reprogram_sbox(GIFT_SBOX.inverse())
+    assert session.state is not state
+    assert session.state.partner_codes is not codes
+    assert np.array_equal(session.state.partner_codes, want)
+
+
+def test_nominal_sbox_region_is_shared_read_only():
+    # nominal programmings of one S-box on the same devices share one S-box
+    # region; d2d cells draw their own resistances over the shared bits
+    key = random.Random(33).getrandbits(128)
+    one, other = (EncryptionSession(k, GIFT128, "dxor").state for k in (key, key ^ 1))
+    assert one.sb_bits is other.sb_bits and one.sb_res is other.sb_res
+    assert not (one.sb_bits.flags.writeable or one.sb_res.flags.writeable)
+    assert np.array_equal(one.sb_bits, np.repeat(sbox_bit_matrix(GIFT_SBOX)[None], 32, axis=0))
+    lrs = EncryptionSession(key, GIFT128, "dxor", DeviceParams(r_lrs=3e3)).state
+    assert lrs.sb_res is not one.sb_res and lrs.sb_res.min() == 3e3
+    d2d = EncryptionSession(key, GIFT128, "dxor", DeviceParams(sigma_d2d=0.05)).state
+    assert d2d.sb_bits is one.sb_bits and d2d.sb_res is not one.sb_res
+    assert np.array_equal(one.sb_res, np.where(one.sb_bits != 0, 2.8e3, 1.0e6))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(CrossbarError):
         program_slice(

@@ -360,6 +360,17 @@ def test_round_addition_masks_match_per_bit_build(variant, key):
     assert round_addition_masks(key, variant) == slow_round_masks(key, variant)
 
 
+def test_round_addition_masks_match_per_bit_build_on_every_key_bit(variant):
+    # each one-hot key sets one key bit, so together they pin every table
+    # entry of a key nibble holding one bit; key 0 and the all-ones key pin
+    # the constants and every bit at once
+    rng = random.Random(32)
+    for key in [0, (1 << 128) - 1] + [1 << b for b in range(128)]:
+        assert round_addition_masks(key, variant) == slow_round_masks(key, variant), hex(key)
+        pt = random_state(rng, variant)
+        assert decrypt_block(encrypt_block(pt, key, variant), key, variant) == pt
+
+
 @settings(max_examples=40)
 @given(variants, keys, st.data(), st.one_of(st.just(GIFT_SBOX), sboxes))
 def test_encrypt_block_matches_per_bit_rounds(variant, key, data, sbox):

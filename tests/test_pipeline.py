@@ -524,12 +524,13 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
 def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
-    # nominal cells gather the word walk's planes from the grid and build no
-    # read table; cells with d2d variation, which all differ, decide the table
+    # nominal cells build the word walk's planes from the partner words and
+    # build no read table; cells with d2d variation, which all differ,
+    # decide the table
     def other_build(*args):
         raise AssertionError("the ideal reads were built the other way")
 
-    builder, other = "nominal_planes", "read_table"
+    builder, other = "_walk_planes", "read_table"
     if sigma_d2d:
         builder, other = other, builder
     build, builds = getattr(pipeline, builder), []
@@ -854,6 +855,37 @@ def test_word_walk_equals_a_read_table_walk(
         assert traced == ct
         assert np.array_equal(traces[0].record.states, states)
         assert np.array_equal(traces[0].analog.bits, read.astype(bool))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from([GIFT64, GIFT128]),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    feedback=st.sampled_from(["permuted", "local"]),
+    wire=st.sampled_from([0.0, 150.0, 1200.0]),
+    miscalibrated=st.booleans(),
+    key=st.integers(0, (1 << 128) - 1),
+)
+def test_walk_planes_are_the_nominal_planes_routed(
+    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, key
+):
+    # each round's (flip, lo) words, built from the round's routed partner
+    # word, are the grid's planes of every column, routed and packed; from
+    # 1200 Ohm of wire, and with miscalibrated amps, some XOR reads are not
+    # the logic value, so the terms differ from the defaults'
+    params, schemes = DeviceParams(), SCHEMES
+    if miscalibrated:
+        path = tmp_path_factory.mktemp("params") / "amps.cfg"
+        path.write_text(MISCALIBRATED)
+        params, schemes = load_device_config(path)
+    params = replace(params, wire_r_per_cell=wire)
+    session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
+    planes = crossbar.nominal_planes(session.state, session.scheme)
+    assert planes.shape == (2, variant.rounds, variant.nibbles, 4)
+    routed = planes.reshape(2, variant.rounds, -1)[:, :, session._sources]
+    packed = np.packbits(routed, axis=-1, bitorder="little")
+    lo, flip = ([int.from_bytes(row.tobytes(), "little") for row in words] for words in packed)
+    assert session._ideal_reads()[2] == tuple(zip(flip, lo))
 
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
