@@ -48,14 +48,14 @@ band (the margins) and every bit its pairing's logic value, s ^ p
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its S-box row while the cells stay as programmed, so
-`read_table` gives every ideal read of a state as one table.  On nominal
-cells it is built from two bit planes per round and column, four terms of
-each column's partner bit (`plane_terms`, `nominal_planes`), four cells
-of a row as one word.  With d2d variation every cell differs, so
-every entry is decided as the noisy read decides, its branches'
-`path_conductance` summed and compared against its column's decision
-points (`column_points`), one column kind at a time: a read-out column,
-which has no partner, reads the same in every round.
+`read_table` gives every ideal read of a state as one table.  It decides
+every entry as the noisy read decides, nominal cells and d2d cells alike:
+its branches' `path_conductance` summed and compared against its column's
+decision points (`column_points`), one column kind at a time: a read-out
+column, which has no partner, reads the same in every round.  On nominal
+cells that is bit for bit what the nominal grid gives; a session's word
+walk reads the grid's bits as four terms of each column's partner bit
+(`plane_terms`).
 
 Electrical model
 ----------------
@@ -775,43 +775,21 @@ def plane_terms(params: DeviceParams, scheme) -> tuple:
     return key, (lo[PARTNER_ABSENT], False, flip[PARTNER_ABSENT], False)
 
 
-def nominal_planes(state: ProgrammedState, scheme) -> np.ndarray:
-    """Every ideal read of nominal `state` under `scheme` as the planes lo
-    and flip of each round's partner bits by the columns' `plane_terms`,
-    stacked, (2, rounds, S, 4) bools: a column whose S-box cell holds s
-    reads lo ^ (s & flip)."""
-    terms = np.array(plane_terms(state.params, scheme))
-    a, b, c, d = np.where(state.xor_mask, *terms[:, :, None, None])
-    p = state.partner_bits.astype(bool)
-    return np.stack([a ^ (p & b), c ^ (p & d)])
-
-
 def read_table(state: ProgrammedState, scheme) -> np.ndarray:
-    """Every ideal read of `state` under `scheme` (built as the module
+    """Every ideal read of `state` under `scheme` (decided as the module
     docstring says), read-only 0/1 bytes, slice-major, shape (rounds, S, 16,
     4): entry [rnd, j, row] is what slice j senses on S-box row `row` in
     round rnd, so round rnd's reads are the flat rows of
     `table[rnd].reshape(S * 16, 4)`."""
-    scheme = scheme_for(scheme)
-    if state.nominal:
-        # A row's 4 cells as one 4-byte word, so that the broadcast over the
-        # 16 rows runs on words; the bitwise ops act on each byte alike.
-        lo, flip, cells = (
-            np.ascontiguousarray(a).view(np.uint32)[..., 0]
-            for a in (*nominal_planes(state, scheme), state.sb_bits)
-        )
-        table = lo[..., None] ^ (cells & flip[..., None])  # (rounds, S, 16)
-        table = table.view(np.uint8).reshape(state.rounds, -1, 16, 4)
-    else:
-        wire = state.params.wire_r_per_cell
-        table = np.empty((state.rounds, len(state.sb_bits), 16, 4), dtype=np.uint8)
-        # each column's 16 rows last, so a column kind selects whole columns
-        by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
-        points = column_points(state, scheme, state.params.sigma_c2c)
-        for columns, rnds in ((~state.xor_mask, slice(0, 1)), (state.xor_mask, slice(None))):
-            partner_g = path_conductance(state.partner_res[rnds, columns, None], wire)
-            g = path_conductance(sb_res[columns], wire) + partner_g  # (rounds or 1, n, 16)
-            by_column[:, columns] = decide(g, points[:, columns, None])
+    wire = state.params.wire_r_per_cell
+    table = np.empty((state.rounds, len(state.sb_bits), 16, 4), dtype=np.uint8)
+    # each column's 16 rows last, so a column kind selects whole columns
+    by_column, sb_res = table.transpose(0, 1, 3, 2), state.sb_res.transpose(0, 2, 1)
+    points = column_points(state, scheme, state.params.sigma_c2c)
+    for columns, rnds in ((~state.xor_mask, slice(0, 1)), (state.xor_mask, slice(None))):
+        partner_g = path_conductance(state.partner_res[rnds, columns, None], wire)
+        g = path_conductance(sb_res[columns], wire) + partner_g  # (rounds or 1, n, 16)
+        by_column[:, columns] = decide(g, points[:, columns, None])
     table.setflags(write=False)
     return table
 

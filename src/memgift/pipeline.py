@@ -41,12 +41,13 @@ in one `draw_read_factors` call and computes its partner branches for
 every round and lane at once, its decision points cached per sigma.
 
 A nominal ideal block walks words: a column reads lo ^ (s & flip) for its
-S-box bit s (`crossbar.nominal_planes`), and the wiring P permutes bits,
-so a round takes the state x to P(S(x)) & P(flip) ^ P(lo): one
-`bytes.translate` through the cells' S-box, a sum of P's byte-table
-entries.  A traced or error-counting block unpacks its words into the rows
-they select, and every walk then ends alike: its bit errors in one
-comparison over its rows, its capture in one `read_round`.
+S-box bit s, lo and flip given by its partner bit's `crossbar.plane_terms`,
+and the wiring P permutes bits, so a round takes the state x to
+P(S(x)) & P(flip) ^ P(lo): one `bytes.translate` through the cells' S-box,
+a sum of P's byte-table entries.  A traced or error-counting block unpacks
+its words into the rows they select, and every walk then ends alike: its
+bit errors in one comparison over its rows, its capture in one
+`read_round`.
 """
 
 from __future__ import annotations
@@ -195,12 +196,15 @@ def _devices(params, name: str) -> DeviceParams:
 
 @lru_cache(maxsize=None)
 def _wiring(variant: CipherVariant, feedback: str) -> tuple[np.ndarray, np.ndarray]:
-    """A session's wiring, which each session copies: next-state bit i is
-    sensed bit sources[i] (the feedback targets inverted), and slice j's
-    first flat S-box row is row_base[j] = 16*j."""
+    """A session's wiring, read-only and shared by every session: next-state
+    bit i is sensed bit sources[i] (the feedback targets inverted), and
+    slice j's first flat S-box row is row_base[j] = 16*j."""
     n = variant.block_bits
     targets = np.array(perm_table(variant)) if feedback == "permuted" else np.arange(n)
-    return np.argsort(targets), 16 * np.arange(variant.nibbles)
+    wiring = np.argsort(targets), 16 * np.arange(variant.nibbles)
+    for a in wiring:
+        a.setflags(write=False)
+    return wiring
 
 
 @lru_cache(maxsize=None)
@@ -271,8 +275,7 @@ class EncryptionSession:
         self._n_xor = int(self.state.xor_mask.sum())
         self._n_readout = 4 * self.variant.nibbles - self._n_xor
 
-        # copies, so no session can write the cached wiring
-        self._sources, self._row_base = (a.copy() for a in _wiring(self.variant, feedback))
+        self._sources, self._row_base = _wiring(self.variant, feedback)
 
         self.reads_executed = 0
         self.blocks_encrypted = 0
@@ -359,6 +362,8 @@ class EncryptionSession:
         sources = sources.reshape(-1, 4)
         keep = count_errors or traces is not None
         if noisy or not state.nominal:
+            # a writable index for the rounds' takes: `take` copies a read-only one at every call
+            sources = sources.copy()
             # every walked lane's slices' flat S-box rows, 16*j + nibble, over B*S
             at = np.tile(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, walked) + base
             if noisy:

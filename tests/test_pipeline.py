@@ -769,7 +769,7 @@ TABLE_BUILDS = dict(
 @settings(max_examples=40, deadline=None)
 @given(**TABLE_BUILDS)
 def test_nominal_read_table_equals_kernel_build(tmp_path_factory, **case):
-    # the table gathered from one sense per cell pairing is the one the
+    # the table decided on the columns' decision points is the one the
     # kernel reads, amp for amp, analog outcomes (20 kOhm wire) included
     assert_table_equals_kernel_build(tmp_path_factory, sigma_d2d=0.0, **case)
 
@@ -870,9 +870,11 @@ def test_walk_planes_are_the_nominal_planes_routed(
     tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, key
 ):
     # each round's (flip, lo) words, built from the round's routed partner
-    # word, are the grid's planes of every column, routed and packed; from
-    # 1200 Ohm of wire, and with miscalibrated amps, some XOR reads are not
-    # the logic value, so the terms differ from the defaults'
+    # word by the grid's terms, are the planes of the decided read table:
+    # per column, what a row holding 0 reads and whether a row holding 1
+    # reads otherwise, routed and packed; from 1200 Ohm of wire, and with
+    # miscalibrated amps, some XOR reads are not the logic value, so the
+    # terms differ from the defaults'
     params, schemes = DeviceParams(), SCHEMES
     if miscalibrated:
         path = tmp_path_factory.mktemp("params") / "amps.cfg"
@@ -880,12 +882,24 @@ def test_walk_planes_are_the_nominal_planes_routed(
         params, schemes = load_device_config(path)
     params = replace(params, wire_r_per_cell=wire)
     session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
-    planes = crossbar.nominal_planes(session.state, session.scheme)
+    table = read_table(session.state, session.scheme)
+    cells, columns = session.state.sb_bits[0], np.arange(4)  # slice 0's S-box, every slice's
+    lo, hi = (table[:, :, rows, columns] for rows in (cells.argmin(axis=0), cells.argmax(axis=0)))
+    planes = np.stack([lo, lo ^ hi])
     assert planes.shape == (2, variant.rounds, variant.nibbles, 4)
     routed = planes.reshape(2, variant.rounds, -1)[:, :, session._sources]
     packed = np.packbits(routed, axis=-1, bitorder="little")
     lo, flip = ([int.from_bytes(row.tobytes(), "little") for row in words] for words in packed)
     assert session._ideal_reads()[2] == tuple(zip(flip, lo))
+
+
+@pytest.mark.parametrize("feedback", ["permuted", "local"])
+def test_sessions_share_the_read_only_wiring(variant, feedback):
+    # the wiring is cached per (variant, feedback), so no session may write it
+    first, second = (EncryptionSession(key, variant, "dxor", feedback=feedback) for key in (1, 2))
+    for name in ("_sources", "_row_base"):
+        wiring = getattr(first, name)
+        assert wiring is getattr(second, name) and not wiring.flags.writeable
 
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
