@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import random
-import secrets
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -72,11 +71,11 @@ def _parse_hex(text: str, digits: int, what: str) -> int:
 
 def _load_setup(args):
     """Device parameters + sense-amp schemes from file/flags."""
-    if getattr(args, "device_params", None):
+    if args.device_params:
         params, schemes = load_device_config(args.device_params)
     else:
         params, schemes = DeviceParams(), dict(SCHEMES)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         params = replace(params, seed=args.seed)
     if getattr(args, "ideal", False):
         params = replace(params, sigma_d2d=0.0, sigma_c2c=0.0)
@@ -143,6 +142,8 @@ def cmd_encrypt(args) -> int:
     # trace's header can name the final mask and every block stream after
     # it.  Remasks are unpredictable unless --seed asks for a repeatable run.
     if args.seed is None:
+        import secrets  # here: it loads hmac and hashlib, which only this schedule needs
+
         next_mask = partial(secrets.randbelow, 16)
     else:
         next_mask = partial(random.Random(args.seed).randrange, 16)
@@ -218,9 +219,7 @@ def cmd_kat(args) -> int:
     for i, vec in enumerate(vectors):
         ok = encrypt_block(vec.pt, vec.key, vec.variant) == vec.ct
         if ok and args.pipeline:
-            session = EncryptionSession(
-                vec.key, vec.variant, schemes[args.scheme], params, "permuted"
-            )
+            session = EncryptionSession(vec.key, vec.variant, schemes[args.scheme], params)
             ok = session.encrypt(vec.pt)[0] == vec.ct
         if ok:
             passed += 1
@@ -233,13 +232,12 @@ def cmd_kat(args) -> int:
 
 
 def cmd_energy_report(args) -> int:
-    variant = variant_for(args.variant)
     energy_params = load_energy_config(args.params) if args.params else EnergyParams()
     device_params, schemes = _load_setup(args)
-    session = EncryptionSession(0, variant, schemes[args.scheme], device_params)
+    session = EncryptionSession(0, args.variant, schemes[args.scheme], device_params)
     session.encrypt(0)
     report = account(session.session_log(), energy_params)
-    area = area_report(variant, energy_params)
+    area = area_report(args.variant, energy_params)
     print(report.format_table(), end="")
     print(f"  total area         {area.total_mm2:.4f} mm^2")
     if args.json:
@@ -250,7 +248,6 @@ def cmd_energy_report(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    variant = variant_for(args.variant)
     params, schemes = _load_setup(args)
     try:
         sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
@@ -259,7 +256,7 @@ def cmd_sweep(args) -> int:
     if not sigmas:
         raise GiftError("empty sigma list")
     points = run_sweep(
-        variant, schemes[args.scheme], sigmas, blocks=args.blocks, base_params=params
+        args.variant, schemes[args.scheme], sigmas, blocks=args.blocks, base_params=params
     )
     table = format_sweep_table(points)
     if args.out:
@@ -280,13 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scheme=True, device=True):
+    def common(p):
         p.add_argument("--variant", type=int, choices=(64, 128), default=128)
-        if scheme:
-            p.add_argument("--scheme", choices=tuple(SCHEMES), default="dxor")
-        if device:
-            p.add_argument("--device-params", metavar="FILE")
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--scheme", choices=tuple(SCHEMES), default="dxor")
+        p.add_argument("--device-params", metavar="FILE")
+        p.add_argument("--seed", type=int, default=None)
 
     enc = sub.add_parser("encrypt", help="encrypt through the crossbar pipeline")
     common(enc)

@@ -698,12 +698,20 @@ def _captured_grid(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd) -> ReadCaptu
     return replace(grid, nodes=MappingProxyType(frozen))
 
 
+def _device_params(params) -> DeviceParams:
+    """params, which must be a DeviceParams: anything else is a CrossbarError."""
+    if not isinstance(params, DeviceParams):
+        raise CrossbarError(f"params must be a DeviceParams, got {params!r}")
+    return params
+
+
 def nominal_grid(params: DeviceParams, scheme) -> ReadCapture:
     """The capture of every nominal read of `params`' cells under `scheme`:
     entry `grid_entry(s, p)`, or [s, p] of `bits.reshape(2, 3)`, pairs an
     S-box cell holding bit s with a partner holding bit p (XOR-sensed) or
     none (p = PARTNER_ABSENT, read out).  Captured once per (r_lrs, r_hrs,
     wire, vdd, scheme) and shared, read-only."""
+    params = _device_params(params)
     return _captured_grid(
         scheme_for(scheme), params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
     )
@@ -819,7 +827,7 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     comparator's decision is its divider tap in the grid against its
     reference, as the grid's sense decided it."""
     scheme = scheme_for(scheme)
-    scheme.validate(params.vdd)
+    scheme.validate(_device_params(params).vdd)
     grid = nominal_grid(params, scheme)
     records = []
     for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):
@@ -854,9 +862,10 @@ def check_margins(scheme, params: DeviceParams) -> float:
     node violates the 0.6/0.4*vdd rule, or if any operand pairing reads
     other than its logic value (`check_logic`)."""
     scheme = scheme_for(scheme)
+    records = sense_margin_report(scheme, params)
     hi, lo = 0.6 * params.vdd, 0.4 * params.vdd
     worst = math.inf
-    for rec in sense_margin_report(scheme, params):
+    for rec in records:
         if rec.decision:
             slack = rec.volts - hi
         else:

@@ -155,13 +155,24 @@ class EnergyReport:
         return "\n".join(lines) + "\n"
 
 
+def _energies(params) -> EnergyParams:
+    """params, or the default energies when None; any other non-EnergyParams is a ConfigError."""
+    if params is None:
+        return EnergyParams()
+    if not isinstance(params, EnergyParams):
+        raise ConfigError(f"params must be an EnergyParams, got {params!r}")
+    return params
+
+
 def account(log: EventLog, params: EnergyParams = None) -> EnergyReport:
     """Aggregate one encrypted block's event log into an energy report.
 
     Writes found in the log (session programming, remasking) are billed to
     the write phase; everything else makes up the per-block figures.
     """
-    params = params if params is not None else EnergyParams()
+    params = _energies(params)
+    if not isinstance(log, EventLog):
+        raise MissingEventsError(f"log must be an EventLog, got {log!r}")
     if log.rounds <= 0:
         raise MissingEventsError("log covers no read cycles")
     required = {"decoder_cycle", "selector_cycle", "register_cycle"}
@@ -219,7 +230,7 @@ def area_report(variant=None, params: EnergyParams = None) -> AreaReport:
     else GiftError; the area is the published GIFT-128 design's whichever
     variant it names."""
     variant_for(variant if variant is not None else 128)
-    params = params if params is not None else EnergyParams()
+    params = _energies(params)
     return AreaReport(
         total_mm2=sum(params.area_mm2.values()),
         breakdown=dict(params.area_mm2),

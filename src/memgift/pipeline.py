@@ -184,14 +184,22 @@ class RoundTrace(NamedTuple):
 _DEFAULT_PARAMS = DeviceParams()
 
 
-def _devices(params, name: str) -> DeviceParams:
-    """params, the default devices when None; anything else that is not a
-    DeviceParams is a PipelineError naming the argument."""
+def _session_args(variant, scheme, params, feedback: str, name: str) -> tuple:
+    """The checked (variant, scheme, devices) of a session's arguments, for
+    `EncryptionSession` and `run_sweep` alike: params None is the default
+    devices, and `name` is what an error calls params."""
+    variant, scheme = variant_for(variant), scheme_for(scheme)
+    if scheme.name not in SENSE_EVENT:
+        known = ", ".join(SENSE_EVENT)
+        raise PipelineError(f"scheme {scheme.name!r} has no sense events (known: {known})")
     if params is None:
-        return _DEFAULT_PARAMS
-    if not isinstance(params, DeviceParams):
+        params = _DEFAULT_PARAMS
+    elif not isinstance(params, DeviceParams):
         raise PipelineError(f"{name} must be a DeviceParams, got {params!r}")
-    return params
+    scheme.validate(params.vdd)
+    if feedback not in ("permuted", "local"):
+        raise PipelineError(f"unknown feedback mode: {feedback!r}")
+    return variant, scheme, params
 
 
 @lru_cache(maxsize=None)
@@ -252,15 +260,9 @@ class EncryptionSession:
         feedback: str = "permuted",
         sbox: SBoxTable = GIFT_SBOX,
     ):
-        self.variant = variant_for(variant if variant is not None else 128)
-        self.scheme = scheme_for(scheme)
-        if self.scheme.name not in SENSE_EVENT:
-            known = ", ".join(SENSE_EVENT)
-            raise PipelineError(f"scheme {self.scheme.name!r} has no sense events (known: {known})")
-        params = _devices(params, "params")
-        self.scheme.validate(params.vdd)
-        if feedback not in ("permuted", "local"):
-            raise PipelineError(f"unknown feedback mode: {feedback!r}")
+        self.variant, self.scheme, params = _session_args(
+            variant if variant is not None else 128, scheme, params, feedback, "params"
+        )
         self.feedback = feedback
         self.bundle = bundle = compile_layout(key, self.variant, sbox)
         self.mask = 0
@@ -447,9 +449,6 @@ class EncryptionSession:
 
     # -- observability ------------------------------------------------------
 
-    def sensed_bits_per_block(self) -> int:
-        return self.variant.rounds * 4 * self.variant.nibbles
-
     def cell_fingerprint(self) -> int:
         return self.state.fingerprint()
 
@@ -506,9 +505,7 @@ def export_round_trace(session: EncryptionSession, traces, fp) -> None:
     """JSON lines: a session header record, then one record per round.
     The header states the session's mask when the trace is written; each
     round record names its block and the mask it was read under."""
-    fp.write(round_trace_header(session, session.mask))
-    for record, rounds in _blocks(traces):
-        fp.write(_round_lines(record, rounds))
+    fp.write(round_trace_header(session, session.mask) + round_trace_records(traces))
 
 
 def round_trace_header(session: EncryptionSession, mask: int) -> str:
@@ -666,9 +663,10 @@ def run_sweep(
     serves every sigma point: the points are the lanes of one batched pass
     over the rounds, and the reference ciphertext is computed once.  The
     sweep's seed is `seed`, or the base device's seed when it is None.
+    Every argument is checked before the first trial, as a session checks it.
     """
+    variant, scheme, base = _session_args(variant, scheme, base_params, feedback, "base_params")
     blocks = check_int(blocks, "blocks", PipelineError)
-    base = _devices(base_params, "base_params")
     # DeviceParams checks the seed, and each sigma as a lane: the base
     # device at that sigma_c2c, with the base's sigma_d2d
     try:
@@ -676,12 +674,12 @@ def run_sweep(
         sigmas = tuple(float(replace(base, sigma_c2c=s).sigma_c2c) for s in sigmas)
     except CrossbarError as exc:
         raise PipelineError(str(exc)) from None
+    except TypeError:  # only iterating sigmas raises it: DeviceParams raises CrossbarError
+        raise PipelineError(f"sigmas must be an iterable of numbers, got {sigmas!r}") from None
     if not sigmas:
         return []
-    variant = variant_for(variant)
     bit_errors = np.zeros(len(sigmas), dtype=np.int64)
     block_errors = np.zeros(len(sigmas), dtype=np.int64)
-    sensed = 0
     for t in range(blocks):
         material = np.random.default_rng(np.random.SeedSequence((seed, t)))
         key = int.from_bytes(material.bytes(16), "big")
@@ -693,7 +691,7 @@ def run_sweep(
         bit_errors += errors
         expected = encrypt_block(pt, key, variant)
         block_errors += [ct != expected for ct in cts]
-        sensed += session.sensed_bits_per_block()
+    sensed = blocks * variant.rounds * variant.block_bits
     return [
         SweepPoint(sigma, blocks, sensed, int(bits), int(block))
         for sigma, bits, block in zip(sigmas, bit_errors, block_errors)

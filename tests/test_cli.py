@@ -2,6 +2,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import threading
 import weakref
 from functools import partial
@@ -179,6 +181,23 @@ def test_remask_source_is_secrets_unless_seeded(capsys, tmp_path, monkeypatch, s
     key = int(KAT_KEY, 16)
     for line, pt in zip(out.split(), blocks, strict=True):
         assert int(line, 16) == encrypt_block(int(pt, 16), key, GIFT128)
+
+
+def test_cli_import_leaves_out_what_few_commands_use():
+    # secrets (with hmac and hashlib) serves only an unseeded remask schedule,
+    # hashlib a cell fingerprint and numpy.ma nothing: importing them cost
+    # every command its start-up time
+    src = str(Path(pipeline.__file__).parent.parent)
+    code = (
+        "import sys\n"
+        "import memgift.cli\n"
+        "print(sorted({'secrets', 'hashlib', 'numpy.ma'} & set(sys.modules)))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert loaded == "[]\n"
 
 
 @pytest.mark.parametrize(

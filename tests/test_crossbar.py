@@ -622,6 +622,31 @@ def test_margin_audit_rejects_wrong_logic(scheme):
         assert check_margins(scheme, DeviceParams(wire_r_per_cell=wire)) == pytest.approx(slack)
 
 
+@pytest.mark.parametrize(
+    "audit",
+    [
+        lambda params: nominal_grid(params, "dxor"),
+        lambda params: sense_margin_report("dxor", params),
+        lambda params: check_logic("dxor", params),
+        lambda params: check_margins("dxor", params),
+    ],
+    ids=["nominal_grid", "sense_margin_report", "check_logic", "check_margins"],
+)
+@pytest.mark.parametrize("params", [None, 3, {"vdd": 0.9}], ids=["None", "int", "dict"])
+def test_nominal_audits_take_only_device_params(audit, params):
+    # each raised a bare AttributeError ('vdd' or 'r_lrs')
+    with pytest.raises(CrossbarError, match=r"^params must be a DeviceParams, got "):
+        audit(params)
+
+
+@pytest.mark.parametrize("audit", [sense_margin_report, check_margins])
+def test_margin_audit_checks_the_amps_before_sensing(audit):
+    # an amp field the scheme's check refuses is never used in a divider
+    scheme = SenseAmpScheme("dxor", DualXorAmp(r_and="2e3"), DualReadoutAmp())
+    with pytest.raises(CrossbarError, match=r"^dxor: r_and must be finite and positive"):
+        audit(scheme, DeviceParams())
+
+
 def test_margin_audit_decides_what_the_read_table_gathers(tmp_path):
     # the amp's gate over the audit's recorded decisions of a pairing is the
     # nominal grid's bit a session's read table gathers for it

@@ -99,6 +99,29 @@ def test_missing_categories_rejected():
         account(EventLog("GIFT-128", "dxor", rounds=0))
 
 
+@pytest.mark.parametrize("log", [None, {"rounds": 40}], ids=["None", "dict"])
+def test_account_takes_only_an_event_log(log):
+    # each raised a bare AttributeError
+    with pytest.raises(MissingEventsError, match=r"^log must be an EventLog, got "):
+        account(log)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        lambda params: account(block_log("dxor").session_log(), params),
+        lambda params: area_report(GIFT128, params),
+    ],
+    ids=["account", "area_report"],
+)
+@pytest.mark.parametrize("params", [3, {"clock_hz": 10e6}], ids=["int", "dict"])
+def test_energy_reports_take_only_energy_params(report, params):
+    # each raised a bare AttributeError; None still means the defaults
+    with pytest.raises(ConfigError, match=r"^params must be an EnergyParams, got "):
+        report(params)
+    assert report(None) == report(EnergyParams())
+
+
 def test_report_serialization():
     report = account(block_log("dxor").session_log())
     d = report.to_dict()

@@ -33,6 +33,7 @@ from memgift.crossbar import (
     sense_capture,
     variation_factor,
 )
+from memgift.errors import MemgiftError
 from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block
 from memgift.layout import sbox_bit_matrix
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
@@ -169,6 +170,47 @@ def test_scheme_without_sense_events_rejected_before_programming(monkeypatch):
     scheme = SenseAmpScheme("dxor2", DualXorAmp(), DualReadoutAmp())
     with pytest.raises(PipelineError, match="'dxor2'"):
         EncryptionSession(1, GIFT128, scheme)
+
+
+# One bad argument each, the others as a default session takes them.
+BAD_SESSION_ARGUMENTS = {
+    "variant": {"variant": "GIFT-256"},
+    "scheme": {"scheme": "nope"},
+    "scheme-without-sense-events": {
+        "scheme": SenseAmpScheme("dxor2", DualXorAmp(), DualReadoutAmp())
+    },
+    "scheme-reference-above-vdd": {
+        "scheme": SenseAmpScheme("dxor", DualXorAmp(vref_and=1.5), DualReadoutAmp())
+    },
+    "params": {"params": {"vdd": 0.9}},
+    "params-below-the-references": {"params": DeviceParams(vdd=0.4)},
+    "feedback": {"feedback": "sideways"},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_SESSION_ARGUMENTS))
+@pytest.mark.parametrize("sigmas, blocks", [([0.1], 0), ([], 3)], ids=["no-trial", "no-sigma"])
+def test_sweep_checks_session_arguments_before_any_trial(bad, sigmas, blocks):
+    # a sweep of no trial or no sigma point returned [] whatever its variant,
+    # scheme or feedback; each now raises what a session raises for it
+    args = {"variant": 128, "scheme": "dxor", "params": None, "feedback": "permuted"}
+    args.update(BAD_SESSION_ARGUMENTS[bad])
+    with pytest.raises(MemgiftError) as by_session:
+        EncryptionSession(0, **args)
+    # the sweep's devices are its base_params
+    expected = ("base_" if bad == "params" else "") + str(by_session.value)
+    args["base_params"] = args.pop("params")
+    with pytest.raises(MemgiftError) as by_sweep:
+        run_sweep(sigmas=sigmas, blocks=blocks, **args)
+    assert type(by_sweep.value) is type(by_session.value)
+    assert str(by_sweep.value) == expected
+
+
+@pytest.mark.parametrize("sigmas", [None, 0.1], ids=["None", "float"])
+def test_sweep_sigmas_must_be_iterable(sigmas):
+    # each raised a bare TypeError
+    with pytest.raises(PipelineError, match=r"^sigmas must be an iterable of numbers, got "):
+        run_sweep(GIFT64, "dxor", sigmas, 1)
 
 
 # ---------------------------------------------------------------------------
