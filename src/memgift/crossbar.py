@@ -682,6 +682,7 @@ def sense_capture(scheme, vdd: float, r_eq, sb_bits, partner_bits, xor_mask) -> 
 
 @lru_cache(maxsize=64)
 def _captured_grid(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd) -> ReadCapture:
+    scheme.validate(vdd)  # once per grid: no amp field reaches a divider unchecked
     # The resistances are those `program_slice` writes and the conductances
     # those of `path_conductance`, summed and inverted as `read_round` does,
     # so each pairing is bit-exact with a read of any cell pair in its state.
@@ -787,8 +788,8 @@ def read_table(state: ProgrammedState, scheme) -> np.ndarray:
     """Every ideal read of `state` under `scheme` (decided as the module
     docstring says), read-only 0/1 bytes, slice-major, shape (rounds, S, 16,
     4): entry [rnd, j, row] is what slice j senses on S-box row `row` in
-    round rnd, so round rnd's reads are the flat rows of
-    `table[rnd].reshape(S * 16, 4)`."""
+    round rnd.  A session reads it only to fix its word walk of the nominal
+    grid where the two differ: on d2d cells, or slices holding other S-boxes."""
     wire = state.params.wire_r_per_cell
     table = np.empty((state.rounds, len(state.sb_bits), 16, 4), dtype=np.uint8)
     # each column's 16 rows last, so a column kind selects whole columns

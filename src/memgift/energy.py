@@ -175,11 +175,14 @@ def account(log: EventLog, params: EnergyParams = None) -> EnergyReport:
         raise MissingEventsError(f"log must be an EventLog, got {log!r}")
     if log.rounds <= 0:
         raise MissingEventsError("log covers no read cycles")
-    required = {"decoder_cycle", "selector_cycle", "register_cycle"}
-    required.update(SENSE_EVENT.get(log.scheme, ()))
+    if log.scheme not in SENSE_EVENT:
+        raise MissingEventsError(f"scheme {log.scheme!r} has no sense events")
+    required = {"decoder_cycle", "selector_cycle", "register_cycle", *SENSE_EVENT[log.scheme]}
     missing = sorted(k for k in required if log.get(k) == 0)
     if missing:
         raise MissingEventsError(f"event log is missing categories: {missing}")
+    if foreign := sorted(k for k in EVENT_COMPONENT.keys() - required if log.get(k)):
+        raise MissingEventsError(f"a {log.scheme} log holds other schemes' events: {foreign}")
 
     latency_s = log.rounds / params.clock_hz
     dynamic = {comp: 0.0 for comp in COMPONENTS}

@@ -30,24 +30,21 @@ grid gathers by pairing the tails of its grid, itself a capture, formatted
 once per grid.  The session's `params` views the devices its state
 holds.
 
-A noisy or d2d block walks rows: per lane, the flat S-box row each slice
-reads, `at = 16*j + x` for slice j holding nibble x, over lanes x slices
-(B*S).  A round takes those rows (from the read table on d2d cells read
-ideally, else from the cells: each column's conductance,
-`crossbar.column_conductances`, decided on its `crossbar.column_points`),
-takes the sensed bits the wiring routes to each next-state bit, packs
-every 4 into a nibble and adds 16*j back.  A noisy block draws its factors
-in one `draw_read_factors` call and computes its partner branches for
-every round and lane at once, its decision points cached per sigma.
-
-A nominal ideal block walks words: a column reads lo ^ (s & flip) for its
-S-box bit s, lo and flip given by its partner bit's `crossbar.plane_terms`,
-and the wiring P permutes bits, so a round takes the state x to
-P(S(x)) & P(flip) ^ P(lo): one `bytes.translate` through the cells' S-box,
-a sum of P's byte-table entries.  A traced or error-counting block unpacks
-its words into the rows they select, and every walk then ends alike: its
-bit errors in one comparison over its rows, its capture in one
-`read_round`.
+An ideal block walks words, whatever the cells hold: a column reads
+lo ^ (s & flip) for its S-box bit s, lo and flip given by its partner bit's
+`crossbar.plane_terms`, and the wiring P permutes bits, so a round takes
+the state x to P(S(x)) & P(flip) ^ P(lo), one `bytes.translate` through
+slice 0's S-box and a sum of P's byte-table entries, then XORs in, routed,
+where `crossbar.read_table` reads a slice's row otherwise (d2d cells,
+another S-box).  A noisy block walks rows, `at = 16*j + x` for slice j
+holding nibble x, over lanes x slices (B*S): a round senses them (each
+column's `crossbar.column_conductances` decided on its
+`crossbar.column_points`), routes the sensed bits, packs every 4 into a
+nibble and adds 16*j back.  Its factors come from one `draw_read_factors`
+call, its partner branches for every round and lane at once, its decision
+points cached per sigma.  A traced or counted walk ends alike over its
+rows (a word walk's words, unpacked): its bit errors in one comparison,
+its capture in one `read_round`.
 """
 
 from __future__ import annotations
@@ -70,6 +67,7 @@ from .crossbar import (
     column_points,
     decide,
     draw_read_factors,
+    nominal_grid,
     partner_conductances,
     plane_terms,
     program_slice,
@@ -230,17 +228,34 @@ def _byte_routes(variant: CipherVariant, feedback: str) -> tuple:
     return tuple(routes)
 
 
-def _walk_planes(state, scheme, variant: CipherVariant, feedback: str) -> tuple:
-    """Each round's routed (flip, lo) words on nominal `state`: C ^ (p & D)
-    and A ^ (p & B) of its routed partner word p, A..D the
-    `crossbar.plane_terms` of the routed key columns and of the others."""
+def _walk_planes(state, scheme, variant: CipherVariant, feedback: str, fixes) -> tuple:
+    """Each round's (flip, lo, fixes) on `state`: its routed words C ^ (p & D)
+    and A ^ (p & B) of its routed partner word p, A..D the `plane_terms` of
+    the routed key columns and of the others, and its entry of `fixes`."""
     rows = np.concatenate([state.partner_bits, state.xor_mask[None]]).reshape(state.rounds + 1, -1)
     raw = np.packbits(rows.take(_wiring(variant, feedback)[0], axis=1), bitorder="little").tobytes()
     w = variant.block_bits // 8
     *partners, keyed = (int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
     others = keyed ^ (1 << variant.block_bits) - 1
     a, b, c, d = (keyed * k | others * r for k, r in zip(*plane_terms(state.params, scheme)))
-    return tuple((c ^ (p & d), a ^ (p & b)) for p in partners)
+    return tuple((c ^ (p & d), a ^ (p & b), f) for p, f in zip(partners, fixes))
+
+
+def _walk_fixes(state, scheme, routes) -> list:
+    """Each round's (slice j, {row: word}) pairs, where slice j's `read_table`
+    row reads otherwise than a walk of slice 0's S-box on the nominal grid,
+    word the two reads' XOR routed by `routes`, the `_byte_routes`."""
+    grid = nominal_grid(state.params, scheme).bits.view(np.uint8).reshape(2, -1)  # [s, code]
+    # a row's 4 columns, 0/1 bytes, as one uint32, so that rows compare at once
+    lo, hi = (bits.take(state.partner_codes).view(np.uint32) for bits in grid)
+    cells = state.sb_bits[0].view(np.uint32).ravel()
+    diffs = read_table(state, scheme).view(np.uint32)[..., 0] ^ lo ^ (cells & (lo ^ hi))
+    # the differing rows' (round, slice, row): np.nonzero takes 20 times as long
+    at = np.unravel_index(np.flatnonzero(diffs), diffs.shape)
+    fixes, nibbles = [{} for _ in diffs], diffs[at].view(np.uint8).reshape(-1, 4) @ _NIBBLE_WEIGHTS
+    for rnd, j, row, d in zip(*(a.tolist() for a in at), nibbles.tolist()):
+        fixes[rnd].setdefault(j, {})[row] = routes[j >> 1][d << 4 * (j & 1)]
+    return [tuple(f.items()) for f in fixes]
 
 
 def _slice_streams(seed: int, slices: int) -> list:
@@ -282,7 +297,7 @@ class EncryptionSession:
         self.reads_executed = 0
         self.blocks_encrypted = 0
         self.current_log = EventLog(self.variant.name, self.scheme.name)
-        self._read_table = None
+        self._walk = None
         self._column_points = {}
 
     @property
@@ -315,27 +330,25 @@ class EncryptionSession:
         self.state = replace(self.state, sb_bits=written.sb_bits, sb_res=written.sb_res)
         self.mask = 0
         # what ideal reads walk describes the cells it was built from
-        self._read_table = None
+        self._walk = None
 
     # -- reads --------------------------------------------------------------
 
     def _ideal_reads(self):
-        """What ideal reads of this programming walk, built at the first: the
-        read table with d2d variation; on nominal cells, the S-box translate
-        table, the `_byte_routes` and each round's `_walk_planes`."""
-        state = self.state
-        if self._read_table is None and not state.nominal:
-            self._read_table = read_table(state, self.scheme)
-        elif self._read_table is None:
-            if (state.sb_bits != state.sb_bits[:1]).any():
-                raise PipelineError("a nominal ideal read needs the same S-box in every slice")
-            s = state.sb_bits[0] @ _NIBBLE_WEIGHTS
-            self._read_table = (
+        """What ideal reads of this programming walk, built at the first: slice
+        0's S-box as a translate table, the `_byte_routes`, each round's
+        `_walk_planes` and, if cells vary or slices differ, `_walk_fixes`."""
+        if self._walk is None:
+            state, wiring = self.state, (self.variant, self.feedback)
+            s, routes = state.sb_bits[0] @ _NIBBLE_WEIGHTS, _byte_routes(*wiring)
+            varies = not state.nominal or (state.sb_bits != state.sb_bits[:1]).any()
+            fixes = _walk_fixes(state, self.scheme, routes) if varies else repeat(())
+            self._walk = (
                 (s | s[:, None] << 4).tobytes(),  # entry 16*hi + lo is S(lo) | S(hi) << 4
-                _byte_routes(self.variant, self.feedback),
-                _walk_planes(state, self.scheme, self.variant, self.feedback),
+                routes,
+                _walk_planes(state, self.scheme, *wiring, fixes),
             )
-        return self._read_table
+        return self._walk
 
     def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
         """The session's one block read: encrypt plaintext pt once per
@@ -346,8 +359,8 @@ class EncryptionSession:
         are kept as one BlockTrace and a RoundTrace view of each round is
         appended.
 
-        When every sigma is zero the lanes read alike and one is walked,
-        as the module docstring says.  Otherwise all lanes sense the cells
+        When every sigma is zero the lanes read alike and one walks words,
+        on any state, as the module docstring says.  Else all lanes sense the cells
         under factors drawn in one `draw_read_factors` call, shape (rounds,
         2, B, S, 4): [rnd, 0] scales round rnd's S-box cells and [rnd, 1]
         its partner cells, in every lane alike (common random numbers).
@@ -363,41 +376,35 @@ class EncryptionSession:
         # the wiring's sources of each next-state nibble's 4 bits
         sources = sources.reshape(-1, 4)
         keep = count_errors or traces is not None
-        if noisy or not state.nominal:
+        if noisy:
             # a writable index for the rounds' takes: `take` copies a read-only one at every call
             sources = sources.copy()
             # every walked lane's slices' flat S-box rows, 16*j + nibble, over B*S
             at = np.tile(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, walked) + base
-            if noisy:
-                factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
-                points = self._column_points.get(sigma := max(sigmas))
-                if points is None:
-                    points = self._column_points[sigma] = column_points(state, self.scheme, sigma)
-                # computed once: the partner branch of every round's reads
-                partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
-            else:
-                table = self._ideal_reads().reshape(rounds, -1, 4)
+            factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
+            points = self._column_points.get(sigma := max(sigmas))
+            if points is None:
+                points = self._column_points[sigma] = column_points(state, self.scheme, sigma)
+            # computed once: the partner branch of every round's reads
+            partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
             history = [at]
             for rnd in range(rounds):
-                if noisy:
-                    at_lanes = at.reshape(walked, -1)
-                    g = column_conductances(state, at_lanes, partner_g[rnd], factors[rnd, 0])
-                    # a bool array is its 0/1 bytes, so the view skips a cast
-                    out = decide(g, points).view(np.uint8)
-                else:
-                    out = table[rnd].take(at, axis=0)
-                bits = out.take(sources)
+                g = column_conductances(state, at.reshape(walked, -1), partner_g[rnd], factors[rnd, 0])
+                # a bool array is its 0/1 bytes, so the view skips a cast
+                bits = decide(g, points).view(np.uint8).take(sources)
                 at = np.add(bits @ _NIBBLE_WEIGHTS, base)
                 if keep:
                     history.append(at)
             cts = [bits_to_state(b) for b in bits.reshape(walked, -1)]
             ats = np.stack(history) if keep else None
         else:
-            sbox, routes, planes = self._ideal_reads()
-            words, width = [pt], n // 8
-            for flip, lo in planes:  # the wiring commutes with the planes' & and ^
-                out = words[-1].to_bytes(width, "little").translate(sbox)  # S(x), bytewise
-                words.append(sum(map(getitem, routes, out)) & flip ^ lo)
+            sbox, routes, walk = self._ideal_reads()
+            x, words, width = pt, [pt], n // 8
+            for flip, lo, fixes in walk:  # the wiring commutes with the planes' & and ^
+                y = sum(map(getitem, routes, x.to_bytes(width, "little").translate(sbox))) & flip ^ lo
+                for j, rows in fixes:  # slice j's rows that read otherwise
+                    y ^= rows.get(x >> 4 * j & 15, 0)
+                words.append(x := y)
             cts, ats = words[-1:], None
             if keep:
                 # the words' nibbles, low first, as the rows they select

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import warnings
 from dataclasses import fields, replace
 from typing import NamedTuple
@@ -639,9 +640,17 @@ def test_nominal_audits_take_only_device_params(audit, params):
         audit(params)
 
 
-@pytest.mark.parametrize("audit", [sense_margin_report, check_margins])
+@pytest.mark.parametrize(
+    "audit",
+    [
+        sense_margin_report, check_margins, check_logic,
+        lambda scheme, params: nominal_grid(params, scheme),
+    ],
+    ids=["sense_margin_report", "check_margins", "check_logic", "nominal_grid"],
+)
 def test_margin_audit_checks_the_amps_before_sensing(audit):
-    # an amp field the scheme's check refuses is never used in a divider
+    # an amp field the scheme's check refuses is never used in a divider;
+    # check_logic and nominal_grid raised a bare TypeError from one
     scheme = SenseAmpScheme("dxor", DualXorAmp(r_and="2e3"), DualReadoutAmp())
     with pytest.raises(CrossbarError, match=r"^dxor: r_and must be finite and positive"):
         audit(scheme, DeviceParams())
@@ -772,7 +781,8 @@ def test_gathered_capture_is_the_capture_sensed_at_unit_factors(
     variant, scheme, r_lrs, hrs_ratio, wire, vdd, key, data
 ):
     # A nominal state's ideal capture, gathered from the grid of its own
-    # devices, is the capture sensed from its cells with unit factors.
+    # devices, is the capture sensed from its cells with unit factors.  The
+    # grid is captured only for amps their scheme's check admits at vdd.
     try:
         params = DeviceParams(r_lrs=r_lrs, r_hrs=r_lrs * hrs_ratio, wire_r_per_cell=wire, vdd=vdd)
     except CrossbarError:
@@ -784,6 +794,12 @@ def test_gathered_capture_is_the_capture_sensed_at_unit_factors(
     at = np.reshape(rows, (reads, slices)) + 16 * np.arange(slices)
     rnds = np.array(data.draw(st.lists(st.integers(0, variant.rounds - 1), min_size=reads,
                                        max_size=reads)))
+    try:
+        SCHEMES[scheme].validate(vdd)
+    except CrossbarError as exc:
+        with pytest.raises(CrossbarError, match=re.escape(str(exc))):
+            read_round(state, at, rnds, scheme)
+        return
     gathered = read_round(state, at, rnds, scheme)
     sensed = read_round(state, at, rnds, scheme, np.ones((reads, 2, slices, 4)))
     assert gathered.grid is nominal_grid(params, scheme) and sensed.grid is None

@@ -99,6 +99,22 @@ def test_missing_categories_rejected():
         account(EventLog("GIFT-128", "dxor", rounds=0))
 
 
+def test_account_bills_only_the_sense_events_of_a_known_scheme():
+    # each was billed without error: the log of an unknown scheme at the
+    # 241.52 pJ of the dxor senses it holds, and the dxor log holding sxor
+    # senses at 951.52 pJ, those senses counted in
+    session = EncryptionSession(0, GIFT128, "dxor")
+    session.encrypt(0)
+    log = session.current_log
+    unknown = EventLog(log.variant_name, "nope", log.rounds, dict(log.counts))
+    with pytest.raises(MissingEventsError, match="'nope'"):
+        account(unknown)
+    foreign = EventLog(log.variant_name, "dxor", log.rounds, dict(log.counts, sxor_sense=2840))
+    with pytest.raises(MissingEventsError, match=r"^a dxor log .*\['sxor_sense'\]"):
+        account(foreign)
+    account(log)  # the session's own log is billed
+
+
 @pytest.mark.parametrize("log", [None, {"rounds": 40}], ids=["None", "dict"])
 def test_account_takes_only_an_event_log(log):
     # each raised a bare AttributeError

@@ -6,7 +6,9 @@ SHA-256 of the analog trace (too large to commit) and `energy-report
 them unnoticed.  Both trace files of one remasked, noisy `memgift
 encrypt` run are pinned the same way, so the CLI's own writing of them
 is covered too, and so are the ciphertexts of `memgift encrypt` on cells
-with device-to-device variation only, at three remask intervals.  Traces
+with device-to-device variation only, at three remask intervals and, for
+both variants, on cells whose reads depart from the nominal grid's in
+thousands of rows (sigma_d2d = 0.3).  Traces
 on ideal devices (nominal cells, no read noise) are pinned the same way,
 in process and through the CLI, because every nominal read is one of a
 few cell pairings that a faster path may gather rather than sense.
@@ -91,18 +93,42 @@ D2D_CLI_RUN = "cli_gift128_d2d"
 D2D_BLOCKS, D2D_DEVICE = DATA_DIR / "cli_d2d_blocks.txt", DATA_DIR / "cli_d2d_device.cfg"
 D2D_INTERVALS = (0, 1, 3)
 
+# `memgift encrypt` of the same blocks, and for GIFT-64 of their first 16
+# digits, on cells with sigma_d2d = 0.3: a GIFT-128 array's ideal reads
+# depart from the nominal grid's in thousands of (round, slice, row)
+# triples, against some 60 at 0.1, so these pin a walk dense with fixes.
+DENSE_DEVICE, DENSE_DEVICE_TEXT = DATA_DIR / "cli_d2d_dense_device.cfg", "sigma_d2d = 0.3\n"
+DENSE_BLOCKS = {128: D2D_BLOCKS, 64: DATA_DIR / "cli_d2d_blocks64.txt"}
 
-def cli_d2d_run(every: int) -> str:
-    """What `memgift encrypt` prints for the d2d golden run remasked every
-    `every` blocks."""
-    argv = [
-        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(D2D_BLOCKS),
-        "--device-params", str(D2D_DEVICE), "--seed", "4", "--remask-every", str(every),
-    ]
+
+def printed(argv) -> str:
+    """What `memgift` prints for argv, which must exit 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
+
+
+def cli_d2d_run(every: int) -> str:
+    """What `memgift encrypt` prints for the d2d golden run remasked every
+    `every` blocks."""
+    return printed([
+        "encrypt", "--key", f"{KEY:032x}", "--pt-file", str(D2D_BLOCKS),
+        "--device-params", str(D2D_DEVICE), "--seed", "4", "--remask-every", str(every),
+    ])
+
+
+def cli_dense_run(bits: int) -> str:
+    """What `memgift encrypt` prints for the dense d2d golden run of GIFT-`bits`."""
+    return printed([
+        "encrypt", "--variant", str(bits), "--key", f"{KEY:032x}",
+        "--pt-file", str(DENSE_BLOCKS[bits]), "--device-params", str(DENSE_DEVICE), "--seed", "4",
+    ])
+
+
+def blocks64_text() -> str:
+    """The GIFT-64 blocks of the dense run: each d2d block's first 16 digits."""
+    return "".join(line[:16] + "\n" for line in D2D_BLOCKS.read_text().splitlines())
 
 
 def traced_run(case) -> tuple[str, str]:
@@ -185,6 +211,13 @@ def test_cli_d2d_ciphertexts_match_golden(every):
     assert cli_d2d_run(every) == (DATA_DIR / f"cli_d2d_every{every}.txt").read_text()
 
 
+@pytest.mark.parametrize("bits", sorted(DENSE_BLOCKS))
+def test_cli_dense_d2d_ciphertexts_match_golden(bits):
+    assert DENSE_DEVICE.read_text() == DENSE_DEVICE_TEXT
+    assert DENSE_BLOCKS[64].read_text() == blocks64_text()
+    assert cli_dense_run(bits) == (DATA_DIR / f"cli_d2d_dense_gift{bits}.txt").read_text()
+
+
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
 def test_energy_report_matches_golden(tmp_path, scheme, capsys):
     got = energy_json(scheme, tmp_path / "energy.json")
@@ -210,6 +243,10 @@ if __name__ == "__main__":
         (DATA_DIR / f"{name}.analog.sha256").write_text(sha256(analog_text))
     for every in D2D_INTERVALS:
         (DATA_DIR / f"cli_d2d_every{every}.txt").write_text(cli_d2d_run(every))
+    DENSE_DEVICE.write_text(DENSE_DEVICE_TEXT)
+    DENSE_BLOCKS[64].write_text(blocks64_text())
+    for bits in DENSE_BLOCKS:
+        (DATA_DIR / f"cli_d2d_dense_gift{bits}.txt").write_text(cli_dense_run(bits))
     CLI_DEVICE_FILE.write_text(CLI_DEVICE)
     CLI_BLOCKS.write_text(cli_blocks_text())
     with tempfile.TemporaryDirectory() as tmp:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from memgift import crossbar, pipeline
+from memgift import pipeline
 from memgift.crossbar import (
     PARTNER_ABSENT,
     SCHEMES,
@@ -35,7 +35,6 @@ from memgift.crossbar import (
 )
 from memgift.errors import MemgiftError
 from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block
-from memgift.layout import sbox_bit_matrix
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
     BlockTrace,
@@ -331,6 +330,16 @@ def test_trace_bookkeeping():
     assert traces[0].analog.r_eq.shape == (40, 32, 4)
 
 
+def recorded(record, fn):
+    """fn, appending each of its results to record."""
+
+    def call(*args):
+        record.append(fn(*args))
+        return record[-1]
+
+    return call
+
+
 @pytest.mark.parametrize(
     "params",
     [DeviceParams(), DeviceParams(sigma_c2c=0.3, sigma_d2d=0.03, wire_r_per_cell=150.0, seed=8)],
@@ -340,13 +349,6 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     session = EncryptionSession(RNG.getrandbits(128), GIFT128, "dxor", params)
     kernel_bits, kernel_g, captures = [], [], []
     decide, conductances, capture = pipeline.decide, pipeline.column_conductances, pipeline.read_round
-
-    def recorded(record, fn):
-        def call(*args):
-            record.append(fn(*args))
-            return record[-1]
-
-        return call
 
     monkeypatch.setattr(pipeline, "decide", recorded(kernel_bits, decide))
     monkeypatch.setattr(pipeline, "column_conductances", recorded(kernel_g, conductances))
@@ -450,9 +452,10 @@ def test_gift64_event_counts():
 
 
 # ---------------------------------------------------------------------------
-# Ideal reads: a nominal block walks words through the grid's planes, a d2d
-# one walks the read table, each built at the first ideal read of each
-# programming; the read table is the oracle of both
+# Ideal reads: every block walks words through the grid's planes, plus
+# fixes where the read table reads otherwise (d2d cells, slices holding
+# different S-boxes), built at the first ideal read of each programming;
+# the read table is the oracle of the walk
 
 
 def oracle_factors(session, reads, sigmas):
@@ -509,7 +512,7 @@ def oracle_encrypt(session, state, count_errors=False):
     """`state` read through every round by oracle_read_rounds on a session
     that never reads, so that it senses the cells: the reference of a table
     walk.  Returns the ciphertext and its bit-error count."""
-    assert session._read_table is None
+    assert session._walk is None
     bits = pipeline.state_to_bits(state, session.variant.block_bits)[None]
     rounds = range(session.variant.rounds)
     out, errors = oracle_read_rounds(session, bits, rounds, count_errors=count_errors)
@@ -541,7 +544,7 @@ def oracle_table_build(session):
     scheme=st.sampled_from(["sxor", "dxor"]),
     feedback=st.sampled_from(["permuted", "local"]),
     key=st.integers(0, (1 << 128) - 1),
-    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1]),
+    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1, 0.2]),
     wire=st.sampled_from([0.0, 150.0, 20e3]),
     mask=st.integers(1, 15),
     data=st.data(),
@@ -552,76 +555,74 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
     cells = EncryptionSession(key, variant, scheme, params, feedback)  # read by the oracle
     pts = data.draw(st.lists(st.integers(0, (1 << variant.block_bits) - 1), min_size=5, max_size=5))
     cts = [walk.encrypt_with_error_count(pt) for pt in pts]
-    table = walk._read_table
-    assert table is not None
+    built = walk._walk
+    assert built is not None
     assert cts == [oracle_encrypt(cells, pt, count_errors=True) for pt in pts]
-    # a remask rewrites the S-box cells: the walk must use a rebuilt table
+    # a remask rewrites the S-box cells: the walk must be rebuilt
     apply_mask(walk, mask)
     apply_mask(cells, mask)
     masked = [encrypt_masked(walk, pt, mask)[0] for pt in pts]
-    assert walk._read_table is not None and walk._read_table is not table
+    assert walk._walk is not None and walk._walk is not built
     word = replicate_mask(mask, variant.nibbles)
     assert masked == [oracle_encrypt(cells, pt ^ word)[0] ^ word for pt in pts]
 
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
 def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
-    # nominal cells build the word walk's planes from the partner words and
-    # build no read table; cells with d2d variation, which all differ,
-    # decide the table
-    def other_build(*args):
-        raise AssertionError("the ideal reads were built the other way")
+    # each programming builds its walk once: the planes from the partner
+    # words and, on cells with d2d variation, the fixes from one read
+    # table; nominal cells holding one S-box build no read table, and no
+    # round of theirs has a fix
+    walks, tables = [], []
+    monkeypatch.setattr(pipeline, "_walk_planes", recorded(walks, pipeline._walk_planes))
+    monkeypatch.setattr(pipeline, "read_table", recorded(tables, pipeline.read_table))
 
-    builder, other = "_walk_planes", "read_table"
-    if sigma_d2d:
-        builder, other = other, builder
-    build, builds = getattr(pipeline, builder), []
+    def built(programmings):
+        assert len(walks) == programmings
+        assert len(tables) == (programmings if sigma_d2d else 0)
 
-    def counted(*args):
-        builds.append(build(*args))
-        return builds[-1]
-
-    monkeypatch.setattr(crossbar, "nominal_grid" if sigma_d2d else "decide", other_build)
-    monkeypatch.setattr(pipeline, other, other_build)
-    monkeypatch.setattr(pipeline, builder, counted)
     params = DeviceParams(sigma_d2d=sigma_d2d, seed=12)
     key = RNG.getrandbits(128)
     session = EncryptionSession(key, GIFT64, "dxor", params)
-    assert session._read_table is None
+    assert session._walk is None
     session.encrypt(0)
-    table = session._read_table
-    if sigma_d2d:
-        assert table.shape == (GIFT64.rounds, GIFT64.nibbles, 16, 4) and builds[0] is table
-    else:
-        # the cells' S-box, the wiring's byte routes, a routed (flip, lo) per round
-        sbox, routes, planes = table
-        assert len(sbox) == 256 and len(routes) == 8 and len(planes) == GIFT64.rounds
-    assert len(builds) == 1
+    walk = session._walk
+    # the cells' S-box, the wiring's byte routes, a routed (flip, lo, fixes) per round
+    sbox, routes, rounds = walk
+    assert len(sbox) == 256 and len(routes) == 8 and rounds is walks[0]
+    assert len(rounds) == GIFT64.rounds
+    for *_, fixes in rounds:
+        assert all(0 <= j < GIFT64.nibbles and rows for j, rows in fixes)
+    if not sigma_d2d:
+        assert [fixes for *_, fixes in rounds] == [()] * GIFT64.rounds
+    built(1)
     session.encrypt(1)
-    assert session._read_table is table and len(builds) == 1
+    assert session._walk is walk
+    built(1)
     apply_mask(session, 3)
-    assert session._read_table is None
+    assert session._walk is None
     encrypt_masked(session, 4, 3)
-    assert session._read_table is not None and session._read_table is not table
-    assert len(builds) == 2
-    if sigma_d2d:
-        assert builds[1] is session._read_table
+    assert session._walk is not None and session._walk is not walk
+    built(2)
     # so does a one-block sweep trial with every lane ideal
     sweep = run_sweep(GIFT64, "dxor", [0.0, 0.0], blocks=2, base_params=params)
     assert [p.bit_errors for p in sweep] == [0, 0]
+    built(4)
     # so does a traced block; noisy reads never build one
     traced = EncryptionSession(key, GIFT64, "dxor", params)
     noisy = EncryptionSession(key, GIFT64, "dxor", replace(params, sigma_c2c=0.05))
     traced.encrypt(0, trace=True)
-    assert traced._read_table is not None
-    built = len(builds)
+    assert traced._walk is not None
+    built(5)
     for pt in range(5):
         noisy.encrypt(pt)
-    assert noisy._read_table is None and len(builds) == built
+    assert noisy._walk is None
+    built(5)
     apply_mask(traced, 5)
-    assert traced._read_table is None
+    assert traced._walk is None
     encrypt_masked(traced, 5, 5, trace=True)
-    assert traced._read_table is not None
+    assert traced._walk is not None
+    built(6)
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,8 +655,7 @@ def test_read_kernel_matches_per_round_oracle(
     bits = np.tile(pipeline.state_to_bits(pt, variant.block_bits), (lanes, 1))
     rounds = range(variant.rounds)
     kernel, oracle = (EncryptionSession(key, variant, scheme, params, feedback) for _ in range(2))
-    # the cache the kernel reads (the word walk on nominal cells, the read
-    # table with d2d variation) preset, or built at its first ideal read
+    # the walk the kernel reads ideally preset, or built at its first ideal read
     if with_table:
         kernel._ideal_reads()
     table = read_table(oracle.state, oracle.scheme) if with_table else None
@@ -775,7 +775,7 @@ def test_nominal_capture_is_the_sensed_capture_bit_for_bit(
     ids=["c2c", "d2d"],
 )
 def test_noisy_and_d2d_captures_are_sensed(params):
-    # d2d cells read without noise walk the read table, yet their capture is sensed
+    # d2d cells read without noise walk words, yet their capture is sensed
     session = EncryptionSession(RNG.getrandbits(128), GIFT64, "sxor", params)
     analog = session.encrypt(RNG.getrandbits(64), trace=True)[1][0].analog
     assert analog.pairing is None and analog.grid is None
@@ -840,7 +840,7 @@ def test_read_table_keeps_counters_and_logs(scheme):
         ct = walk.encrypt(pt)[0]
         assert ct == oracle_encrypt(cells, pt)[0]
         assert walk.current_log == block_log
-    assert walk._read_table is not None
+    assert walk._walk is not None
     assert walk.session_log() == cells.write_log.merged_with(block_log)
     assert walk.reads_executed == 5 * 40
     assert walk.blocks_encrypted == 5
@@ -869,21 +869,24 @@ def table_walk(session, pt):
     feedback=st.sampled_from(["permuted", "local"]),
     wire=st.sampled_from([0.0, 150.0, 1200.0, 5000.0, 20e3]),
     miscalibrated=st.booleans(),
+    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.3]),
     sbox=st.permutations(range(16)).map(SBoxTable),
     key=st.integers(0, (1 << 128) - 1),
     pt=st.integers(0, (1 << 128) - 1),
 )
 def test_word_walk_equals_a_read_table_walk(
-    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, sbox, key, pt
+    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, sigma_d2d, sbox, key, pt
 ):
     # from 1200 Ohm of wire, and with miscalibrated amps, some nominal reads
-    # are not the logic value: the walk must misread them as the table does
+    # are not the logic value, and d2d cells read otherwise than the grid in
+    # a few rows at 0.1 and in thousands from 0.2: the walk must misread
+    # them as the table does
     params, schemes = DeviceParams(), SCHEMES
     if miscalibrated:
         path = tmp_path_factory.mktemp("params") / "amps.cfg"
         path.write_text(MISCALIBRATED)
         params, schemes = load_device_config(path)
-    params = replace(params, wire_r_per_cell=wire)
+    params = replace(params, wire_r_per_cell=wire, sigma_d2d=sigma_d2d, seed=key % 1000)
     session = EncryptionSession(key, variant, schemes[scheme], params, feedback, sbox)
     pt &= (1 << variant.block_bits) - 1
     for mask in (None, *range(16)):  # as programmed, then remasked with every mask
@@ -932,7 +935,8 @@ def test_walk_planes_are_the_nominal_planes_routed(
     routed = planes.reshape(2, variant.rounds, -1)[:, :, session._sources]
     packed = np.packbits(routed, axis=-1, bitorder="little")
     lo, flip = ([int.from_bytes(row.tobytes(), "little") for row in words] for words in packed)
-    assert session._ideal_reads()[2] == tuple(zip(flip, lo))
+    # nominal cells holding one S-box read as the planes: no round has a fix
+    assert session._ideal_reads()[2] == tuple((f, low, ()) for f, low in zip(flip, lo))
 
 
 @pytest.mark.parametrize("feedback", ["permuted", "local"])
@@ -961,16 +965,29 @@ def test_ideal_lanes_read_alike_and_count_every_lane(variant, sigma_d2d):
     assert session.current_log.get("decoder_cycle") == variant.nibbles * reads
 
 
-def test_word_walk_refuses_slices_holding_different_sboxes():
-    # the walk reads one S-box for every slice, as every programming writes
-    # it; a state whose slices differ must not be read as slice 0's S-box
-    session = EncryptionSession(RNG.getrandbits(128), GIFT64, "dxor")
-    sb_bits = session.state.sb_bits.copy()
-    sb_bits[3] = sbox_bit_matrix(GIFT_SBOX.inverse())
-    session.state = replace(session.state, sb_bits=sb_bits)
-    with pytest.raises(PipelineError, match="same S-box in every slice"):
-        session.encrypt(0)
-    assert session._read_table is None
+@pytest.mark.parametrize("sigma_d2d", [0.0, 0.1], ids=["nominal", "d2d"])
+def test_slices_holding_different_sboxes_read_as_a_read_table_walk(variant, sigma_d2d):
+    # the walk reads slice 0's S-box for every slice: where slice 3 holds
+    # another one, its rows that read otherwise are fixes, so the state
+    # encrypts, counts errors and traces as a walk of its read table
+    params, key = DeviceParams(sigma_d2d=sigma_d2d, seed=6), RNG.getrandbits(128)
+    session = EncryptionSession(key, variant, "dxor", params)
+    # slice 3 as a programming of the inverse S-box writes it, d2d draws alike
+    other = EncryptionSession(key, variant, "dxor", params, sbox=GIFT_SBOX.inverse()).state
+    state = session.state
+    sb_bits, sb_res = state.sb_bits.copy(), state.sb_res.copy()
+    sb_bits[3], sb_res[3] = other.sb_bits[3], other.sb_res[3]
+    session.state = replace(state, sb_bits=sb_bits, sb_res=sb_res)
+    for pt in [RNG.getrandbits(variant.block_bits) for _ in range(4)]:
+        ct, errors, states, read = table_walk(session, pt)
+        assert session.encrypt(pt)[0] == ct != encrypt_block(pt, key, variant)
+        assert session.encrypt_with_error_count(pt) == (ct, errors)
+        traced, traces = session.encrypt(pt, trace=True)
+        assert traced == ct
+        assert np.array_equal(traces[0].record.states, states)
+        assert np.array_equal(traces[0].analog.bits, read.astype(bool))
+    fixed = {j for *_, fixes in session._ideal_reads()[2] for j, _ in fixes}
+    assert 3 in fixed and (sigma_d2d or fixed == {3})
 
 
 # ---------------------------------------------------------------------------
