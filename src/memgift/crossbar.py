@@ -44,7 +44,7 @@ gives its nodes and decides each comparator on its divider tap, and
 each column's pairing, so that an export formats each pairing's record
 once.  `check_margins` holds the grid to both: every node clear of the
 band (the margins) and every bit its pairing's logic value, s ^ p
-(`check_logic`).
+(`check_logic`, of the pairings `misread_pairings` finds).
 
 An ideal read (no cycle-to-cycle noise) depends only on the round, the
 slice and its S-box row while the cells stay as programmed, so
@@ -53,9 +53,9 @@ every entry as the noisy read decides, nominal cells and d2d cells alike:
 its branches' `path_conductance` summed and compared against its column's
 decision points (`column_points`), one column kind at a time: a read-out
 column, which has no partner, reads the same in every round.  On nominal
-cells that is bit for bit what the nominal grid gives; a session's word
-walk reads the grid's bits as four terms of each column's partner bit
-(`plane_terms`).
+cells that is bit for bit what the nominal grid gives.  A session walks
+the logic and reads the table only for the entries that fail it: on d2d
+cells, slices holding other S-boxes, or a grid that misreads a pairing.
 
 Electrical model
 ----------------
@@ -712,10 +712,13 @@ def nominal_grid(params: DeviceParams, scheme) -> ReadCapture:
     S-box cell holding bit s with a partner holding bit p (XOR-sensed) or
     none (p = PARTNER_ABSENT, read out).  Captured once per (r_lrs, r_hrs,
     wire, vdd, scheme) and shared, read-only."""
-    params = _device_params(params)
-    return _captured_grid(
-        scheme_for(scheme), params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
-    )
+    params, scheme = _device_params(params), scheme_for(scheme)
+    devices = params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
+    try:
+        return _captured_grid(scheme, *devices)
+    except TypeError:  # the cache cannot hash an amp field, which validate refuses
+        scheme.validate(params.vdd)
+        raise
 
 
 def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCapture:
@@ -773,23 +776,13 @@ def column_points(state: ProgrammedState, scheme, sigma_c2c: float) -> np.ndarra
     return np.where(state.xor_mask, xor[:, None, None], readout[:, None, None])
 
 
-def plane_terms(params: DeviceParams, scheme) -> tuple:
-    """The `nominal_grid`'s reads as terms (a, b, c, d) of a partner bit p,
-    a key column's, then a read-out column's (b = d = 0: its partner bit is
-    0): an S-box cell holding 0 reads lo = a ^ (p & b), and flip =
-    c ^ (p & d) says whether a cell holding 1 reads otherwise."""
-    bits = nominal_grid(params, scheme).bits  # s = 0, then s = 1, by partner code
-    lo, flip = bits[:3].tolist(), (bits[:3] ^ bits[3:]).tolist()
-    key = (lo[0], lo[0] ^ lo[1], flip[0], flip[0] ^ flip[1])
-    return key, (lo[PARTNER_ABSENT], False, flip[PARTNER_ABSENT], False)
-
-
 def read_table(state: ProgrammedState, scheme) -> np.ndarray:
     """Every ideal read of `state` under `scheme` (decided as the module
     docstring says), read-only 0/1 bytes, slice-major, shape (rounds, S, 16,
     4): entry [rnd, j, row] is what slice j senses on S-box row `row` in
-    round rnd.  A session reads it only to fix its word walk of the nominal
-    grid where the two differ: on d2d cells, or slices holding other S-boxes."""
+    round rnd.  A session reads it only to fix its walk of the logic where
+    the two differ: on d2d cells, slices holding other S-boxes, or a nominal
+    grid that misreads a pairing."""
     wire = state.params.wire_r_per_cell
     table = np.empty((state.rounds, len(state.sb_bits), 16, 4), dtype=np.uint8)
     # each column's 16 rows last, so a column kind selects whole columns
@@ -843,18 +836,25 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     return records
 
 
+def misread_pairings(params: DeviceParams, scheme) -> np.ndarray:
+    """The `nominal_grid` entries of `params`' cells under `scheme` that
+    read other than their logic value, the digital value of their stored
+    bits: s ^ p on the XOR pairings, s on read-out (partner bit 0)."""
+    grid = nominal_grid(params, scheme)
+    return np.flatnonzero(grid.bits != (grid.sb_bits ^ grid.partner_bits))
+
+
 def check_logic(scheme, params: DeviceParams) -> None:
     """Raise if any nominal operand pairing of `params`' cells reads other
-    than its logic value under `scheme`, the digital value of its stored
-    bits: s ^ p on the XOR pairings, s on read-out (partner bit 0)."""
+    than its logic value under `scheme` (`misread_pairings`)."""
     scheme = scheme_for(scheme)
     grid = nominal_grid(params, scheme)
-    logic = (grid.sb_bits ^ grid.partner_bits).astype(bool)
-    for k in np.flatnonzero(grid.bits != logic)[:1].tolist():
+    for k in misread_pairings(params, scheme)[:1].tolist():
         kind = "xor" if grid.xor_mask[k] else "readout"
+        bit = int(grid.bits[k])
         raise CrossbarError(
-            f"logic violation: {scheme.name}.{kind} reads {int(grid.bits[k])} "
-            f"for operands {_operands(grid, k)}, not {int(logic[k])}"
+            f"logic violation: {scheme.name}.{kind} reads {bit} "
+            f"for operands {_operands(grid, k)}, not {1 - bit}"
         )
 
 

@@ -30,17 +30,17 @@ grid gathers by pairing the tails of its grid, itself a capture, formatted
 once per grid.  The session's `params` views the devices its state
 holds.
 
-An ideal block walks words, whatever the cells hold: a column reads
-lo ^ (s & flip) for its S-box bit s, lo and flip given by its partner bit's
-`crossbar.plane_terms`, and the wiring P permutes bits, so a round takes
-the state x to P(S(x)) & P(flip) ^ P(lo), one `bytes.translate` through
-slice 0's S-box and a sum of P's byte-table entries, then XORs in, routed,
-where `crossbar.read_table` reads a slice's row otherwise (d2d cells,
-another S-box).  A noisy block walks rows, `at = 16*j + x` for slice j
-holding nibble x, over lanes x slices (B*S): a round senses them (each
-column's `crossbar.column_conductances` decided on its
-`crossbar.column_points`), routes the sensed bits, packs every 4 into a
-nibble and adds 16*j back.  Its factors come from one `draw_read_factors`
+An ideal block walks words, whatever the cells hold.  A column reading
+its logic senses s ^ p, its S-box bit XOR its partner's, and the wiring P
+permutes bits, so a round is the cipher round on the cells' key words, x
+to P(S(x)) ^ P(p): one `bytes.translate` through slice 0's S-box, a sum of
+P's byte-table entries and the round's routed partner word.  It XORs in,
+routed, the reads where `crossbar.read_table` fails that logic (d2d cells,
+another S-box, a nominal grid that misreads).  A noisy block walks rows,
+`at = 16*j + x` for slice j holding nibble x, over lanes x slices (B*S):
+a round senses them (each column's `crossbar.column_conductances` decided
+on its `crossbar.column_points`), routes the sensed bits, packs every 4
+into a nibble and adds 16*j back.  Its factors come from one `draw_read_factors`
 call, its partner branches for every round and lane at once, its decision
 points cached per sigma.  A traced or counted walk ends alike over its
 rows (a word walk's words, unpacked): its bit errors in one comparison,
@@ -67,9 +67,8 @@ from .crossbar import (
     column_points,
     decide,
     draw_read_factors,
-    nominal_grid,
+    misread_pairings,
     partner_conductances,
-    plane_terms,
     program_slice,
     read_round,
     read_table,
@@ -228,28 +227,23 @@ def _byte_routes(variant: CipherVariant, feedback: str) -> tuple:
     return tuple(routes)
 
 
-def _walk_planes(state, scheme, variant: CipherVariant, feedback: str, fixes) -> tuple:
-    """Each round's (flip, lo, fixes) on `state`: its routed words C ^ (p & D)
-    and A ^ (p & B) of its routed partner word p, A..D the `plane_terms` of
-    the routed key columns and of the others, and its entry of `fixes`."""
-    rows = np.concatenate([state.partner_bits, state.xor_mask[None]]).reshape(state.rounds + 1, -1)
-    raw = np.packbits(rows.take(_wiring(variant, feedback)[0], axis=1), bitorder="little").tobytes()
-    w = variant.block_bits // 8
-    *partners, keyed = (int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
-    others = keyed ^ (1 << variant.block_bits) - 1
-    a, b, c, d = (keyed * k | others * r for k, r in zip(*plane_terms(state.params, scheme)))
-    return tuple((c ^ (p & d), a ^ (p & b), f) for p, f in zip(partners, fixes))
+def _walk_keys(state, variant: CipherVariant, feedback: str, fixes) -> tuple:
+    """Each round's (key, fixes) on `state`: its key word, the round's
+    partner bits routed as the wiring routes the sensed bits, and its entry
+    of `fixes`."""
+    rows = state.partner_bits.reshape(state.rounds, -1).take(_wiring(variant, feedback)[0], axis=1)
+    raw, w = np.packbits(rows, bitorder="little").tobytes(), variant.block_bits // 8
+    keys = (int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
+    return tuple(zip(keys, fixes))
 
 
 def _walk_fixes(state, scheme, routes) -> list:
     """Each round's (slice j, {row: word}) pairs, where slice j's `read_table`
-    row reads otherwise than a walk of slice 0's S-box on the nominal grid,
-    word the two reads' XOR routed by `routes`, the `_byte_routes`."""
-    grid = nominal_grid(state.params, scheme).bits.view(np.uint8).reshape(2, -1)  # [s, code]
+    row fails the logic, slice 0's S-box row XOR the round's partner bits,
+    word the two's XOR routed by `routes`, the `_byte_routes`."""
     # a row's 4 columns, 0/1 bytes, as one uint32, so that rows compare at once
-    lo, hi = (bits.take(state.partner_codes).view(np.uint32) for bits in grid)
-    cells = state.sb_bits[0].view(np.uint32).ravel()
-    diffs = read_table(state, scheme).view(np.uint32)[..., 0] ^ lo ^ (cells & (lo ^ hi))
+    logic = state.sb_bits[0].view(np.uint32).ravel() ^ state.partner_bits.view(np.uint32)
+    diffs = read_table(state, scheme).view(np.uint32)[..., 0] ^ logic
     # the differing rows' (round, slice, row): np.nonzero takes 20 times as long
     at = np.unravel_index(np.flatnonzero(diffs), diffs.shape)
     fixes, nibbles = [{} for _ in diffs], diffs[at].view(np.uint8).reshape(-1, 4) @ _NIBBLE_WEIGHTS
@@ -337,16 +331,18 @@ class EncryptionSession:
     def _ideal_reads(self):
         """What ideal reads of this programming walk, built at the first: slice
         0's S-box as a translate table, the `_byte_routes`, each round's
-        `_walk_planes` and, if cells vary or slices differ, `_walk_fixes`."""
+        `_walk_keys` and, if a read may fail its logic, `_walk_fixes`."""
         if self._walk is None:
             state, wiring = self.state, (self.variant, self.feedback)
             s, routes = state.sb_bits[0] @ _NIBBLE_WEIGHTS, _byte_routes(*wiring)
-            varies = not state.nominal or (state.sb_bits != state.sb_bits[:1]).any()
-            fixes = _walk_fixes(state, self.scheme, routes) if varies else repeat(())
+            # cells that vary, slices that differ, or a grid that misreads
+            fails = not state.nominal or (state.sb_bits != state.sb_bits[:1]).any()
+            fails = fails or misread_pairings(state.params, self.scheme).size
+            fixes = _walk_fixes(state, self.scheme, routes) if fails else repeat(())
             self._walk = (
                 (s | s[:, None] << 4).tobytes(),  # entry 16*hi + lo is S(lo) | S(hi) << 4
                 routes,
-                _walk_planes(state, self.scheme, *wiring, fixes),
+                _walk_keys(state, *wiring, fixes),
             )
         return self._walk
 
@@ -400,9 +396,9 @@ class EncryptionSession:
         else:
             sbox, routes, walk = self._ideal_reads()
             x, words, width = pt, [pt], n // 8
-            for flip, lo, fixes in walk:  # the wiring commutes with the planes' & and ^
-                y = sum(map(getitem, routes, x.to_bytes(width, "little").translate(sbox))) & flip ^ lo
-                for j, rows in fixes:  # slice j's rows that read otherwise
+            for key, fixes in walk:  # the wiring commutes with the key's ^
+                y = sum(map(getitem, routes, x.to_bytes(width, "little").translate(sbox))) ^ key
+                for j, rows in fixes:  # slice j's rows that fail the logic
                     y ^= rows.get(x >> 4 * j & 15, 0)
                 words.append(x := y)
             cts, ats = words[-1:], None

@@ -650,10 +650,12 @@ def test_nominal_audits_take_only_device_params(audit, params):
 )
 def test_margin_audit_checks_the_amps_before_sensing(audit):
     # an amp field the scheme's check refuses is never used in a divider;
-    # check_logic and nominal_grid raised a bare TypeError from one
-    scheme = SenseAmpScheme("dxor", DualXorAmp(r_and="2e3"), DualReadoutAmp())
-    with pytest.raises(CrossbarError, match=r"^dxor: r_and must be finite and positive"):
-        audit(scheme, DeviceParams())
+    # check_logic and nominal_grid raised a bare TypeError from a str, and
+    # from a list, which the grid's cache cannot hash
+    for r_and in ("2e3", [1]):
+        scheme = SenseAmpScheme("dxor", DualXorAmp(r_and=r_and), DualReadoutAmp())
+        with pytest.raises(CrossbarError, match=r"^dxor: r_and must be finite and positive"):
+            audit(scheme, DeviceParams())
 
 
 def test_margin_audit_decides_what_the_read_table_gathers(tmp_path):

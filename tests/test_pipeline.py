@@ -34,7 +34,7 @@ from memgift.crossbar import (
     variation_factor,
 )
 from memgift.errors import MemgiftError
-from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block
+from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block, round_addition_masks
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
     BlockTrace,
@@ -569,12 +569,12 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
 def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
-    # each programming builds its walk once: the planes from the partner
-    # words and, on cells with d2d variation, the fixes from one read
-    # table; nominal cells holding one S-box build no read table, and no
-    # round of theirs has a fix
+    # each programming builds its walk once: the key words from the partner
+    # bits and, on cells with d2d variation, the fixes from one read table;
+    # nominal cells holding one S-box that read their logic build no read
+    # table, and no round of theirs has a fix
     walks, tables = [], []
-    monkeypatch.setattr(pipeline, "_walk_planes", recorded(walks, pipeline._walk_planes))
+    monkeypatch.setattr(pipeline, "_walk_keys", recorded(walks, pipeline._walk_keys))
     monkeypatch.setattr(pipeline, "read_table", recorded(tables, pipeline.read_table))
 
     def built(programmings):
@@ -587,7 +587,7 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     assert session._walk is None
     session.encrypt(0)
     walk = session._walk
-    # the cells' S-box, the wiring's byte routes, a routed (flip, lo, fixes) per round
+    # the cells' S-box, the wiring's byte routes, a routed (key, fixes) per round
     sbox, routes, rounds = walk
     assert len(sbox) == 256 and len(routes) == 8 and rounds is walks[0]
     assert len(rounds) == GIFT64.rounds
@@ -907,36 +907,48 @@ def test_word_walk_equals_a_read_table_walk(
     variant=st.sampled_from([GIFT64, GIFT128]),
     scheme=st.sampled_from(["sxor", "dxor"]),
     feedback=st.sampled_from(["permuted", "local"]),
-    wire=st.sampled_from([0.0, 150.0, 1200.0]),
+    wire=st.sampled_from([0.0, 150.0, 1200.0, 20e3]),
     miscalibrated=st.booleans(),
+    sigma_d2d=st.sampled_from([0.0, 0.05, 0.1, 0.2]),
     key=st.integers(0, (1 << 128) - 1),
 )
-def test_walk_planes_are_the_nominal_planes_routed(
-    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, key
+def test_walk_fixes_are_the_failing_reads(
+    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, sigma_d2d, key
 ):
-    # each round's (flip, lo) words, built from the round's routed partner
-    # word by the grid's terms, are the planes of the decided read table:
-    # per column, what a row holding 0 reads and whether a row holding 1
-    # reads otherwise, routed and packed; from 1200 Ohm of wire, and with
-    # miscalibrated amps, some XOR reads are not the logic value, so the
-    # terms differ from the defaults'
+    # on a state holding one S-box, nominal or d2d, the walk departs from
+    # the logic only at the failing reads: its fixed (round, slice, row)
+    # triples are the read table's rows that are not s ^ p, each fix word
+    # that XOR routed, and each round's key word the round's partner bits
+    # routed, which under permuted feedback is the cipher's round addition.
+    # From 1200 Ohm of wire, and with miscalibrated amps, the nominal grid
+    # misreads a pairing, so nominal cells fail in many rows too.
     params, schemes = DeviceParams(), SCHEMES
     if miscalibrated:
         path = tmp_path_factory.mktemp("params") / "amps.cfg"
         path.write_text(MISCALIBRATED)
         params, schemes = load_device_config(path)
-    params = replace(params, wire_r_per_cell=wire)
+    params = replace(params, wire_r_per_cell=wire, sigma_d2d=sigma_d2d, seed=key % 1000)
     session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
-    table = read_table(session.state, session.scheme)
-    cells, columns = session.state.sb_bits[0], np.arange(4)  # slice 0's S-box, every slice's
-    lo, hi = (table[:, :, rows, columns] for rows in (cells.argmin(axis=0), cells.argmax(axis=0)))
-    planes = np.stack([lo, lo ^ hi])
-    assert planes.shape == (2, variant.rounds, variant.nibbles, 4)
-    routed = planes.reshape(2, variant.rounds, -1)[:, :, session._sources]
-    packed = np.packbits(routed, axis=-1, bitorder="little")
-    lo, flip = ([int.from_bytes(row.tobytes(), "little") for row in words] for words in packed)
-    # nominal cells holding one S-box read as the planes: no round has a fix
-    assert session._ideal_reads()[2] == tuple((f, low, ()) for f, low in zip(flip, lo))
+    state, sources = session.state, session._sources
+    failing = read_table(state, session.scheme) ^ state.sb_bits ^ state.partner_bits[:, :, None]
+    walk = session._ideal_reads()[2]
+    fixes = {
+        (rnd, j, row): word
+        for rnd, (_, round_fixes) in enumerate(walk)
+        for j, rows in round_fixes
+        for row, word in rows.items()
+    }
+    event(f"fixes: {'some' if fixes else 'none'}")
+    assert sorted(fixes) == [tuple(at) for at in np.argwhere(failing.any(axis=-1)).tolist()]
+    for (rnd, j, row), word in fixes.items():
+        sensed = np.zeros(variant.block_bits, dtype=np.uint8)
+        sensed[4 * j : 4 * j + 4] = failing[rnd, j, row]
+        assert word == pipeline.bits_to_state(sensed[sources])
+    keys = [key_word for key_word, _ in walk]
+    routed = state.partner_bits.reshape(variant.rounds, -1)[:, sources]
+    assert keys == [pipeline.bits_to_state(bits) for bits in routed]
+    if feedback == "permuted":
+        assert keys == round_addition_masks(key, variant)
 
 
 @pytest.mark.parametrize("feedback", ["permuted", "local"])
@@ -1371,12 +1383,12 @@ def test_sweep_monotone_and_deterministic():
 SWEEP_GRID = (0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.12)
 
 
-def device_file_sweep(device: str, scheme: str) -> dict:
+def device_file_sweep(device: str, scheme: str, sigmas=SWEEP_GRID, blocks=20) -> dict:
     """`memgift sweep --seed 7 --scheme SCHEME --device-params FILE` on the
-    device file tests/data/DEVICE.cfg."""
+    device file tests/data/DEVICE.cfg, with its --sigmas and --blocks."""
     params, schemes = load_device_config(DATA_DIR / f"{device}.cfg")
     return dict(
-        variant=GIFT128, scheme=schemes[scheme], sigmas=SWEEP_GRID, blocks=20, seed=7,
+        variant=GIFT128, scheme=schemes[scheme], sigmas=sigmas, blocks=blocks, seed=7,
         base_params=params,
     )
 
@@ -1412,6 +1424,16 @@ GOLDEN_SWEEPS = {
     "sweep_amps_miscalibrated_dxor": device_file_sweep("sweep_amps_miscalibrated", "dxor"),
     "sweep_amps_miscalibrated_sxor": device_file_sweep("sweep_amps_miscalibrated", "sxor"),
     "sweep_amps_vref_nor_dxor": device_file_sweep("sweep_amps_vref_nor", "dxor"),
+    # ideal reads of nominal grids that misread the logic, every lane ideal
+    # (`--sigmas 0 --blocks 5`): pinned while the word walk read the grid
+    **{
+        f"sweep_ideal_{name}_{scheme}": device_file_sweep(device, scheme, (0.0,), 5)
+        for name, device in (
+            ("misreading", "cli_misreading_device"),
+            ("amps_miscalibrated", "sweep_amps_miscalibrated"),
+        )
+        for scheme in ("dxor", "sxor")
+    },
 }
 
 
