@@ -238,7 +238,7 @@ class ProgrammedState:
     @property
     def cell_count(self) -> int:
         """Cells written: every S-box cell and every key-column partner."""
-        return self.sb_bits.size + self.rounds * int(self.xor_mask.sum())
+        return self.sb_bits.size + self.rounds * int(np.count_nonzero(self.xor_mask))
 
     def fingerprint(self) -> int:
         """A digest of the cells' bits and resistances, the same in every
@@ -839,9 +839,16 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
 def misread_pairings(params: DeviceParams, scheme) -> np.ndarray:
     """The `nominal_grid` entries of `params`' cells under `scheme` that
     read other than their logic value, the digital value of their stored
-    bits: s ^ p on the XOR pairings, s on read-out (partner bit 0)."""
-    grid = nominal_grid(params, scheme)
-    return np.flatnonzero(grid.bits != (grid.sb_bits ^ grid.partner_bits))
+    bits: s ^ p on the XOR pairings, s on read-out (partner bit 0).  Found
+    once per grid, read-only."""
+    return _misreads(nominal_grid(params, scheme))
+
+
+@lru_cache(maxsize=64)
+def _misreads(grid: ReadCapture) -> np.ndarray:
+    at = np.flatnonzero(grid.bits != (grid.sb_bits ^ grid.partner_bits))
+    at.setflags(write=False)
+    return at
 
 
 def check_logic(scheme, params: DeviceParams) -> None:

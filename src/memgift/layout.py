@@ -175,7 +175,8 @@ def compile_layout(
         np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes), axis=1, bitorder="little"
     )
     columns, targets = _key_geometry(variant.block_bits)
-    # every slice's key columns in one gather
+    # every slice's key columns in one gather, strides (1, rounds): program_slice
+    # writes fresh keys of this layout faster than of a C-ordered `take`
     return LayoutBundle(variant, sbox_bit_matrix(sbox), plane[:, targets], columns)
 
 

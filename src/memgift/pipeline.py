@@ -193,10 +193,23 @@ def _session_args(variant, scheme, params, feedback: str, name: str) -> tuple:
         params = _DEFAULT_PARAMS
     elif not isinstance(params, DeviceParams):
         raise PipelineError(f"{name} must be a DeviceParams, got {params!r}")
-    scheme.validate(params.vdd)
+    try:
+        # an equal scheme may hold fields of other types (Decimal(1) == 1) that validate refuses
+        if _validated(scheme, params.vdd) is not scheme:
+            scheme.validate(params.vdd)
+    except TypeError:  # the cache cannot hash an amp field, which validate refuses
+        scheme.validate(params.vdd)
+        raise
     if feedback not in ("permuted", "local"):
         raise PipelineError(f"unknown feedback mode: {feedback!r}")
     return variant, scheme, params
+
+
+@lru_cache(maxsize=64)
+def _validated(scheme, vdd: float):
+    """scheme, once it passed `validate` at vdd: checked once per (scheme, vdd)."""
+    scheme.validate(vdd)
+    return scheme
 
 
 @lru_cache(maxsize=None)
@@ -232,8 +245,9 @@ def _walk_keys(state, variant: CipherVariant, feedback: str, fixes) -> tuple:
     partner bits routed as the wiring routes the sensed bits, and its entry
     of `fixes`."""
     rows = state.partner_bits.reshape(state.rounds, -1).take(_wiring(variant, feedback)[0], axis=1)
-    raw, w = np.packbits(rows, bitorder="little").tobytes(), variant.block_bits // 8
-    keys = (int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w))
+    keys = np.packbits(rows, bitorder="little").view("<u8").tolist()
+    if variant.block_bits == 128:  # a key word is a low and a high 64-bit word
+        keys = [low | high << 64 for low, high in zip(keys[0::2], keys[1::2])]
     return tuple(zip(keys, fixes))
 
 
@@ -250,6 +264,16 @@ def _walk_fixes(state, scheme, routes) -> list:
     for rnd, j, row, d in zip(*(a.tolist() for a in at), nibbles.tolist()):
         fixes[rnd].setdefault(j, {})[row] = routes[j >> 1][d << 4 * (j & 1)]
     return [tuple(f.items()) for f in fixes]
+
+
+@lru_cache(maxsize=64)
+def _sbox_walk(cells: bytes) -> tuple:
+    """Slice 0's S-box as a translate table, entry 16*hi + lo = S(lo) |
+    S(hi) << 4, and whether any slice holds another S-box, of the cells
+    whose `sb_bits` bytes are `cells`: built once per cell content."""
+    sb_bits = np.frombuffer(cells, dtype=np.uint8).reshape(-1, 16, 4)
+    s = sb_bits[0] @ _NIBBLE_WEIGHTS
+    return (s | s[:, None] << 4).tobytes(), bool((sb_bits != sb_bits[:1]).any())
 
 
 def _slice_streams(seed: int, slices: int) -> list:
@@ -283,7 +307,7 @@ class EncryptionSession:
             rngs = self._slice_rngs = _slice_streams(params.seed, self.variant.nibbles)
         self.state = program_slice(bundle.key_bits, bundle.columns, bundle.sbox_matrix, params, rngs)
         self.write_log.add("cell_write", self.state.cell_count)
-        self._n_xor = int(self.state.xor_mask.sum())
+        self._n_xor = bundle.key_bits.shape[1]
         self._n_readout = 4 * self.variant.nibbles - self._n_xor
 
         self._sources, self._row_base = _wiring(self.variant, feedback)
@@ -329,21 +353,17 @@ class EncryptionSession:
     # -- reads --------------------------------------------------------------
 
     def _ideal_reads(self):
-        """What ideal reads of this programming walk, built at the first: slice
-        0's S-box as a translate table, the `_byte_routes`, each round's
+        """What ideal reads of this programming walk, built at the first: the
+        `_sbox_walk` translate table, the `_byte_routes`, each round's
         `_walk_keys` and, if a read may fail its logic, `_walk_fixes`."""
         if self._walk is None:
             state, wiring = self.state, (self.variant, self.feedback)
-            s, routes = state.sb_bits[0] @ _NIBBLE_WEIGHTS, _byte_routes(*wiring)
+            sbox, mixed = _sbox_walk(state.sb_bits.tobytes())
+            routes = _byte_routes(*wiring)
             # cells that vary, slices that differ, or a grid that misreads
-            fails = not state.nominal or (state.sb_bits != state.sb_bits[:1]).any()
-            fails = fails or misread_pairings(state.params, self.scheme).size
+            fails = not state.nominal or mixed or misread_pairings(state.params, self.scheme).size
             fixes = _walk_fixes(state, self.scheme, routes) if fails else repeat(())
-            self._walk = (
-                (s | s[:, None] << 4).tobytes(),  # entry 16*hi + lo is S(lo) | S(hi) << 4
-                routes,
-                _walk_keys(state, *wiring, fixes),
-            )
+            self._walk = sbox, routes, _walk_keys(state, *wiring, fixes)
         return self._walk
 
     def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):

@@ -1,11 +1,13 @@
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from memgift import pipeline
+from memgift import crossbar, pipeline
 from memgift.crossbar import (
     PARTNER_ABSENT,
     SCHEMES,
@@ -27,6 +29,7 @@ from memgift.crossbar import (
     SenseAmpScheme,
     column_conductances,
     load_device_config,
+    misread_pairings,
     partner_conductances,
     read_table,
     resolve,
@@ -181,6 +184,19 @@ BAD_SESSION_ARGUMENTS = {
     "scheme-reference-above-vdd": {
         "scheme": SenseAmpScheme("dxor", DualXorAmp(vref_and=1.5), DualReadoutAmp())
     },
+    "scheme-reference-at-vdd": {
+        "scheme": SenseAmpScheme("dxor", DualXorAmp(vref_and=0.9), DualReadoutAmp())
+    },
+    "scheme-infinite-branch": {
+        "scheme": SenseAmpScheme("dxor", DualXorAmp(r_and=math.inf), DualReadoutAmp())
+    },
+    "scheme-unhashable-branch": {
+        "scheme": SenseAmpScheme("dxor", DualXorAmp(r_and=[1]), DualReadoutAmp())
+    },
+    # equal to the default dxor scheme, and of the same hash, but not a Real
+    "scheme-decimal-branch": {
+        "scheme": SenseAmpScheme("dxor", DualXorAmp(r_and=Decimal(2000)), DualReadoutAmp())
+    },
     "params": {"params": {"vdd": 0.9}},
     "params-below-the-references": {"params": DeviceParams(vdd=0.4)},
     "feedback": {"feedback": "sideways"},
@@ -191,18 +207,35 @@ BAD_SESSION_ARGUMENTS = {
 @pytest.mark.parametrize("sigmas, blocks", [([0.1], 0), ([], 3)], ids=["no-trial", "no-sigma"])
 def test_sweep_checks_session_arguments_before_any_trial(bad, sigmas, blocks):
     # a sweep of no trial or no sigma point returned [] whatever its variant,
-    # scheme or feedback; each now raises what a session raises for it
+    # scheme or feedback; each now raises what a session raises for it.  A
+    # session checks its scheme once per (scheme, vdd) and never caches a
+    # refused one, so the second session and sweep raise as the first did.
+    EncryptionSession(0)  # the default dxor scheme, checked and cached at vdd 0.9, not 0.4
     args = {"variant": 128, "scheme": "dxor", "params": None, "feedback": "permuted"}
     args.update(BAD_SESSION_ARGUMENTS[bad])
-    with pytest.raises(MemgiftError) as by_session:
-        EncryptionSession(0, **args)
     # the sweep's devices are its base_params
-    expected = ("base_" if bad == "params" else "") + str(by_session.value)
-    args["base_params"] = args.pop("params")
-    with pytest.raises(MemgiftError) as by_sweep:
-        run_sweep(sigmas=sigmas, blocks=blocks, **args)
-    assert type(by_sweep.value) is type(by_session.value)
-    assert str(by_sweep.value) == expected
+    sweep_args = {"base_params" if k == "params" else k: v for k, v in args.items()}
+    raised = set()
+    for _ in range(2):
+        with pytest.raises(MemgiftError) as by_session:
+            EncryptionSession(0, **args)
+        expected = ("base_" if bad == "params" else "") + str(by_session.value)
+        with pytest.raises(MemgiftError) as by_sweep:
+            run_sweep(sigmas=sigmas, blocks=blocks, **sweep_args)
+        assert type(by_sweep.value) is type(by_session.value)
+        assert str(by_sweep.value) == expected
+        raised.add((type(by_session.value), expected))
+    assert len(raised) == 1
+
+
+def test_cached_misread_pairings_are_read_only():
+    misreading, _ = load_device_config(DATA_DIR / "cli_misreading_device.cfg")
+    for params in (DeviceParams(), misreading):
+        pairings = misread_pairings(params, "dxor")
+        assert misread_pairings(params, "dxor") is pairings
+        assert pairings.size == (params is misreading)
+        with pytest.raises(ValueError, match="read-only"):
+            pairings[...] = 0
 
 
 @pytest.mark.parametrize("sigmas", [None, 0.1], ids=["None", "float"])
@@ -623,6 +656,37 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     encrypt_masked(traced, 5, 5, trace=True)
     assert traced._walk is not None
     built(6)
+
+
+def test_a_second_session_derives_nothing_from_its_configuration(monkeypatch):
+    # what a session derives from its (scheme, vdd), nominal grid or S-box
+    # cells is computed once: a second nominal session on the same
+    # configuration checks no scheme, compares no grid to its logic and
+    # builds no S-box translate table
+    params, key = DeviceParams(vdd=0.85), RNG.getrandbits(128)
+    EncryptionSession(key, GIFT128, "sxor", params).encrypt(0)
+    validated, validate = [], SenseAmpScheme.validate
+    monkeypatch.setattr(SenseAmpScheme, "validate", recorded(validated, validate))
+
+    def misses():
+        return [f.cache_info().misses for f in (crossbar._misreads, pipeline._sbox_walk)]
+
+    before = misses()
+    fresh = RNG.getrandbits(128)
+    session = EncryptionSession(fresh, GIFT128, "sxor", params)
+    assert session.encrypt(5)[0] == encrypt_block(5, fresh, GIFT128)
+    assert validated == [] and misses() == before
+    assert [fixes for _, fixes in session._ideal_reads()[2]] == [()] * GIFT128.rounds
+    # the S-box walk is keyed by the cells: a state of the same shape whose
+    # slice 1 holds another S-box still walks slice 1's rows as fixes
+    other = EncryptionSession(key, GIFT128, "sxor", params, sbox=GIFT_SBOX.inverse()).state
+    state = session.state
+    sb_bits, sb_res = state.sb_bits.copy(), state.sb_res.copy()
+    sb_bits[1], sb_res[1] = other.sb_bits[1], other.sb_res[1]
+    session.state, session._walk = replace(state, sb_bits=sb_bits, sb_res=sb_res), None
+    fixed = {j for _, fixes in session._ideal_reads()[2] for j, _ in fixes}
+    assert fixed == {1}
+    assert misses()[1] == before[1] + 1
 
 
 @settings(max_examples=60, deadline=None)
