@@ -53,9 +53,8 @@ every entry as the noisy read decides, nominal cells and d2d cells alike:
 its branches' `path_conductance` summed and compared against its column's
 decision points (`column_points`), one column kind at a time: a read-out
 column, which has no partner, reads the same in every round.  On nominal
-cells that is bit for bit what the nominal grid gives.  A session walks
-the logic and reads the table only for the entries that fail it: on d2d
-cells, slices holding other S-boxes, or a grid that misreads a pairing.
+cells that is bit for bit what the nominal grid gives.  A session reads
+it only on d2d cells or a grid that misreads a pairing.
 
 Electrical model
 ----------------
@@ -567,6 +566,24 @@ SENSE_EVENT = {
 }
 
 
+@lru_cache(maxsize=64)
+def _validated(scheme: SenseAmpScheme, vdd: float) -> SenseAmpScheme:
+    scheme.validate(vdd)
+    return scheme
+
+
+def check_scheme(scheme: SenseAmpScheme, vdd: float) -> None:
+    """Raise unless scheme passes `validate` at vdd, checked once per
+    (scheme, vdd): the one check of every session and nominal grid."""
+    try:
+        # an equal scheme may hold fields of other types (Decimal(1) == 1) that validate refuses
+        if _validated(scheme, vdd) is not scheme:
+            scheme.validate(vdd)
+    except TypeError:  # the cache cannot hash an amp field, which validate refuses
+        scheme.validate(vdd)
+        raise
+
+
 def scheme_for(spec) -> SenseAmpScheme:
     if isinstance(spec, SenseAmpScheme):
         return spec
@@ -682,7 +699,6 @@ def sense_capture(scheme, vdd: float, r_eq, sb_bits, partner_bits, xor_mask) -> 
 
 @lru_cache(maxsize=64)
 def _captured_grid(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd) -> ReadCapture:
-    scheme.validate(vdd)  # once per grid: no amp field reaches a divider unchecked
     # The resistances are those `program_slice` writes and the conductances
     # those of `path_conductance`, summed and inverted as `read_round` does,
     # so each pairing is bit-exact with a read of any cell pair in its state.
@@ -713,12 +729,8 @@ def nominal_grid(params: DeviceParams, scheme) -> ReadCapture:
     none (p = PARTNER_ABSENT, read out).  Captured once per (r_lrs, r_hrs,
     wire, vdd, scheme) and shared, read-only."""
     params, scheme = _device_params(params), scheme_for(scheme)
-    devices = params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd
-    try:
-        return _captured_grid(scheme, *devices)
-    except TypeError:  # the cache cannot hash an amp field, which validate refuses
-        scheme.validate(params.vdd)
-        raise
+    check_scheme(scheme, params.vdd)  # no amp field reaches a divider unchecked
+    return _captured_grid(scheme, params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd)
 
 
 def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCapture:
@@ -780,9 +792,8 @@ def read_table(state: ProgrammedState, scheme) -> np.ndarray:
     """Every ideal read of `state` under `scheme` (decided as the module
     docstring says), read-only 0/1 bytes, slice-major, shape (rounds, S, 16,
     4): entry [rnd, j, row] is what slice j senses on S-box row `row` in
-    round rnd.  A session reads it only to fix its walk of the logic where
-    the two differ: on d2d cells, slices holding other S-boxes, or a nominal
-    grid that misreads a pairing."""
+    round rnd.  A session reads it only where a read may fail its logic: on
+    d2d cells, or a nominal grid that misreads a pairing."""
     wire = state.params.wire_r_per_cell
     table = np.empty((state.rounds, len(state.sb_bits), 16, 4), dtype=np.uint8)
     # each column's 16 rows last, so a column kind selects whole columns
@@ -821,7 +832,6 @@ def sense_margin_report(scheme, params: DeviceParams) -> list[MarginRecord]:
     comparator's decision is its divider tap in the grid against its
     reference, as the grid's sense decided it."""
     scheme = scheme_for(scheme)
-    scheme.validate(_device_params(params).vdd)
     grid = nominal_grid(params, scheme)
     records = []
     for kind, amp in (("xor", scheme.xor_amp), ("readout", scheme.readout_amp)):

@@ -33,10 +33,11 @@ holds.
 An ideal block walks words, whatever the cells hold.  A column reading
 its logic senses s ^ p, its S-box bit XOR its partner's, and the wiring P
 permutes bits, so a round is the cipher round on the cells' key words, x
-to P(S(x)) ^ P(p): one `bytes.translate` through slice 0's S-box, a sum of
-P's byte-table entries and the round's routed partner word.  It XORs in,
-routed, the reads where `crossbar.read_table` fails that logic (d2d cells,
-another S-box, a nominal grid that misreads).  A noisy block walks rows,
+to P(S(x)) ^ P(p), each slice reading its own S-box: a sum of one entry
+per state byte of the round's byte tables, the routed word a byte's two
+slices read, and the round's routed partner word.  A byte reads its own
+table where `crossbar.read_table` fails that logic (d2d cells, a nominal
+grid that misreads).  A noisy block walks rows,
 `at = 16*j + x` for slice j holding nibble x, over lanes x slices (B*S):
 a round senses them (each column's `crossbar.column_conductances` decided
 on its `crossbar.column_points`), routes the sensed bits, packs every 4
@@ -53,7 +54,7 @@ import json
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import groupby, repeat
-from operator import attrgetter, getitem
+from operator import attrgetter, getitem, itemgetter
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -63,6 +64,7 @@ from .crossbar import (
     CrossbarError,
     DeviceParams,
     ReadCapture,
+    check_scheme,
     column_conductances,
     column_points,
     decide,
@@ -149,10 +151,6 @@ class RoundTrace(NamedTuple):
     round_index: int
 
     @property
-    def input_nibbles(self) -> tuple:
-        return tuple(self.record.states[self.round_index].tolist())
-
-    @property
     def output_nibbles(self) -> tuple:
         return tuple(self.record.outputs[self.round_index].tolist())
 
@@ -193,23 +191,10 @@ def _session_args(variant, scheme, params, feedback: str, name: str) -> tuple:
         params = _DEFAULT_PARAMS
     elif not isinstance(params, DeviceParams):
         raise PipelineError(f"{name} must be a DeviceParams, got {params!r}")
-    try:
-        # an equal scheme may hold fields of other types (Decimal(1) == 1) that validate refuses
-        if _validated(scheme, params.vdd) is not scheme:
-            scheme.validate(params.vdd)
-    except TypeError:  # the cache cannot hash an amp field, which validate refuses
-        scheme.validate(params.vdd)
-        raise
+    check_scheme(scheme, params.vdd)
     if feedback not in ("permuted", "local"):
         raise PipelineError(f"unknown feedback mode: {feedback!r}")
     return variant, scheme, params
-
-
-@lru_cache(maxsize=64)
-def _validated(scheme, vdd: float):
-    """scheme, once it passed `validate` at vdd: checked once per (scheme, vdd)."""
-    scheme.validate(vdd)
-    return scheme
 
 
 @lru_cache(maxsize=None)
@@ -240,40 +225,48 @@ def _byte_routes(variant: CipherVariant, feedback: str) -> tuple:
     return tuple(routes)
 
 
-def _walk_keys(state, variant: CipherVariant, feedback: str, fixes) -> tuple:
-    """Each round's (key, fixes) on `state`: its key word, the round's
-    partner bits routed as the wiring routes the sensed bits, and its entry
-    of `fixes`."""
+def _byte_tables(routes: tuple, byte, nibbles: np.ndarray) -> list:
+    """The byte tables of state bytes `byte` whose two slices, low nibble
+    first, read nibbles[k] on their 16 rows: entry [k][v] is the int
+    routes[byte[k]][nibbles[k, 0, v & 15] | nibbles[k, 1, v >> 4] << 4]."""
+    # each table's 256 indices as bytes, which itemgetter unpacks faster than ints
+    reads = (nibbles[:, 0, None, :] | nibbles[:, 1, :, None] << 4).astype(np.uint8).tobytes()
+    return [itemgetter(*reads[256 * k : 256 * k + 256])(routes[i]) for k, i in enumerate(byte)]
+
+
+@lru_cache(maxsize=64)
+def _logic_tables(cells: bytes, variant: CipherVariant, feedback: str) -> tuple:
+    """The logic of an ideal read, partner bits out, one byte table per state
+    byte, each slice reading its own S-box: built once per `sb_bits` bytes."""
+    s = np.frombuffer(cells, dtype=np.uint8).reshape(-1, 2, 16, 4) @ _NIBBLE_WEIGHTS
+    return tuple(_byte_tables(_byte_routes(variant, feedback), range(len(s)), s))
+
+
+def _read_tables(state, scheme, logic: tuple, routes: tuple) -> list:
+    """Each round's byte tables of what `read_table` reads on `state`, the
+    round's partner bits out: a byte whose slices read their logic in every
+    row keeps its `logic` table, a round whose bytes all do is `logic`."""
+    # a row's 4 columns, 0/1 bytes b, as one uint32 u: u * 0x01020408 >> 24 is b0 + 2b1 + 4b2 + 8b3
+    rows = read_table(state, scheme).view("<u4")[..., 0] ^ state.partner_bits.view("<u4")
+    logic_rows = state.sb_bits.view("<u4")[..., 0]
+    # the (round, byte) pairs with a failing row, of a byte's 2 slices' 16 rows
+    failing = np.flatnonzero((rows != logic_rows).reshape(-1, 32).any(axis=1))
+    rnds, byte = (a.tolist() for a in np.divmod(failing, len(logic)))
+    nibbles = rows.reshape(-1, 2, 16)[failing] * 0x01020408 >> 24
+    walk = [logic] * state.rounds
+    for rnd, i, read in zip(rnds, byte, _byte_tables(routes, byte, nibbles)):
+        walk[rnd] = walk[rnd][:i] + (read,) + walk[rnd][i + 1 :]
+    return walk
+
+
+def _walk_keys(state, variant: CipherVariant, feedback: str) -> list:
+    """Each round's key word on `state`: the round's partner bits routed as
+    the wiring routes the sensed bits."""
     rows = state.partner_bits.reshape(state.rounds, -1).take(_wiring(variant, feedback)[0], axis=1)
     keys = np.packbits(rows, bitorder="little").view("<u8").tolist()
     if variant.block_bits == 128:  # a key word is a low and a high 64-bit word
         keys = [low | high << 64 for low, high in zip(keys[0::2], keys[1::2])]
-    return tuple(zip(keys, fixes))
-
-
-def _walk_fixes(state, scheme, routes) -> list:
-    """Each round's (slice j, {row: word}) pairs, where slice j's `read_table`
-    row fails the logic, slice 0's S-box row XOR the round's partner bits,
-    word the two's XOR routed by `routes`, the `_byte_routes`."""
-    # a row's 4 columns, 0/1 bytes, as one uint32, so that rows compare at once
-    logic = state.sb_bits[0].view(np.uint32).ravel() ^ state.partner_bits.view(np.uint32)
-    diffs = read_table(state, scheme).view(np.uint32)[..., 0] ^ logic
-    # the differing rows' (round, slice, row): np.nonzero takes 20 times as long
-    at = np.unravel_index(np.flatnonzero(diffs), diffs.shape)
-    fixes, nibbles = [{} for _ in diffs], diffs[at].view(np.uint8).reshape(-1, 4) @ _NIBBLE_WEIGHTS
-    for rnd, j, row, d in zip(*(a.tolist() for a in at), nibbles.tolist()):
-        fixes[rnd].setdefault(j, {})[row] = routes[j >> 1][d << 4 * (j & 1)]
-    return [tuple(f.items()) for f in fixes]
-
-
-@lru_cache(maxsize=64)
-def _sbox_walk(cells: bytes) -> tuple:
-    """Slice 0's S-box as a translate table, entry 16*hi + lo = S(lo) |
-    S(hi) << 4, and whether any slice holds another S-box, of the cells
-    whose `sb_bits` bytes are `cells`: built once per cell content."""
-    sb_bits = np.frombuffer(cells, dtype=np.uint8).reshape(-1, 16, 4)
-    s = sb_bits[0] @ _NIBBLE_WEIGHTS
-    return (s | s[:, None] << 4).tobytes(), bool((sb_bits != sb_bits[:1]).any())
+    return keys
 
 
 def _slice_streams(seed: int, slices: int) -> list:
@@ -353,17 +346,17 @@ class EncryptionSession:
     # -- reads --------------------------------------------------------------
 
     def _ideal_reads(self):
-        """What ideal reads of this programming walk, built at the first: the
-        `_sbox_walk` translate table, the `_byte_routes`, each round's
-        `_walk_keys` and, if a read may fail its logic, `_walk_fixes`."""
+        """What ideal reads of this programming walk, built at the first:
+        each round's tables, the cells' `_logic_tables` or, if a read may
+        fail its logic, `_read_tables`, and its `_walk_keys` key word."""
         if self._walk is None:
             state, wiring = self.state, (self.variant, self.feedback)
-            sbox, mixed = _sbox_walk(state.sb_bits.tobytes())
-            routes = _byte_routes(*wiring)
-            # cells that vary, slices that differ, or a grid that misreads
-            fails = not state.nominal or mixed or misread_pairings(state.params, self.scheme).size
-            fixes = _walk_fixes(state, self.scheme, routes) if fails else repeat(())
-            self._walk = sbox, routes, _walk_keys(state, *wiring, fixes)
+            logic = _logic_tables(state.sb_bits.tobytes(), *wiring)
+            tables = repeat(logic)
+            # cells that vary, or a grid that misreads
+            if not state.nominal or misread_pairings(state.params, self.scheme).size:
+                tables = _read_tables(state, self.scheme, logic, _byte_routes(*wiring))
+            self._walk = tuple(zip(tables, _walk_keys(state, *wiring)))
         return self._walk
 
     def _encrypt_lanes(self, pt: int, sigmas, count_errors: bool, traces=None):
@@ -414,13 +407,9 @@ class EncryptionSession:
             cts = [bits_to_state(b) for b in bits.reshape(walked, -1)]
             ats = np.stack(history) if keep else None
         else:
-            sbox, routes, walk = self._ideal_reads()
             x, words, width = pt, [pt], n // 8
-            for key, fixes in walk:  # the wiring commutes with the key's ^
-                y = sum(map(getitem, routes, x.to_bytes(width, "little").translate(sbox))) ^ key
-                for j, rows in fixes:  # slice j's rows that fail the logic
-                    y ^= rows.get(x >> 4 * j & 15, 0)
-                words.append(x := y)
+            for tables, key in self._ideal_reads():  # the wiring commutes with the key's ^
+                words.append(x := sum(map(getitem, tables, x.to_bytes(width, "little"))) ^ key)
             cts, ats = words[-1:], None
             if keep:
                 # the words' nibbles, low first, as the rows they select

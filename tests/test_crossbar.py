@@ -4,6 +4,7 @@ import random
 import re
 import warnings
 from dataclasses import fields, replace
+from decimal import Decimal
 from typing import NamedTuple
 
 import numpy as np
@@ -654,6 +655,24 @@ def test_margin_audit_checks_the_amps_before_sensing(audit):
     # from a list, which the grid's cache cannot hash
     for r_and in ("2e3", [1]):
         scheme = SenseAmpScheme("dxor", DualXorAmp(r_and=r_and), DualReadoutAmp())
+        with pytest.raises(CrossbarError, match=r"^dxor: r_and must be finite and positive"):
+            audit(scheme, DeviceParams())
+
+
+@pytest.mark.parametrize(
+    "audit",
+    [check_logic, lambda scheme, params: nominal_grid(params, scheme)],
+    ids=["check_logic", "nominal_grid"],
+)
+def test_a_cached_grid_does_not_pass_an_equal_scheme_unchecked(audit):
+    # Decimal(2000) == 2000.0, of the same hash, so the refused scheme is
+    # equal to the default one: once the default grid was cached, the grid's
+    # cache returned it unchecked, where the first call raised
+    scheme = SenseAmpScheme("dxor", DualXorAmp(r_and=Decimal(2000)), DualReadoutAmp())
+    assert scheme == DXOR_SCHEME
+    nominal_grid(DeviceParams(), DXOR_SCHEME)
+    check_logic(DXOR_SCHEME, DeviceParams())
+    for _ in range(2):
         with pytest.raises(CrossbarError, match=r"^dxor: r_and must be finite and positive"):
             audit(scheme, DeviceParams())
 

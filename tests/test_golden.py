@@ -8,7 +8,8 @@ encrypt` run are pinned the same way, so the CLI's own writing of them
 is covered too, and so are the ciphertexts of `memgift encrypt` on cells
 with device-to-device variation only, at three remask intervals and, for
 both variants, on cells whose reads depart from the nominal grid's in
-thousands of rows (sigma_d2d = 0.3).  Traces
+thousands of rows (sigma_d2d = 0.3), as programmed and remasked every
+block, which rebuilds the walk of such cells at each block.  Traces
 on ideal devices (nominal cells, no read noise) are pinned the same way,
 in process and through the CLI, because every nominal read is one of a
 few cell pairings that a faster path may gather rather than sense.
@@ -96,7 +97,8 @@ D2D_INTERVALS = (0, 1, 3)
 # `memgift encrypt` of the same blocks, and for GIFT-64 of their first 16
 # digits, on cells with sigma_d2d = 0.3: a GIFT-128 array's ideal reads
 # depart from the nominal grid's in thousands of (round, slice, row)
-# triples, against some 60 at 0.1, so these pin a walk dense with fixes.
+# triples, against some 60 at 0.1, so these pin a walk whose rounds read
+# their own byte tables; remasked every block, they pin its rebuild too.
 DENSE_DEVICE, DENSE_DEVICE_TEXT = DATA_DIR / "cli_d2d_dense_device.cfg", "sigma_d2d = 0.3\n"
 DENSE_BLOCKS = {128: D2D_BLOCKS, 64: DATA_DIR / "cli_d2d_blocks64.txt"}
 
@@ -118,11 +120,14 @@ def cli_d2d_run(every: int) -> str:
     ])
 
 
-def cli_dense_run(bits: int) -> str:
-    """What `memgift encrypt` prints for the dense d2d golden run of GIFT-`bits`."""
+def cli_dense_run(bits: int, every=None) -> str:
+    """What `memgift encrypt` prints for the dense d2d golden run of
+    GIFT-`bits`, remasked every `every` blocks if given."""
+    remask = [] if every is None else ["--remask-every", str(every)]
     return printed([
         "encrypt", "--variant", str(bits), "--key", f"{KEY:032x}",
         "--pt-file", str(DENSE_BLOCKS[bits]), "--device-params", str(DENSE_DEVICE), "--seed", "4",
+        *remask,
     ])
 
 
@@ -218,6 +223,12 @@ def test_cli_dense_d2d_ciphertexts_match_golden(bits):
     assert cli_dense_run(bits) == (DATA_DIR / f"cli_d2d_dense_gift{bits}.txt").read_text()
 
 
+@pytest.mark.parametrize("bits", sorted(DENSE_BLOCKS))
+def test_cli_dense_d2d_remasked_ciphertexts_match_golden(bits):
+    golden = DATA_DIR / f"cli_d2d_dense_every1_gift{bits}.txt"
+    assert cli_dense_run(bits, every=1) == golden.read_text()
+
+
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
 def test_energy_report_matches_golden(tmp_path, scheme, capsys):
     got = energy_json(scheme, tmp_path / "energy.json")
@@ -247,6 +258,7 @@ if __name__ == "__main__":
     DENSE_BLOCKS[64].write_text(blocks64_text())
     for bits in DENSE_BLOCKS:
         (DATA_DIR / f"cli_d2d_dense_gift{bits}.txt").write_text(cli_dense_run(bits))
+        (DATA_DIR / f"cli_d2d_dense_every1_gift{bits}.txt").write_text(cli_dense_run(bits, 1))
     CLI_DEVICE_FILE.write_text(CLI_DEVICE)
     CLI_BLOCKS.write_text(cli_blocks_text())
     with tempfile.TemporaryDirectory() as tmp:

@@ -8,7 +8,7 @@ import sys
 import warnings
 from dataclasses import replace
 from decimal import Decimal
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from memgift.crossbar import (
     load_device_config,
     misread_pairings,
     partner_conductances,
+    program_slice,
     read_table,
     resolve,
     sense_capture,
@@ -38,6 +39,7 @@ from memgift.crossbar import (
 )
 from memgift.errors import MemgiftError
 from memgift.gift import GIFT64, GIFT128, GIFT_SBOX, SBoxTable, encrypt_block, round_addition_masks
+from memgift.layout import sbox_bit_matrix
 from memgift.masking import MaskMismatchError, apply_mask, encrypt_masked, replicate_mask
 from memgift.pipeline import (
     BlockTrace,
@@ -353,7 +355,7 @@ def test_trace_bookkeeping():
     # post-wiring state of round r is the pre-read state of round r+1
     for prev, nxt in zip(traces, traces[1:]):
         reconstructed = 0
-        for j, nib in enumerate(nxt.input_nibbles):
+        for j, nib in enumerate(nxt.record.states[nxt.round_index].tolist()):
             reconstructed |= nib << (4 * j)
         assert prev.post_state == reconstructed
     assert traces[-1].post_state == ct
@@ -400,7 +402,7 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
         assert analog.pairing is None and analog.grid is None
     else:
         # the read table's bits, which the word walk reads as planes, of the rows it read
-        rows = np.array([t.input_nibbles for t in traces])
+        rows = traces[0].record.states[:-1]
         table = read_table(session.state, session.scheme)
         table = table[np.arange(40)[:, None], np.arange(32), rows]
         assert np.array_equal(analog.bits, table)
@@ -414,7 +416,7 @@ def test_traced_block_captures_the_bits_the_kernel_read(monkeypatch, params):
     routed = analog.bits.reshape(40, -1).view(np.uint8)[:, session._sources]
     nibbles = routed.reshape(40, -1, 4) @ np.array([1, 2, 4, 8])
     for captured, nxt in zip(nibbles[:-1].tolist(), traces[1:]):
-        assert tuple(captured) == nxt.input_nibbles
+        assert captured == nxt.record.states[nxt.round_index].tolist()
     assert traces[-1].post_state == ct
     # with noise the sensed bits leave the digital value, and the capture follows
     flipped = analog.bits != (analog.sb_bits ^ analog.partner_bits).astype(bool)
@@ -603,9 +605,9 @@ def test_read_table_walk_matches_kernel(variant, scheme, feedback, key, sigma_d2
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.03], ids=["nominal", "d2d"])
 def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeypatch, sigma_d2d):
     # each programming builds its walk once: the key words from the partner
-    # bits and, on cells with d2d variation, the fixes from one read table;
-    # nominal cells holding one S-box that read their logic build no read
-    # table, and no round of theirs has a fix
+    # bits and, on cells with d2d variation, the byte tables from one read
+    # table; nominal cells that read their logic build no read table, and
+    # every round of theirs walks the cells' logic tables
     walks, tables = [], []
     monkeypatch.setattr(pipeline, "_walk_keys", recorded(walks, pipeline._walk_keys))
     monkeypatch.setattr(pipeline, "read_table", recorded(tables, pipeline.read_table))
@@ -620,14 +622,13 @@ def test_read_table_is_built_at_the_first_ideal_read_of_each_programming(monkeyp
     assert session._walk is None
     session.encrypt(0)
     walk = session._walk
-    # the cells' S-box, the wiring's byte routes, a routed (key, fixes) per round
-    sbox, routes, rounds = walk
-    assert len(sbox) == 256 and len(routes) == 8 and rounds is walks[0]
-    assert len(rounds) == GIFT64.rounds
-    for *_, fixes in rounds:
-        assert all(0 <= j < GIFT64.nibbles and rows for j, rows in fixes)
+    # per round one byte table per state byte and a routed key word
+    assert [key for _, key in walk] == walks[0] and len(walk) == GIFT64.rounds
+    for round_tables, key in walk:
+        assert len(round_tables) == 8 and all(len(t) == 256 for t in round_tables)
+        assert type(key) is int
     if not sigma_d2d:
-        assert [fixes for *_, fixes in rounds] == [()] * GIFT64.rounds
+        assert all(round_tables is walk[0][0] for round_tables, _ in walk)
     built(1)
     session.encrypt(1)
     assert session._walk is walk
@@ -662,30 +663,32 @@ def test_a_second_session_derives_nothing_from_its_configuration(monkeypatch):
     # what a session derives from its (scheme, vdd), nominal grid or S-box
     # cells is computed once: a second nominal session on the same
     # configuration checks no scheme, compares no grid to its logic and
-    # builds no S-box translate table
+    # builds no logic table
     params, key = DeviceParams(vdd=0.85), RNG.getrandbits(128)
     EncryptionSession(key, GIFT128, "sxor", params).encrypt(0)
     validated, validate = [], SenseAmpScheme.validate
     monkeypatch.setattr(SenseAmpScheme, "validate", recorded(validated, validate))
 
     def misses():
-        return [f.cache_info().misses for f in (crossbar._misreads, pipeline._sbox_walk)]
+        return [f.cache_info().misses for f in (crossbar._misreads, pipeline._logic_tables)]
 
     before = misses()
     fresh = RNG.getrandbits(128)
     session = EncryptionSession(fresh, GIFT128, "sxor", params)
     assert session.encrypt(5)[0] == encrypt_block(5, fresh, GIFT128)
     assert validated == [] and misses() == before
-    assert [fixes for _, fixes in session._ideal_reads()[2]] == [()] * GIFT128.rounds
-    # the S-box walk is keyed by the cells: a state of the same shape whose
-    # slice 1 holds another S-box still walks slice 1's rows as fixes
+    logic = session._ideal_reads()[0][0]
+    assert all(tables is logic for tables, _ in session._ideal_reads())
+    # the logic tables are keyed by the cells: a state of the same shape
+    # whose slice 1 holds another S-box walks its own in state byte 0
     other = EncryptionSession(key, GIFT128, "sxor", params, sbox=GIFT_SBOX.inverse()).state
     state = session.state
     sb_bits, sb_res = state.sb_bits.copy(), state.sb_res.copy()
     sb_bits[1], sb_res[1] = other.sb_bits[1], other.sb_res[1]
     session.state, session._walk = replace(state, sb_bits=sb_bits, sb_res=sb_res), None
-    fixed = {j for _, fixes in session._ideal_reads()[2] for j, _ in fixes}
-    assert fixed == {1}
+    walk = session._ideal_reads()
+    assert all(tables is walk[0][0] for tables, _ in walk)
+    assert [a == b for a, b in zip(walk[0][0], logic)] == [False] + [True] * 15
     assert misses()[1] == before[1] + 1
 
 
@@ -733,7 +736,7 @@ def test_read_kernel_matches_per_round_oracle(
     assert cts == [pipeline.bits_to_state(b) for b in want[0]]
     assert errors.tolist() == want[1].tolist()
     if traces is not None:
-        assert [t.input_nibbles for t in traces] == [tuple(rows[0].tolist()) for rows in want_rows]
+        assert traces[0].record.states[:-1].tolist() == [rows[0].tolist() for rows in want_rows]
         assert traces[-1].post_state == cts[0]
     if any(sigmas) or sigma_d2d:
         for a, b in zip(kernel._slice_rngs, oracle._slice_rngs):
@@ -756,7 +759,7 @@ def test_session_devices_are_the_devices_its_cells_were_written_with():
     assert np.unique(session.state.sb_res).tolist() == [2.8e3, 1e6]
     traces = encrypt_masked(session, 5, 3, trace=True)[1]
     # gathered from the nominal grid, and the capture sensed from the cells
-    rows = np.array([t.input_nibbles for t in traces])
+    rows = traces[0].record.states[:-1]
     assert traces[0].analog.pairing is not None
     assert_same_capture(traces[0].analog, sensed_capture(session, rows))
 
@@ -823,7 +826,7 @@ def test_nominal_capture_is_the_sensed_capture_bit_for_bit(
         block = encrypt_masked(session, pt ^ i, mask, trace=True)[1]
         analog = block[0].analog
         # the gathered capture equals the one sensed from the cells read
-        rows = np.array([t.input_nibbles for t in block])
+        rows = block[0].record.states[:-1]
         assert_same_capture(analog, sensed_capture(session, rows))
         assert analog.pairing.shape == analog.bits.shape
         traces += block
@@ -966,6 +969,29 @@ def test_word_walk_equals_a_read_table_walk(
         assert np.array_equal(traces[0].analog.bits, read.astype(bool))
 
 
+def with_slice_sboxes(session, sboxes: dict) -> None:
+    """Rewrite the session's cells so that slice j holds S-box sboxes[j],
+    as a programming of that S-box writes it, d2d draws alike."""
+    state, bundle, params = session.state, session.bundle, session.params
+    sb_bits, sb_res = state.sb_bits.copy(), state.sb_res.copy()
+    for j, sbox in sboxes.items():
+        rngs = pipeline._slice_streams(params.seed, len(sb_bits)) if params.sigma_d2d else None
+        other = program_slice(bundle.key_bits, bundle.columns, sbox_bit_matrix(sbox), params, rngs)
+        sb_bits[j], sb_res[j] = other.sb_bits[j], other.sb_res[j]
+    session.state, session._walk = replace(state, sb_bits=sb_bits, sb_res=sb_res), None
+
+
+@lru_cache(maxsize=None)
+def oracle_routes(variant, feedback: str) -> np.ndarray:
+    """Entry [i, w]: the word that byte i of a sensed word holding w routes
+    to through a session's wiring, bit by bit."""
+    n, sources = variant.block_bits, EncryptionSession(0, variant, feedback=feedback)._sources
+    return np.array([
+        [pipeline.bits_to_state(pipeline.state_to_bits(w << 8 * i, n)[sources]) for w in range(256)]
+        for i in range(n // 8)
+    ], dtype=object)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     variant=st.sampled_from([GIFT64, GIFT128]),
@@ -975,17 +1001,23 @@ def test_word_walk_equals_a_read_table_walk(
     miscalibrated=st.booleans(),
     sigma_d2d=st.sampled_from([0.0, 0.05, 0.1, 0.2]),
     key=st.integers(0, (1 << 128) - 1),
+    own_sboxes=st.booleans(),
+    data=st.data(),
 )
-def test_walk_fixes_are_the_failing_reads(
-    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, sigma_d2d, key
+def test_walk_tables_are_the_reads_of_each_state_byte(
+    tmp_path_factory, variant, scheme, feedback, wire, miscalibrated, sigma_d2d, key, own_sboxes,
+    data,
 ):
-    # on a state holding one S-box, nominal or d2d, the walk departs from
-    # the logic only at the failing reads: its fixed (round, slice, row)
-    # triples are the read table's rows that are not s ^ p, each fix word
-    # that XOR routed, and each round's key word the round's partner bits
-    # routed, which under permuted feedback is the cipher's round addition.
-    # From 1200 Ohm of wire, and with miscalibrated amps, the nominal grid
-    # misreads a pairing, so nominal cells fail in many rows too.
+    # the walk reads state byte i through its round's byte table: entry
+    # [r][i][v] is the routed word of what read_table reads on the byte's
+    # two slices, the low one on row v & 15 and the high one on row v >> 4,
+    # partner bits taken out.  A (round, byte) has its own table exactly
+    # where a slice of it fails a read, a read_table row that is not s ^ p,
+    # and shares the cells' logic table elsewhere; each round's key word is
+    # the round's partner bits routed, which under permuted feedback is the
+    # cipher's round addition.  From 1200 Ohm of wire, and with
+    # miscalibrated amps, the nominal grid misreads a pairing, so nominal
+    # cells fail in many rows too.  Each slice may hold its own S-box.
     params, schemes = DeviceParams(), SCHEMES
     if miscalibrated:
         path = tmp_path_factory.mktemp("params") / "amps.cfg"
@@ -993,22 +1025,30 @@ def test_walk_fixes_are_the_failing_reads(
         params, schemes = load_device_config(path)
     params = replace(params, wire_r_per_cell=wire, sigma_d2d=sigma_d2d, seed=key % 1000)
     session = EncryptionSession(key, variant, schemes[scheme], params, feedback)
+    if own_sboxes:
+        sbox = st.permutations(range(16)).map(SBoxTable)
+        sboxes = data.draw(st.lists(sbox, min_size=variant.nibbles, max_size=variant.nibbles))
+        with_slice_sboxes(session, dict(enumerate(sboxes)))
     state, sources = session.state, session._sources
-    failing = read_table(state, session.scheme) ^ state.sb_bits ^ state.partner_bits[:, :, None]
-    walk = session._ideal_reads()[2]
-    fixes = {
-        (rnd, j, row): word
-        for rnd, (_, round_fixes) in enumerate(walk)
-        for j, rows in round_fixes
-        for row, word in rows.items()
-    }
-    event(f"fixes: {'some' if fixes else 'none'}")
-    assert sorted(fixes) == [tuple(at) for at in np.argwhere(failing.any(axis=-1)).tolist()]
-    for (rnd, j, row), word in fixes.items():
-        sensed = np.zeros(variant.block_bits, dtype=np.uint8)
-        sensed[4 * j : 4 * j + 4] = failing[rnd, j, row]
-        assert word == pipeline.bits_to_state(sensed[sources])
-    keys = [key_word for key_word, _ in walk]
+    table = read_table(state, session.scheme)
+    walk = session._ideal_reads()
+    logic = pipeline._logic_tables(state.sb_bits.tobytes(), variant, feedback)
+    # every row's nibble read, partner bits out, (rounds, S, 16), and what byte i holding v reads
+    nibbles = (table ^ state.partner_bits[:, :, None]) @ np.array([1, 2, 4, 8])
+    v = np.arange(256)
+    reads = nibbles[:, 0::2][:, :, v & 15] | nibbles[:, 1::2][:, :, v >> 4] << 4
+    got = np.array([round_tables for round_tables, _ in walk], dtype=object)
+    want = oracle_routes(variant, feedback)[np.arange(variant.nibbles // 2)[:, None], reads]
+    assert got.shape == want.shape and (got == want).all()
+    failing = (table != state.sb_bits ^ state.partner_bits[:, :, None]).any(axis=(2, 3))
+    failing = failing.reshape(variant.rounds, -1, 2).any(axis=2)  # per (round, byte)
+    event(f"failing bytes: {'some' if failing.any() else 'none'}")
+    for rnd, (round_tables, _) in enumerate(walk):
+        assert (round_tables is logic) == (not failing[rnd].any())
+        for i, byte_table in enumerate(round_tables):
+            assert (byte_table is logic[i]) == (not failing[rnd, i])
+            assert (byte_table == logic[i]) == (not failing[rnd, i])
+    keys = [key_word for _, key_word in walk]
     routed = state.partner_bits.reshape(variant.rounds, -1)[:, sources]
     assert keys == [pipeline.bits_to_state(bits) for bits in routed]
     if feedback == "permuted":
@@ -1042,18 +1082,15 @@ def test_ideal_lanes_read_alike_and_count_every_lane(variant, sigma_d2d):
 
 
 @pytest.mark.parametrize("sigma_d2d", [0.0, 0.1], ids=["nominal", "d2d"])
-def test_slices_holding_different_sboxes_read_as_a_read_table_walk(variant, sigma_d2d):
-    # the walk reads slice 0's S-box for every slice: where slice 3 holds
-    # another one, its rows that read otherwise are fixes, so the state
-    # encrypts, counts errors and traces as a walk of its read table
+def test_slices_holding_different_sboxes_read_as_a_read_table_walk(monkeypatch, variant, sigma_d2d):
+    # the walk reads each slice's own S-box: where slice 3 holds another
+    # one, the state encrypts, counts errors and traces as a walk of its
+    # read table, and nominal cells build no read table for it
+    tables = []
+    monkeypatch.setattr(pipeline, "read_table", recorded(tables, pipeline.read_table))
     params, key = DeviceParams(sigma_d2d=sigma_d2d, seed=6), RNG.getrandbits(128)
     session = EncryptionSession(key, variant, "dxor", params)
-    # slice 3 as a programming of the inverse S-box writes it, d2d draws alike
-    other = EncryptionSession(key, variant, "dxor", params, sbox=GIFT_SBOX.inverse()).state
-    state = session.state
-    sb_bits, sb_res = state.sb_bits.copy(), state.sb_res.copy()
-    sb_bits[3], sb_res[3] = other.sb_bits[3], other.sb_res[3]
-    session.state = replace(state, sb_bits=sb_bits, sb_res=sb_res)
+    with_slice_sboxes(session, {3: GIFT_SBOX.inverse()})
     for pt in [RNG.getrandbits(variant.block_bits) for _ in range(4)]:
         ct, errors, states, read = table_walk(session, pt)
         assert session.encrypt(pt)[0] == ct != encrypt_block(pt, key, variant)
@@ -1062,8 +1099,38 @@ def test_slices_holding_different_sboxes_read_as_a_read_table_walk(variant, sigm
         assert traced == ct
         assert np.array_equal(traces[0].record.states, states)
         assert np.array_equal(traces[0].analog.bits, read.astype(bool))
-    fixed = {j for *_, fixes in session._ideal_reads()[2] for j, _ in fixes}
-    assert 3 in fixed and (sigma_d2d or fixed == {3})
+    assert len(tables) == (1 if sigma_d2d else 0)
+
+
+@pytest.mark.parametrize("feedback", ["permuted", "local"])
+def test_per_slice_masked_sboxes_read_without_a_read_table(monkeypatch, variant, feedback):
+    # slice j holding S(x ^ a_j) ^ b_j, with a the output mask b routed
+    # through the wiring, reads its own cells: nominal cells build no read
+    # table, a block encrypts, counts errors and traces as a walk of the
+    # read table does, and a block masked by a stays masked by a, so under
+    # permuted feedback it unmasks to the cipher's ciphertext
+    tables = []
+    monkeypatch.setattr(pipeline, "read_table", recorded(tables, pipeline.read_table))
+    key, n = RNG.getrandbits(128), variant.block_bits
+    session = EncryptionSession(key, variant, "dxor", feedback=feedback)
+    b = RNG.getrandbits(n)
+    a = pipeline.bits_to_state(pipeline.state_to_bits(b, n)[session._sources])
+    sboxes = {
+        j: SBoxTable([GIFT_SBOX[x ^ a >> 4 * j & 15] ^ b >> 4 * j & 15 for x in range(16)])
+        for j in range(variant.nibbles)
+    }
+    with_slice_sboxes(session, sboxes)
+    for pt in [RNG.getrandbits(n) for _ in range(4)]:
+        ct, errors, states, read = table_walk(session, pt ^ a)
+        assert session.encrypt(pt ^ a)[0] == ct
+        assert session.encrypt_with_error_count(pt ^ a) == (ct, errors) == (ct, 0)
+        traced, traces = session.encrypt(pt ^ a, trace=True)
+        assert traced == ct
+        assert np.array_equal(traces[0].record.states, states)
+        assert np.array_equal(traces[0].analog.bits, read.astype(bool))
+        if feedback == "permuted":
+            assert ct ^ a == encrypt_block(pt, key, variant)
+    assert tables == []
 
 
 # ---------------------------------------------------------------------------
@@ -1092,7 +1159,7 @@ def slow_round_trace(session, traces, fp):
                     "block": t.block,
                     "round": t.round_index,
                     "active_mask": f"{t.active_mask:x}",
-                    "inputs": "".join(f"{v:x}" for v in reversed(t.input_nibbles)),
+                    "inputs": "".join(f"{v:x}" for v in t.record.states[t.round_index, ::-1]),
                     "outputs": "".join(f"{v:x}" for v in reversed(t.output_nibbles)),
                     "post_state": f"{t.post_state:0{digits}x}",
                 }
@@ -1203,8 +1270,8 @@ def test_round_trace_view_is_plain_data(variant, params):
             a[0, 0] = 1
 
     def fields(t):
-        return (t.round_index, t.input_nibbles, t.output_nibbles, t.post_state, t.block,
-                t.active_mask)
+        inputs = tuple(t.record.states[t.round_index].tolist())
+        return t.round_index, inputs, t.output_nibbles, t.post_state, t.block, t.active_mask
 
     before = [fields(t) for t in traces]
     for index, inputs, outputs, post, block, mask in before:
