@@ -597,25 +597,32 @@ def scheme_for(spec) -> SenseAmpScheme:
 # One round read on every slice
 
 
-def draw_read_factors(
-    sigmas: Sequence[float], rngs: Optional[Sequence[np.random.Generator]], reads: int = 1
-) -> np.ndarray:
-    """Cycle-to-cycle factors for the next `reads` reads of every slice, one
-    set per sigma, in the read kernel's layout: shape (reads, 2,
-    len(sigmas), S, 4).  Row 0 of a read scales slice j's four S-box
-    cells, row 1 its four partner cells (unused entries are drawn anyway so
-    the stream position never depends on slice geometry).  Slice j's
-    normals come from rngs[j], drawn once, in read order, and scaled by
-    every sigma, so all sigmas share one noise stream; drawing `reads`
-    reads at once leaves each generator where `reads` single draws would.
-    """
+def draw_read_normals(rngs: Optional[Sequence[np.random.Generator]], reads: int = 1) -> np.ndarray:
+    """The standard normals of the next `reads` reads of every slice, shape
+    (reads, 2, S, 4): row 0 of a read is slice j's four S-box cells', row
+    1 its four partner cells' (unused entries are drawn anyway so the
+    stream position never depends on slice geometry).  Slice j's normals
+    come from rngs[j], in read order; drawing `reads` reads at once leaves
+    each generator where `reads` single draws would.  A read of nominal
+    cells scales them itself, only where a factor may move its bit."""
     if rngs is None:
         raise CrossbarError("sigma_c2c > 0 requires an RNG per slice")
     # every slice's normals drawn into one buffer, then seen read-major
     z = np.empty((len(rngs), reads, 2, 4))
     for rng, normals in zip(rngs, z):
         rng.standard_normal(out=normals)
-    z = z.transpose(1, 2, 0, 3)
+    return z.transpose(1, 2, 0, 3)
+
+
+def draw_read_factors(
+    sigmas: Sequence[float], rngs: Optional[Sequence[np.random.Generator]], reads: int = 1
+) -> np.ndarray:
+    """Cycle-to-cycle factors for the next `reads` reads of every slice, one
+    set per sigma, in the read kernel's layout: shape (reads, 2,
+    len(sigmas), S, 4), the `draw_read_normals` of the reads scaled by
+    every sigma, so all sigmas share one noise stream.  The row loop of
+    cells with d2d variation reads them."""
+    z = draw_read_normals(rngs, reads)
     return variation_factor(np.asarray(sigmas, dtype=float).reshape(-1, 1, 1), z[:, :, None])
 
 
@@ -731,6 +738,49 @@ def nominal_grid(params: DeviceParams, scheme) -> ReadCapture:
     params, scheme = _device_params(params), scheme_for(scheme)
     check_scheme(scheme, params.vdd)  # no amp field reaches a divider unchecked
     return _captured_grid(scheme, params.r_lrs, params.r_hrs, params.wire_r_per_cell, params.vdd)
+
+
+# A safe factor box's half width is a rung of this ladder: k/BOX_RUNGS, k < BOX_RUNGS.
+BOX_RUNGS = 64
+
+
+def safe_factor_box(params: DeviceParams, scheme, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each nominal pairing's widest box of cycle-to-cycle factors [1 - d,
+    1 + d], d = k/BOX_RUNGS, in which a read of its cells under `scheme`,
+    both of its factors anywhere in the box, reads as at factor 1: no
+    decision point of its amp (those `column_points` uses at `sigma`) lies
+    between its conductances at the corners, both factors 1 + d and both
+    1 - d.  Exact, because each step of a read's arithmetic is monotone in
+    each factor and rounds as here (`conductance_range`).  Returns (low,
+    high), every pairing's 1 - d and 1 + d in `nominal_grid` order,
+    read-only; found once per (r_lrs, r_hrs, wire, vdd, scheme, sigma)."""
+    params, scheme = _device_params(params), scheme_for(scheme)
+    check_scheme(scheme, params.vdd)
+    p = params
+    return _safe_box(scheme, p.r_lrs, p.r_hrs, p.wire_r_per_cell, p.vdd, float(sigma))
+
+
+@lru_cache(maxsize=64)
+def _safe_box(scheme: SenseAmpScheme, r_lrs, r_hrs, wire, vdd, sigma) -> tuple:
+    domain = DeviceParams(r_lrs, r_hrs, wire, sigma_c2c=sigma, vdd=vdd).conductance_range()
+    d = np.arange(BOX_RUNGS) / BOX_RUNGS
+    # the corners of every rung, lowest conductance first, as (2, rungs, 1, 1)
+    f = np.stack([1 + d, 1 - d])[..., None, None]
+    # every pairing's conductance, (2, rungs, 6) in grid order, summed as reads sum it; a
+    # corner beyond the reads' range may overflow, which rounds as monotonically
+    with np.errstate(over="ignore", divide="ignore"):
+        g = path_conductance([[r_hrs], [r_lrs]], wire, f) + path_conductance([r_hrs, r_lrs, np.inf], wire, f)
+    g = g.reshape(2, BOX_RUNGS, -1)
+    # the points below each corner: a point between the corners changes their count
+    below = np.empty(g.shape, dtype=np.intp)
+    read_out = np.arange(g.shape[-1]) % (PARTNER_ABSENT + 1) == PARTNER_ABSENT
+    for amp, entries in ((scheme.xor_amp, ~read_out), (scheme.readout_amp, read_out)):
+        below[..., entries] = np.searchsorted(decision_points(amp, vdd, domain), g[..., entries])
+    d = (np.logical_and.accumulate(below[0] == below[1]).sum(axis=0) - 1) / BOX_RUNGS
+    box = 1 - d, 1 + d
+    for a in box:
+        a.setflags(write=False)
+    return box
 
 
 def read_round(state: ProgrammedState, at, rnds, scheme, factors=None) -> ReadCapture:

@@ -37,15 +37,24 @@ to P(S(x)) ^ P(p), each slice reading its own S-box: a sum of one entry
 per state byte of the round's byte tables, the routed word a byte's two
 slices read, and the round's routed partner word.  A byte reads its own
 table where `crossbar.read_table` fails that logic (d2d cells, a nominal
-grid that misreads).  A noisy block walks rows,
-`at = 16*j + x` for slice j holding nibble x, over lanes x slices (B*S):
-a round senses them (each column's `crossbar.column_conductances` decided
-on its `crossbar.column_points`), routes the sensed bits, packs every 4
-into a nibble and adds 16*j back.  Its factors come from one `draw_read_factors`
+grid that misreads).  A noisy block of nominal cells walks words too:
+every S-box cell holds r_lrs or r_hrs, and a lane's factor lies between 1
+and its factor at the largest sigma, so a read of a cell holding s can
+leave its ideal bit only where one of those factors leaves its pairing's
+`crossbar.safe_factor_box`.  The block draws its normals once
+(`draw_read_normals`), decides only the reads at risk, and each lane
+walks x to (T(x) & flip) ^ lo, T the logic tables' sum and (lo, flip) the
+ideal planes with that lane's deviations XORed in; a lane without one is
+the shared walk.  A noisy block of d2d cells walks rows, `at = 16*j + x`
+for slice j holding nibble x, over lanes x slices (B*S): a round senses
+them (each column's `crossbar.column_conductances` decided on its
+`crossbar.column_points`), routes the sensed bits, packs every 4 into a
+nibble and adds 16*j back.  Its factors come from one `draw_read_factors`
 call, its partner branches for every round and lane at once, its decision
 points cached per sigma.  A traced or counted walk ends alike over its
-rows (a word walk's words, unpacked): its bit errors in one comparison,
-its capture in one `read_round`.
+rows (a word walk's words, unpacked): its bit errors in one comparison
+(a nominal noisy walk counts them per round), its capture in one
+`read_round`.
 """
 
 from __future__ import annotations
@@ -69,12 +78,18 @@ from .crossbar import (
     column_points,
     decide,
     draw_read_factors,
+    draw_read_normals,
+    grid_entry,
     misread_pairings,
+    nominal_grid,
     partner_conductances,
+    path_conductance,
     program_slice,
     read_round,
     read_table,
+    safe_factor_box,
     scheme_for,
+    variation_factor,
 )
 from .errors import MemgiftError, check_int
 from .gift import (
@@ -259,14 +274,35 @@ def _read_tables(state, scheme, logic: tuple, routes: tuple) -> list:
     return walk
 
 
+def _routed_words(bits: np.ndarray, sources: np.ndarray) -> list:
+    """Rows of sensed 0/1 bits, len(sources) each, routed as the wiring
+    routes a read's (next-state bit i is sensed bit sources[i]), as ints,
+    in row order."""
+    n = len(sources)
+    rows = bits.reshape(-1, n).take(sources, axis=1)
+    words = np.packbits(rows, axis=1, bitorder="little").view("<u8")
+    if n == 128:  # a word is a low and a high 64-bit word
+        return [low | high << 64 for low, high in words.tolist()]
+    return words.ravel().tolist()
+
+
 def _walk_keys(state, variant: CipherVariant, feedback: str) -> list:
     """Each round's key word on `state`: the round's partner bits routed as
     the wiring routes the sensed bits."""
-    rows = state.partner_bits.reshape(state.rounds, -1).take(_wiring(variant, feedback)[0], axis=1)
-    keys = np.packbits(rows, bitorder="little").view("<u8").tolist()
-    if variant.block_bits == 128:  # a key word is a low and a high 64-bit word
-        keys = [low | high << 64 for low, high in zip(keys[0::2], keys[1::2])]
-    return keys
+    return _routed_words(state.partner_bits, _wiring(variant, feedback)[0])
+
+
+def _plane_walk(logic: tuple, x: int, rounds, width: int) -> tuple[list, list]:
+    """The words x walks to through `rounds` of nominal reads, each given
+    by its (lo, flip, key) words: x to (T(x) & flip) ^ lo, where T(x), the
+    sum of the `logic` tables' entries of x's bytes, is the routed cell
+    bits it reads; and per round the sensed bits that differ from T(x) ^ key."""
+    words, errors = [x], []
+    for lo, flip, key in rounds:
+        t = sum(map(getitem, logic, x.to_bytes(width, "little")))
+        words.append(x := (t & flip) ^ lo)
+        errors.append((x ^ t ^ key).bit_count())
+    return words, errors
 
 
 def _slice_streams(seed: int, slices: int) -> list:
@@ -345,6 +381,70 @@ class EncryptionSession:
 
     # -- reads --------------------------------------------------------------
 
+    @cached_property
+    def _planes(self) -> tuple:
+        """What a read of the session's nominal cells senses at factor 1,
+        the grid's bit of its pairing: every read's pairing of an S-box cell
+        holding 0 (HRS) and 1 (LRS), and their bits, each (2, rounds * S * 4)
+        over the (rounds, S, 4) reads; and per round its routed (lo, flip,
+        key) words: what a cell holding 0 reads, whether one holding 1
+        reads otherwise, and the partner bits.  Reprogramming moves none."""
+        state = self.state
+        pairings = grid_entry(np.arange(2)[:, None], state.partner_codes.reshape(-1))
+        planes = nominal_grid(state.params, self.scheme).bits.take(pairings)
+        words = np.concatenate([planes, state.partner_bits.reshape(1, -1)])
+        words[1] ^= words[0]
+        words = _routed_words(words, self._sources)
+        return pairings, planes, [words[i : i + state.rounds] for i in range(0, len(words), state.rounds)]
+
+    def _nominal_walks(self, pt: int, sigmas, points, trace: bool) -> tuple:
+        """Each lane's words of a noisy block of nominal cells, its bit
+        errors and, with `trace` (one lane), its factors.  A lane's factor
+        lies between 1 and its factor at the largest sigma, so a read of a
+        cell holding s is at risk only where one of those leaves its
+        pairing's `safe_factor_box`.  Only reads at risk are decided, for
+        every lane; every other read is its plane's.  A lane that no
+        decision moves off its planes is the shared walk; one that a
+        decision moves first in round r walks on from the shared word of
+        round r."""
+        state, rounds, width = self.state, self.variant.rounds, self.variant.block_bits // 8
+        params, (pairings, planes, (los, flips, keys)) = state.params, self._planes
+        # each read's S-box and partner normals, (2, reads) over the (rounds, S, 4) reads
+        z = draw_read_normals(self._slice_rngs, rounds).transpose(1, 0, 2, 3).reshape(2, -1)
+        low, high = (b.take(pairings) for b in safe_factor_box(params, self.scheme, max(sigmas)))
+        f = variation_factor(max(sigmas), z)[:, None]
+        out = ((f < low) | (f > high)).reshape(2, 2, rounds, -1)
+        # a read-out column has no partner, whose factor moves nothing
+        at = np.flatnonzero(out[0] | out[1] & state.xor_mask.reshape(-1))
+        logic = _logic_tables(state.sb_bits.tobytes(), self.variant, self.feedback)
+        shared, errs = _plane_walk(logic, pt, zip(los, flips, keys), width)
+        walks, errors = [shared] * len(sigmas), [sum(errs)] * len(sigmas)
+        if at.size:
+            reads, cells = z.shape[1], z.shape[1] // rounds
+            s, read = np.divmod(at, reads)
+            f = variation_factor(np.reshape(sigmas, (-1, 1, 1)), z.take(read, axis=1))
+            wire = params.wire_r_per_cell
+            g = path_conductance(np.take([params.r_hrs, params.r_lrs], s), wire, f[:, 0])
+            g += path_conductance(state.partner_res.reshape(-1).take(read), wire, f[:, 1])
+            # where each lane's reads at risk leave their planes
+            moved = decide(g, points.reshape(-1, cells).take(read % cells, axis=1))
+            moved ^= planes.reshape(-1).take(at).astype(bool)
+            lanes = np.flatnonzero(moved.any(axis=1))
+            lane_planes = np.zeros((len(lanes), 2 * reads), dtype=bool)
+            lane_planes[:, at] = moved[lanes]
+            lane_planes = (lane_planes ^ planes.reshape(-1)).reshape(-1, 2, reads)
+            lane_planes[:, 1] ^= lane_planes[:, 0]
+            # each lane's lo, then its flip words, round by round
+            words = _routed_words(lane_planes, self._sources)
+            firsts = np.where(moved[lanes], read // cells, rounds).min(axis=1).tolist()
+            for k, (lane, r) in enumerate(zip(lanes.tolist(), firsts)):
+                lo, flip = (words[i + r : i + rounds] for i in (2 * k * rounds, (2 * k + 1) * rounds))
+                own, own_errs = _plane_walk(logic, shared[r], zip(lo, flip, keys[r:]), width)
+                walks[lane], errors[lane] = shared[:r] + own, sum(errs[:r]) + sum(own_errs)
+        if trace:  # the lane's factors, (rounds, 2, S, 4) as `read_round` takes them
+            f = variation_factor(sigmas[0], z).reshape(2, rounds, -1, 4).transpose(1, 0, 2, 3)
+        return walks, errors, f if trace else None
+
     def _ideal_reads(self):
         """What ideal reads of this programming walk, built at the first:
         each round's tables, the cells' `_logic_tables` or, if a read may
@@ -369,31 +469,36 @@ class EncryptionSession:
         appended.
 
         When every sigma is zero the lanes read alike and one walks words,
-        on any state, as the module docstring says.  Else all lanes sense the cells
-        under factors drawn in one `draw_read_factors` call, shape (rounds,
-        2, B, S, 4): [rnd, 0] scales round rnd's S-box cells and [rnd, 1]
-        its partner cells, in every lane alike (common random numbers).
+        on any state, as the module docstring says.  Else, on nominal cells,
+        every lane walks words (`_nominal_walks`); on d2d cells all lanes
+        sense the cells under factors drawn in one `draw_read_factors` call,
+        shape (rounds, 2, B, S, 4): [rnd, 0] scales round rnd's S-box cells
+        and [rnd, 1] its partner cells, in every lane alike (common random
+        numbers), as the nominal walk's normals are.
         """
         n, rounds, lanes = self.variant.block_bits, self.variant.rounds, len(sigmas)
         pt = check_int(pt, "plaintext", PipelineError, n)
         state, base, sources = self.state, self._row_base, self._sources
         noisy = any(s > 0 for s in sigmas)
         walked = lanes if noisy else 1
-        if walked > 1:
-            base = np.tile(base, walked)
-            sources = (sources + n * np.arange(walked)[:, None]).ravel()
-        # the wiring's sources of each next-state nibble's 4 bits
-        sources = sources.reshape(-1, 4)
-        keep = count_errors or traces is not None
+        # a noisy walk of nominal cells counts its errors as it walks
+        rows_counted = count_errors and not (noisy and state.nominal)
+        keep = rows_counted or traces is not None
+        errors, f, width = np.zeros(walked, dtype=np.int64), None, n // 8
         if noisy:
-            # a writable index for the rounds' takes: `take` copies a read-only one at every call
-            sources = sources.copy()
-            # every walked lane's slices' flat S-box rows, 16*j + nibble, over B*S
-            at = np.tile(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, walked) + base
-            factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
             points = self._column_points.get(sigma := max(sigmas))
             if points is None:
                 points = self._column_points[sigma] = column_points(state, self.scheme, sigma)
+        if noisy and not state.nominal:
+            if walked > 1:
+                base = np.tile(base, walked)
+                sources = (sources + n * np.arange(walked)[:, None]).ravel()
+            # the wiring's sources of each next-state nibble's 4 bits, writable
+            # for the rounds' takes: `take` copies a read-only index at every call
+            sources = sources.reshape(-1, 4).copy()
+            # every walked lane's slices' flat S-box rows, 16*j + nibble, over B*S
+            at = np.tile(state_to_bits(pt, n).reshape(-1, 4) @ _NIBBLE_WEIGHTS, walked) + base
+            factors = draw_read_factors(sigmas, self._slice_rngs, rounds)
             # computed once: the partner branch of every round's reads
             partner_g = partner_conductances(state, np.arange(rounds)[:, None], factors[:, 1])
             history = [at]
@@ -405,20 +510,24 @@ class EncryptionSession:
                 if keep:
                     history.append(at)
             cts = [bits_to_state(b) for b in bits.reshape(walked, -1)]
-            ats = np.stack(history) if keep else None
+            ats, f = np.stack(history) if keep else None, factors[:, :, 0]
         else:
-            x, words, width = pt, [pt], n // 8
-            for tables, key in self._ideal_reads():  # the wiring commutes with the key's ^
-                words.append(x := sum(map(getitem, tables, x.to_bytes(width, "little"))) ^ key)
-            cts, ats = words[-1:], None
+            if noisy:
+                walks, counted, f = self._nominal_walks(pt, sigmas, points, traces is not None)
+                errors += counted if count_errors else 0
+            else:
+                x, words = pt, [pt]
+                for tables, key in self._ideal_reads():  # the wiring commutes with the key's ^
+                    words.append(x := sum(map(getitem, tables, x.to_bytes(width, "little"))) ^ key)
+                walks = [words]
+            cts, ats, sources = [words[-1] for words in walks], None, sources.reshape(-1, 4)
             if keep:
-                # the words' nibbles, low first, as the rows they select
-                raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words), np.uint8)
+                # the first walk's words, nibbles low first, as the rows they select
+                raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in walks[0]), np.uint8)
                 ats = np.stack([raw & 15, raw >> 4], axis=-1).reshape(rounds + 1, -1) + base
-        errors = np.zeros(walked, dtype=np.int64)
         if keep:
             read, nibbles = ats[:-1], (ats & 15).astype(np.uint8)
-        if count_errors:
+        if rows_counted:
             # each read's digital value, routed as its sensed bits were
             cells = state.sb_bits.reshape(-1, 4).take(read, axis=0)
             expected = cells.reshape(rounds, walked, -1, 4) ^ state.partner_bits[:, None]
@@ -427,7 +536,6 @@ class EncryptionSession:
             errors += wrong.reshape(rounds, walked, -1).sum(axis=(0, 2))
         if traces is not None:
             # one capture repeats the block's reads: the same rows, the same factors
-            f = factors[:, :, 0] if noisy else None
             analog = read_round(state, read, np.arange(rounds), self.scheme, f)
             outputs = analog.bits @ _NIBBLE_WEIGHTS
             record = BlockTrace(analog, nibbles, outputs, self.blocks_encrypted, self.mask)

@@ -1318,3 +1318,40 @@ def test_parameter_files_raise_only_config_error(tmp_path_factory, data):
             load(path)
         except ConfigError:
             pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    wire=st.sampled_from([0.0, 150.0, 800.0, 1200.0, 5000.0]),
+    r_lrs=st.floats(1e3, 1e4),
+    scheme=st.sampled_from(["sxor", "dxor"]),
+    sigma=st.sampled_from([0.02, 0.05, 0.12, 0.3]),
+    data=st.data(),
+)
+def test_safe_factor_box_is_the_widest_rung_that_reads_as_factor_one(wire, r_lrs, scheme, sigma, data):
+    # every factor pair inside a pairing's box reads it as factor 1 does,
+    # and the next rung's corners read it otherwise, unless d is the top rung
+    params = DeviceParams(r_lrs=r_lrs, wire_r_per_cell=wire)
+    state = crossbar.program_slice(np.zeros((1, 1)), [(0,), ()], np.zeros((16, 4)), params)
+    points = crossbar.column_points(state, scheme, sigma)
+    low, high = crossbar.safe_factor_box(params, scheme, sigma)
+    r = np.array([params.r_hrs, params.r_lrs])
+
+    def bits(entry, f_sb, f_p):
+        s, p = divmod(entry, 3)
+        partner = np.inf if p == 2 else r[p]
+        f_sb, f_p = (np.asarray(f, dtype=float).reshape(-1) for f in (f_sb, f_p))
+        g = path_conductance(r[s], wire, f_sb) + path_conductance(partner, wire, f_p)
+        return decide(g, points[:, 0 if p != 2 else 1, 0, None])
+
+    for entry in range(6):
+        d = high[entry] - 1
+        assert low[entry] == 1 - d and d * crossbar.BOX_RUNGS == int(d * crossbar.BOX_RUNGS)
+        ideal = bits(entry, 1.0, 1.0)
+        inside = st.floats(low[entry], high[entry])
+        pairs = data.draw(st.lists(st.tuples(inside, inside), min_size=1, max_size=8))
+        assert (bits(entry, *np.array(pairs).T) == ideal).all()
+        if d < (crossbar.BOX_RUNGS - 1) / crossbar.BOX_RUNGS:
+            rung = d + 1 / crossbar.BOX_RUNGS
+            corners = np.array([1 - rung, 1 + rung])
+            assert (bits(entry, corners, corners) != ideal).any()

@@ -9,7 +9,11 @@ is covered too, and so are the ciphertexts of `memgift encrypt` on cells
 with device-to-device variation only, at three remask intervals and, for
 both variants, on cells whose reads depart from the nominal grid's in
 thousands of rows (sigma_d2d = 0.3), as programmed and remasked every
-block, which rebuilds the walk of such cells at each block.  Traces
+block, which rebuilds the walk of such cells at each block.  The same
+blocks' ciphertexts on nominal cells read with cycle-to-cycle noise are
+pinned too, and so is a traced CLI run on them: at sigma_c2c = 0.05 no
+read can leave its ideal value, at 0.12 behind 800 ohm of wire many do.
+Traces
 on ideal devices (nominal cells, no read noise) are pinned the same way,
 in process and through the CLI, because every nominal read is one of a
 few cell pairings that a faster path may gather rather than sense.
@@ -102,6 +106,21 @@ D2D_INTERVALS = (0, 1, 3)
 DENSE_DEVICE, DENSE_DEVICE_TEXT = DATA_DIR / "cli_d2d_dense_device.cfg", "sigma_d2d = 0.3\n"
 DENSE_BLOCKS = {128: D2D_BLOCKS, 64: DATA_DIR / "cli_d2d_blocks64.txt"}
 
+# `memgift encrypt` of the same blocks on nominal cells read with
+# cycle-to-cycle noise: at sigma_c2c = 0.05 every read stays clear of its
+# amp's decision points; at 0.12 behind 800 ohm of wire many reads are
+# decided and every block misreads.  The traced CLI run is repeated on the
+# first devices.
+C2C_DEVICES = {
+    "c2c": "sigma_c2c = 0.05\n",
+    "c2c_thin": "sigma_c2c = 0.12\nwire_r_per_cell = 800\n",
+}
+C2C_CLI_RUN = "cli_gift128_c2c"
+
+
+def c2c_device(name: str) -> Path:
+    return DATA_DIR / f"cli_{name}_device.cfg"
+
 
 def printed(argv) -> str:
     """What `memgift` prints for argv, which must exit 0."""
@@ -120,13 +139,14 @@ def cli_d2d_run(every: int) -> str:
     ])
 
 
-def cli_dense_run(bits: int, every=None) -> str:
+def cli_dense_run(bits: int, every=None, device=DENSE_DEVICE) -> str:
     """What `memgift encrypt` prints for the dense d2d golden run of
-    GIFT-`bits`, remasked every `every` blocks if given."""
+    GIFT-`bits`, remasked every `every` blocks if given, or for the same
+    blocks on the devices of `device`."""
     remask = [] if every is None else ["--remask-every", str(every)]
     return printed([
         "encrypt", "--variant", str(bits), "--key", f"{KEY:032x}",
-        "--pt-file", str(DENSE_BLOCKS[bits]), "--device-params", str(DENSE_DEVICE), "--seed", "4",
+        "--pt-file", str(DENSE_BLOCKS[bits]), "--device-params", str(device), "--seed", "4",
         *remask,
     ])
 
@@ -211,6 +231,14 @@ def test_cli_d2d_traces_match_golden(tmp_path, capsys):
     assert sha256(analog_text) == (DATA_DIR / f"{D2D_CLI_RUN}.analog.sha256").read_text()
 
 
+def test_cli_c2c_traces_match_golden(tmp_path, capsys):
+    assert CLI_BLOCKS.read_text() == cli_blocks_text()
+    round_text, analog_text = cli_traced_run(tmp_path, c2c_device("c2c"))
+    capsys.readouterr()
+    assert round_text == (DATA_DIR / f"{C2C_CLI_RUN}.jsonl").read_text()
+    assert sha256(analog_text) == (DATA_DIR / f"{C2C_CLI_RUN}.analog.sha256").read_text()
+
+
 @pytest.mark.parametrize("every", D2D_INTERVALS)
 def test_cli_d2d_ciphertexts_match_golden(every):
     assert cli_d2d_run(every) == (DATA_DIR / f"cli_d2d_every{every}.txt").read_text()
@@ -227,6 +255,14 @@ def test_cli_dense_d2d_ciphertexts_match_golden(bits):
 def test_cli_dense_d2d_remasked_ciphertexts_match_golden(bits):
     golden = DATA_DIR / f"cli_d2d_dense_every1_gift{bits}.txt"
     assert cli_dense_run(bits, every=1) == golden.read_text()
+
+
+@pytest.mark.parametrize("bits", sorted(DENSE_BLOCKS))
+@pytest.mark.parametrize("name", sorted(C2C_DEVICES))
+def test_cli_c2c_ciphertexts_match_golden(name, bits):
+    assert c2c_device(name).read_text() == C2C_DEVICES[name]
+    got = cli_dense_run(bits, device=c2c_device(name))
+    assert got == (DATA_DIR / f"cli_{name}_gift{bits}.txt").read_text()
 
 
 @pytest.mark.parametrize("scheme", ["sxor", "dxor"])
@@ -259,11 +295,16 @@ if __name__ == "__main__":
     for bits in DENSE_BLOCKS:
         (DATA_DIR / f"cli_d2d_dense_gift{bits}.txt").write_text(cli_dense_run(bits))
         (DATA_DIR / f"cli_d2d_dense_every1_gift{bits}.txt").write_text(cli_dense_run(bits, 1))
+    for name, text in C2C_DEVICES.items():
+        c2c_device(name).write_text(text)
+        for bits in DENSE_BLOCKS:
+            golden = DATA_DIR / f"cli_{name}_gift{bits}.txt"
+            golden.write_text(cli_dense_run(bits, device=c2c_device(name)))
     CLI_DEVICE_FILE.write_text(CLI_DEVICE)
     CLI_BLOCKS.write_text(cli_blocks_text())
     with tempfile.TemporaryDirectory() as tmp:
         for run, device in ((CLI_RUN, CLI_DEVICE_FILE), (NOMINAL_CLI_RUN, None),
-                            (D2D_CLI_RUN, D2D_DEVICE)):
+                            (D2D_CLI_RUN, D2D_DEVICE), (C2C_CLI_RUN, c2c_device("c2c"))):
             round_text, analog_text = cli_traced_run(Path(tmp), device)
             (DATA_DIR / f"{run}.jsonl").write_text(round_text)
             (DATA_DIR / f"{run}.analog.sha256").write_text(sha256(analog_text))

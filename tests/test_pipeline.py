@@ -692,14 +692,18 @@ def test_a_second_session_derives_nothing_from_its_configuration(monkeypatch):
     assert misses()[1] == before[1] + 1
 
 
+# the MISCALIBRATED amps, as the device file that sweeps them holds them
+MISCALIBRATED_SCHEMES = tuple(load_device_config(DATA_DIR / "sweep_amps_miscalibrated.cfg")[1].values())
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     variant=st.sampled_from([GIFT64, GIFT128]),
-    scheme=st.sampled_from(["sxor", "dxor"]),
+    scheme=st.sampled_from(["sxor", "dxor", *MISCALIBRATED_SCHEMES]),
     feedback=st.sampled_from(["permuted", "local"]),
     lanes=st.integers(1, 8),
     sigma_d2d=st.sampled_from([0.0, 0.05]),
-    wire=st.sampled_from([0.0, 150.0]),
+    wire=st.sampled_from([0.0, 150.0, 800.0, 1200.0]),
     with_table=st.booleans(),
     record_rows=st.booleans(),
     count_errors=st.booleans(),
@@ -1563,6 +1567,14 @@ GOLDEN_SWEEPS = {
             ("misreading", "cli_misreading_device"),
             ("amps_miscalibrated", "sweep_amps_miscalibrated"),
         )
+        for scheme in ("dxor", "sxor")
+    },
+    # nominal cells behind 800 and 1200 ohm of wire, whose noisy reads are
+    # decided wherever a factor leaves `safe_factor_box`: a narrow box, and
+    # an empty one, where every noisy read is decided
+    **{
+        f"sweep_wire{wire}_{scheme}": device_file_sweep(f"sweep_wire{wire}", scheme)
+        for wire in (800, 1200)
         for scheme in ("dxor", "sxor")
     },
 }
